@@ -10,9 +10,10 @@ composed guarantee undefined rather than silently vanishing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from .errors import InvalidDelta, NonPositiveEpsilon
+from .errors import InvalidDelta, MalformedLedger, NonPositiveEpsilon, SdcError
 
 EMPIRICAL_CHECK_WARNING = "empirical check required"
 VOID_WARNING = "guarantee mostly void"
@@ -86,10 +87,7 @@ class BudgetLedger:
         group: str | None = None,
         notes: str = "",
     ) -> LedgerEntry:
-        if epsilon <= 0:
-            raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
-        if not 0.0 <= delta < 1.0:
-            raise InvalidDelta(f"delta must be in [0, 1), got {delta}")
+        _check_dp(epsilon, delta)
         entry = LedgerEntry(mechanism, "dp", float(epsilon), float(delta), group, notes)
         self._entries.append(entry)
         return entry
@@ -147,9 +145,38 @@ class BudgetLedger:
 
     @staticmethod
     def from_jsonl(text: str) -> "BudgetLedger":
+        """Parse one entry per line, validated as ``record_dp`` and
+        ``record_syntactic`` validate; an error names its 1-based line."""
         ledger = BudgetLedger()
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                ledger._entries.append(LedgerEntry.from_json(json.loads(line)))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                ledger._entries.append(_parse_entry(line))
+            except SdcError as e:
+                raise type(e)(f"ledger line {lineno}: {e}") from None
         return ledger
+
+
+def _check_dp(epsilon: float, delta: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise NonPositiveEpsilon(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0.0 <= delta < 1.0:
+        raise InvalidDelta(f"delta must be in [0, 1), got {delta}")
+
+
+def _parse_entry(line: str) -> LedgerEntry:
+    try:
+        entry = LedgerEntry.from_json(json.loads(line))
+    except (ValueError, KeyError, TypeError):
+        raise MalformedLedger("not a JSON object with a mechanism and a kind") from None
+    if entry.kind == "syntactic":
+        if entry.epsilon is not None:
+            raise MalformedLedger(f"syntactic entry carries an epsilon ({entry.epsilon!r})")
+    elif entry.kind == "dp":
+        if not all(isinstance(v, (int, float)) for v in (entry.epsilon, entry.delta)):
+            raise MalformedLedger("dp entry needs a numeric epsilon and delta")
+        _check_dp(entry.epsilon, entry.delta)
+    else:
+        raise MalformedLedger(f"unknown entry kind {entry.kind!r}")
+    return entry

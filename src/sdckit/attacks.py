@@ -26,8 +26,8 @@ from .errors import (
     NotNeighbors,
     UnknownAttribute,
 )
-from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable
-from .metric import comparable_text
+from .metric import MixedSpace
+from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table
 from .probkanon import AnatomyRelease
 from .seeds import derive_rng, derive_seed
 
@@ -81,15 +81,12 @@ def _jsonable(obj):
     return obj
 
 
-def _as_table(release_or_table) -> MicrodataTable:
-    if isinstance(release_or_table, AnonymizedRelease):
-        return release_or_table.table
-    return release_or_table
-
-
 # --------------------------------------------------------------------------
 # record linkage
 # --------------------------------------------------------------------------
+
+# distances link_records holds at once: external rows x release rows
+_BLOCK_CELLS = 1 << 20
 
 
 def link_records(
@@ -97,39 +94,51 @@ def link_records(
 ) -> np.ndarray:
     """Nearest-neighbor match of each external record to a release row.
 
-    Distance is summed over the quasi-identifiers the two tables share:
-    squared difference after pooled z-scoring when both sides are numeric,
-    exact-match 0/1 on canonical text otherwise. Ties are broken uniformly
-    at random. Returns the matched release row position per external row.
+    Distance is the mixed metric of ``MixedSpace`` over the quasi-identifiers
+    the two tables share, with numeric statistics pooled over both tables:
+    squared z-scored difference where both sides are numeric, exact-match 0/1
+    on canonical text otherwise. External rows are matched in blocks of at
+    most ``_BLOCK_CELLS`` distances. Ties are broken uniformly at random, one
+    draw per tied external row, in row order. Returns the matched release row
+    position per external row. ``linkage_attack`` and the probabilistic-k
+    verifier call it from one trial loop, so the verifier shares the attack's
+    trial streams.
     """
     shared = [n for n in external_table.qi_names if n in release_table.qi_names]
     if not shared:
         raise NoSharedQIs("the release and the external table share no quasi-identifiers")
-    n_rel, n_ext = release_table.n_rows, external_table.n_rows
-    dist = np.zeros((n_ext, n_rel))
-    for name in shared:
-        numeric = release_table.attribute(name).is_numeric and external_table.attribute(name).is_numeric
-        if numeric:
-            rel = release_table.columns[name].astype(float)
-            ext = external_table.columns[name].astype(float)
-            pooled = np.concatenate([rel, ext])
-            std = float(pooled.std())
-            if std == 0.0:
-                continue
-            mean = float(pooled.mean())
-            relz = (rel - mean) / std
-            extz = (ext - mean) / std
-            dist += (extz[:, None] - relz[None, :]) ** 2
-        else:
-            rel = comparable_text(release_table, name)
-            ext = comparable_text(external_table, name)
-            dist += (ext[:, None] != rel[None, :]).astype(float)
+    rel_space, ext_space = MixedSpace.from_tables([release_table, external_table], shared)
+    n_ext = external_table.n_rows
     positions = np.empty(n_ext, dtype=np.int64)
-    for i in range(n_ext):
-        row = dist[i]
-        ties = np.flatnonzero(row == row.min())
-        positions[i] = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
+    step = max(1, _BLOCK_CELLS // max(rel_space.n, 1))
+    for start in range(0, n_ext, step):
+        dist = rel_space.sq_dist_to(ext_space.point(slice(start, start + step)))
+        nearest = dist == dist.min(axis=1, keepdims=True)
+        del dist  # free this block's distances before the next block is computed
+        positions[start : start + nearest.shape[0]] = nearest.argmax(axis=1)
+        for i in np.flatnonzero(nearest.sum(axis=1) > 1):
+            ties = np.flatnonzero(nearest[i])
+            positions[start + i] = ties[rng.integers(ties.size)]
     return positions
+
+
+def _linkage_successes(release, external_table: MicrodataTable, trials: int, rng_seed: int):
+    """The linkage trial loop: per-external-record success counts over ``trials``.
+
+    ``release`` is a release, a table, or a factory ``seed -> release`` drawn
+    afresh each trial from ``derive_seed(rng_seed, "trial", t, 0)``; trial t
+    breaks ties with ``derive_rng(rng_seed, "attack", t)``. Returns the counts
+    and the last trial's release table.
+    """
+    ext_ids = np.asarray(external_table.row_ids)
+    successes = np.zeros(external_table.n_rows, dtype=np.int64)
+    rel_table = None
+    for t in range(trials):
+        rel = release(derive_seed(rng_seed, "trial", t, 0)) if callable(release) else release
+        rel_table = as_table(rel)
+        pos = link_records(rel_table, external_table, derive_rng(rng_seed, "attack", t))
+        successes += np.asarray(rel_table.row_ids)[pos] == ext_ids
+    return successes, rel_table
 
 
 def linkage_attack(
@@ -143,38 +152,26 @@ def linkage_attack(
     ``release`` may be a finished release, a bare table, or a factory
     ``seed -> release`` that is re-randomized on every trial. Success for one
     external record means the matched release row carries that record's id.
+    ``verify_probabilistic_k`` runs the same trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    successes, rel_table = _linkage_successes(release, external_table, trials, rng_seed)
     n_ext = external_table.n_rows
-    per_record = np.zeros(n_ext)
-    successes = 0
-    n_rel = None
-    shared = None
-    for t in range(trials):
-        rel = release(derive_seed(rng_seed, "trial", t, 0)) if callable(release) else release
-        rel_table = _as_table(rel)
-        n_rel = rel_table.n_rows
-        if shared is None:
-            shared = [n for n in external_table.qi_names if n in rel_table.qi_names]
-        rng = derive_rng(rng_seed, "attack", t)
-        pos = link_records(rel_table, external_table, rng)
-        hits = np.asarray(rel_table.row_ids)[pos] == np.asarray(external_table.row_ids)
-        per_record += hits
-        successes += int(hits.sum())
+    n_rel = rel_table.n_rows
+    hits = int(successes.sum())
     total = trials * n_ext
-    rate = successes / total
     return AttackReport(
         attack="linkage",
-        success_rate=rate,
-        wilson=wilson_interval(successes, total),
+        success_rate=hits / total,
+        wilson=wilson_interval(hits, total),
         trials=total,
         baseline=1.0 / n_rel if n_rel else None,
         details={
-            "shared_qis": shared,
+            "shared_qis": [n for n in external_table.qi_names if n in rel_table.qi_names],
             "n_release_rows": n_rel,
             "n_external_rows": n_ext,
-            "per_record_rates": (per_record / trials).tolist(),
+            "per_record_rates": (successes / trials).tolist(),
         },
     )
 

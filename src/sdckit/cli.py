@@ -23,7 +23,7 @@ from .attacks import (
 )
 from .errors import SdcError
 from .microdata import load_hierarchies, load_table, read_release
-from .reporting import RunConfig, run, sweep, utility_report
+from .reporting import MECHANISMS, RunConfig, run, sweep, utility_report
 
 
 def _default_seed() -> int:
@@ -166,18 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anonymize", help="build a release and verify its guarantees")
     _add_common_data_args(p)
     p.add_argument("--out", required=True, help="artifact directory")
-    p.add_argument(
-        "--mechanism",
-        default="mdav",
-        choices=[
-            "mdav",
-            "cluster_and_permute",
-            "anatomy",
-            "generalization",
-            "minimal_generalization",
-            "dp_microdata",
-        ],
-    )
+    p.add_argument("--mechanism", default="mdav", choices=MECHANISMS)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--l-floor", dest="l_floor", type=float, default=None)
@@ -218,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="risk-utility frontier over k or epsilon")
     _add_common_data_args(p)
-    p.add_argument("--mechanism", default="mdav")
+    p.add_argument("--mechanism", default="mdav", choices=MECHANISMS)
     p.add_argument("--parameter", choices=["k", "epsilon"], default="k")
     p.add_argument("--values", required=True, help="comma separated values")
     p.add_argument("--epsilon", type=float, default=None)

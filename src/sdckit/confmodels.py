@@ -12,22 +12,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyClass,
-    Infeasible,
-    InvalidT,
-    NonNumeric,
-    SupportMismatch,
-    TooFewRows,
-    UnknownAttribute,
-)
-from .kanon import _as_table, mdav_partition
+from .errors import EmptyClass, Infeasible, InvalidT, NonNumeric, SupportMismatch
+from .kanon import mdav_partition
 from .metric import MixedSpace
-from .microdata import MicrodataTable, canonical_partition
+from .microdata import MicrodataTable, as_table, canonical_partition
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +189,7 @@ def verify_t_closeness(
     """Max class-to-global EMD must not exceed t. Returns (holds, max_distance)."""
     if t < 0:
         raise InvalidT("closeness threshold t must be nonnegative")
-    table = _as_table(release_or_table)
+    table = as_table(release_or_table)
     partition = canonical_partition(partition)
     global_dist, per_class, numeric = _class_distributions(table, partition, conf_attribute)
     if d is None:
@@ -243,7 +235,7 @@ def enforce_models(
         raise InvalidT("closeness threshold t must be nonnegative")
     table.attribute(conf_attribute)
     partition = [list(g) for g in mdav_partition(table, qi_attributes, k)]
-    space = MixedSpace.from_table(table, list(qi_attributes))
+    (space,) = MixedSpace.from_tables([table], list(qi_attributes))
     conf_col = table.columns[conf_attribute]
     conf_attr = table.attribute(conf_attribute)
     conf_values = [float(v) for v in conf_col] if conf_attr.is_numeric else [str(v) for v in conf_col]
@@ -277,15 +269,10 @@ def enforce_models(
         if len(partition) == 1:
             raise Infeasible(constraint, f"single remaining class of {len(partition[0])} records still fails")
         centroids = [space.centroid(np.asarray(g, dtype=np.int64)) for g in partition]
-        num_g, cat_g = centroids[gi]
-        best = None
-        for gj, (num_o, cat_o) in enumerate(centroids):
-            if gj == gi:
-                continue
-            dist = float(((num_g - num_o) ** 2).sum()) + float(sum(a != b for a, b in zip(cat_g, cat_o)))
-            if best is None or dist < best[0] or (dist == best[0] and gj < best[1]):
-                best = (dist, gj)
-        gj = best[1]
+        nums, codes = zip(*centroids)
+        dist = MixedSpace(np.stack(nums), np.stack(codes)).sq_dist_to(centroids[gi])
+        dist[gi] = np.inf
+        gj = int(np.argmin(dist))  # first minimum = lowest class index
         merged = sorted(partition[gi] + partition[gj])
         partition = [g for idx, g in enumerate(partition) if idx not in (gi, gj)]
         partition.append(merged)

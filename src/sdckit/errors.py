@@ -131,6 +131,10 @@ class InvalidDelta(SdcError):
     pass
 
 
+class MalformedLedger(SdcError):
+    pass
+
+
 class NotNeighbors(SdcError):
     pass
 

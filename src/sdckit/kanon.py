@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,20 +27,14 @@ from .errors import (
 from .metric import MixedSpace, column_stats, comparable_text, zscore
 from .microdata import (
     AnonymizedRelease,
-    AttributeSchema,
     CategoricalKind,
     GeneralizationHierarchy,
     MicrodataTable,
     Provenance,
+    as_table,
     canonical_number,
     canonical_partition,
 )
-
-
-def _as_table(release_or_table) -> MicrodataTable:
-    if isinstance(release_or_table, AnonymizedRelease):
-        return release_or_table.table
-    return release_or_table
 
 
 def _combo_key_columns(table: MicrodataTable, qi: Sequence[str]) -> list[np.ndarray]:
@@ -55,7 +49,7 @@ def verify_k_anonymity(release_or_table, qi_attributes: Sequence[str], k: int):
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    table = _as_table(release_or_table)
+    table = as_table(release_or_table)
     qi = list(qi_attributes)
     for name in qi:
         table.attribute(name)  # raises UnknownAttribute
@@ -342,17 +336,17 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
     if n < k:
         raise TooFewRows(f"{n} rows cannot form a group of k={k}")
 
-    space = MixedSpace.from_table(table, qi)
+    (space,) = MixedSpace.from_tables([table], qi)
     remaining = np.arange(n, dtype=np.int64)
     groups: list[list[int]] = []
 
     def farthest_from(point, pool: np.ndarray) -> int:
-        d = space.sq_dist_to(*point, indices=pool)
+        d = space.sq_dist_to(point, indices=pool)
         return int(pool[int(np.argmax(d))])  # first max = lowest row id
 
     def nearest_k_group(center: int, pool: np.ndarray) -> np.ndarray:
         others = pool[pool != center]
-        d = space.sq_dist_to(*space.point(center), indices=others)
+        d = space.sq_dist_to(space.point(center), indices=others)
         order = np.argsort(d, kind="stable")
         chosen = others[order[: k - 1]]
         return np.sort(np.concatenate([[center], chosen]))
@@ -428,7 +422,7 @@ def sse(table: MicrodataTable, release, qi_attributes: Sequence[str], standardiz
     cells (and numeric cells masked to text labels) contribute 0/1 mismatch.
     Rows are aligned by row id; release rows must be a subset of the table's.
     """
-    rel_table = _as_table(release)
+    rel_table = as_table(release)
     qi = list(qi_attributes)
     pos_of = {int(rid): i for i, rid in enumerate(table.row_ids)}
     try:

@@ -1,15 +1,22 @@
-"""Mixed-attribute record distance shared by microaggregation and linkage.
+"""The one mixed-attribute record distance, shared by MDAV grouping, record
+linkage and class merging.
 
-Numeric attributes are z-scored (population standard deviation; constant
-columns contribute zero) and compared by squared difference. Categorical
-attributes contribute 0/1 per mismatch. All comparisons below work on
-squared distances, which preserves nearest/farthest decisions.
+A space is built over one or more tables at once. An attribute is numeric
+only if it is numeric in every table given; it is z-scored with its mean and
+population standard deviation pooled over all of them (a constant column
+contributes zero) and compared by squared difference. Every other attribute
+is compared as canonical text (``comparable_text``), stored as integer codes
+whose order is the order of the text, and contributes 0/1 per mismatch. A
+distance adds its terms one attribute at a time, numeric terms first, then
+the mismatches. Distances are squared, which preserves nearest/farthest
+decisions, and may be taken from a block of points at once; record linkage
+walks the external table in bounded blocks of such points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,77 +40,72 @@ def zscore(col: np.ndarray, mean: float, std: float) -> np.ndarray:
 
 @dataclass
 class MixedSpace:
-    """Rows of one table projected onto z-scored numeric and raw categorical blocks."""
+    """Rows of one table projected onto z-scored numeric and coded categorical blocks.
 
-    numeric: np.ndarray      # n x dn, z-scored
-    categorical: np.ndarray  # n x dc, object (text)
+    A point is a ``(numeric, codes)`` pair: one row's, a centroid's, or a
+    block of rows stacked along a leading axis.
+    """
+
+    numeric: np.ndarray  # n x dn, z-scored
+    codes: np.ndarray    # n x dc, integer text codes
 
     @classmethod
-    def from_table(
-        cls,
-        table: MicrodataTable,
-        attributes: Sequence[str],
-        stats: Mapping[str, tuple[float, float]] | None = None,
-    ) -> "MixedSpace":
-        num_cols, cat_cols = [], []
+    def from_tables(
+        cls, tables: Sequence[MicrodataTable], attributes: Sequence[str]
+    ) -> list["MixedSpace"]:
+        """One space per table, all on the same scale and the same codes."""
+        tables = list(tables)
+        num_cols: list[list[np.ndarray]] = [[] for _ in tables]
+        code_cols: list[list[np.ndarray]] = [[] for _ in tables]
+        splits = np.cumsum([t.n_rows for t in tables])[:-1]
         for name in attributes:
-            attr = table.attribute(name)
-            col = table.columns[name]
-            if attr.is_numeric:
-                mean, std = stats[name] if stats else column_stats([col])
-                num_cols.append(zscore(col, mean, std))
+            if all(t.attribute(name).is_numeric for t in tables):
+                cols = [t.columns[name] for t in tables]
+                mean, std = column_stats(cols)
+                for out, col in zip(num_cols, cols):
+                    out.append(zscore(col, mean, std))
             else:
-                cat_cols.append(np.asarray([str(v) for v in col], dtype=object))
-        n = table.n_rows
-        numeric = np.column_stack(num_cols) if num_cols else np.zeros((n, 0))
-        categorical = (
-            np.column_stack(cat_cols) if cat_cols else np.empty((n, 0), dtype=object)
-        )
-        return cls(numeric=numeric, categorical=categorical)
+                text = np.concatenate([comparable_text(t, name) for t in tables])
+                _, codes = np.unique(text, return_inverse=True)
+                for out, part in zip(code_cols, np.split(codes, splits)):
+                    out.append(part)
+        return [
+            cls(
+                numeric=np.column_stack(num) if num else np.zeros((t.n_rows, 0)),
+                codes=np.column_stack(cat) if cat else np.zeros((t.n_rows, 0), dtype=np.intp),
+            )
+            for t, num, cat in zip(tables, num_cols, code_cols)
+        ]
 
     @property
     def n(self) -> int:
         return self.numeric.shape[0]
 
-    def point(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.numeric[i], self.categorical[i]
+    def point(self, i) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``i``, or a block of rows for a slice or an index array."""
+        return self.numeric[i], self.codes[i]
 
     def centroid(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Numeric mean plus per-attribute mode (ties broken by smallest value)."""
+        """Numeric mean plus per-attribute mode (ties broken by smallest text)."""
         idx = np.asarray(indices, dtype=np.int64)
-        num = self.numeric[idx].mean(axis=0) if self.numeric.shape[1] else np.zeros(0)
-        modes = []
-        for j in range(self.categorical.shape[1]):
-            vals, counts = np.unique(self.categorical[idx, j].astype(str), return_counts=True)
-            # deterministic: highest count, then lexicographically smallest value
-            top = counts.max()
-            modes.append(sorted(v for v, c in zip(vals, counts) if c == top)[0])
-        cat = np.asarray(modes, dtype=object)
-        return num, cat
+        num = self.numeric[idx].mean(axis=0)
+        modes = [np.bincount(self.codes[idx, j]).argmax() for j in range(self.codes.shape[1])]
+        return num, np.asarray(modes, dtype=self.codes.dtype)
 
-    def sq_dist_to(self, num_point: np.ndarray, cat_point: np.ndarray, indices=None) -> np.ndarray:
-        """Squared distances from every row (or a subset) to one point."""
+    def sq_dist_to(self, point, indices=None) -> np.ndarray:
+        """Squared distances from one point (or a block of b points) to every
+        row, or to the rows in ``indices``; shape (m,) or (b, m)."""
+        num_point, code_point = (np.asarray(p) for p in point)
         num = self.numeric if indices is None else self.numeric[indices]
-        cat = self.categorical if indices is None else self.categorical[indices]
-        d = np.zeros(num.shape[0])
-        if num.shape[1]:
-            d += ((num - num_point[None, :]) ** 2).sum(axis=1)
-        for j in range(cat.shape[1]):
-            d += (cat[:, j] != cat_point[j]).astype(float)
+        codes = self.codes if indices is None else self.codes[indices]
+        d = np.zeros(num_point.shape[:-1] + num.shape[:1])
+        for j in range(num.shape[1]):
+            diff = num[:, j] - num_point[..., j, None]
+            diff *= diff
+            d += diff
+        for j in range(codes.shape[1]):
+            d += codes[:, j] != code_point[..., j, None]
         return d
-
-
-def cross_sq_dist(a: MixedSpace, b: MixedSpace) -> np.ndarray:
-    """Squared distance matrix between the rows of two spaces over matching blocks."""
-    if a.numeric.shape[1] != b.numeric.shape[1] or a.categorical.shape[1] != b.categorical.shape[1]:
-        raise ValueError("spaces were built over different attribute sets")
-    d = np.zeros((a.n, b.n))
-    if a.numeric.shape[1]:
-        diff = a.numeric[:, None, :] - b.numeric[None, :, :]
-        d += (diff**2).sum(axis=2)
-    for j in range(a.categorical.shape[1]):
-        d += (a.categorical[:, j][:, None] != b.categorical[:, j][None, :]).astype(float)
-    return d
 
 
 def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:

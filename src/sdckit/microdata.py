@@ -676,6 +676,13 @@ class AnonymizedRelease:
         raise ValueError(f"row position {position} not in partition")
 
 
+def as_table(release_or_table) -> MicrodataTable:
+    """The table a release publishes (an anatomy release's QI side), or the table itself."""
+    if isinstance(release_or_table, MicrodataTable):
+        return release_or_table
+    return release_or_table.table
+
+
 def write_release(release: AnonymizedRelease, directory: str | Path, basename: str = "release") -> list[Path]:
     """Write release.csv plus a JSON provenance sidecar; returns the paths written."""
     directory = Path(directory)

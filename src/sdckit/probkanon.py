@@ -8,7 +8,7 @@ least k records achieves it while preserving every QI marginal exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .microdata import (
     Provenance,
     canonical_partition,
 )
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_rng
 
 
 def cluster_and_permute(
@@ -92,6 +92,11 @@ class AnatomyRelease:
     qi_table: MicrodataTable
     conf_table: MicrodataTable
     provenance: Provenance
+
+    @property
+    def table(self) -> MicrodataTable:
+        """The QI side, which is what a linkage adversary matches against."""
+        return self.qi_table
 
 
 def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> AnatomyRelease:
@@ -167,32 +172,18 @@ def verify_probabilistic_k(
     """Empirically bound per-record linkage success against a release.
 
     Accepts either a fixed release or a callable seed -> release so that
-    randomized mechanisms are re-drawn each trial. The statistic is the
-    highest per-record success rate; PASS requires its Wilson 95% upper bound
-    to stay at or below 1/k + slack.
+    randomized mechanisms are re-drawn each trial. The trials are
+    ``linkage_attack``'s: the same loop with the same per-trial streams, so
+    for one factory, trial count and seed both report the same per-record
+    rates. The statistic is the highest per-record success rate; PASS
+    requires its Wilson 95% upper bound to stay at or below 1/k + slack.
     """
-    from .attacks import link_records, wilson_interval  # late import avoids module cycle
+    from .attacks import _linkage_successes, wilson_interval  # late import avoids module cycle
 
     if k < 1:
         raise ValueError("k must be at least 1")
-    factory: Callable[[int], AnonymizedRelease]
-    if callable(release_or_factory):
-        factory = release_or_factory
-    else:
-        fixed = release_or_factory
-        factory = lambda _seed: fixed
-
+    successes, _ = _linkage_successes(release_or_factory, external_table, trials, rng_seed)
     ext_ids = [int(r) for r in external_table.row_ids]
-    successes = np.zeros(len(ext_ids), dtype=np.int64)
-    for t in range(trials):
-        release = factory(derive_seed(rng_seed, "trial", t, 0))
-        rng = derive_rng(rng_seed, "trial", t, 1)
-        guesses = link_records(release.table, external_table, rng)
-        rel_ids = release.table.row_ids
-        for e, g in enumerate(guesses):
-            if g >= 0 and int(rel_ids[g]) == ext_ids[e]:
-                successes[e] += 1
-
     rates = successes / float(trials)
     worst = int(np.argmax(rates))
     max_rate = float(rates[worst])

@@ -46,6 +46,7 @@ from .metric import comparable_text
 from .microdata import (
     AnonymizedRelease,
     MicrodataTable,
+    as_table,
     hierarchy_from_json,
     load_table,
     serialize_table,
@@ -90,14 +91,6 @@ class UtilityReport:
         }
 
 
-def _release_table(release) -> MicrodataTable:
-    if isinstance(release, AnatomyRelease):
-        return release.qi_table
-    if isinstance(release, AnonymizedRelease):
-        return release.table
-    return release
-
-
 def _marginal_distance(original: MicrodataTable, released: MicrodataTable, name: str) -> float:
     orig_attr = original.attribute(name)
     rel_attr = released.attribute(name)
@@ -134,7 +127,7 @@ def utility_report(
     Permutation-style releases preserve marginals exactly, so their marginal
     distances are exactly zero even when their squared error is large.
     """
-    rel_table = _release_table(release)
+    rel_table = as_table(release)
     qi = list(qi_attributes) if qi_attributes is not None else list(original.qi_names)
     for name in qi:
         original.attribute(name)
@@ -332,7 +325,7 @@ def _run_attacks(config: RunConfig, table, release, partition, factory, hierarch
     attack_seed = derive_seed(config.seed, "attack", 0)
     for name in config.attacks:
         if name == "linkage":
-            target = release.qi_table if isinstance(release, AnatomyRelease) else (factory or release)
+            target = factory or release
             reports[name] = linkage_attack(
                 target, table, trials=config.attack_trials, rng_seed=attack_seed
             )
@@ -479,7 +472,7 @@ def sweep(
         else:
             cfg = dataclasses.replace(config, epsilon=float(value))
         release, partition, factory = _build_release(cfg, table, hierarchies)
-        target = release.qi_table if isinstance(release, AnatomyRelease) else (factory or release)
+        target = factory or release
         attack = linkage_attack(
             target, table, trials=cfg.attack_trials, rng_seed=derive_seed(cfg.seed, "attack", 0)
         )

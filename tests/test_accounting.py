@@ -2,7 +2,7 @@
 
 import pytest
 
-from sdckit import BudgetLedger, InvalidDelta, NonPositiveEpsilon
+from sdckit import BudgetLedger, InvalidDelta, MalformedLedger, NonPositiveEpsilon
 from sdckit.accounting import (
     EMPIRICAL_CHECK_WARNING,
     UNDEFINED_WARNING,
@@ -112,3 +112,54 @@ def test_jsonl_round_trip():
 def test_entry_json_round_trip():
     entry = LedgerEntry("m", "dp", 0.25, 1e-8, "g", "note")
     assert LedgerEntry.from_json(entry.to_json()) == entry
+
+
+# -- ledger files are validated on load ---------------------------------------------
+
+_GOOD_LINE = '{"mechanism": "counts", "kind": "dp", "epsilon": 0.5}'
+
+
+def _load_with_bad_second_line(bad_line: str, error):
+    with pytest.raises(error, match="ledger line 2:"):
+        BudgetLedger.from_jsonl(_GOOD_LINE + "\n" + bad_line + "\n")
+
+
+def test_jsonl_rejects_unknown_kind():
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "hybrid"}', MalformedLedger)
+
+
+def test_jsonl_rejects_nonpositive_epsilon():
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": 0.0}', NonPositiveEpsilon)
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": -1}', NonPositiveEpsilon)
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp"}', MalformedLedger)
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": "1"}', MalformedLedger)
+
+
+def test_jsonl_rejects_nonfinite_epsilon():
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": Infinity}', NonPositiveEpsilon)
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": NaN}', NonPositiveEpsilon)
+
+
+def test_jsonl_rejects_delta_outside_unit_interval():
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": 1, "delta": 1.0}', InvalidDelta)
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": 1, "delta": -1e-9}', InvalidDelta)
+
+
+def test_jsonl_rejects_syntactic_entry_with_epsilon():
+    _load_with_bad_second_line('{"mechanism": "mdav", "kind": "syntactic", "epsilon": 1.0}', MalformedLedger)
+
+
+def test_jsonl_rejects_lines_that_are_not_json_objects():
+    _load_with_bad_second_line("[1, 2]", MalformedLedger)
+    _load_with_bad_second_line("not json", MalformedLedger)
+    _load_with_bad_second_line('"dp"', MalformedLedger)
+    _load_with_bad_second_line('{"kind": "dp", "epsilon": 1.0}', MalformedLedger)
+
+
+def test_record_dp_rejects_nonfinite_epsilon():
+    ledger = BudgetLedger()
+    with pytest.raises(NonPositiveEpsilon):
+        ledger.record_dp("q", float("inf"))
+    with pytest.raises(NonPositiveEpsilon):
+        ledger.record_dp("q", float("nan"))
+    assert ledger.entries == ()

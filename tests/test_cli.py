@@ -5,13 +5,15 @@ import json
 import pytest
 
 from sdckit import AttributeSchema, GeneralizationHierarchy, NumericKind
-from sdckit.cli import main
+from sdckit.cli import build_parser, main
 from sdckit.microdata import (
     hierarchy_to_json,
     make_table,
     schema_to_descriptor,
     serialize_table,
 )
+
+from sdckit.reporting import MECHANISMS
 
 from conftest import build_people_table
 
@@ -170,6 +172,13 @@ def test_account_composes_and_persists(tmp_path, capsys):
     assert again == report
 
 
+def test_account_rejects_an_invalid_ledger(tmp_path, capsys):
+    ledger = tmp_path / "bad.jsonl"
+    ledger.write_text('{"mechanism": "q", "kind": "dp", "epsilon": -1.0}\n', encoding="utf-8")
+    assert main(["account", "--ledger", str(ledger)]) == 2
+    assert "ledger line 1" in capsys.readouterr().err
+
+
 def test_sweep_prints_frontier_rows(people_inputs, tmp_path, capsys):
     data, schema = people_inputs
     rc = main(
@@ -227,3 +236,20 @@ def test_cli_maps_errors_to_exit_two(people_inputs, tmp_path, capsys):
         ["anonymize", "--data", str(tmp_path / "nope.csv"), "--schema", schema, "--out", str(tmp_path / "x")]
     )
     assert rc == 2
+
+
+def _mechanism_choices(command: str):
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+    parser = subcommands.choices[command]
+    return tuple(next(a for a in parser._actions if a.dest == "mechanism").choices)
+
+
+def test_mechanism_choices_are_the_run_mechanisms(people_inputs, capsys):
+    assert _mechanism_choices("anonymize") == MECHANISMS
+    assert _mechanism_choices("sweep") == MECHANISMS
+
+    data, schema = people_inputs
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--data", data, "--schema", schema, "--values", "2", "--mechanism", "bogus"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
