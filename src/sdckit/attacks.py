@@ -26,9 +26,9 @@ from .errors import (
     NotNeighbors,
     UnknownAttribute,
 )
+from .kanon import cell_is_minimal
 from .metric import MixedSpace
 from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table
-from .probkanon import AnatomyRelease
 from .seeds import derive_rng, derive_seed
 
 
@@ -181,38 +181,16 @@ def linkage_attack(
 # --------------------------------------------------------------------------
 
 
-def _class_value_lists(release, conf_attribute: str, true_table: MicrodataTable):
+def _class_value_lists(release: AnonymizedRelease, conf_attribute: str):
     """Per-record class assignment and per-class released confidential values.
 
     Returns (row_id -> class index, list of per-class value lists, global values).
     """
-    if isinstance(release, AnatomyRelease):
-        qi_table, conf_table = release.qi_table, release.conf_table
-        if conf_attribute not in conf_table.names:
-            raise UnknownAttribute(conf_attribute)
-        group_col = qi_table.columns["group_id"].astype(int)
-        groups = sorted(set(int(g) for g in group_col))
-        index_of = {g: j for j, g in enumerate(groups)}
-        class_of = {
-            int(rid): index_of[int(g)] for rid, g in zip(qi_table.row_ids, group_col)
-        }
-        conf_groups = conf_table.columns["group_id"].astype(int)
-        values = conf_table.columns[conf_attribute]
-        per_class = [list(values[conf_groups == g]) for g in groups]
-        global_values = list(values)
-        return class_of, per_class, global_values
-    table = release.table
-    if release.partition is None:
-        raise MissingPartition("attribute inference needs the release's class partition")
-    if conf_attribute not in table.names:
-        raise UnknownAttribute(conf_attribute)
-    values = table.columns[conf_attribute]
-    class_of = {}
-    per_class = []
-    for j, members in enumerate(release.partition):
-        per_class.append([values[i] for i in members])
-        for i in members:
-            class_of[int(table.row_ids[i])] = j
+    conf_table, classes = release.class_table(conf_attribute)
+    values = conf_table.columns[conf_attribute]
+    row_ids = release.table.row_ids
+    class_of = {int(row_ids[i]): j for j, members in enumerate(release.partition) for i in members}
+    per_class = [[values[i] for i in members] for members in classes]
     return class_of, per_class, list(values)
 
 
@@ -229,7 +207,7 @@ def attribute_inference_attack(
     posterior. The worst class-vs-global distribution distance is included;
     homogeneous or skewed classes leak even when k-anonymity holds.
     """
-    class_of, per_class, global_values = _class_value_lists(release, conf_attribute, true_table)
+    class_of, per_class, global_values = _class_value_lists(release, conf_attribute)
     truth = {int(r): v for r, v in zip(true_table.row_ids, true_table.columns[conf_attribute])}
     missing = [r for r in truth if r not in class_of]
     if missing:
@@ -450,23 +428,11 @@ def downcoding_attack(
     for i, a, name, label, level in cells:
         h = hierarchies[name]
         leaves = h.leaves_under(label, limit=max_candidates)
-        old_row = label_rows[i]
-        survivors = []
-        for leaf in leaves:
-            minimal = True
-            for lower in range(level):
-                new_label = h.label(leaf, lower)
-                new_row = old_row[:a] + (new_label,) + old_row[a + 1 :]
-                if new_row == old_row:
-                    minimal = False
-                    break
-                c_old = counts[old_row] - 1
-                c_new = counts.get(new_row, 0) + 1
-                if (c_old == 0 or c_old >= k) and c_new >= k:
-                    minimal = False
-                    break
-            if minimal:
-                survivors.append(leaf)
+        survivors = [
+            leaf
+            for leaf in leaves
+            if cell_is_minimal(counts, label_rows[i], a, (h.label(leaf, lower) for lower in range(level)), k)
+        ]
         proper = len(survivors) < len(leaves)
         recovered += proper
         cell_details.append(

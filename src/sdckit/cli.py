@@ -22,24 +22,12 @@ from .attacks import (
     linkage_attack,
 )
 from .errors import SdcError
-from .microdata import load_hierarchies, load_table, read_release
+from .microdata import read_hierarchies, read_release, read_table
 from .reporting import MECHANISMS, RunConfig, run, sweep, utility_report
 
 
 def _default_seed() -> int:
     return int(os.environ.get("SDCKIT_SEED", "0"))
-
-
-def _load_data(data_path: str, schema_path: str):
-    descriptor = json.loads(Path(schema_path).read_text(encoding="utf-8"))
-    return load_table(Path(data_path).read_bytes(), descriptor)
-
-
-def _load_hierarchy_file(path: str):
-    docs = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(docs, dict):
-        docs = [docs]
-    return load_hierarchies(docs)
 
 
 def _add_common_data_args(p: argparse.ArgumentParser):
@@ -77,7 +65,7 @@ def _cmd_attack(args) -> int:
         report = intersection_attack(releases)
     else:
         release = read_release(args.release[0])
-        table = _load_data(args.data, args.schema)
+        table = read_table(args.data, args.schema)
         if args.attack == "linkage":
             report = linkage_attack(release, table, trials=args.trials, rng_seed=args.seed)
         elif args.attack == "attribute_inference":
@@ -87,7 +75,7 @@ def _cmd_attack(args) -> int:
         elif args.attack == "downcoding":
             if not args.hierarchies:
                 raise SdcError("downcoding needs --hierarchies")
-            report = downcoding_attack(release, _load_hierarchy_file(args.hierarchies))
+            report = downcoding_attack(release, read_hierarchies(args.hierarchies))
         else:
             raise SdcError(
                 f"attack {args.attack!r} is not file-drivable; use the library interface"
@@ -127,7 +115,7 @@ def _cmd_account(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    table = _load_data(args.data, args.schema)
+    table = read_table(args.data, args.schema)
     release = read_release(args.release)
     report = utility_report(table, release)
     text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"

@@ -221,6 +221,26 @@ def _k_anonymous_labels(label_rows: Sequence[tuple], k: int) -> bool:
     return all(c >= k for c in counts.values())
 
 
+def cell_is_minimal(counts: Mapping[tuple, int], row: tuple, a: int, lower_labels, k: int) -> bool:
+    """Whether cell ``a`` of label row ``row`` can move to none of ``lower_labels``.
+
+    ``counts`` are the released label rows' multiplicities. A move is free
+    when the label does not change (an interval no cut splits), and allowed
+    when the row's old class is left empty or with at least k members and its
+    new class reaches k; no other class changes. The minimal recoder keeps a
+    scheme only if every generalized cell passes, and the downcoding attack
+    inverts the same test, so it is sound only while both call this one.
+    """
+    c_old = counts[row] - 1
+    for label in lower_labels:
+        new_row = row[:a] + (label,) + row[a + 1 :]
+        if new_row == row:
+            return False
+        if (c_old == 0 or c_old >= k) and counts.get(new_row, 0) + 1 >= k:
+            return False
+    return True
+
+
 def minimal_generalization(
     table: MicrodataTable,
     hierarchies: Mapping[str, GeneralizationHierarchy],
@@ -263,19 +283,9 @@ def minimal_generalization(
     def is_minimal(levels: tuple[int, ...], label_rows: list[tuple]) -> bool:
         counts = Counter(label_rows)
         for cell, lv in enumerate(levels):
-            if lv == 0:
-                continue
-            i, a = divmod(cell, width)
-            old_row = label_rows[i]
-            for lower in range(lv):
-                new_row = old_row[:a] + (paths[i][a][lower],) + old_row[a + 1 :]
-                if new_row == old_row:
-                    # unsplit interval: the lower level carries the same label,
-                    # so the move is free and the scheme is not minimal
-                    return False
-                c_old = counts[old_row] - 1
-                c_new = counts.get(new_row, 0) + 1
-                if (c_old == 0 or c_old >= k) and c_new >= k:
+            if lv:
+                i, a = divmod(cell, width)
+                if not cell_is_minimal(counts, label_rows[i], a, paths[i][a][:lv], k):
                     return False
         return True
 

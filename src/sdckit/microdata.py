@@ -24,6 +24,7 @@ from .errors import (
     LevelOutOfRange,
     MalformedCsv,
     MissingColumn,
+    MissingPartition,
     SearchSpaceTooLarge,
     UnknownAttribute,
     UnknownValue,
@@ -621,11 +622,34 @@ def hierarchy_to_json(h: GeneralizationHierarchy) -> dict[str, Any]:
 
 
 def load_hierarchies(docs: Iterable[Mapping[str, Any] | str]) -> dict[str, GeneralizationHierarchy]:
+    """Hierarchies by attribute; each document is a JSON object or its text.
+
+    Raises ValueError for an entry that is not an object with a string
+    ``attribute`` and for a second hierarchy of one attribute.
+    """
     out: dict[str, GeneralizationHierarchy] = {}
-    for doc in docs:
+    for i, doc in enumerate(docs):
+        if isinstance(doc, str):
+            doc = json.loads(doc)
+        if not isinstance(doc, Mapping) or not isinstance(doc.get("attribute"), str):
+            raise ValueError(f"hierarchy entry {i} is not a JSON object with a string 'attribute'")
         h = hierarchy_from_json(doc)
+        if h.attribute in out:
+            raise ValueError(f"hierarchy entry {i} is a second hierarchy for {h.attribute!r}")
         out[h.attribute] = h
     return out
+
+
+def read_hierarchies(path: str | Path) -> dict[str, GeneralizationHierarchy]:
+    """Load a hierarchy file: one JSON hierarchy document or a list of them."""
+    docs = json.loads(Path(path).read_text(encoding="utf-8"))
+    return load_hierarchies(docs if isinstance(docs, list) else [docs])
+
+
+def read_table(csv_path: str | Path, schema_path: str | Path) -> MicrodataTable:
+    """Load a csv file against a JSON schema descriptor file."""
+    descriptor = json.loads(Path(schema_path).read_text(encoding="utf-8"))
+    return load_table(Path(csv_path).read_bytes(), descriptor)
 
 
 # --------------------------------------------------------------------------
@@ -653,9 +677,22 @@ def canonical_partition(groups: Iterable[Iterable[int]]) -> tuple[tuple[int, ...
 
 @dataclass(frozen=True)
 class AnonymizedRelease:
+    """A published table and the equivalence classes it publishes.
+
+    ``table`` is the released table. ``partition`` holds the classes as row
+    positions in ``table``, or None when the release publishes no classes
+    (noise addition, the identity). Anatomy also sets ``conf_table``: the
+    confidential side, linked to ``table`` only through their shared
+    ``group_id`` column, where class j is the rows with ``group_id == j``.
+    ``class_table(attribute)`` gives the table holding an attribute and the
+    classes as row positions in that table, so checks and attacks read every
+    release's classes one way.
+    """
+
     table: MicrodataTable
     partition: tuple[tuple[int, ...], ...] | None
     provenance: Provenance
+    conf_table: MicrodataTable | None = None
 
     def __post_init__(self):
         if self.table.identifier_names:
@@ -666,6 +703,24 @@ class AnonymizedRelease:
             if sorted(members) != list(range(self.table.n_rows)):
                 raise ValueError("partition must cover every row exactly once")
             object.__setattr__(self, "partition", canon)
+        if self.conf_table is not None:
+            if self.partition is None or self.conf_table.n_rows != self.table.n_rows:
+                raise ValueError("a confidential side needs a partition of as many rows")
+            if [len(g) for g in self._conf_classes()] != [len(g) for g in self.partition]:
+                raise ValueError("confidential group_id classes do not match the partition")
+
+    def _conf_classes(self) -> tuple[tuple[int, ...], ...]:
+        groups = self.conf_table.column("group_id")
+        return tuple(tuple(np.flatnonzero(groups == j).tolist()) for j in range(len(self.partition)))
+
+    def class_table(self, attribute: str) -> tuple[MicrodataTable, tuple[tuple[int, ...], ...]]:
+        """The published table holding ``attribute`` and the classes as row positions in it."""
+        if self.partition is None:
+            raise MissingPartition("release carries no class partition")
+        if self.conf_table is not None and self.conf_table.has_attribute(attribute):
+            return self.conf_table, self._conf_classes()
+        self.table.attribute(attribute)
+        return self.table, self.partition
 
     def group_of_row(self, position: int) -> tuple[int, ...]:
         if self.partition is None:
@@ -677,47 +732,70 @@ class AnonymizedRelease:
 
 
 def as_table(release_or_table) -> MicrodataTable:
-    """The table a release publishes (an anatomy release's QI side), or the table itself."""
+    """A release's ``table`` (anatomy's QI side), or a bare table as it is."""
     if isinstance(release_or_table, MicrodataTable):
         return release_or_table
     return release_or_table.table
 
 
 def write_release(release: AnonymizedRelease, directory: str | Path, basename: str = "release") -> list[Path]:
-    """Write release.csv plus a JSON provenance sidecar; returns the paths written."""
+    """Write the release csv plus a JSON provenance sidecar; returns the paths written.
+
+    A release with a confidential side is written as ``<basename>_qi.csv`` and
+    ``<basename>_conf.csv``, with both schemas and no partition or row ids in
+    the sidecar (the ``group_id`` columns carry the classes). Any other
+    release is written as ``<basename>.csv``.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / f"{basename}.csv"
-    sidecar_path = directory / f"{basename}.provenance.json"
-    csv_path.write_bytes(serialize_table(release.table))
     doc = {
         "mechanism": release.provenance.mechanism,
         "params": release.provenance.params,
         "seed": release.provenance.seed,
         "notes": list(release.provenance.notes),
-        "schema": schema_to_descriptor(release.table.schema),
-        "partition": [list(g) for g in release.partition] if release.partition is not None else None,
-        "row_ids": [int(i) for i in release.table.row_ids],
     }
+    if release.conf_table is None:
+        paths = [directory / f"{basename}.csv"]
+        paths[0].write_bytes(serialize_table(release.table))
+        doc["schema"] = schema_to_descriptor(release.table.schema)
+        doc["partition"] = [list(g) for g in release.partition] if release.partition is not None else None
+        doc["row_ids"] = [int(i) for i in release.table.row_ids]
+    else:
+        paths = [directory / f"{basename}_qi.csv", directory / f"{basename}_conf.csv"]
+        paths[0].write_bytes(serialize_table(release.table))
+        paths[1].write_bytes(serialize_table(release.conf_table))
+        doc["schema_qi"] = schema_to_descriptor(release.table.schema)
+        doc["schema_conf"] = schema_to_descriptor(release.conf_table.schema)
+    sidecar_path = directory / f"{basename}.provenance.json"
     sidecar_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return [csv_path, sidecar_path]
+    return paths + [sidecar_path]
+
+
+def _read_release_csv(path: Path, schema: Mapping) -> MicrodataTable:
+    raw = path.read_bytes()
+    # the sidecar is written with sorted keys; the csv header keeps column order
+    header = next(csv.reader(io.StringIO(raw.decode("utf-8"))))
+    return load_table(raw, {name: schema[name] for name in header if name in schema})
 
 
 def read_release(directory: str | Path, basename: str = "release") -> AnonymizedRelease:
+    """Read what ``write_release`` wrote, either layout."""
     directory = Path(directory)
     doc = json.loads((directory / f"{basename}.provenance.json").read_text(encoding="utf-8"))
-    raw = (directory / f"{basename}.csv").read_bytes()
-    # the sidecar is written with sorted keys; the csv header keeps column order
-    header = next(csv.reader(io.StringIO(raw.decode("utf-8"))))
-    descriptor = {name: doc["schema"][name] for name in header if name in doc["schema"]}
-    table = load_table(raw, descriptor)
-    if doc.get("row_ids") is not None:
-        table = MicrodataTable(table.schema, dict(table.columns), np.asarray(doc["row_ids"], dtype=np.int64))
-    partition = [tuple(g) for g in doc["partition"]] if doc.get("partition") is not None else None
     prov = Provenance(
         mechanism=doc["mechanism"],
         params=doc.get("params", {}),
         seed=doc.get("seed"),
         notes=tuple(doc.get("notes", ())),
     )
+    if "schema_conf" in doc:
+        table = _read_release_csv(directory / f"{basename}_qi.csv", doc["schema_qi"])
+        conf_table = _read_release_csv(directory / f"{basename}_conf.csv", doc["schema_conf"])
+        groups = table.column("group_id")
+        partition = [np.flatnonzero(groups == g).tolist() for g in np.unique(groups)]
+        return AnonymizedRelease(table, partition, prov, conf_table)
+    table = _read_release_csv(directory / f"{basename}.csv", doc["schema"])
+    if doc.get("row_ids") is not None:
+        table = MicrodataTable(table.schema, dict(table.columns), np.asarray(doc["row_ids"], dtype=np.int64))
+    partition = [tuple(g) for g in doc["partition"]] if doc.get("partition") is not None else None
     return AnonymizedRelease(table=table, partition=partition, provenance=prov)

@@ -84,23 +84,13 @@ def cluster_and_permute(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnatomyRelease:
-    """Two projections linked only through group_id: quasi-identifiers on one
-    side, confidential values (shuffled within groups) on the other."""
+def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> AnonymizedRelease:
+    """Split the table into a QI projection and a group-shuffled confidential one.
 
-    qi_table: MicrodataTable
-    conf_table: MicrodataTable
-    provenance: Provenance
-
-    @property
-    def table(self) -> MicrodataTable:
-        """The QI side, which is what a linkage adversary matches against."""
-        return self.qi_table
-
-
-def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> AnatomyRelease:
-    """Split the table into a QI projection and a group-shuffled confidential one."""
+    The release's ``table`` is the QI side and its ``conf_table`` the
+    confidential side; the two are linked only through ``group_id``, which is
+    the index of the record's group in the canonical ``partition``.
+    """
     partition = canonical_partition(partition)
     for g in partition:
         if len(g) < k:
@@ -134,14 +124,15 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anatom
     conf_cols.update({a.name: table.columns[a.name][order_arr] for a in conf_side})
     conf_table = MicrodataTable(conf_schema, conf_cols, np.arange(len(order), dtype=np.int64))
 
-    return AnatomyRelease(
-        qi_table=qi_table,
-        conf_table=conf_table,
+    return AnonymizedRelease(
+        table=qi_table,
+        partition=partition,
         provenance=Provenance(
             mechanism="anatomy",
             params={"k": k, "groups": [list(g) for g in partition]},
             seed=int(rng_seed),
         ),
+        conf_table=conf_table,
     )
 
 

@@ -43,17 +43,8 @@ from .kanon import (
     verify_k_anonymity,
 )
 from .metric import comparable_text
-from .microdata import (
-    AnonymizedRelease,
-    MicrodataTable,
-    as_table,
-    hierarchy_from_json,
-    load_table,
-    serialize_table,
-    schema_to_descriptor,
-    write_release,
-)
-from .probkanon import AnatomyRelease, anatomize, cluster_and_permute, verify_probabilistic_k
+from .microdata import MicrodataTable, as_table, read_hierarchies, read_table, write_release
+from .probkanon import anatomize, cluster_and_permute, verify_probabilistic_k
 from .seeds import derive_seed
 
 MECHANISMS = (
@@ -205,27 +196,19 @@ class RunConfig:
 
 
 def _load_inputs(config: RunConfig):
-    descriptor = json.loads(Path(config.schema_json).read_text(encoding="utf-8"))
-    table = load_table(Path(config.data_csv).read_bytes(), descriptor)
-    hierarchies = {}
-    if config.hierarchies_json:
-        docs = json.loads(Path(config.hierarchies_json).read_text(encoding="utf-8"))
-        if isinstance(docs, Mapping):
-            docs = [docs]
-        for doc in docs:
-            h = hierarchy_from_json(doc)
-            hierarchies[h.attribute] = h
+    table = read_table(config.data_csv, config.schema_json)
+    hierarchies = read_hierarchies(config.hierarchies_json) if config.hierarchies_json else {}
     return table, hierarchies
 
 
 def _build_release(config: RunConfig, table: MicrodataTable, hierarchies):
-    """Returns (release, partition, linkage_factory). The factory re-randomizes
-    the mechanism per attack trial; None means the release is deterministic."""
+    """Returns (release, linkage_factory). The factory re-randomizes the
+    mechanism per attack trial; None means the release is deterministic."""
     qi = list(table.qi_names)
     mech_seed = derive_seed(config.seed, "mechanism")
     if config.mechanism == "mdav":
-        partition, release = mdav_microaggregate(table, qi, config.k)
-        return release, partition, None
+        _, release = mdav_microaggregate(table, qi, config.k)
+        return release, None
     if config.mechanism == "cluster_and_permute":
         partition = mdav_partition(table, qi, config.k)
         release = cluster_and_permute(
@@ -234,38 +217,26 @@ def _build_release(config: RunConfig, table: MicrodataTable, hierarchies):
         factory = lambda s: cluster_and_permute(
             table, qi, config.k, s, mode=config.permute_mode, partition=partition
         )
-        return release, partition, factory
+        return release, factory
     if config.mechanism == "anatomy":
         partition = mdav_partition(table, qi, config.k)
-        release = anatomize(table, partition, config.k, mech_seed)
-        return release, partition, None
+        return anatomize(table, partition, config.k, mech_seed), None
     if config.mechanism == "generalization":
         release, _scheme = anonymize_generalization(
             table, hierarchies, config.k, max_suppression_fraction=config.max_suppression_fraction
         )
-        return release, release.partition, None
+        return release, None
     if config.mechanism == "minimal_generalization":
         release, _scheme = minimal_generalization(table, hierarchies, config.k)
-        return release, release.partition, None
+        return release, None
     if config.epsilon is None:
         raise ValueError("dp_microdata needs an epsilon")
     release = dp_microdata_release(table, config.epsilon, mech_seed)
     factory = lambda s: dp_microdata_release(table, config.epsilon, s)
-    return release, None, factory
+    return release, factory
 
 
-def _per_class_conf_values(release, partition, conf_attribute: str):
-    if isinstance(release, AnatomyRelease):
-        groups = release.conf_table.columns["group_id"].astype(int)
-        values = release.conf_table.columns[conf_attribute]
-        return [list(values[groups == g]) for g in sorted(set(int(x) for x in groups))]
-    if partition is None:
-        return None
-    values = release.table.columns[conf_attribute]
-    return [[values[i] for i in members] for members in partition]
-
-
-def _run_checks(config: RunConfig, table, release, partition, factory):
+def _run_checks(config: RunConfig, table, release, factory):
     checks: list[tuple[str, bool, str]] = []
     qi = list(table.qi_names)
     if config.mechanism in ("mdav", "generalization", "minimal_generalization"):
@@ -288,38 +259,30 @@ def _run_checks(config: RunConfig, table, release, partition, factory):
         )
         checks.append(("probabilistic_k", report.passed, detail))
     elif config.mechanism == "anatomy":
-        sizes = [len(g) for g in partition]
+        sizes = [len(g) for g in release.partition]
         checks.append(("group_size", min(sizes) >= config.k, f"min_group={min(sizes)} k={config.k}"))
 
     conf = config.conf_attribute
     if conf and (config.l_floor is not None or config.t_ceiling is not None):
-        per_class = _per_class_conf_values(release, partition, conf)
-        if per_class is None:
+        if release.partition is None:
             checks.append(("diversity", False, "release carries no class structure"))
         else:
+            conf_table, classes = release.class_table(conf)
             if config.l_floor is not None:
-                worst = min(l_diversity(vals, config.l_variant) for vals in per_class)
+                values = conf_table.columns[conf]
+                worst = min(l_diversity([values[i] for i in g], config.l_variant) for g in classes)
                 checks.append(
                     ("l_diversity", worst >= config.l_floor, f"worst_l={worst:.6g} floor={config.l_floor:.6g}")
                 )
             if config.t_ceiling is not None:
-                if isinstance(release, AnatomyRelease):
-                    conf_table = release.conf_table
-                    groups = conf_table.columns["group_id"].astype(int)
-                    parts = [
-                        tuple(int(i) for i in np.flatnonzero(groups == g))
-                        for g in sorted(set(int(x) for x in groups))
-                    ]
-                    holds, worst_t = verify_t_closeness(conf_table, parts, conf, config.t_ceiling)
-                else:
-                    holds, worst_t = verify_t_closeness(release.table, partition, conf, config.t_ceiling)
+                holds, worst_t = verify_t_closeness(conf_table, classes, conf, config.t_ceiling)
                 checks.append(
                     ("t_closeness", holds, f"worst_emd={worst_t:.6g} ceiling={config.t_ceiling:.6g}")
                 )
     return checks
 
 
-def _run_attacks(config: RunConfig, table, release, partition, factory, hierarchies):
+def _run_attacks(config: RunConfig, table, release, factory, hierarchies):
     reports: dict[str, AttackReport] = {}
     notes: list[str] = []
     attack_seed = derive_seed(config.seed, "attack", 0)
@@ -333,13 +296,17 @@ def _run_attacks(config: RunConfig, table, release, partition, factory, hierarch
             if not config.conf_attribute:
                 notes.append("attribute_inference skipped: no confidential attribute configured")
                 continue
-            if not isinstance(release, AnatomyRelease) and partition is None:
+            if release.partition is None:
                 notes.append("attribute_inference skipped: release carries no class structure")
                 continue
-            target = release
-            if isinstance(release, AnonymizedRelease) and release.partition is None:
-                target = AnonymizedRelease(release.table, partition, release.provenance)
-            reports[name] = attribute_inference_attack(target, config.conf_attribute, table)
+            # score the records the release publishes; suppressed ones have no class
+            published = np.isin(table.row_ids, release.table.row_ids)
+            unscored = int(table.n_rows - published.sum())
+            if unscored:
+                notes.append(f"attribute_inference: {unscored} suppressed records not scored")
+            reports[name] = attribute_inference_attack(
+                release, config.conf_attribute, table.take(np.flatnonzero(published))
+            )
         elif name == "downcoding":
             if config.mechanism != "minimal_generalization":
                 notes.append("downcoding skipped: release did not come from the minimal recoder")
@@ -367,12 +334,10 @@ def run(config: RunConfig, outdir: str | Path) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     table, hierarchies = _load_inputs(config)
-    release, partition, factory = _build_release(config, table, hierarchies)
+    release, factory = _build_release(config, table, hierarchies)
 
-    checks = _run_checks(config, table, release, partition, factory)
-    attack_reports, attack_notes = _run_attacks(
-        config, table, release, partition, factory, hierarchies
-    )
+    checks = _run_checks(config, table, release, factory)
+    attack_reports, attack_notes = _run_attacks(config, table, release, factory, hierarchies)
     utility = utility_report(table, release)
 
     ledger = BudgetLedger()
@@ -386,25 +351,7 @@ def run(config: RunConfig, outdir: str | Path) -> int:
     _write_text(outdir / "config.json", _json_dumps(config.to_json()))
     artifacts.append(outdir / "config.json")
 
-    if isinstance(release, AnatomyRelease):
-        (outdir / "release_qi.csv").write_bytes(serialize_table(release.qi_table))
-        (outdir / "release_conf.csv").write_bytes(serialize_table(release.conf_table))
-        prov = {
-            "mechanism": release.provenance.mechanism,
-            "params": release.provenance.params,
-            "seed": release.provenance.seed,
-            "notes": list(release.provenance.notes),
-            "schema_qi": schema_to_descriptor(release.qi_table.schema),
-            "schema_conf": schema_to_descriptor(release.conf_table.schema),
-        }
-        _write_text(outdir / "release.provenance.json", _json_dumps(prov))
-        artifacts += [
-            outdir / "release_qi.csv",
-            outdir / "release_conf.csv",
-            outdir / "release.provenance.json",
-        ]
-    else:
-        artifacts += write_release(release, outdir, "release")
+    artifacts += write_release(release, outdir, "release")
 
     for name, report in sorted(attack_reports.items()):
         path = outdir / f"attack_{name}.json"
@@ -471,7 +418,7 @@ def sweep(
             cfg = dataclasses.replace(config, k=int(value))
         else:
             cfg = dataclasses.replace(config, epsilon=float(value))
-        release, partition, factory = _build_release(cfg, table, hierarchies)
+        release, factory = _build_release(cfg, table, hierarchies)
         target = factory or release
         attack = linkage_attack(
             target, table, trials=cfg.attack_trials, rng_seed=derive_seed(cfg.seed, "attack", 0)

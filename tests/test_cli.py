@@ -83,6 +83,40 @@ def test_anonymize_then_attack_then_report(people_inputs, tmp_path, capsys):
     assert doc["n_original"] == 30
 
 
+def test_attack_and_report_read_an_anatomy_run_directory(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    rel = tmp_path / "anatomy"
+    rc = _anonymize(
+        data, schema, rel,
+        "--mechanism", "anatomy", "--k", "5", "--conf", "diagnosis",
+        "--attacks", "linkage,attribute_inference",
+    )
+    assert rc == 0
+    saved = json.loads((rel / "attack_attribute_inference.json").read_text())
+    capsys.readouterr()
+
+    out = tmp_path / "again"
+    rc = main(
+        [
+            "attack",
+            "--data", data,
+            "--schema", schema,
+            "--release", str(rel),
+            "--attack", "attribute_inference",
+            "--conf", "diagnosis",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert f"attribute_inference: rate={saved['success_rate']:.6g}" in capsys.readouterr().out
+    again = json.loads((out / "attack_attribute_inference.json").read_text())
+    assert again["success_rate"] == saved["success_rate"]
+
+    rc = main(["report", "--data", data, "--schema", schema, "--release", str(rel)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["n_release"] == 30
+
+
 def test_attack_intersection_over_two_releases(people_inputs, tmp_path, capsys):
     data, schema = people_inputs
     a = tmp_path / "a"
@@ -236,6 +270,15 @@ def test_cli_maps_errors_to_exit_two(people_inputs, tmp_path, capsys):
         ["anonymize", "--data", str(tmp_path / "nope.csv"), "--schema", schema, "--out", str(tmp_path / "x")]
     )
     assert rc == 2
+
+
+def test_malformed_hierarchy_file_exits_two(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    hier = tmp_path / "h.json"
+    hier.write_text("[1, 2]", encoding="utf-8")
+    rc = _anonymize(data, schema, tmp_path / "gen", "--mechanism", "generalization", "--hierarchies", str(hier))
+    assert rc == 2
+    assert "hierarchy entry 0" in capsys.readouterr().err
 
 
 def _mechanism_choices(command: str):

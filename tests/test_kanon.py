@@ -26,6 +26,8 @@ from sdckit.errors import (
     UnknownAttribute,
 )
 
+from sdckit.kanon import cell_is_minimal
+
 from conftest import build_numeric_table, build_people_table
 
 ZIP_TREE = {"*": {"4300*": {"43007": None, "43008": None}, "0800*": {"08001": None}}}
@@ -210,6 +212,22 @@ def test_minimal_generalization_unsatisfiable_and_guarded():
         minimal_generalization(_x_table([1]), _x_hierarchy(), 2)
     with pytest.raises(SearchSpaceTooLarge):
         minimal_generalization(_x_table(list(range(1, 11)) * 3), _x_hierarchy(), 2)
+
+
+def test_cell_is_minimal_rule():
+    row = ("[1,5]", "a")
+    # an unchanged label is a free move
+    assert not cell_is_minimal(Counter({row: 2}), row, 0, ["[1,5]"], 2)
+    # leaving the old class empty and bringing the new one to exactly k is allowed
+    assert not cell_is_minimal(Counter({row: 1, ("3", "a"): 1}), row, 0, ["3"], 2)
+    # as is leaving exactly k behind
+    assert not cell_is_minimal(Counter({row: 3, ("3", "a"): 1}), row, 0, ["3"], 2)
+    # leaving 1..k-1 behind, or a new class below k, is not
+    assert cell_is_minimal(Counter({row: 2, ("3", "a"): 1}), row, 0, ["3"], 2)
+    assert cell_is_minimal(Counter({row: 3}), row, 0, ["3"], 2)
+    # every lower label is tried; the other attribute stays as released
+    assert not cell_is_minimal(Counter({row: 1, ("4", "a"): 2}), row, 0, ["3", "4"], 2)
+    assert cell_is_minimal(Counter({row: 1, ("4", "b"): 2}), row, 0, ["3", "4"], 2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,8 +17,10 @@ from sdckit import (
     generalize_value,
     hierarchy_from_json,
     hierarchy_to_json,
+    load_hierarchies,
     load_table,
     make_table,
+    mdav_partition,
     read_release,
     schema_from_descriptor,
     schema_to_descriptor,
@@ -31,11 +33,13 @@ from sdckit.errors import (
     LevelOutOfRange,
     MalformedCsv,
     MissingColumn,
+    MissingPartition,
     SearchSpaceTooLarge,
     UnknownAttribute,
     UnknownValue,
 )
 from sdckit.microdata import canonical_number
+from sdckit.probkanon import anatomize
 
 from conftest import build_people_table
 
@@ -275,6 +279,24 @@ def test_interval_unsplit_by_coarser_cuts_keeps_its_label_and_lowest_level():
     assert h.value_path(2) == ("2", "[1,2]", "[1,5]", "[1,10]")
 
 
+def test_load_hierarchies_rejects_entries_that_are_not_hierarchy_objects():
+    with pytest.raises(ValueError, match="entry 0"):
+        load_hierarchies([1, 2])
+    with pytest.raises(ValueError, match="entry 1"):
+        load_hierarchies([{"attribute": "zip", "tree": ZIP_TREE}, {"tree": ZIP_TREE}])
+    with pytest.raises(ValueError, match="entry 0"):
+        load_hierarchies([{"attribute": 3, "tree": ZIP_TREE}])
+
+
+def test_load_hierarchies_rejects_a_second_hierarchy_for_one_attribute():
+    docs = [
+        {"attribute": "x", "intervals": {"min": 1, "max": 10, "cuts": [[6]]}},
+        {"attribute": "x", "intervals": {"min": 1, "max": 10, "cuts": [[3]]}},
+    ]
+    with pytest.raises(ValueError, match="second hierarchy for 'x'"):
+        load_hierarchies(docs)
+
+
 # -- releases -------------------------------------------------------------------
 
 
@@ -306,3 +328,47 @@ def test_write_read_release_round_trip(tmp_path, people_table):
     assert back.provenance.mechanism == "demo"
     assert back.provenance.params == {"k": 2}
     assert back.provenance.seed == 7
+
+
+def test_write_read_anatomy_release_round_trip(tmp_path, people_table):
+    partition = mdav_partition(people_table, ["age", "zip", "height"], 5)
+    rel = anatomize(people_table, partition, k=5, rng_seed=2)
+    written = write_release(rel, tmp_path)
+    assert [p.name for p in written] == ["release_qi.csv", "release_conf.csv", "release.provenance.json"]
+    sidecar = json.loads((tmp_path / "release.provenance.json").read_text())
+    assert {"schema_qi", "schema_conf"} <= set(sidecar)
+    assert not {"schema", "partition", "row_ids"} & set(sidecar)
+
+    back = read_release(tmp_path)
+    assert back.table.equals(rel.table)
+    assert list(back.table.row_ids) == list(rel.table.row_ids)
+    assert back.conf_table.equals(rel.conf_table)
+    assert list(back.conf_table.row_ids) == list(rel.conf_table.row_ids)
+    assert back.partition == rel.partition
+    assert back.provenance == rel.provenance
+
+
+def test_class_table_reads_each_side_of_a_release(people_table):
+    partition = mdav_partition(people_table, ["age", "zip", "height"], 5)
+    rel = anatomize(people_table, partition, k=5, rng_seed=2)
+    table, classes = rel.class_table("age")
+    assert table is rel.table and classes == rel.partition
+    table, classes = rel.class_table("diagnosis")
+    assert table is rel.conf_table
+    groups = rel.conf_table.columns["group_id"]
+    assert [set(groups[list(c)]) for c in classes] == [{float(j)} for j in range(len(partition))]
+    with pytest.raises(UnknownAttribute):
+        rel.class_table("nope")
+    bare = AnonymizedRelease(suppress_identifiers(people_table), None, Provenance("x"))
+    with pytest.raises(MissingPartition):
+        bare.class_table("diagnosis")
+
+
+def test_release_rejects_a_confidential_side_that_disagrees_with_the_partition(people_table):
+    partition = mdav_partition(people_table, ["age", "zip", "height"], 5)
+    rel = anatomize(people_table, partition, k=5, rng_seed=2)
+    with pytest.raises(ValueError):
+        AnonymizedRelease(rel.table, None, rel.provenance, rel.conf_table)
+    merged = (partition[0] + partition[1],) + tuple(partition[2:])
+    with pytest.raises(ValueError):
+        AnonymizedRelease(rel.table, merged, rel.provenance, rel.conf_table)

@@ -102,17 +102,17 @@ def test_anatomize_splits_qi_and_confidential_sides(people_table):
     partition = mdav_partition(people_table, ["age", "zip", "height"], 5)
     release = anatomize(people_table, partition, k=5, rng_seed=3)
 
-    assert release.qi_table.names[0] == "group_id"
+    assert release.table.names[0] == "group_id"
     # identifiers are never released; QI side carries everything else but the secret
-    assert set(release.qi_table.names) == {"group_id", "age", "zip", "height"}
+    assert set(release.table.names) == {"group_id", "age", "zip", "height"}
     assert set(release.conf_table.names) == {"group_id", "diagnosis"}
-    assert release.qi_table.n_rows == release.conf_table.n_rows == people_table.n_rows
+    assert release.table.n_rows == release.conf_table.n_rows == people_table.n_rows
 
     # QI side keeps original values in place
-    assert np.array_equal(release.qi_table.columns["age"], people_table.columns["age"])
+    assert np.array_equal(release.table.columns["age"], people_table.columns["age"])
 
     # confidential side is a within-group shuffle: same multiset per group id
-    gid_q = release.qi_table.columns["group_id"]
+    gid_q = release.table.columns["group_id"]
     gid_c = release.conf_table.columns["group_id"]
     for gid, group in enumerate(partition):
         want = Counter(str(people_table.columns["diagnosis"][i]) for i in group)
@@ -122,6 +122,20 @@ def test_anatomize_splits_qi_and_confidential_sides(people_table):
         assert got == want
         assert int((gid_q == gid).sum()) == len(group)
     assert release.provenance.mechanism == "anatomy"
+
+
+def test_permute_and_anatomy_publish_equal_class_multisets(people_table):
+    partition = mdav_partition(people_table, ["age", "zip", "height"], 5)
+    permuted = cluster_and_permute(people_table, ["age", "zip", "height"], 5, rng_seed=4, partition=partition)
+    anatomy = anatomize(people_table, partition, k=5, rng_seed=4)
+
+    def class_multisets(release):
+        table, classes = release.class_table("diagnosis")
+        values = table.columns["diagnosis"]
+        return [Counter(str(values[i]) for i in members) for members in classes]
+
+    assert permuted.partition == anatomy.partition
+    assert class_multisets(permuted) == class_multisets(anatomy)
 
 
 def test_anatomize_rejects_small_groups_and_bad_cover(people_table):

@@ -9,6 +9,7 @@ import pytest
 
 from sdckit import (
     AttributeSchema,
+    CategoricalKind,
     GeneralizationHierarchy,
     NumericKind,
     Query,
@@ -166,6 +167,35 @@ def test_run_anatomy_artifacts_and_checks(tmp_path):
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "check group_size: PASS" in summary
     assert "check l_diversity:" in summary
+
+
+def test_run_scores_attribute_inference_on_published_records_only(tmp_path):
+    schema = (
+        AttributeSchema("age", "quasi_identifier", NumericKind(0, 99)),
+        AttributeSchema("diagnosis", "confidential", CategoricalKind(("flu", "cold"))),
+    )
+    ages = [21.0, 22.0, 23.0, 24.0, 25.0, 26.0, 27.0, 28.0, 95.0]
+    table = make_table(schema, {"age": ages, "diagnosis": ["flu", "cold"] * 4 + ["flu"]})
+    data, schema_path = _write_inputs(tmp_path, table)
+    h = GeneralizationHierarchy.from_breakpoints("age", 0, 99, [[10, 20, 30, 40, 50, 60, 70, 80, 90]])
+    hpath = tmp_path / "hier.json"
+    hpath.write_text(json.dumps([hierarchy_to_json(h)]), encoding="utf-8")
+    cfg = RunConfig(
+        data_csv=data,
+        schema_json=schema_path,
+        mechanism="generalization",
+        k=4,
+        hierarchies_json=str(hpath),
+        max_suppression_fraction=0.2,
+        conf_attribute="diagnosis",
+        attacks=("attribute_inference",),
+    )
+    assert run(cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "attack_attribute_inference.json").read_text())
+    assert report["trials"] == 8
+    assert 8 not in {r["row_id"] for r in report["details"]["per_record"]}
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "note: attribute_inference: 1 suppressed records not scored" in summary
 
 
 def test_run_flags_failed_checks_with_exit_one(tmp_path):
