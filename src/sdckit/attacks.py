@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .confmodels import CATEGORICAL_UNIFORM, ORDERED_NUMERIC, Distribution, emd
+from .confmodels import ClassValues, emd
 from .dp import neighbor_relation
 from .errors import (
     Misaligned,
@@ -181,19 +181,6 @@ def linkage_attack(
 # --------------------------------------------------------------------------
 
 
-def _class_value_lists(release: AnonymizedRelease, conf_attribute: str):
-    """Per-record class assignment and per-class released confidential values.
-
-    Returns (row_id -> class index, list of per-class value lists, global values).
-    """
-    conf_table, classes = release.class_table(conf_attribute)
-    values = conf_table.columns[conf_attribute]
-    row_ids = release.table.row_ids
-    class_of = {int(row_ids[i]): j for j, members in enumerate(release.partition) for i in members}
-    per_class = [[values[i] for i in members] for members in classes]
-    return class_of, per_class, list(values)
-
-
 def attribute_inference_attack(
     release,
     conf_attribute: str,
@@ -205,37 +192,35 @@ def attribute_inference_attack(
     class distribution of the confidential attribute. For every record the
     report compares the global prior of its true value against that class
     posterior. The worst class-vs-global distribution distance is included;
-    homogeneous or skewed classes leak even when k-anonymity holds.
+    homogeneous or skewed classes leak even when k-anonymity holds. Records
+    the release declares suppressed are not scored; any other record without
+    a class raises Misaligned.
     """
-    class_of, per_class, global_values = _class_value_lists(release, conf_attribute)
-    truth = {int(r): v for r, v in zip(true_table.row_ids, true_table.columns[conf_attribute])}
+    conf_table, classes = release.class_table(conf_attribute)
+    values = ClassValues.of(conf_table, conf_attribute)
+    class_dists = [values.distribution(members) for members in classes]
+    row_ids = release.table.row_ids
+    class_of = {int(row_ids[i]): j for j, members in enumerate(release.partition) for i in members}
+    scheme = (release.provenance.params.get("scheme") or {}) if release.provenance else {}
+    suppressed = {int(r) for r in scheme.get("suppressed_row_ids", ())}
+    truth = {
+        int(r): v
+        for r, v in zip(true_table.row_ids, true_table.columns[conf_attribute])
+        if int(r) not in suppressed
+    }
     missing = [r for r in truth if r not in class_of]
     if missing:
         raise Misaligned(f"row id {missing[0]} has no class in the release")
 
-    def mass(values, target):
-        if not values:
-            return 0.0
-        key = str(target)
-        return sum(1 for v in values if str(v) == key) / len(values)
-
-    numeric = true_table.attribute(conf_attribute).is_numeric
-    ground = ORDERED_NUMERIC if numeric else CATEGORICAL_UNIFORM
-    support = sorted(set(float(v) for v in global_values)) if numeric else sorted(
-        set(str(v) for v in global_values)
-    )
-    global_dist = Distribution.from_values(
-        [float(v) if numeric else str(v) for v in global_values], support=support
-    )
-    class_emds = []
-    for values in per_class:
-        d = Distribution.from_values([float(v) if numeric else str(v) for v in values], support=support)
-        class_emds.append(emd(d, global_dist, ground))
+    key = float if conf_table.attribute(conf_attribute).is_numeric else str
+    overall = dict(zip(values.overall.support, values.overall.mass))
+    per_class = [dict(zip(d.support, d.mass)) for d in class_dists]
+    class_emds = [emd(d, values.overall, values.ground) for d in class_dists]
 
     priors, posteriors, gains = [], [], []
     for rid, true_value in truth.items():
-        prior = mass(global_values, true_value)
-        posterior = mass(per_class[class_of[rid]], true_value)
+        prior = overall.get(key(true_value), 0.0)
+        posterior = per_class[class_of[rid]].get(key(true_value), 0.0)
         priors.append(prior)
         posteriors.append(posterior)
         gains.append(posterior - prior)

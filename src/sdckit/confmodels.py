@@ -137,6 +137,41 @@ def emd_transport(p: Distribution, q: Distribution, d: GroundDistance) -> float:
     return float(res.fun)
 
 
+@dataclass(frozen=True)
+class ClassValues:
+    """One confidential column read as distributions: the whole column's and any class's.
+
+    ``values`` are floats for a numeric attribute and text otherwise, so a
+    class's values compare with the column's one way wherever classes are
+    judged (t-closeness, class merging, attribute inference). ``ground`` is
+    the given ground distance, else ordered numeric or categorical uniform by
+    the attribute's kind.
+    """
+
+    values: tuple
+    support: tuple
+    ground: GroundDistance
+    overall: Distribution
+
+    @classmethod
+    def of(cls, table: MicrodataTable, attribute: str, d: GroundDistance | None = None) -> "ClassValues":
+        numeric = table.attribute(attribute).is_numeric
+        col = table.columns[attribute]
+        values = tuple(float(v) for v in col) if numeric else tuple(str(v) for v in col)
+        support = tuple(sorted(set(values)))
+        if d is None:
+            d = ORDERED_NUMERIC if numeric else CATEGORICAL_UNIFORM
+        return cls(values, support, d, Distribution.from_values(values, support))
+
+    def distribution(self, rows: Sequence[int]) -> Distribution:
+        """The distribution of the values at ``rows`` over the column's support."""
+        return Distribution.from_values([self.values[i] for i in rows], self.support)
+
+    def distance(self, rows: Sequence[int]) -> float:
+        """EMD from the values at ``rows`` to the whole column."""
+        return emd(self.distribution(rows), self.overall, self.ground)
+
+
 # --------------------------------------------------------------------------
 # l-diversity
 # --------------------------------------------------------------------------
@@ -167,18 +202,6 @@ def l_diversity(class_values: Sequence, variant: str = "distinct") -> float:
 # --------------------------------------------------------------------------
 
 
-def _class_distributions(table: MicrodataTable, partition, conf_attribute: str):
-    attr = table.attribute(conf_attribute)
-    col = table.columns[conf_attribute]
-    values = [float(v) for v in col] if attr.is_numeric else [str(v) for v in col]
-    support = sorted(set(values))
-    global_dist = Distribution.from_values(values, support)
-    per_class = []
-    for group in partition:
-        per_class.append(Distribution.from_values([values[i] for i in group], support))
-    return global_dist, per_class, attr.is_numeric
-
-
 def verify_t_closeness(
     release_or_table,
     partition,
@@ -189,12 +212,8 @@ def verify_t_closeness(
     """Max class-to-global EMD must not exceed t. Returns (holds, max_distance)."""
     if t < 0:
         raise InvalidT("closeness threshold t must be nonnegative")
-    table = as_table(release_or_table)
-    partition = canonical_partition(partition)
-    global_dist, per_class, numeric = _class_distributions(table, partition, conf_attribute)
-    if d is None:
-        d = ORDERED_NUMERIC if numeric else CATEGORICAL_UNIFORM
-    worst = max((emd(c, global_dist, d) for c in per_class), default=0.0)
+    values = ClassValues.of(as_table(release_or_table), conf_attribute, d)
+    worst = max((values.distance(g) for g in canonical_partition(partition)), default=0.0)
     return worst <= t, worst
 
 
@@ -233,27 +252,17 @@ def enforce_models(
         raise ValueError("l must be at least 1")
     if t is not None and t < 0:
         raise InvalidT("closeness threshold t must be nonnegative")
-    table.attribute(conf_attribute)
+    conf = ClassValues.of(table, conf_attribute, d)
     partition = [list(g) for g in mdav_partition(table, qi_attributes, k)]
     (space,) = MixedSpace.from_tables([table], list(qi_attributes))
-    conf_col = table.columns[conf_attribute]
-    conf_attr = table.attribute(conf_attribute)
-    conf_values = [float(v) for v in conf_col] if conf_attr.is_numeric else [str(v) for v in conf_col]
-    support = sorted(set(conf_values))
-    global_dist = Distribution.from_values(conf_values, support)
-    if d is None:
-        d = ORDERED_NUMERIC if conf_attr.is_numeric else CATEGORICAL_UNIFORM
 
     def failing_constraint(group: Sequence[int]) -> str | None:
         if len(group) < k:
             return "k_anonymity"
-        cls = [conf_values[i] for i in group]
-        if l is not None and l_diversity(cls, variant) < l:
+        if l is not None and l_diversity([conf.values[i] for i in group], variant) < l:
             return "l_diversity"
-        if t is not None:
-            dist = emd(Distribution.from_values(cls, support), global_dist, d)
-            if dist > t:
-                return "t_closeness"
+        if t is not None and conf.distance(group) > t:
+            return "t_closeness"
         return None
 
     while True:

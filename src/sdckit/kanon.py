@@ -32,7 +32,6 @@ from .microdata import (
     MicrodataTable,
     Provenance,
     as_table,
-    canonical_number,
     canonical_partition,
 )
 
@@ -100,12 +99,8 @@ def _label_column(
     return np.asarray([hierarchy.label(v, level) for v in values], dtype=object)
 
 
-def _column_kind_for_level(hierarchy: GeneralizationHierarchy, labels: np.ndarray) -> CategoricalKind:
-    seen = []
-    for v in labels:
-        if v not in seen:
-            seen.append(v)
-    return CategoricalKind(tuple(sorted(seen)))
+def _column_kind_for_level(labels: np.ndarray) -> CategoricalKind:
+    return CategoricalKind(tuple(sorted(set(labels))))
 
 
 def anonymize_generalization(
@@ -164,7 +159,9 @@ def anonymize_generalization(
         _, _, _, best_name, violators = scored[0]
         levels[best_name] += 1
 
-    keep = np.asarray([i for i in range(n) if i not in set(violators.tolist())], dtype=np.int64)
+    suppressed = np.zeros(n, dtype=bool)
+    suppressed[violators] = True
+    keep = np.flatnonzero(~suppressed)
     suppressed_ids = tuple(int(table.row_ids[i]) for i in violators)
 
     masked = table.take(keep)
@@ -172,7 +169,7 @@ def anonymize_generalization(
         lv = levels[name]
         if lv > 0:
             labels = labels_at(name, lv)[keep]
-            masked = masked.with_column(name, labels, kind=_column_kind_for_level(hierarchies[name], labels))
+            masked = masked.with_column(name, labels, kind=_column_kind_for_level(labels))
     masked = masked.drop_columns(masked.identifier_names)
 
     scheme = GeneralizationScheme(
@@ -304,7 +301,7 @@ def _build_local_release(table, qi, hierarchies, levels, label_rows, k):
     masked = table
     for a, name in enumerate(qi):
         labels = np.asarray([label_rows[i][a] for i in range(table.n_rows)], dtype=object)
-        masked = masked.with_column(name, labels, kind=_column_kind_for_level(hierarchies[name], labels))
+        masked = masked.with_column(name, labels, kind=_column_kind_for_level(labels))
     masked = masked.drop_columns(masked.identifier_names)
     cell_levels = tuple(
         tuple(levels[i * width + a] for a in range(width)) for i in range(table.n_rows)
@@ -455,15 +452,7 @@ def sse(table: MicrodataTable, release, qi_attributes: Sequence[str], standardiz
                 r = zscore(r, mean, std)
             total += float(((o - r) ** 2).sum())
         else:
-            o_text = (
-                np.asarray([canonical_number(v) for v in orig_col], dtype=object)
-                if orig_attr.is_numeric
-                else orig_col
-            )
-            r_text = (
-                np.asarray([canonical_number(v) for v in rel_col], dtype=object)
-                if rel_attr.is_numeric
-                else rel_col
-            )
-            total += float(sum(1.0 for a, b in zip(o_text, r_text) if str(a) != str(b)))
+            o_text = comparable_text(table, name)[orig_rows]
+            r_text = comparable_text(rel_table, name)
+            total += float(sum(1.0 for a, b in zip(o_text, r_text) if a != b))
     return total

@@ -722,14 +722,6 @@ class AnonymizedRelease:
         self.table.attribute(attribute)
         return self.table, self.partition
 
-    def group_of_row(self, position: int) -> tuple[int, ...]:
-        if self.partition is None:
-            raise ValueError("release carries no partition")
-        for g in self.partition:
-            if position in g:
-                return g
-        raise ValueError(f"row position {position} not in partition")
-
 
 def as_table(release_or_table) -> MicrodataTable:
     """A release's ``table`` (anatomy's QI side), or a bare table as it is."""

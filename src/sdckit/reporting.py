@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .accounting import BudgetLedger
 from .attacks import (
     AttackReport,
@@ -299,14 +297,10 @@ def _run_attacks(config: RunConfig, table, release, factory, hierarchies):
             if release.partition is None:
                 notes.append("attribute_inference skipped: release carries no class structure")
                 continue
-            # score the records the release publishes; suppressed ones have no class
-            published = np.isin(table.row_ids, release.table.row_ids)
-            unscored = int(table.n_rows - published.sum())
+            reports[name] = attribute_inference_attack(release, config.conf_attribute, table)
+            unscored = table.n_rows - reports[name].trials
             if unscored:
                 notes.append(f"attribute_inference: {unscored} suppressed records not scored")
-            reports[name] = attribute_inference_attack(
-                release, config.conf_attribute, table.take(np.flatnonzero(published))
-            )
         elif name == "downcoding":
             if config.mechanism != "minimal_generalization":
                 notes.append("downcoding skipped: release did not come from the minimal recoder")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sdckit import AttributeSchema, GeneralizationHierarchy, NumericKind
+from sdckit import AttributeSchema, CategoricalKind, GeneralizationHierarchy, NumericKind
 from sdckit.cli import build_parser, main
 from sdckit.microdata import (
     hierarchy_to_json,
@@ -115,6 +115,49 @@ def test_attack_and_report_read_an_anatomy_run_directory(people_inputs, tmp_path
     rc = main(["report", "--data", data, "--schema", schema, "--release", str(rel)])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["n_release"] == 30
+
+
+def test_attack_scores_a_suppressed_generalization_run_like_the_run(tmp_path, capsys):
+    schema = (
+        AttributeSchema("age", "quasi_identifier", NumericKind(0, 99)),
+        AttributeSchema("diagnosis", "confidential", CategoricalKind(("flu", "cold", "none"))),
+    )
+    # 77 ages that generalize into full decades, plus three outliers
+    ages = [float(20 + i % 40) for i in range(77)] + [91.0, 95.0, 98.0]
+    diagnoses = [("flu", "cold", "none")[i % 3] for i in range(80)]
+    table = make_table(schema, {"age": ages, "diagnosis": diagnoses})
+    data = tmp_path / "t.csv"
+    data.write_bytes(serialize_table(table))
+    schema_path = tmp_path / "t.schema.json"
+    schema_path.write_text(json.dumps(schema_to_descriptor(table.schema)), encoding="utf-8")
+    h = GeneralizationHierarchy.from_breakpoints("age", 0, 99, [[10, 20, 30, 40, 50, 60, 70, 80, 90]])
+    hier = tmp_path / "hier.json"
+    hier.write_text(json.dumps([hierarchy_to_json(h)]), encoding="utf-8")
+    rel = tmp_path / "gen"
+    rc = _anonymize(
+        str(data), str(schema_path), rel,
+        "--mechanism", "generalization", "--k", "4", "--max-suppression", "0.05",
+        "--hierarchies", str(hier), "--conf", "diagnosis", "--attacks", "attribute_inference",
+    )
+    assert rc == 0
+    assert "note: attribute_inference: 3 suppressed records not scored" in capsys.readouterr().out
+
+    out = tmp_path / "again"
+    rc = main(
+        [
+            "attack",
+            "--data", str(data),
+            "--schema", str(schema_path),
+            "--release", str(rel),
+            "--attack", "attribute_inference",
+            "--conf", "diagnosis",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    again = (out / "attack_attribute_inference.json").read_bytes()
+    assert again == (rel / "attack_attribute_inference.json").read_bytes()
+    assert json.loads(again)["trials"] == 77
 
 
 def test_attack_intersection_over_two_releases(people_inputs, tmp_path, capsys):

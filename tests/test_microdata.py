@@ -312,7 +312,7 @@ def test_release_rejects_identifiers_and_bad_partitions(people_table):
         AnonymizedRelease(masked, ((0, 1),), Provenance("x"))  # does not cover all rows
     n = masked.n_rows
     rel = AnonymizedRelease(masked, (tuple(range(n)),), Provenance("x"))
-    assert rel.group_of_row(0) == tuple(range(n))
+    assert rel.partition == (tuple(range(n)),)
 
 
 def test_write_read_release_round_trip(tmp_path, people_table):
