@@ -85,7 +85,7 @@ def _jsonable(obj):
 # record linkage
 # --------------------------------------------------------------------------
 
-# distances link_records holds at once: external rows x release rows
+# distances link_records holds at once: external rows x unique release vectors
 _BLOCK_CELLS = 1 << 20
 
 
@@ -97,9 +97,16 @@ def link_records(
     Distance is the mixed metric of ``MixedSpace`` over the quasi-identifiers
     the two tables share, with numeric statistics pooled over both tables:
     squared z-scored difference where both sides are numeric, exact-match 0/1
-    on canonical text otherwise. External rows are matched in blocks of at
-    most ``_BLOCK_CELLS`` distances. Ties are broken uniformly at random, one
-    draw per tied external row, in row order. Returns the matched release row
+    on canonical text otherwise. Rows of both tables are keyed by their QI
+    vector, so distances are taken to each distinct release vector once. An
+    external row whose vector occurs in the release is at distance 0 from
+    exactly the release rows behind it and is not scanned, unless two distinct
+    values of a numeric column lie so close that their squared gap is 0, in
+    which case every row is scanned. Other external rows are scanned in
+    blocks of at most ``_BLOCK_CELLS`` distances; their tie set is the sorted
+    release rows behind every nearest vector. Ties are broken uniformly at
+    random, one ``rng.integers`` draw per external row with more than one
+    tied release row, in external row order. Returns the matched release row
     position per external row. ``linkage_attack`` and the probabilistic-k
     verifier call it from one trial loop, so the verifier shares the attack's
     trial streams.
@@ -108,18 +115,62 @@ def link_records(
     if not shared:
         raise NoSharedQIs("the release and the external table share no quasi-identifiers")
     rel_space, ext_space = MixedSpace.from_tables([release_table, external_table], shared)
-    n_ext = external_table.n_rows
+    n_rel, n_ext = rel_space.n, ext_space.n
+    numeric = np.concatenate([rel_space.numeric, ext_space.numeric]) + 0.0  # -0.0 keys as 0.0
+    codes = np.concatenate([rel_space.codes, ext_space.codes])
+    # one sort of both tables by QI vector; equal vectors keep row order
+    order = np.lexsort([*codes.T, *numeric.T])
+    num_sorted, codes_sorted = numeric[order], codes[order]
+    new_key = np.ones(order.size, dtype=bool)
+    new_key[1:] = (num_sorted[1:] != num_sorted[:-1]).any(axis=1) | (
+        codes_sorted[1:] != codes_sorted[:-1]
+    ).any(axis=1)
+    key = np.empty(order.size, dtype=np.int64)
+    key[order] = np.cumsum(new_key) - 1
+
+    # release rows grouped by vector, ascending within one; vector v owns
+    # rel_rows[starts[v] : starts[v] + sizes[v]]
+    rel_rows = order[order < n_rel]
+    rel_keys = key[rel_rows]
+    starts = np.flatnonzero(np.r_[True, rel_keys[1:] != rel_keys[:-1]])
+    sizes = np.diff(np.r_[starts, n_rel])
+    vectors = MixedSpace(numeric[rel_rows[starts]], codes[rel_rows[starts]])
+    vector_of_key = np.full(int(new_key.sum()), -1, dtype=np.int64)
+    vector_of_key[rel_keys[starts]] = np.arange(starts.size)
+    # the release vector each external row equals, -1 where it must be scanned
+    exact = vector_of_key[key[n_rel:]]
+    if _gap_squares_to_zero(numeric):
+        exact[:] = -1
+
+    def rows_behind(vecs) -> np.ndarray:
+        runs = [rel_rows[starts[v] : starts[v] + sizes[v]] for v in vecs]
+        return runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
+
     positions = np.empty(n_ext, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(rel_space.n, 1))
+    step = max(1, _BLOCK_CELLS // max(vectors.n, 1))
     for start in range(0, n_ext, step):
-        dist = rel_space.sq_dist_to(ext_space.point(slice(start, start + step)))
-        nearest = dist == dist.min(axis=1, keepdims=True)
-        del dist  # free this block's distances before the next block is computed
-        positions[start : start + nearest.shape[0]] = nearest.argmax(axis=1)
-        for i in np.flatnonzero(nearest.sum(axis=1) > 1):
-            ties = np.flatnonzero(nearest[i])
+        match = exact[start : start + step].copy()
+        scanned = np.flatnonzero(match < 0)
+        several = np.zeros(match.size, dtype=bool)  # more than one nearest vector
+        if scanned.size:
+            dist = vectors.sq_dist_to(ext_space.point(start + scanned))
+            nearest = dist == dist.min(axis=1, keepdims=True)
+            del dist  # free this block's distances before the next block is computed
+            match[scanned] = nearest.argmax(axis=1)
+            several[scanned] = nearest.sum(axis=1) > 1
+        positions[start : start + match.size] = rel_rows[starts[match]]
+        for i in np.flatnonzero(several | (sizes[match] > 1)):
+            vecs = np.flatnonzero(nearest[np.searchsorted(scanned, i)]) if several[i] else (match[i],)
+            ties = rows_behind(vecs)
             positions[start + i] = ties[rng.integers(ties.size)]
     return positions
+
+
+def _gap_squares_to_zero(numeric: np.ndarray) -> bool:
+    """Whether two distinct values of one numeric column differ by a gap whose
+    square is 0, so that rows with different vectors can be at distance 0."""
+    gaps = np.diff(np.sort(numeric, axis=0), axis=0)
+    return bool(((gaps != 0) & (gaps * gaps == 0)).any())
 
 
 def _linkage_successes(release, external_table: MicrodataTable, trials: int, rng_seed: int):

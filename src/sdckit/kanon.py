@@ -343,39 +343,48 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
     if n < k:
         raise TooFewRows(f"{n} rows cannot form a group of k={k}")
 
-    (space,) = MixedSpace.from_tables([table], qi)
-    remaining = np.arange(n, dtype=np.int64)
+    # the live pool: the remaining rows' points in ascending row id order,
+    # compacted once per group, so a distance never gathers rows. It stays
+    # row-major: the centroid's mean then adds rows one at a time, where a
+    # column-major mean adds them pairwise and can differ in the last bit
+    (pool,) = MixedSpace.from_tables([table], qi)
+    ids = np.arange(n, dtype=np.int64)
     groups: list[list[int]] = []
 
-    def farthest_from(point, pool: np.ndarray) -> int:
-        d = space.sq_dist_to(point, indices=pool)
-        return int(pool[int(np.argmax(d))])  # first max = lowest row id
+    def take_group(d: np.ndarray) -> list[int]:
+        """Remove the k pool rows first by (distance ``d``, row id); returns their ids."""
+        nonlocal pool, ids
+        cut = np.partition(d, k - 1)[k - 1]
+        chosen = d < cut
+        chosen[np.flatnonzero(d == cut)[: k - np.count_nonzero(chosen)]] = True
+        group = ids[chosen].tolist()
+        keep = ~chosen
+        pool, ids = MixedSpace(pool.numeric[keep], pool.codes[keep]), ids[keep]
+        return group
 
-    def nearest_k_group(center: int, pool: np.ndarray) -> np.ndarray:
-        others = pool[pool != center]
-        d = space.sq_dist_to(space.point(center), indices=others)
-        order = np.argsort(d, kind="stable")
-        chosen = others[order[: k - 1]]
-        return np.sort(np.concatenate([[center], chosen]))
+    def distances_from(i: int) -> np.ndarray:
+        """Distances from pool row ``i``; row ``i`` itself gets -1, so it
+        heads its own group and is never the farthest row."""
+        d = pool.sq_dist_to(pool.point(i))
+        d[i] = -1.0
+        return d
 
-    while remaining.size >= 3 * k:
-        centroid = space.centroid(remaining)
-        r = farthest_from(centroid, remaining)
-        s = farthest_from(space.point(r), remaining[remaining != r])
-        g_r = nearest_k_group(r, remaining[remaining != s])
-        remaining = np.setdiff1d(remaining, g_r, assume_unique=True)
-        g_s = nearest_k_group(s, remaining)
-        remaining = np.setdiff1d(remaining, g_s, assume_unique=True)
-        groups.append(g_r.tolist())
-        groups.append(g_s.tolist())
-    if remaining.size >= 2 * k:
-        centroid = space.centroid(remaining)
-        r = farthest_from(centroid, remaining)
-        g_r = nearest_k_group(r, remaining)
-        remaining = np.setdiff1d(remaining, g_r, assume_unique=True)
-        groups.append(g_r.tolist())
-    if remaining.size:
-        groups.append(remaining.tolist())
+    def far_extreme() -> int:
+        return int(np.argmax(pool.sq_dist_to(pool.centroid())))  # first max = lowest row id
+
+    while ids.size >= 3 * k:
+        r = far_extreme()
+        d = distances_from(r)
+        s = int(np.argmax(d))
+        s_id = ids[s]
+        d[s] = np.inf  # s heads the second group, not r's
+        groups.append(take_group(d))
+        s = int(np.searchsorted(ids, s_id))  # s's row in the shrunk pool
+        groups.append(take_group(distances_from(s)))
+    if ids.size >= 2 * k:
+        groups.append(take_group(distances_from(far_extreme())))
+    if ids.size:
+        groups.append(ids.tolist())
     return canonical_partition(groups)
 
 

@@ -9,8 +9,15 @@ is compared as canonical text (``comparable_text``), stored as integer codes
 whose order is the order of the text, and contributes 0/1 per mismatch. A
 distance adds its terms one attribute at a time, numeric terms first, then
 the mismatches. Distances are squared, which preserves nearest/farthest
-decisions, and may be taken from a block of points at once; record linkage
-walks the external table in bounded blocks of such points.
+decisions, and may be taken from a block of points at once.
+
+Record linkage takes distances once per distinct release vector: it keys the
+rows of both tables by their vector, an external row whose vector occurs in
+the release is at distance 0 from exactly the release rows behind it and
+needs no scan (unless a numeric gap squares to 0, which is checked), and the
+other external rows are scanned in bounded blocks against the distinct
+release vectors only. MDAV keeps its remaining rows as one compacted space,
+so each distance runs over contiguous arrays without gathering rows.
 """
 
 from __future__ import annotations
@@ -85,12 +92,12 @@ class MixedSpace:
         """Row ``i``, or a block of rows for a slice or an index array."""
         return self.numeric[i], self.codes[i]
 
-    def centroid(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Numeric mean plus per-attribute mode (ties broken by smallest text)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        num = self.numeric[idx].mean(axis=0)
-        modes = [np.bincount(self.codes[idx, j]).argmax() for j in range(self.codes.shape[1])]
-        return num, np.asarray(modes, dtype=self.codes.dtype)
+    def centroid(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
+        """Numeric mean plus per-attribute mode (ties broken by smallest text)
+        of every row, or of the rows in ``indices``."""
+        num, codes = self.point(slice(None) if indices is None else np.asarray(indices, dtype=np.int64))
+        modes = [np.bincount(codes[:, j]).argmax() for j in range(codes.shape[1])]
+        return num.mean(axis=0), np.asarray(modes, dtype=self.codes.dtype)
 
     def sq_dist_to(self, point, indices=None) -> np.ndarray:
         """Squared distances from one point (or a block of b points) to every

@@ -76,9 +76,12 @@ class CategoricalKind:
         norm = tuple(nfc(str(v)) for v in self.values)
         if not norm:
             raise ValueError("categorical domain is empty")
-        if len(set(norm)) != len(norm):
+        members = frozenset(norm)
+        if len(members) != len(norm):
             raise ValueError("categorical domain has duplicate values")
         object.__setattr__(self, "values", norm)
+        # a plain attribute, not a field: equality and hashing stay on ``values``
+        object.__setattr__(self, "members", members)
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,7 @@ def _check_cell(row: int, attr: AttributeSchema, value) -> None:
                 row, attr.name, f"value {canonical_number(v)} outside [{attr.kind.lo}, {attr.kind.hi}]"
             )
     else:
-        if value not in attr.kind.values:
+        if value not in attr.kind.members:
             raise DomainViolation(row, attr.name, f"value {value!r} not in declared domain")
 
 

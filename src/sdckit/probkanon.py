@@ -51,23 +51,22 @@ def cluster_and_permute(
         if any(len(g) < k for g in partition):
             raise GroupTooSmall(f"partition has a group below k={k}")
 
-    new_cols = {name: np.array(table.columns[name], dtype=table.columns[name].dtype) for name in qi}
+    # release row i takes column ``name`` from source row source[name][i]
+    source = {name: np.arange(table.n_rows) for name in qi}
     for gid, group in enumerate(partition):
         idx = np.asarray(group, dtype=np.int64)
         rng = derive_rng(rng_seed, "permute", gid)
-        if mode == "vector":
-            perm = rng.permutation(idx.size)
-            for name in qi:
-                new_cols[name][idx] = table.columns[name][idx[perm]]
-        else:
-            for name in qi:
-                perm = rng.permutation(idx.size)
-                new_cols[name][idx] = table.columns[name][idx[perm]]
+        shared = rng.permutation(idx.size) if mode == "vector" else None
+        for name in qi:
+            perm = shared if shared is not None else rng.permutation(idx.size)
+            source[name][idx] = idx[perm]
 
-    masked = table
-    for name in qi:
-        masked = masked.with_column(name, new_cols[name])
-    masked = masked.drop_columns(masked.identifier_names)
+    kept = tuple(a for a in table.schema if a.role != "identifier")
+    columns = {
+        a.name: table.columns[a.name][source[a.name]] if a.name in source else table.columns[a.name]
+        for a in kept
+    }
+    masked = MicrodataTable(kept, columns, table.row_ids)
     return AnonymizedRelease(
         table=masked,
         partition=partition,

@@ -15,6 +15,7 @@ from sdckit import (
     cluster_and_permute,
     link_records,
     linkage_attack,
+    mdav_microaggregate,
     mdav_partition,
     verify_probabilistic_k,
 )
@@ -138,25 +139,46 @@ def _label(v: int) -> str:
     return "[0-3)" if v < 3 else str(v)
 
 
+ZEROS = (-0.0, 0.0)
+TINY = (0.0, 1e-200, 2e-200)  # distinct, but their z-score gaps square to 0
+
+
 @st.composite
 def linkage_inputs(draw):
     """(release, external, seed): a pool of rows sampled with replacement into
-    both tables, so rows repeat and many external rows have exact matches.
+    the external table, and a release that is sampled from the same pool, an
+    exact copy of the external table, a permutation of it, or the external
+    rows with each block of k rows replaced by k copies of its first row; so
+    rows repeat and many external rows have exact matches.
 
     Attribute kinds: "num" numeric on both sides, "const" one value
     everywhere, "cat" categorical, "label" numeric outside and released as
-    interval labels.
+    interval labels, "zero" -0.0 next to 0.0, "tiny" values whose gaps square
+    to 0 (forcing the full scan). A "zero" or "tiny" column gets one +1 in the
+    external table and one -1 in the release, so its pooled mean is 0 up to
+    the tiny values, and z-scores keep the sign of zero and the tiny gaps.
     """
-    kinds = draw(st.lists(st.sampled_from(["num", "const", "cat", "label"]), min_size=1, max_size=5))
+    kind_names = ["num", "const", "cat", "label", "zero", "tiny"]
+    kinds = draw(st.lists(st.sampled_from(kind_names), min_size=1, max_size=5))
+    values = {kd: st.sampled_from(v) for kd, v in (("cat", CATS), ("zero", ZEROS), ("tiny", TINY))}
     pool = draw(
         st.lists(
-            st.tuples(*[st.sampled_from(CATS) if kd == "cat" else st.integers(0, 4) for kd in kinds]),
+            st.tuples(*[values.get(kd, st.integers(0, 4)) for kd in kinds]),
             min_size=1,
             max_size=6,
         )
     )
     ext_rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    rel_rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    shape = draw(st.sampled_from(["sampled", "identity", "permuted", "aggregated"]))
+    if shape == "sampled":
+        rel_rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    elif shape == "identity":
+        rel_rows = list(ext_rows)
+    elif shape == "permuted":
+        rel_rows = draw(st.permutations(ext_rows))
+    else:
+        k = draw(st.integers(2, 4))
+        rel_rows = [ext_rows[i - i % k] for i in range(len(ext_rows))]
     ext_schema, rel_schema, ext_cols, rel_cols = [], [], {}, {}
     for j, kind in enumerate(kinds):
         name = f"q{j}"
@@ -164,6 +186,10 @@ def linkage_inputs(draw):
         rel_vals = [row[j] for row in rel_rows]
         if kind == "cat":
             ext_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(CATS)))
+            rel_schema.append(ext_schema[-1])
+        elif kind in ("zero", "tiny"):
+            ext_vals[0], rel_vals[0] = 1.0, -1.0
+            ext_schema.append(AttributeSchema(name, "quasi_identifier", NumericKind(-1, 1)))
             rel_schema.append(ext_schema[-1])
         else:
             if kind == "const":
@@ -199,18 +225,56 @@ def test_link_records_blocks_match_dense_oracle(monkeypatch):
     assert got.tolist() == want.tolist()
 
 
-def _interleaved_table(seed: int, n: int, pattern: str):
-    """Table whose QI kinds follow ``pattern`` ("n" numeric, "c" categorical)."""
+def test_link_records_draws_ties_in_external_row_order(monkeypatch):
+    # even external rows occur twice in the release (exact matches, two tied
+    # rows); odd rows occur only through MDAV centroids repeated k times
+    # (scanned, k or more tied rows). Blocks of 5 rows mix both kinds, so a
+    # draw made out of external row order picks different rows.
+    table = build_people_table(seed=7, n=60)
+    qi = list(table.qi_names)
+    _, aggregated = mdav_microaggregate(table.take(np.arange(1, 60, 2)), qi, 3)
+    even = table.take(np.arange(0, 60, 2))
+    parts = [even, even, aggregated.table]
+    release = make_table(
+        [table.attribute(name) for name in qi],
+        {name: np.concatenate([p.columns[name] for p in parts]) for name in qi},
+    )
+    n_vectors = len(set(zip(*(release.columns[name].tolist() for name in qi))))
+    monkeypatch.setattr("sdckit.attacks._BLOCK_CELLS", 5 * n_vectors)
+    for seed in range(5):
+        got = link_records(release, table, derive_rng(seed, "attack", 0))
+        want = _oracle_link_records(release, table, derive_rng(seed, "attack", 0))
+        assert got.tolist() == want.tolist()
+
+
+def test_link_records_scans_every_row_when_a_gap_squares_to_zero():
+    # 0 and 1e-200 differ but their squared z-score gap is 0: the external row
+    # 0 ties with both release rows, so the exact-match path alone is wrong
+    schema = (AttributeSchema("x", "quasi_identifier", NumericKind(-1, 1)),)
+    external = make_table(schema, {"x": [0.0, 1.0]})
+    release = make_table(schema, {"x": [1e-200, 0.0, -1.0]})
+    first_matches = set()
+    for seed in range(40):
+        got = link_records(release, external, derive_rng(seed, "attack", 0))
+        want = _oracle_link_records(release, external, derive_rng(seed, "attack", 0))
+        assert got.tolist() == want.tolist()
+        first_matches.add(int(got[0]))
+    assert first_matches == {0, 1}
+
+
+def _interleaved_table(seed: int, n: int, pattern: str, hi: int = 20, cats=CATS):
+    """Table whose QI kinds follow ``pattern`` ("n" numeric, "c" categorical),
+    numerics drawn from 0..hi."""
     rng = np.random.default_rng(seed)
     schema, cols = [], {}
     for j, kind in enumerate(pattern):
         name = f"q{j}"
         if kind == "n":
             schema.append(AttributeSchema(name, "quasi_identifier", NumericKind(0, 20)))
-            cols[name] = rng.integers(0, 21, n).astype(float)
+            cols[name] = rng.integers(0, hi + 1, n).astype(float)
         else:
             schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(CATS)))
-            cols[name] = rng.choice(CATS, n)
+            cols[name] = rng.choice(cats, n)
     return make_table(schema, cols)
 
 
@@ -221,6 +285,16 @@ def test_mdav_partition_matches_frozen_single_table_space(pattern, k):
         table = _interleaved_table(seed, 37, pattern)
         qi = list(table.qi_names)
         assert mdav_partition(table, qi, k) == _oracle_mdav_partition(table, qi, k)
+        # two values per attribute: rows repeat many times over, so the
+        # farthest point and the k-1-th neighbour are tied at most steps. The
+        # frozen space adds 8 or more numeric terms in numpy's pairwise order,
+        # MixedSpace one by one; on such ties the last bit differs, so the
+        # 9-numeric schema is left out here
+        if pattern.count("n") >= 8:
+            continue
+        for n in (3 * k, 3 * k + 1, 61):
+            table = _interleaved_table(seed, n, pattern, hi=1, cats=CATS[:2])
+            assert mdav_partition(table, qi, k) == _oracle_mdav_partition(table, qi, k)
 
 
 def test_space_pools_numeric_stats_and_shares_codes():
