@@ -8,7 +8,6 @@ reidentification at 1/k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -36,15 +35,48 @@ from .microdata import (
 )
 
 
-def _combo_key_columns(table: MicrodataTable, qi: Sequence[str]) -> list[np.ndarray]:
-    return [comparable_text(table, name) for name in qi]
+def _factorize(values: np.ndarray):
+    """The distinct values and, per entry, the index of its value among them."""
+    if values.dtype != object:
+        return np.unique(values, return_inverse=True)
+    index: dict = {}  # hashing beats sorting Python objects; first occurrence order
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()), np.int64, len(values))
+    return list(index), codes
+
+
+def _codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """An integer per entry, equal exactly where the values are, and how many there are."""
+    distinct, codes = _factorize(values)
+    return codes, len(distinct)
+
+
+def _combine_codes(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """One code per row, equal for two rows exactly when each column's code is.
+
+    Columns are ``(codes, size)`` pairs, combined in mixed radix; whenever the
+    radix outgrows 8n the codes are renumbered densely, so they stay far from
+    overflow and a ``bincount`` over them stays small.
+    """
+    key, size = np.zeros(n, dtype=np.int64), 1
+    for codes, m in columns:
+        key, size = key * m + codes, size * m
+        if size > 8 * n:
+            key, size = _codes(key)
+    return key, size
+
+
+def _class_codes(table: MicrodataTable, qi: Sequence[str]):
+    """Each row's QI combination, compared as text, as one code: (text columns, codes)."""
+    texts = [comparable_text(table, name) for name in qi]
+    key, _ = _combine_codes([_codes(col) for col in texts], table.n_rows)
+    return texts, key
 
 
 def verify_k_anonymity(release_or_table, qi_attributes: Sequence[str], k: int):
     """Check that every QI combination occurs at least k times.
 
     Returns (holds, counts) where counts maps each observed combination to
-    its multiplicity.
+    its multiplicity, in order of first occurrence.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -52,10 +84,11 @@ def verify_k_anonymity(release_or_table, qi_attributes: Sequence[str], k: int):
     qi = list(qi_attributes)
     for name in qi:
         table.attribute(name)  # raises UnknownAttribute
-    cols = _combo_key_columns(table, qi)
-    counts = Counter(tuple(col[i] for col in cols) for i in range(table.n_rows))
-    holds = all(c >= k for c in counts.values()) if counts else True
-    return holds, dict(counts)
+    texts, key = _class_codes(table, qi)
+    _, first, sizes = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    counts = {tuple(col[i] for col in texts): int(c) for i, c in zip(first[order], sizes[order])}
+    return bool((sizes >= k).all()), counts
 
 
 # --------------------------------------------------------------------------
@@ -92,11 +125,16 @@ def _require_hierarchies(qi: Sequence[str], hierarchies: Mapping[str, Generaliza
 
 def _label_column(
     table: MicrodataTable, name: str, hierarchy: GeneralizationHierarchy, level: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Column ``name`` at ``level``: (label per row, label code per row, number
+    of labels). ``hierarchy.label`` runs once per distinct value, which also
+    validates every value."""
     col = table.columns[name]
-    attr = table.attribute(name)
-    values = col if not attr.is_numeric else col.astype(float)
-    return np.asarray([hierarchy.label(v, level) for v in values], dtype=object)
+    values = col.astype(float) if table.attribute(name).is_numeric else col
+    distinct, row_of = _factorize(values)
+    labels = np.asarray([hierarchy.label(v, level) for v in distinct], dtype=object)
+    code_of, n_labels = _codes(labels)
+    return labels[row_of], code_of[row_of], n_labels
 
 
 def _column_kind_for_level(labels: np.ndarray) -> CategoricalKind:
@@ -125,19 +163,17 @@ def anonymize_generalization(
     n = table.n_rows
     allowed = math.floor(max_suppression_fraction * n)
 
-    label_cache: dict[tuple[str, int], np.ndarray] = {}
+    label_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray, int]] = {}
 
-    def labels_at(name: str, level: int) -> np.ndarray:
+    def labels_at(name: str, level: int) -> tuple[np.ndarray, np.ndarray, int]:
         key = (name, level)
         if key not in label_cache:
             label_cache[key] = _label_column(table, name, hierarchies[name], level)
         return label_cache[key]
 
     def violating_rows(levels: Mapping[str, int]) -> np.ndarray:
-        cols = [labels_at(name, levels[name]) for name in qi]
-        combos = list(zip(*[c.tolist() for c in cols])) if cols else [()] * n
-        counts = Counter(combos)
-        return np.asarray([i for i, c in enumerate(combos) if counts[c] < k], dtype=np.int64)
+        key, size = _combine_codes([labels_at(name, levels[name])[1:] for name in qi], n)
+        return np.flatnonzero(np.bincount(key, minlength=size)[key] < k)
 
     levels = {name: 0 for name in qi}
     violators = violating_rows(levels)
@@ -153,7 +189,7 @@ def anonymize_generalization(
             trial = dict(levels)
             trial[name] += 1
             remaining = violating_rows(trial)
-            distinct_now = len(set(labels_at(name, levels[name]).tolist()))
+            distinct_now = labels_at(name, levels[name])[2]
             scored.append((remaining.size, distinct_now, qi.index(name), name, remaining))
         scored.sort(key=lambda t: (t[0], t[1], t[2]))
         _, _, _, best_name, violators = scored[0]
@@ -168,7 +204,7 @@ def anonymize_generalization(
     for name in qi:
         lv = levels[name]
         if lv > 0:
-            labels = labels_at(name, lv)[keep]
+            labels = labels_at(name, lv)[0][keep]
             masked = masked.with_column(name, labels, kind=_column_kind_for_level(labels))
     masked = masked.drop_columns(masked.identifier_names)
 
@@ -188,11 +224,10 @@ def anonymize_generalization(
 
 
 def _partition_by_combo(table: MicrodataTable, qi: Sequence[str]):
-    cols = _combo_key_columns(table, qi)
-    groups: dict[tuple, list[int]] = {}
-    for i in range(table.n_rows):
-        groups.setdefault(tuple(col[i] for col in cols), []).append(i)
-    return canonical_partition(groups.values())
+    _, key = _class_codes(table, qi)
+    order = np.argsort(key, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []
+    return canonical_partition(groups)
 
 
 # --------------------------------------------------------------------------
@@ -211,11 +246,6 @@ def _cell_label_paths(table, qi, hierarchies):
             row_paths.append(h.value_path(float(v) if table.attribute(name).is_numeric else v))
         paths.append(tuple(row_paths))
     return paths
-
-
-def _k_anonymous_labels(label_rows: Sequence[tuple], k: int) -> bool:
-    counts = Counter(label_rows)
-    return all(c >= k for c in counts.values())
 
 
 def cell_is_minimal(counts: Mapping[tuple, int], row: tuple, a: int, lower_labels, k: int) -> bool:
@@ -248,7 +278,12 @@ def minimal_generalization(
     scheme in which no single cell can move to any strictly lower level
     without breaking k-anonymity.
 
-    Only intended for desk-scale instances; the state count is guarded.
+    States (one level per cell, cells row by row) are visited in
+    ``itertools.product`` order, the last cell fastest. The class counts and
+    the number of classes below k are updated per changed cell, so a state
+    costs the cells that changed; only k-anonymous states are tested for
+    minimality. Only intended for desk-scale instances; the state count is
+    guarded.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -268,8 +303,8 @@ def minimal_generalization(
             )
 
     paths = _cell_label_paths(table, qi, hierarchies)
-    cell_ranges = [range(heights[a] + 1) for _ in range(n) for a in range(len(qi))]
     width = len(qi)
+    tops = heights * n  # each cell's highest level
 
     def labels_for(levels: tuple[int, ...]) -> list[tuple]:
         return [
@@ -286,14 +321,54 @@ def minimal_generalization(
                     return False
         return True
 
-    for levels in itertools.product(*cell_ranges):
-        label_rows = labels_for(levels)
-        if not _k_anonymous_labels(label_rows, k):
-            continue
-        if not is_minimal(levels, label_rows):
-            continue
-        return _build_local_release(table, qi, hierarchies, levels, label_rows, k)
-    raise Unsatisfiable(f"no cell-level recoding of {n} rows reaches k={k}")
+    # A row's label tuple as one integer: a mixed-radix number with a digit per
+    # attribute, the label's index among that attribute's labels. Cell (i, a)
+    # at level lv adds place[i * width + a][lv] to row i's key.
+    digits: list[dict[str, int]] = [{} for _ in qi]
+    for row_paths in paths:
+        for a, path in enumerate(row_paths):
+            for label in path:
+                digits[a].setdefault(label, len(digits[a]))
+    radix = [math.prod(len(d) for d in digits[:a]) for a in range(width)]
+    place = [[digits[a][label] * radix[a] for label in paths[i][a]] for i in range(n) for a in range(width)]
+
+    levels = [0] * (n * width)
+    keys = [sum(place[i * width + a][0] for a in range(width)) for i in range(n)]
+    counts = Counter(keys)
+
+    under_k = [0 < c < k for c in range(n + 1)]
+    below = sum(under_k[c] for c in counts.values())  # classes with 1..k-1 rows
+
+    def set_level(cell: int, level: int) -> None:
+        """Move one cell to ``level``, keeping ``counts`` and ``below`` current."""
+        nonlocal below
+        i = cell // width
+        old = keys[i]
+        new = old - place[cell][levels[cell]] + place[cell][level]
+        levels[cell] = level
+        if new != old:  # an interval no cut splits keeps its label
+            keys[i] = new
+            c = counts[old] - 1
+            counts[old] = c
+            below += under_k[c] - under_k[c + 1]
+            c = counts[new] + 1
+            counts[new] = c
+            below += under_k[c] - under_k[c - 1]
+
+    # states in itertools.product order over the cells, the last cell fastest
+    while True:
+        if not below:
+            state = tuple(levels)
+            label_rows = labels_for(state)
+            if is_minimal(state, label_rows):
+                return _build_local_release(table, qi, hierarchies, state, label_rows, k)
+        cell = len(levels) - 1
+        while cell >= 0 and levels[cell] == tops[cell]:
+            set_level(cell, 0)
+            cell -= 1
+        if cell < 0:
+            raise Unsatisfiable(f"no cell-level recoding of {n} rows reaches k={k}")
+        set_level(cell, levels[cell] + 1)
 
 
 def _build_local_release(table, qi, hierarchies, levels, label_rows, k):
@@ -463,5 +538,5 @@ def sse(table: MicrodataTable, release, qi_attributes: Sequence[str], standardiz
         else:
             o_text = comparable_text(table, name)[orig_rows]
             r_text = comparable_text(rel_table, name)
-            total += float(sum(1.0 for a, b in zip(o_text, r_text) if a != b))
+            total += float(np.count_nonzero(o_text != r_text))
     return total

@@ -51,6 +51,30 @@ def _numeric_table(table):
     return make_table(schema, {a.name: table.columns[a.name] for a in schema})
 
 
+def _desk_table():
+    """Six rows and two quasi-identifiers: small enough for the exhaustive
+    minimal recoder, with repeats it can keep and outliers it must generalize."""
+    schema = (
+        AttributeSchema("pid", "identifier", CategoricalKind(tuple(f"d{i}" for i in range(6)))),
+        AttributeSchema("x", "quasi_identifier", NumericKind(1, 10)),
+        AttributeSchema("sex", "quasi_identifier", CategoricalKind(SEXES)),
+        AttributeSchema("diagnosis", "confidential", CategoricalKind(DIAGNOSES)),
+    )
+    cols = {
+        "pid": [f"d{i}" for i in range(6)],
+        "x": [2.0, 2.0, 7.0, 3.0, 9.0, 6.0],
+        "sex": ["f", "f", "m", "m", "f", "m"],
+        "diagnosis": ["flu", "cold", "flu", "asthma", "cancer", "flu"],
+    }
+    return make_table(schema, cols)
+
+
+def _desk_hierarchies():
+    x = GeneralizationHierarchy.from_breakpoints("x", 1, 10, [[6]])
+    sex = GeneralizationHierarchy.from_tree("sex", {"*": {"f": None, "m": None}})
+    return [hierarchy_to_json(h) for h in (x, sex)]
+
+
 def _hierarchies():
     age = GeneralizationHierarchy.from_breakpoints(
         "age", 0, 100, [[10, 20, 30, 40, 50, 60, 70, 80, 90], [30, 60, 90]]
@@ -73,6 +97,10 @@ CONFIGS = {
         mechanism="dp_microdata", epsilon=1.5, attack_trials=5,
         data_csv="numeric.csv", schema_json="numeric.schema.json",
     ),
+    "minimal_generalization": dict(
+        mechanism="minimal_generalization", k=2, hierarchies_json="desk_hier.json",
+        data_csv="desk.csv", schema_json="desk.schema.json", attacks=("linkage", "downcoding"),
+    ),
 }
 
 GOLDEN = {
@@ -81,6 +109,7 @@ GOLDEN = {
     "anatomy": "90f1f18b2828caf2964b91408d407464d6bcf09a3d0e67ceb5c79b692c842411",
     "generalization": "6771e0e70dad20344f1e6375c398008d5448a7682035f5a6cfa5cb66f6b5c637",
     "dp_microdata": "ac5dd9dd8ffbc1bc278af72b6cf7086414f88dba6d82263b4f31457db616ec8d",
+    "minimal_generalization": "254f947eca7cadfdabdb8f38e7c7352005932282ae275dcd7d3c6b392d315642",
 }
 
 
@@ -90,10 +119,11 @@ def inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     table = _golden_table()
     # DP microdata noises every released attribute, so it gets the numeric columns only
-    for stem, t in (("data", table), ("numeric", _numeric_table(table))):
+    for stem, t in (("data", table), ("numeric", _numeric_table(table)), ("desk", _desk_table())):
         (tmp_path / f"{stem}.csv").write_bytes(serialize_table(t))
         (tmp_path / f"{stem}.schema.json").write_text(json.dumps(schema_to_descriptor(t.schema)), encoding="utf-8")
     (tmp_path / "hier.json").write_text(json.dumps(_hierarchies()), encoding="utf-8")
+    (tmp_path / "desk_hier.json").write_text(json.dumps(_desk_hierarchies()), encoding="utf-8")
     return tmp_path
 
 

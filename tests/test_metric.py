@@ -5,7 +5,7 @@ run the same trials."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdckit import (
@@ -30,24 +30,28 @@ from conftest import build_people_table
 
 def _oracle_link_records(release_table, external_table, rng):
     """Dense linkage: the full external x release distance matrix, one
-    attribute at a time, numeric z-scores pooled over both tables."""
+    attribute at a time, numeric z-scores pooled over both tables. Terms are
+    added in the metric's order, numeric attributes first and mismatches
+    last, so a tie that depends on the last bit of a sum breaks the same way."""
     shared = [n for n in external_table.qi_names if n in release_table.qi_names]
     n_rel, n_ext = release_table.n_rows, external_table.n_rows
     dist = np.zeros((n_ext, n_rel))
+    numeric = [
+        n for n in shared if release_table.attribute(n).is_numeric and external_table.attribute(n).is_numeric
+    ]
+    for name in numeric:
+        rel = release_table.columns[name].astype(float)
+        ext = external_table.columns[name].astype(float)
+        pooled = np.concatenate([rel, ext])
+        std = float(pooled.std())
+        if std == 0.0:
+            continue
+        mean = float(pooled.mean())
+        relz = (rel - mean) / std
+        extz = (ext - mean) / std
+        dist += (extz[:, None] - relz[None, :]) ** 2
     for name in shared:
-        numeric = release_table.attribute(name).is_numeric and external_table.attribute(name).is_numeric
-        if numeric:
-            rel = release_table.columns[name].astype(float)
-            ext = external_table.columns[name].astype(float)
-            pooled = np.concatenate([rel, ext])
-            std = float(pooled.std())
-            if std == 0.0:
-                continue
-            mean = float(pooled.mean())
-            relz = (rel - mean) / std
-            extz = (ext - mean) / std
-            dist += (extz[:, None] - relz[None, :]) ** 2
-        else:
+        if name not in numeric:
             rel = comparable_text(release_table, name)
             ext = comparable_text(external_table, name)
             dist += (ext[:, None] != rel[None, :]).astype(float)
@@ -206,8 +210,35 @@ def linkage_inputs(draw):
     return release, external, draw(st.integers(0, 2**31))
 
 
+def _mismatch_before_numeric_case():
+    """External row 0 is at the same distance from four release rows only
+    when the q1 mismatch is added after the numeric terms: summed in schema
+    order, the q3 term rounds differently and one of them wins alone."""
+    schema = (
+        AttributeSchema("q0", "quasi_identifier", NumericKind(-1, 1)),
+        AttributeSchema("q1", "quasi_identifier", CategoricalKind(CATS)),
+        *(AttributeSchema(f"q{j}", "quasi_identifier", NumericKind(0, 4)) for j in (2, 3, 4)),
+    )
+    release = make_table(schema, {
+        "q0": [-1.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+        "q1": ["b", "b", "b", "b", "b", "a"],
+        "q2": [0.0] * 6,
+        "q3": [2.0, 0.0, 2.0, 2.0, 2.0, 4.0],
+        "q4": [0.0] * 6,
+    })
+    external = make_table(schema, {
+        "q0": [1.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0, -0.0],
+        "q1": ["a", "a", "a", "a", "a", "b", "b", "b"],
+        "q2": [0.0] * 8,
+        "q3": [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 2.0, 2.0],
+        "q4": [0.0] * 8,
+    })
+    return release, external, 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(linkage_inputs())
+@example(inputs=_mismatch_before_numeric_case())
 def test_link_records_matches_dense_oracle(inputs):
     release, external, seed = inputs
     got = link_records(release, external, derive_rng(seed, "attack", 0))
