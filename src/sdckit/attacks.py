@@ -97,19 +97,49 @@ def link_records(
     Distance is the mixed metric of ``MixedSpace`` over the quasi-identifiers
     the two tables share, with numeric statistics pooled over both tables:
     squared z-scored difference where both sides are numeric, exact-match 0/1
-    on canonical text otherwise. Rows of both tables are keyed by their QI
-    vector, so distances are taken to each distinct release vector once. An
-    external row whose vector occurs in the release is at distance 0 from
-    exactly the release rows behind it and is not scanned, unless two distinct
-    values of a numeric column lie so close that their squared gap is 0, in
-    which case every row is scanned. Other external rows are scanned in
-    blocks of at most ``_BLOCK_CELLS`` distances; their tie set is the sorted
-    release rows behind every nearest vector. Ties are broken uniformly at
-    random, one ``rng.integers`` draw per external row with more than one
-    tied release row, in external row order. Returns the matched release row
-    position per external row. ``linkage_attack`` and the probabilistic-k
-    verifier call it from one trial loop, so the verifier shares the attack's
-    trial streams.
+    on canonical text otherwise. The nearest release vectors come from
+    ``_nearest_vectors``; an external row's tie set is the sorted release rows
+    behind every nearest vector. Ties are broken uniformly at random, one
+    ``rng.integers`` draw per external row with more than one tied release
+    row, in external row order. Returns the matched release row position per
+    external row. ``linkage_attack`` and the probabilistic-k verifier's Monte
+    Carlo path call it from one trial loop, so the verifier shares the
+    attack's trial streams.
+    """
+    _, rel_rows, starts, sizes, blocks = _nearest_vectors(release_table, external_table)
+
+    def rows_behind(vecs) -> np.ndarray:
+        runs = [rel_rows[starts[v] : starts[v] + sizes[v]] for v in vecs]
+        return runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
+
+    positions = np.empty(external_table.n_rows, dtype=np.int64)
+    for start, match, several in blocks:
+        positions[start : start + match.size] = rel_rows[starts[match]]
+        tied = sizes[match] > 1
+        tied[list(several)] = True
+        for i in np.flatnonzero(tied):
+            ties = rows_behind(several.get(i, (match[i],)))
+            positions[start + i] = ties[rng.integers(ties.size)]
+    return positions
+
+
+def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTable):
+    """The nearest-vector search behind linkage:
+    ``(vector_of_row, rel_rows, starts, sizes, blocks)``.
+
+    ``vector_of_row`` numbers each release row's distinct QI vector (over the
+    QIs both tables share, in the ``MixedSpace`` of both). ``rel_rows`` lists
+    the release rows grouped by vector, ascending within one: vector v owns
+    ``rel_rows[starts[v] : starts[v] + sizes[v]]``. ``blocks`` yields
+    ``(start, match, several)`` for consecutive blocks of external rows:
+    ``match[i]`` is the lowest-numbered release vector nearest to external
+    row ``start + i``, and ``several`` maps each block row with more than one
+    nearest vector to all of them, ascending. An external row whose vector
+    occurs in the release is at distance 0 from exactly that vector and is
+    not scanned, unless two distinct values of a numeric column lie so close
+    that their squared gap is 0, in which case every row is scanned. Other
+    rows are scanned against the distinct release vectors in blocks of at
+    most ``_BLOCK_CELLS`` distances.
     """
     shared = [n for n in external_table.qi_names if n in release_table.qi_names]
     if not shared:
@@ -128,42 +158,40 @@ def link_records(
     key = np.empty(order.size, dtype=np.int64)
     key[order] = np.cumsum(new_key) - 1
 
-    # release rows grouped by vector, ascending within one; vector v owns
-    # rel_rows[starts[v] : starts[v] + sizes[v]]
+    # release vectors numbered in sorted order; the first row of each run
+    # of equal release keys starts a new vector
     rel_rows = order[order < n_rel]
     rel_keys = key[rel_rows]
-    starts = np.flatnonzero(np.r_[True, rel_keys[1:] != rel_keys[:-1]])
-    sizes = np.diff(np.r_[starts, n_rel])
-    vectors = MixedSpace(numeric[rel_rows[starts]], codes[rel_rows[starts]])
+    first = np.ones(n_rel, dtype=bool)
+    first[1:] = rel_keys[1:] != rel_keys[:-1]
+    vector_of_row = np.empty(n_rel, dtype=np.int64)
+    vector_of_row[rel_rows] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, n_rel))
+    vectors = MixedSpace(numeric[rel_rows[first]], codes[rel_rows[first]])
     vector_of_key = np.full(int(new_key.sum()), -1, dtype=np.int64)
-    vector_of_key[rel_keys[starts]] = np.arange(starts.size)
+    vector_of_key[rel_keys[first]] = np.arange(vectors.n)
     # the release vector each external row equals, -1 where it must be scanned
     exact = vector_of_key[key[n_rel:]]
     if _gap_squares_to_zero(numeric):
         exact[:] = -1
 
-    def rows_behind(vecs) -> np.ndarray:
-        runs = [rel_rows[starts[v] : starts[v] + sizes[v]] for v in vecs]
-        return runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
+    def blocks():
+        step = max(1, _BLOCK_CELLS // max(vectors.n, 1))
+        for start in range(0, n_ext, step):
+            match = exact[start : start + step].copy()
+            scanned = np.flatnonzero(match < 0)
+            several = {}
+            if scanned.size:
+                dist = vectors.sq_dist_to(ext_space.point(start + scanned))
+                nearest = dist == dist.min(axis=1, keepdims=True)
+                del dist  # free this block's distances before the next block is computed
+                match[scanned] = nearest.argmax(axis=1)
+                for j in np.flatnonzero(nearest.sum(axis=1) > 1):
+                    several[int(scanned[j])] = np.flatnonzero(nearest[j])
+            yield start, match, several
 
-    positions = np.empty(n_ext, dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(vectors.n, 1))
-    for start in range(0, n_ext, step):
-        match = exact[start : start + step].copy()
-        scanned = np.flatnonzero(match < 0)
-        several = np.zeros(match.size, dtype=bool)  # more than one nearest vector
-        if scanned.size:
-            dist = vectors.sq_dist_to(ext_space.point(start + scanned))
-            nearest = dist == dist.min(axis=1, keepdims=True)
-            del dist  # free this block's distances before the next block is computed
-            match[scanned] = nearest.argmax(axis=1)
-            several[scanned] = nearest.sum(axis=1) > 1
-        positions[start : start + match.size] = rel_rows[starts[match]]
-        for i in np.flatnonzero(several | (sizes[match] > 1)):
-            vecs = np.flatnonzero(nearest[np.searchsorted(scanned, i)]) if several[i] else (match[i],)
-            ties = rows_behind(vecs)
-            positions[start + i] = ties[rng.integers(ties.size)]
-    return positions
+    return vector_of_row, rel_rows, starts, sizes, blocks()
 
 
 def _gap_squares_to_zero(numeric: np.ndarray) -> bool:
@@ -192,6 +220,85 @@ def _linkage_successes(release, external_table: MicrodataTable, trials: int, rng
     return successes, rel_table
 
 
+def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarray:
+    """Per-external-record probability that ``link_records`` matches the
+    release row carrying the record's id: the exact value that
+    ``_linkage_successes`` estimates, for a release whose randomness is known.
+
+    A fixed release, or a bare table, is random only in its tie draws. A
+    vector-mode ``cluster_and_permute`` release is also random in its
+    permutation: each class of its ``partition`` keeps its multiset of QI
+    vectors and deals them to its rows in uniformly random order. For an
+    external record e, let V_e be its set of nearest release vectors (one
+    ``_nearest_vectors`` search), C_e the number of release rows whose
+    vector is in V_e, g_e the class of the release row carrying e's id (that
+    row alone unless the release is vector-permuted), and m_e the number of
+    rows of g_e whose vector is in V_e. The row with e's id carries a vector
+    of V_e with probability m_e / |g_e|, and the tie draw then picks it
+    among C_e rows, so
+
+        p_e = m_e / (|g_e| * C_e),
+
+    and p_e = 0 when e's id is not in the release. V_e and C_e depend only on
+    the release's multiset of vectors, which the permutation keeps. The
+    pooled z-statistics are taken in the published row order, so the result
+    is exact up to last-bit differences in those sums between permutations.
+
+    That multiset is kept only if the permutation moved every QI the linker
+    compares. A ``cluster_and_permute`` release in ``per_attribute`` mode, or
+    one that left a shared QI in place, changes the multiset of shared
+    vectors from draw to draw, and treating the one published draw as fixed
+    would understate the risk; both raise ``ValueError`` so that the caller
+    passes a factory for Monte Carlo trials instead.
+    """
+    rel_table = as_table(release)
+    n_rel = rel_table.n_rows
+    # each row is a class of its own (numbered after the partition's classes)
+    # unless the release permuted whole vectors within its partition class
+    class_of_row = np.arange(n_rel)
+    provenance = getattr(release, "provenance", None)
+    if provenance is not None and provenance.mechanism == "cluster_and_permute":
+        mode = provenance.params.get("mode")
+        permuted = provenance.params.get("qi", ())
+        shared = [n for n in external_table.qi_names if n in rel_table.qi_names]
+        unpermuted = [n for n in shared if n not in permuted]
+        if mode != "vector" or unpermuted:
+            raise ValueError(
+                "linkage probabilities are exact only for a vector-mode cluster_and_permute "
+                f"release that permuted every shared quasi-identifier (mode {mode!r}, "
+                f"not permuted: {unpermuted}); pass a seed -> release factory instead"
+            )
+        partition = release.partition
+        class_of_row += len(partition)
+        class_of_row[np.concatenate(partition)] = np.repeat(
+            np.arange(len(partition)), [len(g) for g in partition]
+        )
+    class_size = np.bincount(class_of_row)
+    vector_of_row, _, _, sizes, blocks = _nearest_vectors(rel_table, external_table)
+    # rows per (class, vector), keyed by class * sizes.size + vector
+    pair_keys, pair_counts = np.unique(class_of_row * sizes.size + vector_of_row, return_counts=True)
+
+    def copies(classes, vecs) -> np.ndarray:
+        keys = classes * sizes.size + vecs
+        at = np.minimum(np.searchsorted(pair_keys, keys), pair_keys.size - 1)
+        return np.where(pair_keys[at] == keys, pair_counts[at], 0)
+
+    row_of = {int(r): i for i, r in enumerate(rel_table.row_ids)}
+    target = np.asarray([row_of.get(int(r), -1) for r in external_table.row_ids], dtype=np.int64)
+    target_class = np.where(target >= 0, class_of_row[target], -1)
+    probabilities = np.zeros(external_table.n_rows)
+    for start, match, several in blocks:
+        block = slice(start, start + match.size)
+        classes = target_class[block]
+        hits = copies(classes, match)
+        total = sizes[match]
+        for i, vecs in several.items():
+            hits[i] = copies(np.full(vecs.size, classes[i]), vecs).sum()
+            total[i] = sizes[vecs].sum()
+        probabilities[block] = np.where(classes >= 0, hits / (class_size[classes] * total), 0.0)
+    return probabilities
+
+
 def linkage_attack(
     release,
     external_table: MicrodataTable,
@@ -203,7 +310,7 @@ def linkage_attack(
     ``release`` may be a finished release, a bare table, or a factory
     ``seed -> release`` that is re-randomized on every trial. Success for one
     external record means the matched release row carries that record's id.
-    ``verify_probabilistic_k`` runs the same trials.
+    ``verify_probabilistic_k`` runs the same trials for a factory.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

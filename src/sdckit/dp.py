@@ -414,8 +414,10 @@ def empirical_dp_check(
 
     Only bins holding at least min_bin_count samples from each table are
     considered. Each bin gets a three-sigma sampling allowance on its log ratio
-    (sigma^2 about 1/c1 + 1/c2); PASS means no bin exceeds epsilon beyond its
-    allowance. The reported slack is the global 3*sqrt(1/min joint count).
+    (sigma^2 about 1/c1 + 1/c2); PASS means at least one bin is considered and
+    no bin exceeds epsilon beyond its allowance. Outputs that share no
+    well-filled bin, as noiseless or badly under-noised answers do, FAIL. The
+    reported slack is the global 3*sqrt(1/min joint count).
     """
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
@@ -435,7 +437,7 @@ def empirical_dp_check(
 
     considered = np.where((c1 >= min_bin_count) & (c2 >= min_bin_count))[0]
     per_bin = []
-    passed = True
+    passed = considered.size > 0  # no shared bin is no evidence of indistinguishability
     max_ratio = 0.0
     worst_bin = -1
     for b in considered:

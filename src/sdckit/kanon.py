@@ -23,7 +23,7 @@ from .errors import (
     UnknownAttribute,
     Unsatisfiable,
 )
-from .metric import MixedSpace, column_stats, comparable_text, zscore
+from .metric import MixedSpace, column_stats, comparable_text, factorize, zscore
 from .microdata import (
     AnonymizedRelease,
     CategoricalKind,
@@ -35,18 +35,9 @@ from .microdata import (
 )
 
 
-def _factorize(values: np.ndarray):
-    """The distinct values and, per entry, the index of its value among them."""
-    if values.dtype != object:
-        return np.unique(values, return_inverse=True)
-    index: dict = {}  # hashing beats sorting Python objects; first occurrence order
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()), np.int64, len(values))
-    return list(index), codes
-
-
 def _codes(values: np.ndarray) -> tuple[np.ndarray, int]:
     """An integer per entry, equal exactly where the values are, and how many there are."""
-    distinct, codes = _factorize(values)
+    distinct, codes = factorize(values)
     return codes, len(distinct)
 
 
@@ -131,7 +122,7 @@ def _label_column(
     validates every value."""
     col = table.columns[name]
     values = col.astype(float) if table.attribute(name).is_numeric else col
-    distinct, row_of = _factorize(values)
+    distinct, row_of = factorize(values)
     labels = np.asarray([hierarchy.label(v, level) for v in distinct], dtype=object)
     code_of, n_labels = _codes(labels)
     return labels[row_of], code_of[row_of], n_labels

@@ -73,7 +73,11 @@ class MixedSpace:
                     out.append(zscore(col, mean, std))
             else:
                 text = np.concatenate([comparable_text(t, name) for t in tables])
-                _, codes = np.unique(text, return_inverse=True)
+                distinct, first_seen = factorize(text)
+                # number the distinct texts in sorted order, as np.unique would
+                rank = np.empty(len(distinct), dtype=np.intp)
+                rank[sorted(range(len(distinct)), key=distinct.__getitem__)] = np.arange(len(distinct))
+                codes = rank[first_seen]
                 for out, part in zip(code_cols, np.split(codes, splits)):
                     out.append(part)
         return [
@@ -116,9 +120,24 @@ class MixedSpace:
 
 
 def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
-    """Column as canonical text, so masked label columns compare against raw numerics."""
+    """Column as canonical text, so masked label columns compare against raw
+    numerics. A numeric column formats each distinct value once."""
     attr = table.attribute(name)
     col = table.columns[name]
     if attr.is_numeric:
-        return np.asarray([canonical_number(v) for v in col], dtype=object)
+        values, row_of = np.unique(np.asarray(col, dtype=float), return_inverse=True)
+        return np.asarray([canonical_number(v) for v in values], dtype=object)[row_of]
     return np.asarray([str(v) for v in col], dtype=object)
+
+
+def factorize(values: np.ndarray):
+    """The distinct values and, per entry, the index of its value among them.
+
+    Numeric arrays go through ``np.unique``; object arrays take one hash pass
+    and number their values in order of first occurrence.
+    """
+    if values.dtype != object:
+        return np.unique(values, return_inverse=True)
+    index: dict = {}  # hashing beats sorting Python objects
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()), np.int64, len(values))
+    return list(index), codes

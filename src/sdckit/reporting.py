@@ -170,8 +170,10 @@ class RunConfig:
     hierarchies_json: str | None = None
     attacks: tuple[str, ...] = ("linkage",)
     attack_trials: int = 20
-    # the probabilistic-k check bounds a per-record maximum, which needs many
-    # trials before its Wilson band tightens below the allowed slack
+    # Monte Carlo trials of the probabilistic-k check, used only for
+    # permute_mode="per_attribute" (vector mode is checked in closed form);
+    # the check bounds a per-record maximum, which needs many trials before
+    # its Wilson band tightens below the allowed slack
     verify_trials: int = 12000
     permute_mode: str = "vector"
     max_suppression_fraction: float = 0.0
@@ -243,8 +245,10 @@ def _run_checks(config: RunConfig, table, release, factory):
         min_class = min(counts.values()) if counts else 0
         checks.append(("k_anonymity", holds, f"min_class={min_class} k={config.k}"))
     elif config.mechanism == "cluster_and_permute":
+        # a vector-permuted release is checked exactly; per-attribute
+        # permutation is re-drawn by Monte Carlo
         report = verify_probabilistic_k(
-            factory,
+            release if config.permute_mode == "vector" else factory,
             table,
             config.k,
             trials=config.verify_trials,

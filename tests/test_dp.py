@@ -317,6 +317,21 @@ def test_empirical_dp_check_flags_underscaled_noise():
     assert result.max_log_ratio > 0.5
 
 
+def test_empirical_dp_check_fails_when_no_bin_is_shared():
+    # noiseless and nearly noiseless sums put the two outputs in disjoint
+    # bins, so no bin is considered: that is no evidence of indistinguishability
+    t1 = _table([1, 2, 3, 7])
+    t2 = _table([1, 2, 3])
+    q = Query("sum", "v")
+    for factor in (0.0, 0.001):
+        broken = laplace_query_mechanism(q, SCHEMA, 1.0, scale_factor=factor)
+        result = empirical_dp_check(broken, t1, t2, 1.0, trials=100_000, seed=11)
+        assert result.considered_bins == 0
+        assert not result.passed
+    honest = laplace_query_mechanism(q, SCHEMA, 1.0)
+    assert empirical_dp_check(honest, t1, t2, 1.0, trials=100_000, seed=11).passed
+
+
 def test_empirical_dp_check_gates():
     t1 = _table([1, 2, 3, 7])
     q = Query("count")

@@ -20,7 +20,7 @@ from sdckit import (
     verify_probabilistic_k,
 )
 from sdckit.metric import MixedSpace, comparable_text
-from sdckit.microdata import canonical_partition, make_table
+from sdckit.microdata import canonical_number, canonical_partition, make_table
 from sdckit.seeds import derive_rng
 
 from conftest import build_people_table
@@ -350,6 +350,24 @@ def test_space_pools_numeric_stats_and_shares_codes():
         [1.0, 1.0],
         [1.0, 0.0],
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    numbers=st.lists(st.sampled_from([-0.0, 0.0, 1.0, -3.0, 2.5, 1e-200, 4.0]), min_size=1, max_size=12),
+    labels=st.lists(st.sampled_from(["0", "1", "-3", "2.5", "[0-3)", "b"]), min_size=1, max_size=12),
+)
+def test_text_codes_match_per_cell_formatting(numbers, labels):
+    # the reference formats every cell and numbers the texts with np.unique
+    num = make_table((AttributeSchema("x", "quasi_identifier", NumericKind(-5, 5)),), {"x": numbers})
+    kind = CategoricalKind(("0", "1", "-3", "2.5", "[0-3)", "b"))
+    lab = make_table((AttributeSchema("x", "quasi_identifier", kind),), {"x": labels})
+    want_text = [canonical_number(v) for v in numbers]
+    assert comparable_text(num, "x").tolist() == want_text
+    assert "-0" not in want_text
+    _, want = np.unique(np.asarray(want_text + labels, dtype=object), return_inverse=True)
+    num_space, lab_space = MixedSpace.from_tables([num, lab], ["x"])
+    assert np.concatenate([num_space.codes[:, 0], lab_space.codes[:, 0]]).tolist() == want.tolist()
 
 
 def test_verifier_and_linkage_attack_share_trials():

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 from sdckit import (
     AnonymizedRelease,
+    AttributeSchema,
+    CategoricalKind,
     GroupTooSmall,
+    NumericKind,
     Provenance,
     anatomize,
     cluster_and_permute,
+    mdav_microaggregate,
     mdav_partition,
     verify_probabilistic_k,
 )
+from sdckit.microdata import make_table
 
 from conftest import build_numeric_table, build_people_table
 
@@ -171,3 +176,121 @@ def test_verifier_rejects_bad_k():
     identity = AnonymizedRelease(table=ext, partition=None, provenance=Provenance("identity", {}, 0))
     with pytest.raises(ValueError):
         verify_probabilistic_k(identity, ext, k=0, trials=10)
+    # a factory is checked by Monte Carlo, which needs at least one trial
+    with pytest.raises(ValueError):
+        verify_probabilistic_k(lambda s: identity, ext, k=2, trials=0)
+
+
+# -- the closed form against Monte Carlo ------------------------------------------
+
+MC_TRIALS = 3000
+
+
+def _coarse_people(seed, n):
+    """People rows with age in 20-year bands and one height: QI vectors repeat."""
+    table = build_people_table(seed=seed, n=n)
+    table = table.with_column("age", np.floor(table.columns["age"] / 20) * 20)
+    return table.with_column("height", np.full(n, 120.0))
+
+
+def _permuted(table, k, seed, external=None):
+    """(release, factory, external table) for vector-mode permutation of ``table``."""
+    qi = list(table.qi_names)
+    partition = mdav_partition(table, qi, k)
+    factory = lambda s: cluster_and_permute(table, qi, k, s, partition=partition)
+    return factory(seed), factory, table if external is None else external
+
+
+def _duplicate_heavy():
+    return _permuted(_coarse_people(1, 40), 5, 11)
+
+
+def _row_missing_from_release():
+    # rows 36..39 are not published; their vectors still occur in the release
+    table = _coarse_people(2, 40)
+    return _permuted(table.take(range(36)), 4, 12, external=table)
+
+
+def _tiny_gap():
+    # x is symmetric about 0, so its z-scores keep 0 and 1e-200 apart, yet
+    # their squared gap is 0: every row is scanned, and rows at either value
+    # have two nearest vectors
+    rng = np.random.default_rng(3)
+    schema = (
+        AttributeSchema("x", "quasi_identifier", NumericKind(-1, 1)),
+        AttributeSchema("zip", "quasi_identifier", CategoricalKind(("a", "b"))),
+    )
+    x = rng.permutation(np.repeat([-0.5, 0.0, 1e-200, 0.5], 6))
+    table = make_table(schema, {"x": x, "zip": rng.choice(["a", "b"], 24)})
+    return _permuted(table, 4, 13)
+
+
+def _fixed_release():
+    table = build_people_table(seed=4, n=40)
+    _, release = mdav_microaggregate(table, list(table.qi_names), 3)
+    return release, lambda s: release, table
+
+
+@pytest.mark.parametrize("case", [_duplicate_heavy, _row_missing_from_release, _tiny_gap, _fixed_release])
+def test_closed_form_matches_monte_carlo(case):
+    release, factory, external = case()
+    exact = verify_probabilistic_k(release, external, k=5)
+    sampled = verify_probabilistic_k(factory, external, k=5, trials=MC_TRIALS, rng_seed=5)
+    assert exact.trials == 0 and sampled.trials == MC_TRIALS
+    assert list(exact.per_record_rates) == list(sampled.per_record_rates)
+    p = np.array(list(exact.per_record_rates.values()))
+    rate = np.array(list(sampled.per_record_rates.values()))
+    # at p = 0 or 1 the trials must agree exactly
+    assert np.all(np.abs(rate - p) <= 4.5 * np.sqrt(p * (1 - p) / MC_TRIALS) + 1e-12)
+    assert exact.wilson_interval == (exact.max_record_rate, exact.max_record_rate)
+    assert exact.max_record_rate == p.max() > 0
+
+
+def test_closed_form_for_duplicates_and_unpublished_rows():
+    release, _, table = _duplicate_heavy()
+    p = np.array(list(verify_probabilistic_k(release, table, k=5).per_record_rates.values()))
+    assert p.max() == pytest.approx(0.2)
+    assert len(set(p.tolist())) > 2  # tied vectors give rates other than 1/|g|
+
+    release, _, table = _row_missing_from_release()
+    report = verify_probabilistic_k(release, table, k=4)
+    assert [report.per_record_rates[int(r)] for r in table.row_ids[36:]] == [0.0] * 4
+
+
+def test_probabilistic_k_gate_at_n400():
+    k = 5
+    table = build_people_table(seed=8, n=400)
+    qi = list(table.qi_names)
+    honest, _, _ = _permuted(table, k, 21)
+    report = verify_probabilistic_k(honest, table, k)
+    assert report.passed and report.max_record_rate == pytest.approx(1 / k)
+
+    identity = AnonymizedRelease(table.drop_columns(["pid"]), None, Provenance("identity", {}, 0))
+    report = verify_probabilistic_k(identity, table, k)
+    assert not report.passed and report.max_record_rate == 1.0
+
+    small, factory, _ = _permuted(table, k - 1, 22)
+    report = verify_probabilistic_k(small, table, k)
+    assert not report.passed and report.max_record_rate == pytest.approx(1 / (k - 1))
+    assert not verify_probabilistic_k(factory, table, k, trials=100, rng_seed=1).passed
+
+
+def test_release_that_moves_only_some_shared_qis_needs_a_factory():
+    k = 5
+    table = build_people_table(seed=8, n=200)
+    qi = list(table.qi_names)
+    # zip stays with its row, so the multiset of shared QI vectors changes
+    # from draw to draw and no single published draw gives the linkage rates
+    partial = cluster_and_permute(table, ["age", "height"], k, 1)
+    with pytest.raises(ValueError, match="factory"):
+        verify_probabilistic_k(partial, table, k)
+    per_attribute = cluster_and_permute(table, qi, k, 1, mode="per_attribute")
+    with pytest.raises(ValueError, match="factory"):
+        verify_probabilistic_k(per_attribute, table, k)
+    # re-drawn, the partial permutation links some record to its own row far
+    # above 1/k: its zip is unique in its group
+    factory = lambda s: cluster_and_permute(table, ["age", "height"], k, s, partition=partial.partition)
+    assert verify_probabilistic_k(factory, table, k, trials=200, rng_seed=2).max_record_rate > 0.5
+    # a permuted QI that the external table does not hold does no harm
+    full = cluster_and_permute(table, qi, k, 1)
+    assert verify_probabilistic_k(full, table.drop_columns(["zip"]), k).passed
