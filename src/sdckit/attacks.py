@@ -62,23 +62,8 @@ class AttackReport:
             "wilson": list(self.wilson),
             "trials": self.trials,
             "baseline": self.baseline,
-            "details": _jsonable(self.details),
+            "details": dict(self.details),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = sorted(obj, key=repr) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(v) for v in items]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 # --------------------------------------------------------------------------

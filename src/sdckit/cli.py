@@ -23,6 +23,7 @@ from .attacks import (
 )
 from .errors import SdcError
 from .microdata import read_hierarchies, read_release, read_table
+from .probkanon import PERMUTE_MODES
 from .reporting import MECHANISMS, RunConfig, run, sweep, utility_report
 
 
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchies", default=None, help="hierarchy json file")
     p.add_argument("--attacks", default="linkage", help="comma list, empty for none")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--permute-mode", dest="permute_mode", default="vector")
+    p.add_argument("--permute-mode", dest="permute_mode", default="vector", choices=PERMUTE_MODES)
     p.add_argument("--max-suppression", dest="max_suppression", type=float, default=0.0)
     p.set_defaults(func=_cmd_anonymize)
 
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--hierarchies", default=None)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--permute-mode", dest="permute_mode", default="vector")
+    p.add_argument("--permute-mode", dest="permute_mode", default="vector", choices=PERMUTE_MODES)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
     return parser

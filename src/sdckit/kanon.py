@@ -23,7 +23,7 @@ from .errors import (
     UnknownAttribute,
     Unsatisfiable,
 )
-from .metric import MixedSpace, column_stats, comparable_text, factorize, zscore
+from .metric import MixedSpace, column_stats, zscore
 from .microdata import (
     AnonymizedRelease,
     CategoricalKind,
@@ -32,6 +32,8 @@ from .microdata import (
     Provenance,
     as_table,
     canonical_partition,
+    comparable_text,
+    factorize,
 )
 
 
@@ -455,7 +457,7 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
 
 
 def microaggregate_partition(
-    table: MicrodataTable, qi_attributes: Sequence[str], partition, mechanism: str = "mdav", params=None
+    table: MicrodataTable, qi_attributes: Sequence[str], partition, params=None
 ) -> AnonymizedRelease:
     """Mask QI cells with their group centroid: numeric mean, categorical mode."""
     qi = list(qi_attributes)
@@ -480,7 +482,7 @@ def microaggregate_partition(
     if params:
         prov_params.update(params)
     return AnonymizedRelease(
-        table=masked, partition=partition, provenance=Provenance(mechanism=mechanism, params=prov_params)
+        table=masked, partition=partition, provenance=Provenance(mechanism="mdav", params=prov_params)
     )
 
 

@@ -5,11 +5,12 @@ A space is built over one or more tables at once. An attribute is numeric
 only if it is numeric in every table given; it is z-scored with its mean and
 population standard deviation pooled over all of them (a constant column
 contributes zero) and compared by squared difference. Every other attribute
-is compared as canonical text (``comparable_text``), stored as integer codes
-whose order is the order of the text, and contributes 0/1 per mismatch. A
-distance adds its terms one attribute at a time, numeric terms first, then
-the mismatches. Distances are squared, which preserves nearest/farthest
-decisions, and may be taken from a block of points at once.
+is compared as canonical text (``microdata.comparable_text``, the text a
+release is written with), stored as integer codes whose order is the order of
+the text, and contributes 0/1 per mismatch. A distance adds its terms one
+attribute at a time, numeric terms first, then the mismatches. Distances are
+squared, which preserves nearest/farthest decisions, and may be taken from a
+block of points at once.
 
 Record linkage takes distances once per distinct release vector: it keys the
 rows of both tables by their vector, an external row whose vector occurs in
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .microdata import MicrodataTable, canonical_number
+from .microdata import MicrodataTable, comparable_text, factorize
 
 
 def column_stats(columns: Sequence[np.ndarray]) -> tuple[float, float]:
@@ -117,27 +118,3 @@ class MixedSpace:
         for j in range(codes.shape[1]):
             d += codes[:, j] != code_point[..., j, None]
         return d
-
-
-def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
-    """Column as canonical text, so masked label columns compare against raw
-    numerics. A numeric column formats each distinct value once."""
-    attr = table.attribute(name)
-    col = table.columns[name]
-    if attr.is_numeric:
-        values, row_of = np.unique(np.asarray(col, dtype=float), return_inverse=True)
-        return np.asarray([canonical_number(v) for v in values], dtype=object)[row_of]
-    return np.asarray([str(v) for v in col], dtype=object)
-
-
-def factorize(values: np.ndarray):
-    """The distinct values and, per entry, the index of its value among them.
-
-    Numeric arrays go through ``np.unique``; object arrays take one hash pass
-    and number their values in order of first occurrence.
-    """
-    if values.dtype != object:
-        return np.unique(values, return_inverse=True)
-    index: dict = {}  # hashing beats sorting Python objects
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()), np.int64, len(values))
-    return list(index), codes

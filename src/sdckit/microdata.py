@@ -246,48 +246,104 @@ def make_table(
     schema: Sequence[AttributeSchema],
     columns: Mapping[str, Sequence],
     row_ids: Sequence[int] | None = None,
-    validate: bool = True,
 ) -> MicrodataTable:
-    """Construct a table from python sequences, checking every cell against its domain."""
+    """Construct a table from python sequences, checking every cell against its domain;
+    the first bad cell in row-major order raises DomainViolation."""
     schema = tuple(schema)
-    cols: dict[str, np.ndarray] = {}
-    n = None
+    cells: dict[str, np.ndarray] = {}
     for a in schema:
         if a.name not in columns:
             raise MissingColumn(a.name)
-        raw = list(columns[a.name])
-        if n is None:
-            n = len(raw)
         if a.is_numeric:
-            col = np.asarray(raw, dtype=np.float64)
+            cells[a.name] = np.array(columns[a.name], dtype=np.float64)
         else:
-            col = np.asarray([nfc(str(v)) for v in raw], dtype=object)
-        cols[a.name] = col
-    if validate:
-        for i in range(n or 0):
-            for a in schema:
-                _check_cell(i, a, cols[a.name][i])
-    ids = np.arange(n or 0, dtype=np.int64) if row_ids is None else np.asarray(list(row_ids), dtype=np.int64)
+            cells[a.name] = np.asarray([str(v) for v in columns[a.name]], dtype=object)
+    cols = _decode_columns(schema, cells, _given_value)
+    n = len(cells[schema[0].name]) if schema else 0
+    ids = np.arange(n, dtype=np.int64) if row_ids is None else np.asarray(list(row_ids), dtype=np.int64)
     return MicrodataTable(schema, cols, ids)
 
 
-def _check_cell(row: int, attr: AttributeSchema, value) -> None:
-    if isinstance(attr.kind, NumericKind):
-        v = float(value)
-        if not math.isfinite(v):
-            raise DomainViolation(row, attr.name, f"non-finite value {value!r}")
-        if not (attr.kind.lo <= v <= attr.kind.hi):
-            raise DomainViolation(
-                row, attr.name, f"value {canonical_number(v)} outside [{attr.kind.lo}, {attr.kind.hi}]"
-            )
-    else:
-        if value not in attr.kind.members:
-            raise DomainViolation(row, attr.name, f"value {value!r} not in declared domain")
+# --------------------------------------------------------------------------
+# cell codec: the one place cell text is read and written
+# --------------------------------------------------------------------------
 
 
-# --------------------------------------------------------------------------
-# csv ingestion / serialization (RFC 4180)
-# --------------------------------------------------------------------------
+def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
+    """Column as canonical text, so masked label columns compare against raw
+    numerics. A numeric column formats each distinct value once."""
+    attr = table.attribute(name)
+    col = table.columns[name]
+    if attr.is_numeric:
+        values, row_of = np.unique(np.asarray(col, dtype=float), return_inverse=True)
+        return np.asarray([canonical_number(v) for v in values], dtype=object)[row_of]
+    return np.asarray([str(v) for v in col], dtype=object)
+
+
+def factorize(values: np.ndarray):
+    """The distinct values and, per entry, the index of its value among them.
+
+    Numeric arrays go through ``np.unique``; object arrays take one hash pass
+    and number their values in order of first occurrence.
+    """
+    if values.dtype != object:
+        return np.unique(values, return_inverse=True)
+    index: dict = {}  # hashing beats sorting Python objects
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()), np.int64, len(values))
+    return list(index), codes
+
+
+def _domain_fault(attr: AttributeSchema, value) -> str | None:
+    """Why a converted cell value lies outside its attribute's domain, or None."""
+    if not attr.is_numeric:
+        return None if value in attr.kind.members else f"value {value!r} not in declared domain"
+    if not math.isfinite(value):
+        return f"non-finite value {value!r}"
+    if not attr.kind.lo <= value <= attr.kind.hi:
+        return f"value {canonical_number(value)} outside [{attr.kind.lo}, {attr.kind.hi}]"
+    return None
+
+
+def _csv_value(attr: AttributeSchema, text: str):
+    """A csv cell's value and why it is rejected (None when it is not)."""
+    value = text.strip() if attr.is_numeric else nfc(text)
+    if not value:
+        return None, "missing value"
+    if attr.is_numeric:
+        try:
+            value = float(value)
+        except ValueError:
+            return None, f"cannot parse {text!r} as a number"
+    return value, _domain_fault(attr, value)
+
+
+def _given_value(attr: AttributeSchema, cell):
+    """A ``make_table`` cell's value and why it is rejected: only the domain counts."""
+    value = cell if attr.is_numeric else nfc(cell)
+    return value, _domain_fault(attr, value)
+
+
+def _decode_columns(schema, cells: Mapping[str, np.ndarray], decode) -> dict[str, np.ndarray]:
+    """Each column decoded once per distinct cell by ``decode(attr, cell) -> (value,
+    why rejected)``; raises the DomainViolation of the first rejected cell in
+    row-major order. A float64 column is only checked, since np.unique merges -0.0 and 0.0."""
+    cols: dict[str, np.ndarray] = {}
+    faults: list[DomainViolation] = []
+    for a in schema:
+        distinct, codes = factorize(cells[a.name])
+        decoded = [decode(a, cell) for cell in distinct]
+        bad = np.fromiter((why is not None for _, why in decoded), bool, len(decoded))
+        if bad.any():
+            row = int(np.argmax(bad[codes]))
+            faults.append(DomainViolation(row, a.name, decoded[codes[row]][1]))
+        elif cells[a.name].dtype == np.float64:
+            cols[a.name] = cells[a.name]
+        else:
+            values = [value for value, _ in decoded]
+            cols[a.name] = np.asarray(values, dtype=np.float64 if a.is_numeric else object)[codes]
+    if faults:
+        raise min(faults, key=lambda e: e.row)
+    return cols
 
 
 def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
@@ -295,6 +351,7 @@ def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
 
     The header must carry exactly the declared attribute names. Missing values
     are rejected: every cell must parse and fall inside its declared domain.
+    The first fault in row-major order is raised; a ragged row faults before its cells.
     """
     if isinstance(schema_descriptor, Mapping):
         schema = schema_from_descriptor(schema_descriptor)
@@ -323,40 +380,16 @@ def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
     for h in header:
         if h not in names:
             raise MalformedCsv(f"unexpected column {h!r} not declared in schema")
-    col_of = {name: header.index(name) for name in names}
 
     body = rows[1:]
-    raw_cols: dict[str, list] = {name: [] for name in names}
-    for i, r in enumerate(body):
-        if len(r) != len(header):
-            raise MalformedCsv(f"row {i}: expected {len(header)} fields, got {len(r)}")
-        for a in schema:
-            cell = r[col_of[a.name]]
-            if isinstance(a.kind, NumericKind):
-                stripped = cell.strip()
-                if not stripped:
-                    raise DomainViolation(i, a.name, "missing value")
-                try:
-                    v = float(stripped)
-                except ValueError:
-                    raise DomainViolation(i, a.name, f"cannot parse {cell!r} as a number") from None
-                _check_cell(i, a, v)
-                raw_cols[a.name].append(v)
-            else:
-                v = nfc(cell)
-                if not v:
-                    raise DomainViolation(i, a.name, "missing value")
-                _check_cell(i, a, v)
-                raw_cols[a.name].append(v)
-
-    cols = {
-        a.name: (
-            np.asarray(raw_cols[a.name], dtype=np.float64)
-            if a.is_numeric
-            else np.asarray(raw_cols[a.name], dtype=object)
-        )
-        for a in schema
-    }
+    widths = np.fromiter(map(len, body), np.int64, len(body))
+    ragged = np.flatnonzero(widths != len(header))
+    end = int(ragged[0]) if ragged.size else len(body)
+    fields = list(zip(*body[:end])) if end else [()] * len(header)
+    cells = {name: np.asarray(fields[header.index(name)], dtype=object) for name in names}
+    cols = _decode_columns(schema, cells, _csv_value)
+    if ragged.size:
+        raise MalformedCsv(f"row {end}: expected {len(header)} fields, got {widths[end]}")
     return MicrodataTable(schema, cols, np.arange(len(body), dtype=np.int64))
 
 
@@ -365,12 +398,7 @@ def serialize_table(table: MicrodataTable) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(table.names)
-    for i in range(table.n_rows):
-        out = []
-        for a in table.schema:
-            v = table.columns[a.name][i]
-            out.append(canonical_number(v) if a.is_numeric else str(v))
-        writer.writerow(out)
+    writer.writerows(zip(*(comparable_text(table, name).tolist() for name in table.names)))
     return buf.getvalue().encode("utf-8")
 
 
@@ -768,9 +796,12 @@ def write_release(release: AnonymizedRelease, directory: str | Path, basename: s
 
 def _read_release_csv(path: Path, schema: Mapping) -> MicrodataTable:
     raw = path.read_bytes()
-    # the sidecar is written with sorted keys; the csv header keeps column order
-    header = next(csv.reader(io.StringIO(raw.decode("utf-8"))))
-    return load_table(raw, {name: schema[name] for name in header if name in schema})
+    # the sidecar's keys are sorted: take the csv's column order, declared columns it lacks last
+    header = next(csv.reader(io.StringIO(raw.decode("utf-8"))), None)
+    if header is None:
+        raise MalformedCsv(f"{path}: empty input: no header row")
+    names = [name for name in header if name in schema] + [name for name in schema if name not in header]
+    return load_table(raw, {name: schema[name] for name in names})
 
 
 def read_release(directory: str | Path, basename: str = "release") -> AnonymizedRelease:

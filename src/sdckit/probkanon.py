@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .attacks import _linkage_probabilities, _linkage_successes, wilson_interval
 from .errors import GroupTooSmall
 from .kanon import mdav_partition
 from .microdata import (
@@ -26,6 +27,9 @@ from .microdata import (
     canonical_partition,
 )
 from .seeds import derive_rng
+
+# cluster_and_permute moves whole QI vectors within a group, or each QI column on its own
+PERMUTE_MODES = ("vector", "per_attribute")
 
 
 def cluster_and_permute(
@@ -44,7 +48,7 @@ def cluster_and_permute(
     never move. Per-group streams are derived from the seed by a counter
     construction, so the result does not depend on group processing order.
     """
-    if mode not in ("vector", "per_attribute"):
+    if mode not in PERMUTE_MODES:
         raise ValueError(f"unknown permutation mode {mode!r}")
     qi = list(qi_attributes)
     if partition is None:
@@ -186,9 +190,6 @@ def verify_probabilistic_k(
     PASS requires the upper end of the interval to stay at or below
     1/k + slack.
     """
-    # late import avoids module cycle
-    from .attacks import _linkage_probabilities, _linkage_successes, wilson_interval
-
     if k < 1:
         raise ValueError("k must be at least 1")
     if callable(release_or_factory):

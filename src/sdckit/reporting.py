@@ -40,9 +40,8 @@ from .kanon import (
     sse,
     verify_k_anonymity,
 )
-from .metric import comparable_text
-from .microdata import MicrodataTable, as_table, read_hierarchies, read_table, write_release
-from .probkanon import anatomize, cluster_and_permute, verify_probabilistic_k
+from .microdata import MicrodataTable, as_table, comparable_text, read_hierarchies, read_table, write_release
+from .probkanon import PERMUTE_MODES, anatomize, cluster_and_permute, verify_probabilistic_k
 from .seeds import derive_seed
 
 MECHANISMS = (
@@ -182,6 +181,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}; expected one of {MECHANISMS}")
+        if self.permute_mode not in PERMUTE_MODES:
+            raise ValueError(f"unknown permutation mode {self.permute_mode!r}; expected one of {PERMUTE_MODES}")
 
     def to_json(self) -> dict:
         doc = dataclasses.asdict(self)

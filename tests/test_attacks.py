@@ -331,3 +331,17 @@ def test_attack_reports_serialize_to_json():
     release2, _ = _minimal_release([1, 1, 2, 6, 9])
     doc2 = json.loads(json.dumps(downcoding_attack(release2, {"x": X_HIERARCHY}).to_json()))
     assert doc2["details"]["cells"][0]["inferred"] == [float(v) for v in range(2, 11)]
+
+    # details are built JSON-native: plain json.dumps takes them and they read back equal
+    table, skewed = _skew_instance()
+    rows = _grid_release([0, 0, 0, 1, 1, 1, 2, 2, 2], ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    cols = _grid_release([0, 1, 2, 0, 1, 2, 0, 1, 2], ((0, 3, 6), (1, 4, 7), (2, 5, 8)))
+    mech = laplace_query_mechanism(THRESHOLD_QUERY, SCHEMA_V, 1.0)
+    for report in (
+        report,
+        attribute_inference_attack(skewed, "s", table),
+        intersection_attack([rows, cols]),
+        membership_inference_attack(mech, WITH_TARGET, WITHOUT_TARGET, trials=200, calibration=200, rng_seed=2),
+    ):
+        doc = report.to_json()
+        assert json.loads(json.dumps(doc)) == doc

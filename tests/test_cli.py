@@ -13,6 +13,7 @@ from sdckit.microdata import (
     serialize_table,
 )
 
+from sdckit.probkanon import PERMUTE_MODES
 from sdckit.reporting import MECHANISMS
 
 from conftest import build_people_table
@@ -324,18 +325,44 @@ def test_malformed_hierarchy_file_exits_two(people_inputs, tmp_path, capsys):
     assert "hierarchy entry 0" in capsys.readouterr().err
 
 
-def _mechanism_choices(command: str):
+def _choices(command: str, dest: str = "mechanism"):
     subcommands = next(a for a in build_parser()._actions if a.dest == "command")
     parser = subcommands.choices[command]
-    return tuple(next(a for a in parser._actions if a.dest == "mechanism").choices)
+    return tuple(next(a for a in parser._actions if a.dest == dest).choices)
 
 
 def test_mechanism_choices_are_the_run_mechanisms(people_inputs, capsys):
-    assert _mechanism_choices("anonymize") == MECHANISMS
-    assert _mechanism_choices("sweep") == MECHANISMS
+    assert _choices("anonymize") == MECHANISMS
+    assert _choices("sweep") == MECHANISMS
 
     data, schema = people_inputs
     with pytest.raises(SystemExit) as exit_info:
         main(["sweep", "--data", data, "--schema", schema, "--values", "2", "--mechanism", "bogus"])
     assert exit_info.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_permute_mode_choices_are_the_permutation_modes(people_inputs, tmp_path, capsys):
+    assert _choices("anonymize", "permute_mode") == PERMUTE_MODES
+    assert _choices("sweep", "permute_mode") == PERMUTE_MODES
+
+    data, schema = people_inputs
+    with pytest.raises(SystemExit) as exit_info:
+        _anonymize(data, schema, tmp_path / "rel", "--mechanism", "mdav", "--permute-mode", "bogus")
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "rel").exists()
+
+
+def test_empty_release_csv_exits_two(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    rel = tmp_path / "rel"
+    assert _anonymize(data, schema, rel, "--attacks", "") == 0
+    (rel / "release.csv").write_bytes(b"")
+    capsys.readouterr()
+
+    assert main(["report", "--data", data, "--schema", schema, "--release", str(rel)]) == 2
+    assert "release.csv: empty input: no header row" in capsys.readouterr().err
+    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "1"])
+    assert rc == 2
+    assert "empty input" in capsys.readouterr().err

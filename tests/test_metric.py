@@ -19,8 +19,8 @@ from sdckit import (
     mdav_partition,
     verify_probabilistic_k,
 )
-from sdckit.metric import MixedSpace, comparable_text
-from sdckit.microdata import canonical_number, canonical_partition, make_table
+from sdckit.metric import MixedSpace
+from sdckit.microdata import canonical_number, canonical_partition, comparable_text, make_table
 from sdckit.seeds import derive_rng
 
 from conftest import build_people_table

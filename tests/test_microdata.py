@@ -330,6 +330,17 @@ def test_write_read_release_round_trip(tmp_path, people_table):
     assert back.provenance.seed == 7
 
 
+def test_read_release_reports_a_declared_column_missing_from_the_csv(tmp_path, people_table):
+    masked = suppress_identifiers(people_table)
+    write_release(AnonymizedRelease(masked, None, Provenance("demo")), tmp_path)
+    lines = (tmp_path / "release.csv").read_bytes().split(b"\r\n")
+    # every field is unquoted here, so dropping the last field drops a column
+    (tmp_path / "release.csv").write_bytes(b"\r\n".join(line.rsplit(b",", 1)[0] for line in lines))
+    with pytest.raises(MissingColumn) as e:
+        read_release(tmp_path)
+    assert e.value.column == masked.names[-1]
+
+
 def test_write_read_anatomy_release_round_trip(tmp_path, people_table):
     partition = mdav_partition(people_table, ["age", "zip", "height"], 5)
     rel = anatomize(people_table, partition, k=5, rng_seed=2)

@@ -25,8 +25,7 @@ from sdckit import (
 )
 from sdckit.errors import HierarchyMissing, SearchSpaceTooLarge, TooFewRows, UnknownValue, Unsatisfiable
 from sdckit.kanon import GeneralizationScheme, _partition_by_combo, cell_is_minimal
-from sdckit.metric import comparable_text
-from sdckit.microdata import AnonymizedRelease, Provenance, canonical_partition, serialize_table
+from sdckit.microdata import AnonymizedRelease, Provenance, canonical_partition, comparable_text, serialize_table
 
 # --------------------------------------------------------------------------
 # frozen references: both recoders as they were before integer-coded counts

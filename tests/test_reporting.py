@@ -94,6 +94,8 @@ def test_run_config_round_trip():
     assert again == cfg
     with pytest.raises(ValueError):
         RunConfig(data_csv="d", schema_json="s", mechanism="magic")
+    with pytest.raises(ValueError, match="unknown permutation mode 'bogus'"):
+        RunConfig(data_csv="d", schema_json="s", permute_mode="bogus")
 
 
 # -- full runs --------------------------------------------------------------------
