@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .confmodels import ClassValues, emd
-from .dp import neighbor_relation
+from .dp import _output_edges, _require_positive_counts, neighbor_relation
 from .errors import (
     Misaligned,
     MissingPartition,
@@ -410,16 +410,15 @@ def membership_inference_attack(
     on both worlds, then guesses the world of new outputs by which calibrated
     histogram is denser at the observed bin. Advantage is max(0, 2*acc - 1),
     an empirical lower bound on the distinguishability the mechanism allows.
+    A trials, calibration or bins below 1, or a calibration sample with a
+    non-finite output, raises ValueError.
     """
+    _require_positive_counts(trials=trials, calibration=calibration, bins=bins)
     if neighbor_relation(table_with, table_without) is None:
         raise NotNeighbors("membership inference requires neighboring tables")
     cal_in = np.asarray(mechanism(table_with, derive_rng(rng_seed, "attack", 0), calibration), float)
     cal_out = np.asarray(mechanism(table_without, derive_rng(rng_seed, "attack", 1), calibration), float)
-    lo = float(min(cal_in.min(), cal_out.min()))
-    hi = float(max(cal_in.max(), cal_out.max()))
-    if hi == lo:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = _output_edges(cal_in, cal_out, bins)
     h_in, _ = np.histogram(cal_in, bins=edges)
     h_out, _ = np.histogram(cal_out, bins=edges)
     guess_in = h_in >= h_out

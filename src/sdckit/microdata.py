@@ -159,7 +159,8 @@ class MicrodataTable:
         ids = np.asarray(self.row_ids, dtype=np.int64)
         if ids.shape[0] != (n or 0):
             raise ValueError("row_ids length does not match table")
-        if len(np.unique(ids)) != ids.shape[0]:
+        ordered = np.sort(ids)  # not np.unique, whose plain form imports numpy.ma
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("row_ids must be unique")
         ids.setflags(write=False)
         object.__setattr__(self, "row_ids", ids)
@@ -817,8 +818,8 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
     if "schema_conf" in doc:
         table = _read_release_csv(directory / f"{basename}_qi.csv", doc["schema_qi"])
         conf_table = _read_release_csv(directory / f"{basename}_conf.csv", doc["schema_conf"])
-        groups = table.column("group_id")
-        partition = [np.flatnonzero(groups == g).tolist() for g in np.unique(groups)]
+        groups, group_of = factorize(table.column("group_id"))
+        partition = [np.flatnonzero(group_of == j).tolist() for j in range(len(groups))]
         return AnonymizedRelease(table, partition, prov, conf_table)
     table = _read_release_csv(directory / f"{basename}.csv", doc["schema"])
     if doc.get("row_ids") is not None:

@@ -35,6 +35,8 @@ from sdckit import (
     rdp_to_dp,
     zcdp_to_dp,
 )
+from sdckit.attacks import membership_inference_attack
+from sdckit.dp import _BLOCK
 from sdckit.microdata import make_table
 from sdckit.seeds import derive_rng
 
@@ -62,6 +64,14 @@ def test_predicate_masks():
         Predicate("v", "!=", 5)
     with pytest.raises(ValueError):
         Predicate("c", "<=", "y").mask(t)
+
+
+def test_predicate_mask_of_an_empty_table_is_an_empty_boolean_mask():
+    empty = _table([], [])
+    for pred in (Predicate("c", "==", "x"), Predicate("v", ">=", 5)):
+        mask = pred.mask(empty)
+        assert mask.dtype == bool and mask.shape == (0,)
+    assert answer_query(empty, Query("count", predicate=Predicate("c", "==", "x"))) == 0.0
 
 
 def test_query_validation_and_answers():
@@ -143,6 +153,38 @@ def test_laplace_noise_is_deterministic_and_distributed():
     assert abs(a.mean()) < 0.02
     assert np.median(np.abs(a)) == pytest.approx(2.0 * math.log(2.0), rel=0.02)
     assert a.var() == pytest.approx(8.0, rel=0.05)  # 2 * scale^2
+
+
+def _one_shot_laplace(rng, scale, size=None):
+    """The sampler's formula applied to the whole draw at once: the oracle
+    for the blocked transform."""
+    u = rng.random(size) - 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+@pytest.mark.parametrize(
+    "size", [None, (), 0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, (7, 5), (3, _BLOCK + 2)]
+)
+@pytest.mark.parametrize("scale", [1.0, 0.37, 25.0, 1e-12])
+def test_blocked_laplace_noise_matches_the_one_shot_formula_bit_for_bit(size, scale):
+    got = laplace_noise(derive_rng(9, "noise"), scale, size)
+    want = _one_shot_laplace(derive_rng(9, "noise"), scale, size)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("size", [None, 100_000])
+@pytest.mark.parametrize("query", [Query("count", predicate=Predicate("v", ">=", 5.0)), Query("sum", "v")])
+def test_laplace_query_mechanism_adds_the_one_shot_noise(size, query):
+    t = _table([1, 2, 3, 7])
+    eps = 0.5
+    mech = laplace_query_mechanism(query, SCHEMA, eps)
+    got = mech(t, derive_rng(6, "noise"), size)
+    scale = global_sensitivity(query, SCHEMA) / eps
+    want = answer_query(t, query) + _one_shot_laplace(derive_rng(6, "noise"), scale, size)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_laplace_mechanism_edges():
@@ -340,3 +382,42 @@ def test_empirical_dp_check_gates():
         empirical_dp_check(mech, t1, _table([1, 2]), 1.0, trials=100)
     with pytest.raises(NonPositiveEpsilon):
         empirical_dp_check(mech, t1, _table([1, 2, 3]), 0.0, trials=100)
+
+
+def test_empirical_dp_check_rejects_non_positive_counts():
+    t1, t2 = _table([1, 2, 3, 7]), _table([1, 2, 3])
+    mech = laplace_query_mechanism(Query("count"), SCHEMA, 1.0)
+    for bad in ({"trials": 0}, {"bins": 0}, {"min_bin_count": 0}, {"trials": -5}):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            empirical_dp_check(mech, t1, t2, 1.0, **{"trials": 100, **bad})
+
+
+def test_membership_attack_rejects_non_positive_counts():
+    t1, t2 = _table([1, 2, 3, 7]), _table([1, 2, 3])
+    mech = laplace_query_mechanism(Query("count"), SCHEMA, 1.0)
+    for bad in ({"trials": 0}, {"calibration": 0}, {"bins": 0}):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            membership_inference_attack(mech, t1, t2, **{"trials": 100, "calibration": 100, **bad})
+
+
+def _with_outputs(*values):
+    """A mechanism whose first outputs are the given values, then zeros."""
+
+    def mechanism(table, rng, size=None):
+        out = np.zeros(size)
+        out[: len(values)] = values
+        return out
+
+    return mechanism
+
+
+@pytest.mark.parametrize("values", [(math.inf,), (-math.inf,), (math.nan,), (1.0, math.inf), (-1e308, 1e308)])
+def test_dp_audit_rejects_non_finite_outputs(values):
+    t1, t2 = _table([1, 2, 3, 7]), _table([1, 2, 3])
+    mech = _with_outputs(*values)
+    with pytest.raises(ValueError, match="finite"):
+        empirical_dp_check(mech, t1, t2, 1.0, trials=100)
+    with pytest.raises(ValueError, match="finite"):
+        membership_inference_attack(mech, t1, t2, trials=100, calibration=100)

@@ -120,6 +120,15 @@ def test_equals_ignores_row_ids(people_table):
     assert people_table.equals(clone)
 
 
+@pytest.mark.parametrize("ids", [[5, 1, 3, 1], [2, 2], [7, 0, 9, 4, 7]])
+def test_duplicate_row_ids_are_rejected(people_table, ids):
+    cols = {name: col[: len(ids)] for name, col in people_table.columns.items()}
+    with pytest.raises(ValueError, match="row_ids must be unique"):
+        MicrodataTable(people_table.schema, cols, np.asarray(ids))
+    distinct = np.arange(len(ids))[::-1]
+    assert list(MicrodataTable(people_table.schema, cols, distinct).row_ids) == list(distinct)
+
+
 # -- csv ingestion -------------------------------------------------------------
 
 

@@ -3,6 +3,9 @@ directory contract."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,6 +172,38 @@ def test_run_anatomy_artifacts_and_checks(tmp_path):
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "check group_size: PASS" in summary
     assert "check l_diversity:" in summary
+
+
+NO_NUMPY_MA = """
+import json, sys
+from pathlib import Path
+from sdckit import RunConfig, load_table, read_release, run
+
+data, schema, anatomy_dir, out = sys.argv[1:]
+load_table(Path(data).read_bytes(), json.loads(Path(schema).read_text(encoding="utf-8")))
+cfg = RunConfig(data_csv=data, schema_json=schema, mechanism="mdav", k=5, conf_attribute="diagnosis",
+                attacks=("linkage", "attribute_inference"), attack_trials=3)
+assert run(cfg, out) == 0
+assert read_release(anatomy_dir).conf_table is not None
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_tables_runs_and_anatomy_reads_never_import_numpy_ma(tmp_path):
+    # numpy 2.4's plain np.unique(x) imports numpy.ma, which costs every
+    # process 13-23 ms; a fresh interpreter shows whether any path pays it
+    data, schema = _write_inputs(tmp_path, build_people_table(seed=4, n=30))
+    anatomy = RunConfig(data_csv=data, schema_json=schema, mechanism="anatomy", k=5,
+                        conf_attribute="diagnosis", attack_trials=3)
+    assert run(anatomy, tmp_path / "anatomy") == 0
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA, data, schema, str(tmp_path / "anatomy"), str(tmp_path / "mdav")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_run_scores_attribute_inference_on_published_records_only(tmp_path):
