@@ -26,7 +26,7 @@ from .errors import (
     NotNeighbors,
     UnknownAttribute,
 )
-from .kanon import cell_is_minimal
+from .kanon import _combine_codes, cell_is_minimal
 from .metric import MixedSpace
 from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table
 from .seeds import derive_rng, derive_seed
@@ -82,44 +82,41 @@ def link_records(
     Distance is the mixed metric of ``MixedSpace`` over the quasi-identifiers
     the two tables share, with numeric statistics pooled over both tables:
     squared z-scored difference where both sides are numeric, exact-match 0/1
-    on canonical text otherwise. The nearest release vectors come from
-    ``_nearest_vectors``; an external row's tie set is the sorted release rows
-    behind every nearest vector. Ties are broken uniformly at random, one
-    ``rng.integers`` draw per external row with more than one tied release
-    row, in external row order. Returns the matched release row position per
-    external row. ``linkage_attack`` and the probabilistic-k verifier's Monte
-    Carlo path call it from one trial loop, so the verifier shares the
-    attack's trial streams.
+    on canonical text otherwise. External record e's tie set is every release
+    row behind its nearest vectors ``nearest[bounds[e]:bounds[e + 1]]`` (one
+    ``_nearest_vectors`` search), in ascending row order. Ties are broken
+    uniformly at random, one ``rng.integers`` draw per external row with more
+    than one tied release row, in external row order. Returns the matched
+    release row position per external row. ``linkage_attack`` and the
+    probabilistic-k verifier's Monte Carlo path call it from one trial loop,
+    so the verifier shares the attack's trial streams.
     """
-    _, rel_rows, starts, sizes, blocks = _nearest_vectors(release_table, external_table)
-
-    def rows_behind(vecs) -> np.ndarray:
-        runs = [rel_rows[starts[v] : starts[v] + sizes[v]] for v in vecs]
-        return runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
-
-    positions = np.empty(external_table.n_rows, dtype=np.int64)
-    for start, match, several in blocks:
-        positions[start : start + match.size] = rel_rows[starts[match]]
-        tied = sizes[match] > 1
-        tied[list(several)] = True
-        for i in np.flatnonzero(tied):
-            ties = rows_behind(several.get(i, (match[i],)))
-            positions[start + i] = ties[rng.integers(ties.size)]
+    _, rel_rows, starts, nearest, bounds = _nearest_vectors(release_table, external_table)
+    tie_counts = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
+    # each row's match as an index into its tie set: one draw per row with a tie, in row order
+    pick = np.zeros(tie_counts.size, dtype=np.int64)
+    tied = np.flatnonzero(tie_counts > 1)
+    pick[tied] = [rng.integers(c) for c in tie_counts[tied].tolist()]
+    # with one nearest vector the tie set is that vector's run of rows; a row
+    # with several is redone below (its index is in range: the runs from its
+    # lowest nearest vector on hold at least its tie count)
+    positions = rel_rows[starts[nearest[bounds[:-1]]] + pick]
+    for e in np.flatnonzero(np.diff(bounds) > 1):
+        runs = [rel_rows[starts[v] : starts[v + 1]] for v in nearest[bounds[e] : bounds[e + 1]]]
+        positions[e] = np.sort(np.concatenate(runs))[pick[e]]
     return positions
 
 
 def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTable):
     """The nearest-vector search behind linkage:
-    ``(vector_of_row, rel_rows, starts, sizes, blocks)``.
+    ``(vector_of_row, rel_rows, starts, nearest, bounds)``.
 
     ``vector_of_row`` numbers each release row's distinct QI vector (over the
     QIs both tables share, in the ``MixedSpace`` of both). ``rel_rows`` lists
     the release rows grouped by vector, ascending within one: vector v owns
-    ``rel_rows[starts[v] : starts[v] + sizes[v]]``. ``blocks`` yields
-    ``(start, match, several)`` for consecutive blocks of external rows:
-    ``match[i]`` is the lowest-numbered release vector nearest to external
-    row ``start + i``, and ``several`` maps each block row with more than one
-    nearest vector to all of them, ascending. An external row whose vector
+    ``rel_rows[starts[v] : starts[v + 1]]``. ``nearest`` and ``bounds`` are a
+    second such pair: external row e's nearest release vectors, ascending,
+    are ``nearest[bounds[e] : bounds[e + 1]]``. An external row whose vector
     occurs in the release is at distance 0 from exactly that vector and is
     not scanned, unless two distinct values of a numeric column lie so close
     that their squared gap is 0, in which case every row is scanned. Other
@@ -151,8 +148,7 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     first[1:] = rel_keys[1:] != rel_keys[:-1]
     vector_of_row = np.empty(n_rel, dtype=np.int64)
     vector_of_row[rel_rows] = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, n_rel))
+    starts = np.append(np.flatnonzero(first), n_rel)
     vectors = MixedSpace(numeric[rel_rows[first]], codes[rel_rows[first]])
     vector_of_key = np.full(int(new_key.sum()), -1, dtype=np.int64)
     vector_of_key[rel_keys[first]] = np.arange(vectors.n)
@@ -161,22 +157,24 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     if _gap_squares_to_zero(numeric):
         exact[:] = -1
 
-    def blocks():
-        step = max(1, _BLOCK_CELLS // max(vectors.n, 1))
-        for start in range(0, n_ext, step):
-            match = exact[start : start + step].copy()
-            scanned = np.flatnonzero(match < 0)
-            several = {}
-            if scanned.size:
-                dist = vectors.sq_dist_to(ext_space.point(start + scanned))
-                nearest = dist == dist.min(axis=1, keepdims=True)
-                del dist  # free this block's distances before the next block is computed
-                match[scanned] = nearest.argmax(axis=1)
-                for j in np.flatnonzero(nearest.sum(axis=1) > 1):
-                    several[int(scanned[j])] = np.flatnonzero(nearest[j])
-            yield start, match, several
-
-    return vector_of_row, rel_rows, starts, sizes, blocks()
+    # each external row's nearest vectors: the one it equals, or its scanned block's minima
+    counts = np.ones(n_ext, dtype=np.int64)
+    minima = []
+    scanned = np.flatnonzero(exact < 0)
+    step = max(1, _BLOCK_CELLS // max(vectors.n, 1))
+    for lo in range(0, scanned.size, step):
+        block = scanned[lo : lo + step]
+        dist = vectors.sq_dist_to(ext_space.point(block))
+        at, vec = np.nonzero(dist == dist.min(axis=1, keepdims=True))
+        del dist  # free this block's distances before the next block is computed
+        counts[block] = np.bincount(at, minlength=block.size)
+        minima.append((block[at], vec))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    nearest = np.repeat(exact, counts)
+    for rows, vec in minima:
+        # a row's minima come consecutive and ascending: the i-th goes i places after its start
+        nearest[bounds[rows] + np.arange(rows.size) - np.searchsorted(rows, rows)] = vec
+    return vector_of_row, rel_rows, starts, nearest, bounds
 
 
 def _gap_squares_to_zero(numeric: np.ndarray) -> bool:
@@ -214,13 +212,15 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
     vector-mode ``cluster_and_permute`` release is also random in its
     permutation: each class of its ``partition`` keeps its multiset of QI
     vectors and deals them to its rows in uniformly random order. For an
-    external record e, let V_e be its set of nearest release vectors (one
-    ``_nearest_vectors`` search), C_e the number of release rows whose
-    vector is in V_e, g_e the class of the release row carrying e's id (that
-    row alone unless the release is vector-permuted), and m_e the number of
-    rows of g_e whose vector is in V_e. The row with e's id carries a vector
-    of V_e with probability m_e / |g_e|, and the tie draw then picks it
-    among C_e rows, so
+    external record e, let V_e be its nearest release vectors
+    ``nearest[bounds[e]:bounds[e + 1]]`` (one ``_nearest_vectors`` search),
+    C_e the number of release rows whose vector is in V_e, g_e the class
+    (``release.labels``) of the release row carrying e's id (that row alone
+    unless the release is vector-permuted), and m_e the number of rows of
+    g_e whose vector is in V_e. C_e and m_e are ``np.add.reduceat`` sums of
+    per-vector counts over e's run of ``nearest``. The row with e's id
+    carries a vector of V_e with probability m_e / |g_e|, and the tie draw
+    then picks it among C_e rows, so
 
         p_e = m_e / (|g_e| * C_e),
 
@@ -237,10 +237,9 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
     passes a factory for Monte Carlo trials instead.
     """
     rel_table = as_table(release)
-    n_rel = rel_table.n_rows
-    # each row is a class of its own (numbered after the partition's classes)
-    # unless the release permuted whole vectors within its partition class
-    class_of_row = np.arange(n_rel)
+    # each row is a class of its own unless the release permuted whole
+    # vectors within the classes of its partition
+    class_of_row = np.arange(rel_table.n_rows)
     provenance = getattr(release, "provenance", None)
     if provenance is not None and provenance.mechanism == "cluster_and_permute":
         mode = provenance.params.get("mode")
@@ -253,35 +252,22 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
                 f"release that permuted every shared quasi-identifier (mode {mode!r}, "
                 f"not permuted: {unpermuted}); pass a seed -> release factory instead"
             )
-        partition = release.partition
-        class_of_row += len(partition)
-        class_of_row[np.concatenate(partition)] = np.repeat(
-            np.arange(len(partition)), [len(g) for g in partition]
-        )
-    class_size = np.bincount(class_of_row)
-    vector_of_row, _, _, sizes, blocks = _nearest_vectors(rel_table, external_table)
-    # rows per (class, vector), keyed by class * sizes.size + vector
-    pair_keys, pair_counts = np.unique(class_of_row * sizes.size + vector_of_row, return_counts=True)
-
-    def copies(classes, vecs) -> np.ndarray:
-        keys = classes * sizes.size + vecs
-        at = np.minimum(np.searchsorted(pair_keys, keys), pair_keys.size - 1)
-        return np.where(pair_keys[at] == keys, pair_counts[at], 0)
+        class_of_row = release.labels
+    vector_of_row, _, starts, nearest, bounds = _nearest_vectors(rel_table, external_table)
+    n_vectors = starts.size - 1
+    # rows per (class, vector), keyed by class * n_vectors + vector
+    pair_keys, pair_counts = np.unique(class_of_row * n_vectors + vector_of_row, return_counts=True)
 
     row_of = {int(r): i for i, r in enumerate(rel_table.row_ids)}
     target = np.asarray([row_of.get(int(r), -1) for r in external_table.row_ids], dtype=np.int64)
     target_class = np.where(target >= 0, class_of_row[target], -1)
-    probabilities = np.zeros(external_table.n_rows)
-    for start, match, several in blocks:
-        block = slice(start, start + match.size)
-        classes = target_class[block]
-        hits = copies(classes, match)
-        total = sizes[match]
-        for i, vecs in several.items():
-            hits[i] = copies(np.full(vecs.size, classes[i]), vecs).sum()
-            total[i] = sizes[vecs].sum()
-        probabilities[block] = np.where(classes >= 0, hits / (class_size[classes] * total), 0.0)
-    return probabilities
+    # m_e and C_e summed over e's entries of ``nearest``
+    keys = np.repeat(target_class, np.diff(bounds)) * n_vectors + nearest
+    at = np.minimum(np.searchsorted(pair_keys, keys), pair_keys.size - 1)
+    hits = np.add.reduceat(np.where(pair_keys[at] == keys, pair_counts[at], 0), bounds[:-1])
+    total = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
+    class_size = np.bincount(class_of_row)[target_class]
+    return np.where(target_class >= 0, hits / (class_size * total), 0.0)
 
 
 def linkage_attack(
@@ -342,8 +328,7 @@ def attribute_inference_attack(
     conf_table, classes = release.class_table(conf_attribute)
     values = ClassValues.of(conf_table, conf_attribute)
     class_dists = [values.distribution(members) for members in classes]
-    row_ids = release.table.row_ids
-    class_of = {int(row_ids[i]): j for j, members in enumerate(release.partition) for i in members}
+    class_of = dict(zip(release.table.row_ids.tolist(), release.labels.tolist()))
     scheme = (release.provenance.params.get("scheme") or {}) if release.provenance else {}
     suppressed = {int(r) for r in scheme.get("suppressed_row_ids", ())}
     truth = {
@@ -461,28 +446,18 @@ def intersection_attack(releases: Sequence[AnonymizedRelease]) -> AttackReport:
     rels = list(releases)
     if len(rels) < 2:
         raise ValueError("intersection needs at least two releases")
-    member_sets = []
+    ids, labels = [], []
     for r in rels:
         if r.partition is None:
             raise MissingPartition("intersection attack needs each release's partition")
-        ids = np.asarray(r.table.row_ids)
-        by_rid = {}
-        for members in r.partition:
-            group_ids = frozenset(int(ids[i]) for i in members)
-            for i in members:
-                by_rid[int(ids[i])] = group_ids
-        member_sets.append(by_rid)
-    universe = set(member_sets[0])
-    for by_rid in member_sets[1:]:
-        if set(by_rid) != universe:
-            raise Misaligned("releases cover different record ids")
-    effective = {}
-    for rid in sorted(universe):
-        cls = set(member_sets[0][rid])
-        for by_rid in member_sets[1:]:
-            cls &= by_rid[rid]
-        effective[rid] = len(cls)
-    sizes = list(effective.values())
+        order = np.argsort(r.table.row_ids)
+        ids.append(r.table.row_ids[order])
+        labels.append((r.labels[order], len(r.partition)))
+    if any(not np.array_equal(ids[0], other) for other in ids[1:]):
+        raise Misaligned("releases cover different record ids")
+    # a record's effective class: the records that share its class in every release
+    key, _ = _combine_codes(labels, ids[0].size)
+    sizes = np.bincount(key)[key].tolist()
     singletons = sum(1 for s in sizes if s == 1)
     n = len(sizes)
     return AttackReport(
@@ -495,7 +470,7 @@ def intersection_attack(releases: Sequence[AnonymizedRelease]) -> AttackReport:
             "n_releases": len(rels),
             "min_effective_anonymity": min(sizes),
             "mean_effective_anonymity": float(np.mean(sizes)),
-            "per_record_effective": {str(r): s for r, s in effective.items()},
+            "per_record_effective": {str(r): s for r, s in zip(ids[0].tolist(), sizes)},
         },
     )
 

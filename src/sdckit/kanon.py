@@ -32,6 +32,7 @@ from .microdata import (
     Provenance,
     as_table,
     canonical_partition,
+    classes_by_label,
     comparable_text,
     factorize,
 )
@@ -217,10 +218,7 @@ def anonymize_generalization(
 
 
 def _partition_by_combo(table: MicrodataTable, qi: Sequence[str]):
-    _, key = _class_codes(table, qi)
-    order = np.argsort(key, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []
-    return canonical_partition(groups)
+    return canonical_partition(classes_by_label(_class_codes(table, qi)[1]))
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -701,10 +702,48 @@ class Provenance:
         object.__setattr__(self, "notes", tuple(self.notes))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def canonical_partition(groups: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Sort members within groups and groups by first member."""
-    canon = tuple(tuple(sorted(int(i) for i in g)) for g in groups)
-    return tuple(sorted(canon, key=lambda g: g[0]))
+    """Sort members within groups and groups by first member.
+
+    Raises ValueError for an empty group or a member that is not an integer.
+    """
+    groups = [tuple(g) for g in groups]
+    members = list(chain.from_iterable(groups))
+    # one member of each type stands for all members of that type
+    for value in dict(zip(map(type, members), members)).values():
+        if not _is_integer(value):
+            raise ValueError(f"partition member {value!r} is not an integer row position")
+    if not all(groups):
+        raise ValueError("partition has an empty class")
+    return tuple(sorted((tuple(sorted(map(int, g))) for g in groups), key=lambda g: g[0]))
+
+
+def class_labels(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Each of rows 0..n-1's class: the index of its group in ``partition``.
+
+    Raises ValueError unless the partition covers every row exactly once.
+    """
+    sizes = list(map(len, partition))
+    members = np.fromiter(chain.from_iterable(partition), np.int64, sum(sizes))
+    if not np.array_equal(np.sort(members), np.arange(n)):
+        raise ValueError("partition must cover every row exactly once")
+    labels = np.empty(n, dtype=np.int64)
+    labels[members] = np.repeat(np.arange(len(sizes)), sizes)
+    return labels
+
+
+def classes_by_label(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Rows grouped by equal label, ascending within a group, groups in label order."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return tuple(tuple(g.tolist()) for g in np.split(order, cuts)) if order.size else ()
 
 
 @dataclass(frozen=True)
@@ -716,9 +755,10 @@ class AnonymizedRelease:
     (noise addition, the identity). Anatomy also sets ``conf_table``: the
     confidential side, linked to ``table`` only through their shared
     ``group_id`` column, where class j is the rows with ``group_id == j``.
-    ``class_table(attribute)`` gives the table holding an attribute and the
-    classes as row positions in that table, so checks and attacks read every
-    release's classes one way.
+    ``labels`` gives each row of ``table`` the index of its class in
+    ``partition``, or is None without one. ``class_table(attribute)`` gives
+    the table holding an attribute and the classes as row positions in that
+    table, so checks and attacks read every release's classes one way.
     """
 
     table: MicrodataTable
@@ -729,28 +769,26 @@ class AnonymizedRelease:
     def __post_init__(self):
         if self.table.identifier_names:
             raise ValueError("releases must not contain identifier attributes")
+        labels = None
         if self.partition is not None:
-            canon = canonical_partition(self.partition)
-            members = [i for g in canon for i in g]
-            if sorted(members) != list(range(self.table.n_rows)):
-                raise ValueError("partition must cover every row exactly once")
-            object.__setattr__(self, "partition", canon)
+            object.__setattr__(self, "partition", canonical_partition(self.partition))
+            labels = class_labels(self.partition, self.table.n_rows)
+            labels.setflags(write=False)
+        # a plain attribute, not a field: equality and hashing stay on ``partition``
+        object.__setattr__(self, "labels", labels)
         if self.conf_table is not None:
             if self.partition is None or self.conf_table.n_rows != self.table.n_rows:
                 raise ValueError("a confidential side needs a partition of as many rows")
-            if [len(g) for g in self._conf_classes()] != [len(g) for g in self.partition]:
+            # class j has as many rows on each side exactly when the sorted labels agree
+            if not np.array_equal(np.sort(self.conf_table.column("group_id")), np.sort(labels)):
                 raise ValueError("confidential group_id classes do not match the partition")
-
-    def _conf_classes(self) -> tuple[tuple[int, ...], ...]:
-        groups = self.conf_table.column("group_id")
-        return tuple(tuple(np.flatnonzero(groups == j).tolist()) for j in range(len(self.partition)))
 
     def class_table(self, attribute: str) -> tuple[MicrodataTable, tuple[tuple[int, ...], ...]]:
         """The published table holding ``attribute`` and the classes as row positions in it."""
         if self.partition is None:
             raise MissingPartition("release carries no class partition")
         if self.conf_table is not None and self.conf_table.has_attribute(attribute):
-            return self.conf_table, self._conf_classes()
+            return self.conf_table, classes_by_label(self.conf_table.column("group_id"))
         self.table.attribute(attribute)
         return self.table, self.partition
 
@@ -805,24 +843,41 @@ def _read_release_csv(path: Path, schema: Mapping) -> MicrodataTable:
     return load_table(raw, {name: schema[name] for name in names})
 
 
+def _is_integer_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_integer, value))
+
+
 def read_release(directory: str | Path, basename: str = "release") -> AnonymizedRelease:
-    """Read what ``write_release`` wrote, either layout."""
+    """Read what ``write_release`` wrote, either layout.
+
+    A sidecar that is not a JSON object, or whose ``mechanism``, ``params``,
+    ``seed``, ``notes``, ``partition`` or ``row_ids`` has the wrong shape,
+    raises ValueError naming the field.
+    """
     directory = Path(directory)
     doc = json.loads((directory / f"{basename}.provenance.json").read_text(encoding="utf-8"))
-    prov = Provenance(
-        mechanism=doc["mechanism"],
-        params=doc.get("params", {}),
-        seed=doc.get("seed"),
-        notes=tuple(doc.get("notes", ())),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError("release sidecar must be a JSON object")
+    if not isinstance(doc.get("mechanism"), str):
+        raise ValueError("release sidecar field 'mechanism' must be a string")
+    params, seed, notes = doc.get("params", {}), doc.get("seed"), doc.get("notes", [])
+    if not isinstance(params, dict):
+        raise ValueError("release sidecar field 'params' must be an object")
+    if seed is not None and not _is_integer(seed):
+        raise ValueError("release sidecar field 'seed' must be null or an integer")
+    if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
+        raise ValueError("release sidecar field 'notes' must be a list of strings")
+    partition, row_ids = doc.get("partition"), doc.get("row_ids")
+    if partition is not None and not (isinstance(partition, list) and all(map(_is_integer_list, partition))):
+        raise ValueError("release sidecar field 'partition' must be null or a list of lists of integers")
+    if row_ids is not None and not _is_integer_list(row_ids):
+        raise ValueError("release sidecar field 'row_ids' must be a list of integers")
+    prov = Provenance(mechanism=doc["mechanism"], params=params, seed=seed, notes=tuple(notes))
     if "schema_conf" in doc:
         table = _read_release_csv(directory / f"{basename}_qi.csv", doc["schema_qi"])
         conf_table = _read_release_csv(directory / f"{basename}_conf.csv", doc["schema_conf"])
-        groups, group_of = factorize(table.column("group_id"))
-        partition = [np.flatnonzero(group_of == j).tolist() for j in range(len(groups))]
-        return AnonymizedRelease(table, partition, prov, conf_table)
+        return AnonymizedRelease(table, classes_by_label(table.column("group_id")), prov, conf_table)
     table = _read_release_csv(directory / f"{basename}.csv", doc["schema"])
-    if doc.get("row_ids") is not None:
-        table = MicrodataTable(table.schema, dict(table.columns), np.asarray(doc["row_ids"], dtype=np.int64))
-    partition = [tuple(g) for g in doc["partition"]] if doc.get("partition") is not None else None
+    if row_ids is not None:
+        table = MicrodataTable(table.schema, dict(table.columns), np.asarray(row_ids, dtype=np.int64))
     return AnonymizedRelease(table=table, partition=partition, provenance=prov)

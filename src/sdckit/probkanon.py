@@ -25,6 +25,7 @@ from .microdata import (
     NumericKind,
     Provenance,
     canonical_partition,
+    class_labels,
 )
 from .seeds import derive_rng
 
@@ -55,8 +56,7 @@ def cluster_and_permute(
         partition = mdav_partition(table, qi, k)
     else:
         partition = canonical_partition(partition)
-        if any(len(g) < k for g in partition):
-            raise GroupTooSmall(f"partition has a group below k={k}")
+        _require_group_size(partition, k)
 
     # release row i takes column ``name`` from source row source[name][i]
     source = {name: np.arange(table.n_rows) for name in qi}
@@ -85,6 +85,13 @@ def cluster_and_permute(
     )
 
 
+def _require_group_size(partition, k: int) -> None:
+    """Raise GroupTooSmall, naming the smallest group's size, if it is below k."""
+    smallest = min((len(g) for g in partition), default=k)
+    if smallest < k:
+        raise GroupTooSmall(f"smallest group has {smallest} records, below k={k}")
+
+
 # --------------------------------------------------------------------------
 # anatomy
 # --------------------------------------------------------------------------
@@ -98,17 +105,9 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
     the index of the record's group in the canonical ``partition``.
     """
     partition = canonical_partition(partition)
-    for g in partition:
-        if len(g) < k:
-            raise GroupTooSmall(f"group of size {len(g)} below k={k}")
-    members = [i for g in partition for i in g]
-    if sorted(members) != list(range(table.n_rows)):
-        raise ValueError("partition must cover every row exactly once")
-
+    _require_group_size(partition, k)
+    group_of = class_labels(partition, table.n_rows)
     n_groups = len(partition)
-    group_of = np.empty(table.n_rows, dtype=np.int64)
-    for gid, g in enumerate(partition):
-        group_of[list(g)] = gid
 
     gid_attr = AttributeSchema("group_id", "non_confidential", NumericKind(0, max(n_groups - 1, 0)))
 

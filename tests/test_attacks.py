@@ -248,6 +248,54 @@ def test_intersection_validation():
         intersection_attack([a, misrow])
 
 
+def _oracle_intersection_attack(releases):
+    """Frozen reference: the attack over frozensets of row ids, one per class.
+    Returns the report's rate, trial count and details."""
+    member_sets = []
+    for r in releases:
+        ids = np.asarray(r.table.row_ids)
+        by_rid = {}
+        for members in r.partition:
+            group_ids = frozenset(int(ids[i]) for i in members)
+            for i in members:
+                by_rid[int(ids[i])] = group_ids
+        member_sets.append(by_rid)
+    effective = {}
+    for rid in sorted(member_sets[0]):
+        cls = set(member_sets[0][rid])
+        for by_rid in member_sets[1:]:
+            cls &= by_rid[rid]
+        effective[rid] = len(cls)
+    sizes = list(effective.values())
+    singletons = sum(1 for s in sizes if s == 1)
+    return singletons / len(sizes), len(sizes), {
+        "n_releases": len(releases),
+        "min_effective_anonymity": min(sizes),
+        "mean_effective_anonymity": float(np.mean(sizes)),
+        "per_record_effective": {str(r): s for r, s in effective.items()},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intersection_matches_frozen_frozenset_oracle(data):
+    n = data.draw(st.integers(1, 24))
+    ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    schema = (AttributeSchema("x", "quasi_identifier", NumericKind(0, 1)),)
+    releases = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        # each release lists the records in its own row order
+        order = data.draw(st.permutations(ids))
+        groups = {}
+        for row, label in enumerate(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))):
+            groups.setdefault(label, []).append(row)
+        table = make_table(schema, {"x": [0.0] * n}, row_ids=order)
+        releases.append(AnonymizedRelease(table, list(groups.values()), Provenance("t", {}, 0)))
+    report = intersection_attack(releases)
+    assert (report.success_rate, report.trials, report.details) == _oracle_intersection_attack(releases)
+    assert report.to_json() == json.loads(json.dumps(report.to_json()))
+
+
 # -- downcoding -------------------------------------------------------------------
 
 

@@ -316,6 +316,18 @@ def test_cli_maps_errors_to_exit_two(people_inputs, tmp_path, capsys):
     assert rc == 2
 
 
+def test_attack_on_a_malformed_sidecar_exits_two(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    rel = tmp_path / "rel"
+    assert _anonymize(data, schema, rel, "--attacks", "") == 0
+    sidecar = rel / "release.provenance.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "partition": 5}), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "1"])
+    assert rc == 2
+    assert "sidecar field 'partition'" in capsys.readouterr().err
+
+
 def test_malformed_hierarchy_file_exits_two(people_inputs, tmp_path, capsys):
     data, schema = people_inputs
     hier = tmp_path / "h.json"

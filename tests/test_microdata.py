@@ -38,7 +38,7 @@ from sdckit.errors import (
     UnknownAttribute,
     UnknownValue,
 )
-from sdckit.microdata import canonical_number
+from sdckit.microdata import canonical_number, class_labels, classes_by_label
 from sdckit.probkanon import anatomize
 
 from conftest import build_people_table
@@ -313,6 +313,56 @@ def test_canonical_partition_sorts_groups_and_members():
     assert canonical_partition([(3, 1), (0, 2)]) == ((0, 2), (1, 3))
 
 
+@pytest.mark.parametrize(
+    "partition, message",
+    [
+        (((), (0, 1, 2, 3)), "empty class"),
+        (((0, 1.5), (2, 3)), "1.5 is not an integer"),
+        (((0, 1), (2, 3.0)), "3.0 is not an integer"),
+        (((0, True), (2, 3)), "True is not an integer"),
+        (((0, "1"), (2, 3)), "'1' is not an integer"),
+    ],
+)
+def test_release_rejects_an_empty_class_or_a_non_integer_member(partition, message):
+    table = make_table((AttributeSchema("x", "quasi_identifier", NumericKind(0, 9)),), {"x": [1.0, 2.0, 3.0, 4.0]})
+    with pytest.raises(ValueError, match=message):
+        AnonymizedRelease(table, partition, Provenance("x"))
+
+
+def test_canonical_partition_takes_numpy_integers():
+    assert canonical_partition([np.array([3, 1]), (np.int32(0), 2)]) == ((0, 2), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "partition, n",
+    [
+        (((0, 1), (1, 2)), 3),  # row 1 twice
+        (((0, 1), (2,)), 4),  # row 3 missing
+        (((0, 1), (1,)), 3),  # n members, one repeated, one missing
+        (((0, 5), (1,)), 3),  # row 5 out of range
+        (((-1, 0), (1,)), 3),  # negative row
+    ],
+)
+def test_class_labels_requires_an_exact_cover(partition, n):
+    with pytest.raises(ValueError, match="cover every row exactly once"):
+        class_labels(partition, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_classes_by_label_inverts_class_labels(data):
+    labels = data.draw(st.lists(st.integers(0, 5), max_size=30))
+    groups = {}
+    for row, label in enumerate(labels):
+        groups.setdefault(label, []).append(row)
+    # any group order and any member order
+    partition = [data.draw(st.permutations(g)) for g in data.draw(st.permutations(list(groups.values())))]
+    got = class_labels(partition, len(labels))
+    for j, g in enumerate(partition):
+        assert all(got[i] == j for i in g)
+    assert canonical_partition(classes_by_label(got)) == canonical_partition(partition)
+
+
 def test_release_rejects_identifiers_and_bad_partitions(people_table):
     with pytest.raises(ValueError):
         AnonymizedRelease(people_table, None, Provenance("x"))
@@ -322,6 +372,11 @@ def test_release_rejects_identifiers_and_bad_partitions(people_table):
     n = masked.n_rows
     rel = AnonymizedRelease(masked, (tuple(range(n)),), Provenance("x"))
     assert rel.partition == (tuple(range(n)),)
+    assert rel.labels.tolist() == [0] * n
+    # labels follow the canonical class order, whatever order the classes came in
+    rel = AnonymizedRelease(masked, [range(1, n), [0]], Provenance("x"))
+    assert rel.labels.tolist() == [0] + [1] * (n - 1)
+    assert AnonymizedRelease(masked, None, Provenance("x")).labels is None
 
 
 def test_write_read_release_round_trip(tmp_path, people_table):
@@ -337,6 +392,51 @@ def test_write_read_release_round_trip(tmp_path, people_table):
     assert back.provenance.mechanism == "demo"
     assert back.provenance.params == {"k": 2}
     assert back.provenance.seed == 7
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("partition", 5),
+        ("partition", [0, 1]),
+        ("partition", [[0, 1.5]]),
+        ("partition", [["0", "1"]]),
+        ("row_ids", 3),
+        ("row_ids", "0123"),
+        ("row_ids", [0.5, 1, 2]),
+        ("row_ids", ["0", "1", "2"]),
+        ("row_ids", [True, False]),
+        ("mechanism", 5),
+        ("mechanism", _DROP),
+        ("params", 5),
+        ("params", [["k", 2]]),
+        ("seed", "7"),
+        ("seed", 7.5),
+        ("notes", "note"),
+        ("notes", [1]),
+    ],
+)
+def test_read_release_rejects_a_malformed_sidecar_field(tmp_path, people_table, field, value):
+    write_release(AnonymizedRelease(suppress_identifiers(people_table), None, Provenance("demo")), tmp_path)
+    sidecar = tmp_path / "release.provenance.json"
+    doc = json.loads(sidecar.read_text())
+    if value is _DROP:
+        del doc[field]
+    else:
+        doc[field] = value
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"sidecar field '{field}'"):
+        read_release(tmp_path)
+
+
+def test_read_release_rejects_a_sidecar_that_is_not_an_object(tmp_path, people_table):
+    write_release(AnonymizedRelease(suppress_identifiers(people_table), None, Provenance("demo")), tmp_path)
+    (tmp_path / "release.provenance.json").write_text("[1, 2]")
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        read_release(tmp_path)
 
 
 def test_read_release_reports_a_declared_column_missing_from_the_csv(tmp_path, people_table):

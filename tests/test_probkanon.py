@@ -76,7 +76,7 @@ def test_permute_only_moves_values_within_groups(numeric_table):
 def test_permute_rejects_unknown_mode_and_small_partition(numeric_table):
     with pytest.raises(ValueError):
         cluster_and_permute(numeric_table, ["a"], k=2, rng_seed=0, mode="swap")
-    with pytest.raises(GroupTooSmall):
+    with pytest.raises(GroupTooSmall, match="smallest group has 2 records, below k=5"):
         cluster_and_permute(
             numeric_table, ["a"], k=5, rng_seed=0, partition=[(0, 1), tuple(range(2, 30))]
         )
@@ -144,8 +144,9 @@ def test_permute_and_anatomy_publish_equal_class_multisets(people_table):
 
 
 def test_anatomize_rejects_small_groups_and_bad_cover(people_table):
-    with pytest.raises(GroupTooSmall):
-        anatomize(people_table, [(0, 1), tuple(range(2, 30))], k=5, rng_seed=0)
+    # the error names the smallest group, not the first one below k
+    with pytest.raises(GroupTooSmall, match="smallest group has 2 records, below k=5"):
+        anatomize(people_table, [(0, 1, 2), (3, 4), tuple(range(5, 30))], k=5, rng_seed=0)
     with pytest.raises(ValueError):
         anatomize(people_table, [tuple(range(10))], k=5, rng_seed=0)  # rows 10..29 missing
 
