@@ -70,8 +70,9 @@ class AttackReport:
 # record linkage
 # --------------------------------------------------------------------------
 
-# distances link_records holds at once: external rows x unique release vectors
-_BLOCK_CELLS = 1 << 20
+# distances (or tie pairs) the linkage search and tie draw hold at once, in
+# one block of 1 MiB of doubles
+_BLOCK_CELLS = 1 << 17
 
 
 def link_records(
@@ -82,29 +83,64 @@ def link_records(
     Distance is the mixed metric of ``MixedSpace`` over the quasi-identifiers
     the two tables share, with numeric statistics pooled over both tables:
     squared z-scored difference where both sides are numeric, exact-match 0/1
-    on canonical text otherwise. External record e's tie set is every release
-    row behind its nearest vectors ``nearest[bounds[e]:bounds[e + 1]]`` (one
-    ``_nearest_vectors`` search), in ascending row order. Ties are broken
-    uniformly at random, one ``rng.integers`` draw per external row with more
-    than one tied release row, in external row order. Returns the matched
-    release row position per external row. ``linkage_attack`` and the
-    probabilistic-k verifier's Monte Carlo path call it from one trial loop,
-    so the verifier shares the attack's trial streams.
+    on canonical text otherwise. The match is one ``_nearest_vectors`` search,
+    which scans in blocks of at most ``_BLOCK_CELLS`` distances (1 MiB),
+    followed by one ``_draw_matches`` tie draw. ``linkage_attack`` and the
+    probabilistic-k verifier run the two steps from one trial loop, which
+    searches a fixed release once and draws its ties once per trial, so they
+    do not call this function. Returns the matched release row position per
+    external row.
     """
-    _, rel_rows, starts, nearest, bounds = _nearest_vectors(release_table, external_table)
-    tie_counts = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
-    # each row's match as an index into its tie set: one draw per row with a tie, in row order
+    return _draw_matches(_nearest_vectors(release_table, external_table), rng)
+
+
+def _draw_matches(search, rng: np.random.Generator) -> np.ndarray:
+    """One tie draw over a ``_nearest_vectors`` search: the matched release
+    row position per external row.
+
+    External record e's tie set is every release row behind its nearest
+    vectors ``nearest[bounds[e]:bounds[e + 1]]``, in ascending row order.
+    Ties are broken uniformly at random: one ``rng.integers`` call with the
+    tie count of every external row that has more than one tied release row,
+    in external row order, which draws what one scalar call per row would.
+    Rows with several nearest vectors find their pick by sorting their
+    (row, tied release row) pairs, at most ``_BLOCK_CELLS`` pairs at a time.
+    """
+    _, rel_rows, starts, nearest, bounds = search
+    run_lengths, n_nearest = np.diff(starts), np.diff(bounds)
+    tie_counts = np.add.reduceat(run_lengths[nearest], bounds[:-1])
+    # each row's match as an index into its tie set
     pick = np.zeros(tie_counts.size, dtype=np.int64)
     tied = np.flatnonzero(tie_counts > 1)
-    pick[tied] = [rng.integers(c) for c in tie_counts[tied].tolist()]
+    if tied.size:
+        pick[tied] = rng.integers(tie_counts[tied])
     # with one nearest vector the tie set is that vector's run of rows; a row
     # with several is redone below (its index is in range: the runs from its
     # lowest nearest vector on hold at least its tie count)
     positions = rel_rows[starts[nearest[bounds[:-1]]] + pick]
-    for e in np.flatnonzero(np.diff(bounds) > 1):
-        runs = [rel_rows[starts[v] : starts[v + 1]] for v in nearest[bounds[e] : bounds[e + 1]]]
-        positions[e] = np.sort(np.concatenate(runs))[pick[e]]
+    several = np.flatnonzero(n_nearest > 1)
+    ends = np.cumsum(tie_counts[several])
+    lo = 0
+    while lo < several.size:
+        # a block of rows with at most _BLOCK_CELLS (row, tied release row) pairs, or one row
+        first = ends[lo] - tie_counts[several[lo]]
+        hi = max(lo + 1, int(np.searchsorted(ends, first + _BLOCK_CELLS, side="right")))
+        rows = several[lo:hi]
+        vec = nearest[_ranges(bounds[rows], n_nearest[rows])]
+        # each pair keyed by its row's place in the block, then the release
+        # row: one sort lists each row's tie set ascending, the rows in order
+        offset = np.arange(rows.size) * rel_rows.size
+        pairs = np.repeat(offset, tie_counts[rows]) + rel_rows[_ranges(starts[vec], run_lengths[vec])]
+        pairs.sort()
+        positions[rows] = pairs[ends[lo:hi] - first - tie_counts[rows] + pick[rows]] - offset
+        lo = hi
     return positions
+
+
+def _ranges(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``firsts[i], firsts[i] + 1, ...`` (``lengths[i]`` values) for each i, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(firsts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
 def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTable):
@@ -189,16 +225,21 @@ def _linkage_successes(release, external_table: MicrodataTable, trials: int, rng
 
     ``release`` is a release, a table, or a factory ``seed -> release`` drawn
     afresh each trial from ``derive_seed(rng_seed, "trial", t, 0)``; trial t
-    breaks ties with ``derive_rng(rng_seed, "attack", t)``. Returns the counts
-    and the last trial's release table.
+    breaks ties with ``derive_rng(rng_seed, "attack", t)``. A release or a
+    table is searched once and every trial draws its ties from that search; a
+    factory's release is searched in its own trial. Returns the counts and
+    the last trial's release table.
     """
     ext_ids = np.asarray(external_table.row_ids)
     successes = np.zeros(external_table.n_rows, dtype=np.int64)
-    rel_table = None
+    rel_table = search = None
     for t in range(trials):
-        rel = release(derive_seed(rng_seed, "trial", t, 0)) if callable(release) else release
-        rel_table = as_table(rel)
-        pos = link_records(rel_table, external_table, derive_rng(rng_seed, "attack", t))
+        # only the tie draws differ between trials on a fixed release
+        if callable(release) or search is None:
+            rel = release(derive_seed(rng_seed, "trial", t, 0)) if callable(release) else release
+            rel_table = as_table(rel)
+            search = _nearest_vectors(rel_table, external_table)
+        pos = _draw_matches(search, derive_rng(rng_seed, "attack", t))
         successes += np.asarray(rel_table.row_ids)[pos] == ext_ids
     return successes, rel_table
 
@@ -281,6 +322,10 @@ def linkage_attack(
     ``release`` may be a finished release, a bare table, or a factory
     ``seed -> release`` that is re-randomized on every trial. Success for one
     external record means the matched release row carries that record's id.
+    Each trial matches as ``link_records`` does, but a finished release or
+    table is searched for nearest vectors once and each trial only draws its
+    ties from that search; a factory's release is searched every trial. The
+    search holds at most ``_BLOCK_CELLS`` (2**17) distances, 1 MiB, at once.
     ``verify_probabilistic_k`` runs the same trials for a factory.
     """
     if trials < 1:

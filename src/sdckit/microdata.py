@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import unicodedata
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -102,14 +103,29 @@ class AttributeSchema:
 
 
 def schema_from_descriptor(descriptor: Mapping[str, Mapping[str, Any]]) -> tuple[AttributeSchema, ...]:
-    """Build a schema from the JSON sidecar form: name -> {role, kind, domain}."""
+    """Build a schema from the JSON sidecar form: name -> {role, kind, domain}.
+
+    A descriptor or attribute spec that is not a mapping, numeric bounds that
+    are not numbers, or categorical values that are not a list raise
+    ValueError naming the attribute and the field.
+    """
+    if not isinstance(descriptor, Mapping):
+        raise ValueError("schema descriptor must be an object of attribute name -> spec")
     attrs = []
     for name, spec in descriptor.items():
+        if not isinstance(spec, Mapping):
+            raise ValueError(f"attribute {name!r}: spec must be an object")
         role = spec.get("role")
         kind_name = spec.get("kind")
         if kind_name == "numeric":
+            for bound in ("min", "max"):
+                value = spec.get(bound)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"attribute {name!r}: field {bound!r} must be a number")
             kind: NumericKind | CategoricalKind = NumericKind(spec["min"], spec["max"])
         elif kind_name == "categorical":
+            if not isinstance(spec.get("values"), (list, tuple)):
+                raise ValueError(f"attribute {name!r}: field 'values' must be a list")
             kind = CategoricalKind(tuple(spec["values"]))
         else:
             raise ValueError(f"attribute {name!r}: unknown kind {kind_name!r}")
@@ -682,7 +698,7 @@ def read_hierarchies(path: str | Path) -> dict[str, GeneralizationHierarchy]:
 def read_table(csv_path: str | Path, schema_path: str | Path) -> MicrodataTable:
     """Load a csv file against a JSON schema descriptor file."""
     descriptor = json.loads(Path(schema_path).read_text(encoding="utf-8"))
-    return load_table(Path(csv_path).read_bytes(), descriptor)
+    return load_table(Path(csv_path).read_bytes(), schema_from_descriptor(descriptor))
 
 
 # --------------------------------------------------------------------------
@@ -833,14 +849,15 @@ def write_release(release: AnonymizedRelease, directory: str | Path, basename: s
     return paths + [sidecar_path]
 
 
-def _read_release_csv(path: Path, schema: Mapping) -> MicrodataTable:
+def _read_release_csv(path: Path, descriptor) -> MicrodataTable:
+    schema = schema_from_descriptor(descriptor)
     raw = path.read_bytes()
-    # the sidecar's keys are sorted: take the csv's column order, declared columns it lacks last
     header = next(csv.reader(io.StringIO(raw.decode("utf-8"))), None)
     if header is None:
         raise MalformedCsv(f"{path}: empty input: no header row")
-    names = [name for name in header if name in schema] + [name for name in schema if name not in header]
-    return load_table(raw, {name: schema[name] for name in names})
+    # the sidecar's keys are sorted: take the csv's column order, declared columns it lacks last
+    position = {nfc(name): i for i, name in enumerate(header)}
+    return load_table(raw, sorted(schema, key=lambda a: position.get(a.name, len(header))))
 
 
 def _is_integer_list(value) -> bool:

@@ -328,6 +328,41 @@ def test_attack_on_a_malformed_sidecar_exits_two(people_inputs, tmp_path, capsys
     assert "sidecar field 'partition'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "schema_doc, message",
+    [(5, "schema descriptor must be an object"), ({"age": 5}, "attribute 'age': spec must be an object")],
+)
+def test_attack_on_a_sidecar_with_a_malformed_schema_exits_two(people_inputs, tmp_path, capsys, schema_doc, message):
+    data, schema = people_inputs
+    rel = tmp_path / "rel"
+    assert _anonymize(data, schema, rel, "--attacks", "") == 0
+    sidecar = rel / "release.provenance.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "schema": schema_doc}), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "1"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "schema_doc, message",
+    [
+        (5, "schema descriptor must be an object"),
+        ([1, 2], "schema descriptor must be an object"),
+        ({"age": 5}, "attribute 'age': spec must be an object"),
+        ({"sex": {"role": "quasi_identifier", "kind": "categorical", "values": 5}}, "field 'values'"),
+    ],
+)
+def test_malformed_schema_file_exits_two(people_inputs, tmp_path, capsys, schema_doc, message):
+    data, _ = people_inputs
+    bad = tmp_path / "bad.schema.json"
+    bad.write_text(json.dumps(schema_doc), encoding="utf-8")
+    assert _anonymize(data, str(bad), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert main(["report", "--data", data, "--schema", str(bad), "--release", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_malformed_hierarchy_file_exits_two(people_inputs, tmp_path, capsys):
     data, schema = people_inputs
     hier = tmp_path / "h.json"

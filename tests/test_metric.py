@@ -1,7 +1,10 @@
 """The shared mixed-attribute metric against frozen copies of the per-module
 distance code it replaced: dense record linkage and the single-table MDAV
 space. Also checks that the probabilistic-k verifier and the linkage attack
-run the same trials."""
+run the same trials, and that searching a fixed release once for all trials
+gives what one full link per trial gave."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +22,10 @@ from sdckit import (
     mdav_partition,
     verify_probabilistic_k,
 )
+from sdckit import attacks
 from sdckit.metric import MixedSpace
-from sdckit.microdata import canonical_number, canonical_partition, comparable_text, make_table
-from sdckit.seeds import derive_rng
+from sdckit.microdata import as_table, canonical_number, canonical_partition, comparable_text, make_table
+from sdckit.seeds import derive_rng, derive_seed
 
 from conftest import build_people_table
 
@@ -61,6 +65,35 @@ def _oracle_link_records(release_table, external_table, rng):
         ties = np.flatnonzero(row == row.min())
         positions[i] = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
     return positions
+
+
+def _frozen_link_records(release_table, external_table, rng):
+    """``link_records`` as it was when every trial ran the whole search: one
+    scalar ``rng.integers`` call per tied row, and one sort per row with
+    several nearest vectors."""
+    _, rel_rows, starts, nearest, bounds = attacks._nearest_vectors(release_table, external_table)
+    tie_counts = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
+    pick = np.zeros(tie_counts.size, dtype=np.int64)
+    tied = np.flatnonzero(tie_counts > 1)
+    pick[tied] = [rng.integers(c) for c in tie_counts[tied].tolist()]
+    positions = rel_rows[starts[nearest[bounds[:-1]]] + pick]
+    for e in np.flatnonzero(np.diff(bounds) > 1):
+        runs = [rel_rows[starts[v] : starts[v + 1]] for v in nearest[bounds[e] : bounds[e + 1]]]
+        positions[e] = np.sort(np.concatenate(runs))[pick[e]]
+    return positions
+
+
+def _frozen_linkage_successes(release, external_table, trials, rng_seed):
+    """The linkage trial loop with one full link per trial, fixed release or not."""
+    ext_ids = np.asarray(external_table.row_ids)
+    successes = np.zeros(external_table.n_rows, dtype=np.int64)
+    rel_table = None
+    for t in range(trials):
+        rel = release(derive_seed(rng_seed, "trial", t, 0)) if callable(release) else release
+        rel_table = as_table(rel)
+        pos = _frozen_link_records(rel_table, external_table, derive_rng(rng_seed, "attack", t))
+        successes += np.asarray(rel_table.row_ids)[pos] == ext_ids
+    return successes, rel_table
 
 
 class _OracleSpace:
@@ -291,6 +324,87 @@ def test_link_records_scans_every_row_when_a_gap_squares_to_zero():
         assert got.tolist() == want.tolist()
         first_matches.add(int(got[0]))
     assert first_matches == {0, 1}
+
+
+def _gap_squares_to_zero_case():
+    schema = (AttributeSchema("x", "quasi_identifier", NumericKind(-1, 1)),)
+    return make_table(schema, {"x": [1e-200, 0.0, -1.0]}), make_table(schema, {"x": [0.0, 1.0]}), 3
+
+
+def _linkage_reports(release, external, trials, rng_seed):
+    """The linkage report as the attack gives it, and as the frozen per-trial loop gives it."""
+    got = linkage_attack(release, external, trials=trials, rng_seed=rng_seed).to_json()
+    with mock.patch.object(attacks, "_linkage_successes", _frozen_linkage_successes):
+        want = linkage_attack(release, external, trials=trials, rng_seed=rng_seed).to_json()
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(linkage_inputs(), st.integers(1, 4), st.sampled_from([None, 1, 2, 5]))
+@example(inputs=_gap_squares_to_zero_case(), trials=8, block_cells=None)
+@example(inputs=_gap_squares_to_zero_case(), trials=8, block_cells=1)
+@example(inputs=_mismatch_before_numeric_case(), trials=4, block_cells=3)
+def test_linkage_attack_matches_the_frozen_per_trial_loop(inputs, trials, block_cells):
+    # block_cells small enough to split the scan into one row per block and
+    # the sort of tied (row, release row) pairs into single rows
+    release, external, seed = inputs
+    with mock.patch.object(attacks, "_BLOCK_CELLS", block_cells or attacks._BLOCK_CELLS):
+        got, want = _linkage_reports(release, external, trials, seed)
+    assert got == want
+
+
+def test_linkage_attack_matches_the_frozen_loop_on_a_factory_and_label_ties(monkeypatch):
+    # released labels never equal the external numbers: every external row is
+    # scanned and most tie with several vectors, over several pair blocks
+    table = build_people_table(seed=8, n=40)
+    qi = list(table.qi_names)
+    monkeypatch.setattr("sdckit.attacks._BLOCK_CELLS", 64)
+    partition = mdav_partition(table, qi, 4)
+    factory = lambda s: cluster_and_permute(table, qi, 4, s, partition=partition)
+    got, want = _linkage_reports(factory, table, 6, 11)
+    assert got == want
+    ages = tuple(f"[{lo},{lo + 19}]" for lo in range(0, 120, 20))
+    labelled = table.with_column(
+        "age", [ages[int(v) // 20] for v in table.columns["age"]], kind=CategoricalKind(ages)
+    ).with_column(
+        "height", np.where(table.columns["height"] < 165, "short", "tall"), kind=CategoricalKind(("short", "tall"))
+    )
+    got, want = _linkage_reports(labelled, table, 6, 12)
+    assert got == want
+
+
+def test_linkage_searches_a_fixed_release_once_and_a_factory_once_per_trial(monkeypatch):
+    table = build_people_table(seed=3, n=30)
+    qi = list(table.qi_names)
+    calls = []
+    search = attacks._nearest_vectors
+    monkeypatch.setattr(attacks, "_nearest_vectors", lambda *args: calls.append(args) or search(*args))
+    _, release = mdav_microaggregate(table, qi, 3)
+    linkage_attack(release, table, trials=5)
+    assert len(calls) == 1
+    factory = lambda s: cluster_and_permute(table, qi, 3, s, mode="per_attribute")
+    linkage_attack(factory, table, trials=5)
+    assert len(calls) == 6
+    verify_probabilistic_k(factory, table, 3, trials=4)
+    assert len(calls) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(2, 64), st.integers(2, 2**40)), min_size=1, max_size=40),
+    st.integers(0, 2**63),
+)
+@example(bounds=[2**32 - 1, 2**32, 2**32 + 1, 3, 2**40], seed=0)
+def test_one_integers_call_draws_what_one_call_per_bound_draws(bounds, seed):
+    # the tie draw relies on this for the installed numpy: an array of int64
+    # bounds gives the scalar calls' values, and leaves the generator where
+    # they leave it (including half of a 64-bit output kept for the next
+    # 32-bit draw)
+    one, each = derive_rng(seed, "attack", 0), derive_rng(seed, "attack", 0)
+    got = one.integers(np.asarray(bounds, dtype=np.int64)).tolist()
+    assert got == [int(each.integers(b)) for b in bounds]
+    assert one.integers(5) == each.integers(5)
+    assert one.integers(2**40) == each.integers(2**40)
 
 
 def _interleaved_table(seed: int, n: int, pattern: str, hi: int = 20, cats=CATS):

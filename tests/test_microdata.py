@@ -199,6 +199,37 @@ def test_schema_descriptor_round_trip(people_table):
     assert again == people_table.schema
 
 
+_AGE = {"role": "quasi_identifier", "kind": "numeric", "min": 0, "max": 99}
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        (5, "schema descriptor must be an object"),
+        ([["age", _AGE]], "schema descriptor must be an object"),
+        ({"age": 5}, "attribute 'age': spec must be an object"),
+        ({"age": ["quasi_identifier"]}, "attribute 'age': spec must be an object"),
+        ({"sex": {"role": "quasi_identifier", "kind": "categorical", "values": 5}}, "'sex': field 'values'"),
+        ({"sex": {"role": "quasi_identifier", "kind": "categorical", "values": "FM"}}, "'sex': field 'values'"),
+        ({"sex": {"role": "quasi_identifier", "kind": "categorical"}}, "'sex': field 'values'"),
+        ({"age": {**_AGE, "min": None}}, "'age': field 'min'"),
+        ({"age": {**_AGE, "max": [99]}}, "'age': field 'max'"),
+        ({"age": {**_AGE, "max": True}}, "'age': field 'max'"),
+    ],
+)
+def test_schema_from_descriptor_rejects_a_malformed_shape(descriptor, message):
+    with pytest.raises(ValueError, match=message):
+        schema_from_descriptor(descriptor)
+
+
+def test_read_release_rejects_a_malformed_schema(tmp_path, people_table):
+    write_release(AnonymizedRelease(suppress_identifiers(people_table), None, Provenance("demo")), tmp_path)
+    sidecar = tmp_path / "release.provenance.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "schema": 5}))
+    with pytest.raises(ValueError, match="schema descriptor must be an object"):
+        read_release(tmp_path)
+
+
 # -- hierarchies ---------------------------------------------------------------
 
 
