@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .confmodels import ClassValues, emd
+from .confmodels import ClassValues, emd_rows
 from .dp import _output_edges, _require_positive_counts, neighbor_relation
 from .errors import (
     Misaligned,
@@ -372,48 +372,46 @@ def attribute_inference_attack(
     """
     conf_table, classes = release.class_table(conf_attribute)
     values = ClassValues.of(conf_table, conf_attribute)
-    class_dists = [values.distribution(members) for members in classes]
     class_of = dict(zip(release.table.row_ids.tolist(), release.labels.tolist()))
     scheme = (release.provenance.params.get("scheme") or {}) if release.provenance else {}
-    suppressed = {int(r) for r in scheme.get("suppressed_row_ids", ())}
-    truth = {
-        int(r): v
-        for r, v in zip(true_table.row_ids, true_table.columns[conf_attribute])
-        if int(r) not in suppressed
-    }
-    missing = [r for r in truth if r not in class_of]
-    if missing:
-        raise Misaligned(f"row id {missing[0]} has no class in the release")
-
+    scored = ~np.isin(true_table.row_ids, [int(r) for r in scheme.get("suppressed_row_ids", ())])
+    ids = true_table.row_ids[scored].tolist()
+    label = np.fromiter((class_of.get(r, -1) for r in ids), np.int64, len(ids))
+    if (label < 0).any():
+        raise Misaligned(f"row id {ids[int(np.argmax(label < 0))]} has no class in the release")
+    # each record's true value as an index into the release's support, -1 outside it
     key = float if conf_table.attribute(conf_attribute).is_numeric else str
-    overall = dict(zip(values.overall.support, values.overall.mass))
-    per_class = [dict(zip(d.support, d.mass)) for d in class_dists]
-    class_emds = [emd(d, values.overall, values.ground) for d in class_dists]
+    index = {v: i for i, v in enumerate(values.support)}
+    truth = true_table.columns[conf_attribute][scored].tolist()
+    code = np.fromiter((index.get(key(v), -1) for v in truth), np.int64, len(truth))
 
-    priors, posteriors, gains = [], [], []
-    for rid, true_value in truth.items():
-        prior = overall.get(key(true_value), 0.0)
-        posterior = per_class[class_of[rid]].get(key(true_value), 0.0)
-        priors.append(prior)
-        posteriors.append(posterior)
-        gains.append(posterior - prior)
-    n = len(truth)
+    overall = np.asarray(values.overall.mass)
+    priors = np.where(code >= 0, overall[code], 0.0)
+    posteriors = np.zeros(len(ids))
+    class_emds = []
+    for lo, masses in values.class_masses(classes):
+        class_emds.append(emd_rows(masses, overall, values.ground))
+        here = (code >= 0) & (label >= lo) & (label < lo + len(masses))
+        posteriors[here] = masses[label[here] - lo, code[here]]
+    class_emds = np.concatenate(class_emds)
+    gains = posteriors - priors
+    n = len(ids)
     return AttackReport(
         attack="attribute_inference",
         success_rate=float(np.mean(posteriors)),
-        wilson=wilson_interval(int(round(sum(posteriors))), n),
+        wilson=wilson_interval(int(round(sum(posteriors.tolist()))), n),
         trials=n,
         baseline=float(np.mean(priors)),
         details={
             "mean_prior": float(np.mean(priors)),
             "mean_posterior": float(np.mean(posteriors)),
-            "max_gain": float(max(gains)),
+            "max_gain": float(gains.max()),
             "mean_gain": float(np.mean(gains)),
-            "worst_class_emd": float(max(class_emds)),
-            "per_class_emd": [float(e) for e in class_emds],
+            "worst_class_emd": float(class_emds.max()),
+            "per_class_emd": class_emds.tolist(),
             "per_record": [
                 {"row_id": rid, "prior": p, "posterior": q, "gain": g}
-                for rid, p, q, g in zip(truth.keys(), priors, posteriors, gains)
+                for rid, p, q, g in zip(ids, priors.tolist(), posteriors.tolist(), gains.tolist())
             ],
         },
     )

@@ -4,14 +4,18 @@ constrained class formation that enforces both on top of k-anonymity.
 Earth mover's distance comes in two closed forms: the 1-D formula for ordered
 numeric supports and total variation for categorical supports under the 0/1
 ground distance. Both are checked elsewhere against a brute-force
-transportation solver.
+transportation solver. ``emd_rows`` takes a matrix of masses at once, and
+``emd`` is its one-row case. Checks and attacks judge classes from one count
+matrix per confidential column (``ClassValues``): one pass over the rows,
+not one per class.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +23,7 @@ import numpy as np
 from .errors import EmptyClass, Infeasible, InvalidT, NonNumeric, SupportMismatch
 from .kanon import mdav_partition
 from .metric import MixedSpace
-from .microdata import MicrodataTable, as_table, canonical_partition
+from .microdata import MicrodataTable, as_table, canonical_partition, class_counts, sorted_codes
 
 
 # --------------------------------------------------------------------------
@@ -100,14 +104,19 @@ def emd(p: Distribution, q: Distribution, d: GroundDistance = CATEGORICAL_UNIFOR
     total variation for the 0/1 categorical ground distance. Result is in
     [0, 1] because both ground distances are normalized to max 1.
     """
-    support, pm, qm = _aligned(p, q, d)
-    m = len(support)
-    if m == 1:
-        return 0.0
+    _, pm, qm = _aligned(p, q, d)
+    return float(emd_rows(pm[None], qm, d)[0])
+
+
+def emd_rows(p: np.ndarray, q: np.ndarray, d: GroundDistance = CATEGORICAL_UNIFORM) -> np.ndarray:
+    """``emd`` from each row of ``p`` to ``q``, masses on one sorted support;
+    each row is reduced on its own, so it has the bits of a one-row call."""
+    m = p.shape[1]
+    if m <= 1:
+        return np.zeros(p.shape[0])
     if d.kind == "categorical_uniform":
-        return 0.5 * float(np.abs(pm - qm).sum())
-    diff_cdf = np.cumsum(pm - qm)[:-1]
-    return float(np.abs(diff_cdf).sum() / (m - 1))
+        return 0.5 * np.abs(p - q).sum(axis=1)
+    return np.abs(np.cumsum(p - q, axis=1)[:, :-1]).sum(axis=1) / (m - 1)
 
 
 def emd_transport(p: Distribution, q: Distribution, d: GroundDistance) -> float:
@@ -143,33 +152,50 @@ class ClassValues:
 
     ``values`` are floats for a numeric attribute and text otherwise, so a
     class's values compare with the column's one way wherever classes are
-    judged (t-closeness, class merging, attribute inference). ``ground`` is
-    the given ground distance, else ordered numeric or categorical uniform by
-    the attribute's kind.
+    judged (t-closeness, class merging, attribute inference). ``codes`` are
+    the rows' indices into the sorted ``support``. Classes are read as one
+    count matrix, classes x support, from ``np.bincount(class * |support| +
+    code)``; over the class sizes its rows are the class masses (``count / n``
+    as in ``overall``), and ``emd_rows`` takes all their distances at once.
+    ``ground`` is the given ground distance, else ordered numeric or
+    categorical uniform by the attribute's kind.
     """
 
     values: tuple
     support: tuple
     ground: GroundDistance
     overall: Distribution
+    codes: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, table: MicrodataTable, attribute: str, d: GroundDistance | None = None) -> "ClassValues":
         numeric = table.attribute(attribute).is_numeric
         col = table.columns[attribute]
-        values = tuple(float(v) for v in col) if numeric else tuple(str(v) for v in col)
-        support = tuple(sorted(set(values)))
+        col = col.astype(float) if numeric else np.asarray([str(v) for v in col], dtype=object)
+        support, codes = sorted_codes(col)
         if d is None:
             d = ORDERED_NUMERIC if numeric else CATEGORICAL_UNIFORM
-        return cls(values, support, d, Distribution.from_values(values, support))
+        values = tuple(col.tolist())
+        return cls(values, tuple(support), d, Distribution.from_values(values, support), codes)
 
     def distribution(self, rows: Sequence[int]) -> Distribution:
         """The distribution of the values at ``rows`` over the column's support."""
         return Distribution.from_values([self.values[i] for i in rows], self.support)
 
+    def class_masses(self, classes: Sequence[Sequence[int]]):
+        """Yields ``(lo, masses)`` blocks: row j of ``masses`` is the mass of
+        class ``lo + j`` (a group of row positions) over ``support``."""
+        for lo, counts in class_counts(classes, self.codes, len(self.support)):
+            yield lo, counts / counts.sum(axis=1, keepdims=True)
+
+    def distances(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
+        """EMD from each class to the whole column."""
+        _, _, q = _aligned(self.overall, self.overall, self.ground)  # also checks the ground fits
+        return np.concatenate([emd_rows(p, q, self.ground) for _, p in self.class_masses(classes)])
+
     def distance(self, rows: Sequence[int]) -> float:
         """EMD from the values at ``rows`` to the whole column."""
-        return emd(self.distribution(rows), self.overall, self.ground)
+        return float(self.distances([rows])[0])
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +239,7 @@ def verify_t_closeness(
     if t < 0:
         raise InvalidT("closeness threshold t must be nonnegative")
     values = ClassValues.of(as_table(release_or_table), conf_attribute, d)
-    worst = max((values.distance(g) for g in canonical_partition(partition)), default=0.0)
+    worst = float(values.distances(canonical_partition(partition)).max(initial=0.0))
     return worst <= t, worst
 
 
@@ -256,19 +282,22 @@ def enforce_models(
     partition = [list(g) for g in mdav_partition(table, qi_attributes, k)]
     (space,) = MixedSpace.from_tables([table], list(qi_attributes))
 
-    def failing_constraint(group: Sequence[int]) -> str | None:
+    def failing_constraint(gi: int, closeness) -> str | None:
+        group = partition[gi]
         if len(group) < k:
             return "k_anonymity"
         if l is not None and l_diversity([conf.values[i] for i in group], variant) < l:
             return "l_diversity"
-        if t is not None and conf.distance(group) > t:
+        if t is not None and closeness()[gi] > t:
             return "t_closeness"
         return None
 
     while True:
+        # every class's distance from one count matrix, taken when first needed
+        closeness = functools.cache(lambda: conf.distances(partition))
         violation = None
-        for gi, group in enumerate(partition):
-            constraint = failing_constraint(group)
+        for gi in range(len(partition)):
+            constraint = failing_constraint(gi, closeness)
             if constraint:
                 violation = (gi, constraint)
                 break

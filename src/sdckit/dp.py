@@ -407,14 +407,14 @@ def zcdp_to_dp(rho: float, delta: float) -> float:
 
 
 def neighbor_relation(t1: MicrodataTable, t2: MicrodataTable) -> str | None:
-    """Classify two tables as add_remove or replace neighbors, else None."""
+    """Classify two tables as add_remove or replace neighbors, else None.
+    Tables of the same rows are not neighbors: no check could tell them apart."""
     if t1.names != t2.names:
         return None
     rows1 = Counter(t1.row(i) for i in range(t1.n_rows))
     rows2 = Counter(t2.row(i) for i in range(t2.n_rows))
     if t1.n_rows == t2.n_rows:
-        diff = sum((rows1 - rows2).values())
-        return "replace" if diff == 1 else ("replace" if diff == 0 else None)
+        return "replace" if sum((rows1 - rows2).values()) == 1 else None
     small, big = (rows1, rows2) if t1.n_rows < t2.n_rows else (rows2, rows1)
     if sum(big.values()) - sum(small.values()) == 1 and not (small - big):
         return "add_remove"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,9 +33,11 @@ from .microdata import (
     Provenance,
     as_table,
     canonical_partition,
+    class_counts,
     classes_by_label,
     comparable_text,
     factorize,
+    sorted_codes,
 )
 
 
@@ -457,24 +460,29 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
 def microaggregate_partition(
     table: MicrodataTable, qi_attributes: Sequence[str], partition, params=None
 ) -> AnonymizedRelease:
-    """Mask QI cells with their group centroid: numeric mean, categorical mode."""
+    """Mask QI cells with their group centroid: numeric mean, categorical mode.
+
+    A mean is one row of ``mean(axis=1)`` over all groups of its size, which
+    adds like the group's own ``mean()`` (``np.add.reduceat`` can differ in the
+    last bit); a mode is the first maximum of a ``class_counts`` row over
+    sorted text codes, so ties go to the smallest text."""
     qi = list(qi_attributes)
     masked = table
-    new_cols = {name: np.array(table.columns[name], dtype=table.columns[name].dtype) for name in qi}
-    for group in partition:
-        idx = np.asarray(group, dtype=np.int64)
-        for name in qi:
-            attr = table.attribute(name)
-            col = table.columns[name]
-            if attr.is_numeric:
-                new_cols[name][idx] = float(col[idx].astype(float).mean())
-            else:
-                vals, counts = np.unique(col[idx].astype(str), return_counts=True)
-                top = counts.max()
-                mode = sorted(v for v, c in zip(vals, counts) if c == top)[0]
-                new_cols[name][idx] = mode
+    sizes = np.fromiter(map(len, partition), np.int64, len(partition))
+    members = np.fromiter(chain.from_iterable(partition), np.int64, int(sizes.sum()))
+    firsts = np.cumsum(sizes) - sizes
     for name in qi:
-        masked = masked.with_column(name, new_cols[name])
+        col = np.array(table.columns[name], dtype=table.columns[name].dtype)
+        if table.attribute(name).is_numeric:
+            values = col.astype(float)
+            for size in set(sizes.tolist()):
+                rows = members[firsts[sizes == size, None] + np.arange(size)]
+                col[rows] = values[rows].mean(axis=1)[:, None]
+        else:
+            distinct, codes = sorted_codes(comparable_text(table, name))
+            modes = [counts.argmax(axis=1) for _, counts in class_counts(partition, codes, len(distinct))]
+            col[members] = np.asarray(distinct, dtype=object)[np.repeat(np.concatenate(modes), sizes)]
+        masked = masked.with_column(name, col)
     masked = masked.drop_columns(masked.identifier_names)
     prov_params = {"k": None, "qi": qi}
     if params:
@@ -504,6 +512,12 @@ def sse(table: MicrodataTable, release, qi_attributes: Sequence[str], standardiz
     cells (and numeric cells masked to text labels) contribute 0/1 mismatch.
     Rows are aligned by row id; release rows must be a subset of the table's.
     """
+    raw, standardized = sse_totals(table, release, qi_attributes)
+    return standardized if standardize else raw
+
+
+def sse_totals(table: MicrodataTable, release, qi_attributes: Sequence[str]) -> tuple[float, float]:
+    """``sse`` raw and standardized, adding the same sums as two calls, from one row alignment."""
     rel_table = as_table(release)
     qi = list(qi_attributes)
     pos_of = {int(rid): i for i, rid in enumerate(table.row_ids)}
@@ -512,22 +526,16 @@ def sse(table: MicrodataTable, release, qi_attributes: Sequence[str], standardiz
     except KeyError as e:
         raise Misaligned(f"release row id {e.args[0]} is not present in the original table") from None
 
-    total = 0.0
+    raw = standardized = 0.0
     for name in qi:
-        orig_attr = table.attribute(name)
-        rel_attr = rel_table.attribute(name)
-        orig_col = table.columns[name][orig_rows]
-        rel_col = rel_table.columns[name]
-        if orig_attr.is_numeric and rel_attr.is_numeric:
-            o = orig_col.astype(float)
-            r = rel_col.astype(float)
-            if standardize:
-                mean, std = column_stats([table.columns[name]])
-                o = zscore(o, mean, std)
-                r = zscore(r, mean, std)
-            total += float(((o - r) ** 2).sum())
+        if table.attribute(name).is_numeric and rel_table.attribute(name).is_numeric:
+            o = table.columns[name][orig_rows].astype(float)
+            r = rel_table.columns[name].astype(float)
+            mean, std = column_stats([table.columns[name]])
+            raw += float(((o - r) ** 2).sum())
+            standardized += float(((zscore(o, mean, std) - zscore(r, mean, std)) ** 2).sum())
         else:
             o_text = comparable_text(table, name)[orig_rows]
-            r_text = comparable_text(rel_table, name)
-            total += float(np.count_nonzero(o_text != r_text))
-    return total
+            mismatches = float(np.count_nonzero(o_text != comparable_text(rel_table, name)))
+            raw, standardized = raw + mismatches, standardized + mismatches
+    return raw, standardized

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .microdata import MicrodataTable, comparable_text, factorize
+from .microdata import MicrodataTable, comparable_text, sorted_codes
 
 
 def column_stats(columns: Sequence[np.ndarray]) -> tuple[float, float]:
@@ -76,12 +76,7 @@ class MixedSpace:
                 for out, col in zip(num_cols, cols):
                     out.append(zscore(col, mean, std))
             else:
-                text = np.concatenate([comparable_text(t, name) for t in tables])
-                distinct, first_seen = factorize(text)
-                # number the distinct texts in sorted order, as np.unique would
-                rank = np.empty(len(distinct), dtype=np.intp)
-                rank[sorted(range(len(distinct)), key=distinct.__getitem__)] = np.arange(len(distinct))
-                codes = rank[first_seen]
+                _, codes = sorted_codes(np.concatenate([comparable_text(t, name) for t in tables]))
                 for out, part in zip(code_cols, np.split(codes, splits)):
                     out.append(part)
         return [

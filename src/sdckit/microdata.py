@@ -311,6 +311,16 @@ def factorize(values: np.ndarray):
     return list(index), codes
 
 
+def sorted_codes(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, the distinct values as a list;
+    an object array is hashed by ``factorize`` and only its distinct values sorted."""
+    distinct, codes = factorize(values)
+    if values.dtype != object:
+        return distinct.tolist(), codes
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    return [distinct[i] for i in order], np.argsort(order)[codes]
+
+
 def _domain_fault(attr: AttributeSchema, value) -> str | None:
     """Why a converted cell value lies outside its attribute's domain, or None."""
     if not attr.is_numeric:
@@ -760,6 +770,24 @@ def classes_by_label(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
     ordered = labels[order]
     cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
     return tuple(tuple(g.tolist()) for g in np.split(order, cuts)) if order.size else ()
+
+
+_COUNT_CELLS = 1 << 17  # count-matrix cells held at once: 1 MiB of int64
+
+
+def class_counts(classes: Sequence[Sequence[int]], codes: np.ndarray, m: int):
+    """Yields ``(lo, counts)`` blocks of ``_COUNT_CELLS`` cells (one, if no classes):
+    ``counts[j, c]`` rows of class lo + j (a group of row positions) have code c
+    (of ``codes``, 0..m-1). One ``np.bincount(class * m + code)`` per block."""
+    sizes = np.fromiter(map(len, classes), np.int64, len(classes))
+    bounds = np.append(0, np.cumsum(sizes))
+    rows = np.fromiter(chain.from_iterable(classes), np.int64, bounds[-1])
+    keys = np.repeat(np.arange(sizes.size) * m, sizes) + codes[rows]
+    step = max(1, _COUNT_CELLS // max(m, 1))
+    for lo in range(0, max(sizes.size, 1), step):
+        hi = min(lo + step, sizes.size)
+        block = keys[bounds[lo] : bounds[hi]] - lo * m
+        yield lo, np.bincount(block, minlength=(hi - lo) * m).reshape(hi - lo, m)
 
 
 @dataclass(frozen=True)

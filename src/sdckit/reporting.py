@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .accounting import BudgetLedger
 from .attacks import (
     AttackReport,
@@ -27,6 +29,7 @@ from .confmodels import (
     ORDERED_NUMERIC,
     Distribution,
     emd,
+    emd_rows,
     l_diversity,
     verify_t_closeness,
 )
@@ -37,7 +40,7 @@ from .kanon import (
     mdav_microaggregate,
     mdav_partition,
     minimal_generalization,
-    sse,
+    sse_totals,
     verify_k_anonymity,
 )
 from .microdata import MicrodataTable, as_table, comparable_text, read_hierarchies, read_table, write_release
@@ -83,14 +86,11 @@ def _marginal_distance(original: MicrodataTable, released: MicrodataTable, name:
     orig_attr = original.attribute(name)
     rel_attr = released.attribute(name)
     if orig_attr.is_numeric and rel_attr.is_numeric:
-        a = [float(v) for v in original.columns[name]]
-        b = [float(v) for v in released.columns[name]]
-        support = sorted(set(a) | set(b))
-        return emd(
-            Distribution.from_values(a, support=support),
-            Distribution.from_values(b, support=support),
-            ORDERED_NUMERIC,
-        )
+        a, b = (t.columns[name].astype(float) for t in (original, released))
+        support, codes = np.unique(np.concatenate([a, b]), return_inverse=True)
+        m = support.size
+        counts = np.bincount(codes + np.repeat([0, m], [a.size, b.size]), minlength=2 * m)
+        return float(emd_rows((counts[:m] / a.size)[None], counts[m:] / b.size, ORDERED_NUMERIC)[0])
     a = list(comparable_text(original, name))
     b = list(comparable_text(released, name))
     support = sorted(set(a) | set(b))
@@ -121,8 +121,7 @@ def utility_report(
         original.attribute(name)
         if name not in rel_table.names:
             raise UnknownAttribute(name)
-    sse_raw = sse(original, rel_table, qi, standardize=False)
-    sse_std = sse(original, rel_table, qi, standardize=True)
+    sse_raw, sse_std = sse_totals(original, rel_table, qi)
     marginals = {name: float(_marginal_distance(original, rel_table, name)) for name in qi}
     query_errors: dict[str, dict] = {}
     for q in queries or ():

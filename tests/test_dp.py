@@ -330,7 +330,7 @@ def test_neighbor_relation():
     base = _table([1, 2, 3, 7])
     assert neighbor_relation(base, _table([1, 2, 3])) == "add_remove"
     assert neighbor_relation(base, _table([1, 2, 3, 9])) == "replace"
-    assert neighbor_relation(base, base) == "replace"
+    assert neighbor_relation(base, base) is None  # identical tables show nothing
     assert neighbor_relation(base, _table([1, 2])) is None
     assert neighbor_relation(base, _table([1, 9, 9, 9])) is None  # two rows differ
     other_schema = (AttributeSchema("u", "confidential", NumericKind(0, 10)),)
@@ -382,6 +382,17 @@ def test_empirical_dp_check_gates():
         empirical_dp_check(mech, t1, _table([1, 2]), 1.0, trials=100)
     with pytest.raises(NonPositiveEpsilon):
         empirical_dp_check(mech, t1, _table([1, 2, 3]), 0.0, trials=100)
+
+
+def test_identical_tables_are_not_neighbors():
+    t = _table([1, 2, 3, 7])
+    mech = laplace_query_mechanism(Query("count"), SCHEMA, 1.0)
+    for same in (t, _table([1, 2, 3, 7]), _table([7, 3, 2, 1])):  # itself, a copy, reordered
+        assert neighbor_relation(t, same) is None
+        with pytest.raises(NotNeighbors):
+            empirical_dp_check(mech, t, same, 1.0, trials=100)
+        with pytest.raises(NotNeighbors):
+            membership_inference_attack(mech, t, same, trials=100, calibration=100)
 
 
 def test_empirical_dp_check_rejects_non_positive_counts():
