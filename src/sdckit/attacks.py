@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kanon import _combine_codes, cell_is_minimal
 from .metric import MixedSpace
-from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table
+from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table, text_codes
 from .seeds import derive_rng, derive_seed
 
 
@@ -380,10 +380,12 @@ def attribute_inference_attack(
     if (label < 0).any():
         raise Misaligned(f"row id {ids[int(np.argmax(label < 0))]} has no class in the release")
     # each record's true value as an index into the release's support, -1 outside it
-    key = float if conf_table.attribute(conf_attribute).is_numeric else str
+    if conf_table.attribute(conf_attribute).is_numeric:
+        truth, row_of = np.unique(true_table.columns[conf_attribute].astype(float), return_inverse=True)
+    else:
+        truth, row_of = text_codes(true_table, conf_attribute)
     index = {v: i for i, v in enumerate(values.support)}
-    truth = true_table.columns[conf_attribute][scored].tolist()
-    code = np.fromiter((index.get(key(v), -1) for v in truth), np.int64, len(truth))
+    code = np.fromiter((index.get(v, -1) for v in truth.tolist()), np.int64, len(truth))[row_of[scored]]
 
     overall = np.asarray(values.overall.mass)
     priors = np.where(code >= 0, overall[code], 0.0)
@@ -554,9 +556,8 @@ def downcoding_attack(
         if name not in hierarchies:
             raise UnknownAttribute(name)
     n = table.n_rows
-    label_rows = [
-        tuple(str(table.columns[name][i]) for name in qi) for i in range(n)
-    ]
+    columns = [text_codes(table, name) for name in qi]
+    label_rows = list(zip(*(distinct[codes].tolist() for distinct, codes in columns)))
     counts = Counter(label_rows)
 
     cells = []

@@ -22,7 +22,7 @@ from .attacks import (
     linkage_attack,
 )
 from .errors import SdcError
-from .microdata import read_hierarchies, read_release, read_table
+from .microdata import json_dumps, read_hierarchies, read_release, read_table, write_text
 from .probkanon import PERMUTE_MODES
 from .reporting import MECHANISMS, RunConfig, run, sweep, utility_report
 
@@ -83,7 +83,7 @@ def _cmd_attack(args) -> int:
             )
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"attack_{args.attack}.json"
-    path.write_bytes((json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n").encode())
+    write_text(path, json_dumps(report.to_json()))
     print(
         f"{args.attack}: rate={report.success_rate:.6g}"
         f" wilson=[{report.wilson[0]:.6g},{report.wilson[1]:.6g}]"
@@ -119,11 +119,11 @@ def _cmd_report(args) -> int:
     table = read_table(args.data, args.schema)
     release = read_release(args.release)
     report = utility_report(table, release)
-    text = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    text = json_dumps(report.to_json())
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "utility.json").write_bytes(text.encode())
+        write_text(outdir / "utility.json", text)
     print(text, end="")
     return 0
 
@@ -213,10 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SdcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as e:
+    except (SdcError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

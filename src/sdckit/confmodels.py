@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyClass, Infeasible, InvalidT, NonNumeric, SupportMismatch
 from .kanon import mdav_partition
 from .metric import MixedSpace
-from .microdata import MicrodataTable, as_table, canonical_partition, class_counts, sorted_codes
+from .microdata import MicrodataTable, as_table, canonical_partition, class_counts, comparable_text, text_codes
 
 
 # --------------------------------------------------------------------------
@@ -170,13 +170,12 @@ class ClassValues:
     @classmethod
     def of(cls, table: MicrodataTable, attribute: str, d: GroundDistance | None = None) -> "ClassValues":
         numeric = table.attribute(attribute).is_numeric
-        col = table.columns[attribute]
-        col = col.astype(float) if numeric else np.asarray([str(v) for v in col], dtype=object)
-        support, codes = sorted_codes(col)
+        col = table.columns[attribute].astype(float) if numeric else comparable_text(table, attribute)
+        support, codes = np.unique(col, return_inverse=True) if numeric else text_codes(table, attribute)
         if d is None:
             d = ORDERED_NUMERIC if numeric else CATEGORICAL_UNIFORM
-        values = tuple(col.tolist())
-        return cls(values, tuple(support), d, Distribution.from_values(values, support), codes)
+        values, support = tuple(col.tolist()), tuple(support.tolist())
+        return cls(values, support, d, Distribution.from_values(values, support), codes)
 
     def distribution(self, rows: Sequence[int]) -> Distribution:
         """The distribution of the values at ``rows`` over the column's support."""

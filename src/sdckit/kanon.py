@@ -35,16 +35,10 @@ from .microdata import (
     canonical_partition,
     class_counts,
     classes_by_label,
-    comparable_text,
     factorize,
-    sorted_codes,
+    shared_text_codes,
+    text_codes,
 )
-
-
-def _codes(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """An integer per entry, equal exactly where the values are, and how many there are."""
-    distinct, codes = factorize(values)
-    return codes, len(distinct)
 
 
 def _combine_codes(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
@@ -58,15 +52,16 @@ def _combine_codes(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[n
     for codes, m in columns:
         key, size = key * m + codes, size * m
         if size > 8 * n:
-            key, size = _codes(key)
+            distinct, key = factorize(key)
+            size = len(distinct)
     return key, size
 
 
 def _class_codes(table: MicrodataTable, qi: Sequence[str]):
     """Each row's QI combination, compared as text, as one code: (text columns, codes)."""
-    texts = [comparable_text(table, name) for name in qi]
-    key, _ = _combine_codes([_codes(col) for col in texts], table.n_rows)
-    return texts, key
+    encoded = [text_codes(table, name) for name in qi]
+    key, _ = _combine_codes([(codes, len(distinct)) for distinct, codes in encoded], table.n_rows)
+    return [distinct[codes] for distinct, codes in encoded], key
 
 
 def verify_k_anonymity(release_or_table, qi_attributes: Sequence[str], k: int):
@@ -79,9 +74,7 @@ def verify_k_anonymity(release_or_table, qi_attributes: Sequence[str], k: int):
         raise ValueError("k must be at least 1")
     table = as_table(release_or_table)
     qi = list(qi_attributes)
-    for name in qi:
-        table.attribute(name)  # raises UnknownAttribute
-    texts, key = _class_codes(table, qi)
+    texts, key = _class_codes(table, qi)  # raises UnknownAttribute
     _, first, sizes = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(first)
     counts = {tuple(col[i] for col in texts): int(c) for i, c in zip(first[order], sizes[order])}
@@ -130,8 +123,8 @@ def _label_column(
     values = col.astype(float) if table.attribute(name).is_numeric else col
     distinct, row_of = factorize(values)
     labels = np.asarray([hierarchy.label(v, level) for v in distinct], dtype=object)
-    code_of, n_labels = _codes(labels)
-    return labels[row_of], code_of[row_of], n_labels
+    distinct_labels, code_of = factorize(labels)
+    return labels[row_of], code_of[row_of], len(distinct_labels)
 
 
 def _column_kind_for_level(labels: np.ndarray) -> CategoricalKind:
@@ -479,9 +472,9 @@ def microaggregate_partition(
                 rows = members[firsts[sizes == size, None] + np.arange(size)]
                 col[rows] = values[rows].mean(axis=1)[:, None]
         else:
-            distinct, codes = sorted_codes(comparable_text(table, name))
+            distinct, codes = text_codes(table, name)
             modes = [counts.argmax(axis=1) for _, counts in class_counts(partition, codes, len(distinct))]
-            col[members] = np.asarray(distinct, dtype=object)[np.repeat(np.concatenate(modes), sizes)]
+            col[members] = distinct[np.repeat(np.concatenate(modes), sizes)]
         masked = masked.with_column(name, col)
     masked = masked.drop_columns(masked.identifier_names)
     prov_params = {"k": None, "qi": qi}
@@ -535,7 +528,7 @@ def sse_totals(table: MicrodataTable, release, qi_attributes: Sequence[str]) -> 
             raw += float(((o - r) ** 2).sum())
             standardized += float(((zscore(o, mean, std) - zscore(r, mean, std)) ** 2).sum())
         else:
-            o_text = comparable_text(table, name)[orig_rows]
-            mismatches = float(np.count_nonzero(o_text != comparable_text(rel_table, name)))
+            o_codes, r_codes = shared_text_codes([table, rel_table], name)[1]
+            mismatches = float(np.count_nonzero(o_codes[orig_rows] != r_codes))
             raw, standardized = raw + mismatches, standardized + mismatches
     return raw, standardized

@@ -5,12 +5,12 @@ A space is built over one or more tables at once. An attribute is numeric
 only if it is numeric in every table given; it is z-scored with its mean and
 population standard deviation pooled over all of them (a constant column
 contributes zero) and compared by squared difference. Every other attribute
-is compared as canonical text (``microdata.comparable_text``, the text a
-release is written with), stored as integer codes whose order is the order of
-the text, and contributes 0/1 per mismatch. A distance adds its terms one
-attribute at a time, numeric terms first, then the mismatches. Distances are
-squared, which preserves nearest/farthest decisions, and may be taken from a
-block of points at once.
+is compared as canonical text (the text a release is written with), stored
+as integer codes whose order is the order of the text, over one support for
+all the tables (``microdata.shared_text_codes``), and contributes 0/1 per
+mismatch. A distance adds its terms one attribute at a time, numeric terms
+first, then the mismatches. Distances are squared, which preserves
+nearest/farthest decisions, and may be taken from a block of points at once.
 
 Record linkage takes distances once per distinct release vector: it keys the
 rows of both tables by their vector, an external row whose vector occurs in
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .microdata import MicrodataTable, comparable_text, sorted_codes
+from .microdata import MicrodataTable, shared_text_codes
 
 
 def column_stats(columns: Sequence[np.ndarray]) -> tuple[float, float]:
@@ -68,7 +68,6 @@ class MixedSpace:
         tables = list(tables)
         num_cols: list[list[np.ndarray]] = [[] for _ in tables]
         code_cols: list[list[np.ndarray]] = [[] for _ in tables]
-        splits = np.cumsum([t.n_rows for t in tables])[:-1]
         for name in attributes:
             if all(t.attribute(name).is_numeric for t in tables):
                 cols = [t.columns[name] for t in tables]
@@ -76,9 +75,8 @@ class MixedSpace:
                 for out, col in zip(num_cols, cols):
                     out.append(zscore(col, mean, std))
             else:
-                _, codes = sorted_codes(np.concatenate([comparable_text(t, name) for t in tables]))
-                for out, part in zip(code_cols, np.split(codes, splits)):
-                    out.append(part)
+                for out, codes in zip(code_cols, shared_text_codes(tables, name)[1]):
+                    out.append(codes)
         return [
             cls(
                 numeric=np.column_stack(num) if num else np.zeros((t.n_rows, 0)),

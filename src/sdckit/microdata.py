@@ -102,6 +102,15 @@ class AttributeSchema:
         return isinstance(self.kind, NumericKind)
 
 
+def _is_number(value) -> bool:
+    """Whether a deserialized value is a real number; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
 def schema_from_descriptor(descriptor: Mapping[str, Mapping[str, Any]]) -> tuple[AttributeSchema, ...]:
     """Build a schema from the JSON sidecar form: name -> {role, kind, domain}.
 
@@ -119,8 +128,7 @@ def schema_from_descriptor(descriptor: Mapping[str, Mapping[str, Any]]) -> tuple
         kind_name = spec.get("kind")
         if kind_name == "numeric":
             for bound in ("min", "max"):
-                value = spec.get(bound)
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                if not _is_number(spec.get(bound)):
                     raise ValueError(f"attribute {name!r}: field {bound!r} must be a number")
             kind: NumericKind | CategoricalKind = NumericKind(spec["min"], spec["max"])
         elif kind_name == "categorical":
@@ -181,6 +189,8 @@ class MicrodataTable:
             raise ValueError("row_ids must be unique")
         ids.setflags(write=False)
         object.__setattr__(self, "row_ids", ids)
+        # a plain attribute, not a field: ``text_codes`` keeps each column's encoding here
+        object.__setattr__(self, "_text_codes", {})
 
     # -- introspection ------------------------------------------------------
 
@@ -287,15 +297,43 @@ def make_table(
 # --------------------------------------------------------------------------
 
 
+def text_codes(table: MicrodataTable, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one text encoding of a column: its distinct canonical texts, sorted,
+    and each row's index among them, made on first read and kept on the table.
+    A numeric column formats each distinct value once (-0.0 and 0.0 read "0");
+    any other cell reads as its ``str``."""
+    if name not in table._text_codes:
+        table._text_codes[name] = _encode_text(table, name)
+    return table._text_codes[name]
+
+
+def _encode_text(table: MicrodataTable, name: str) -> tuple[np.ndarray, np.ndarray]:
+    if table.attribute(name).is_numeric:
+        values, row_of = np.unique(np.asarray(table.columns[name], dtype=float), return_inverse=True)
+        texts = [canonical_number(v) for v in values.tolist()]
+    else:
+        texts, row_of = factorize(np.asarray([str(v) for v in table.columns[name].tolist()], dtype=object))
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    distinct = np.asarray([texts[i] for i in order], dtype=object)
+    codes = np.argsort(order)[row_of]
+    distinct.setflags(write=False)
+    codes.setflags(write=False)
+    return distinct, codes
+
+
+def shared_text_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``text_codes`` of one column in several tables over one support: the
+    sorted union of their distinct texts, and each table's codes into it."""
+    encoded = [text_codes(t, name) for t in tables]
+    texts = set(chain.from_iterable(distinct.tolist() for distinct, _ in encoded))
+    support = np.asarray(sorted(texts), dtype=object)
+    return support, [np.searchsorted(support, distinct)[codes] for distinct, codes in encoded]
+
+
 def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
-    """Column as canonical text, so masked label columns compare against raw
-    numerics. A numeric column formats each distinct value once."""
-    attr = table.attribute(name)
-    col = table.columns[name]
-    if attr.is_numeric:
-        values, row_of = np.unique(np.asarray(col, dtype=float), return_inverse=True)
-        return np.asarray([canonical_number(v) for v in values], dtype=object)[row_of]
-    return np.asarray([str(v) for v in col], dtype=object)
+    """Column as canonical text, so masked label columns compare against raw numerics."""
+    distinct, codes = text_codes(table, name)
+    return distinct[codes]
 
 
 def factorize(values: np.ndarray):
@@ -309,16 +347,6 @@ def factorize(values: np.ndarray):
     index: dict = {}  # hashing beats sorting Python objects
     codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()), np.int64, len(values))
     return list(index), codes
-
-
-def sorted_codes(values: np.ndarray) -> tuple[list, np.ndarray]:
-    """``np.unique(values, return_inverse=True)``, the distinct values as a list;
-    an object array is hashed by ``factorize`` and only its distinct values sorted."""
-    distinct, codes = factorize(values)
-    if values.dtype != object:
-        return distinct.tolist(), codes
-    order = sorted(range(len(distinct)), key=distinct.__getitem__)
-    return [distinct[i] for i in order], np.argsort(order)[codes]
 
 
 def _domain_fault(attr: AttributeSchema, value) -> str | None:
@@ -467,8 +495,8 @@ class GeneralizationHierarchy:
 
     @classmethod
     def from_tree(cls, attribute: str, tree: Mapping[str, Any]) -> "GeneralizationHierarchy":
-        if len(tree) != 1:
-            raise ValueError("hierarchy tree must have exactly one root")
+        if not isinstance(tree, Mapping) or len(tree) != 1:
+            raise ValueError(f"hierarchy for {attribute!r}: field 'tree' must be an object with one root")
         paths: dict[str, tuple[str, ...]] = {}
         seen: set[str] = set()
 
@@ -482,7 +510,7 @@ class GeneralizationHierarchy:
                 paths[label] = lineage
                 return
             if not isinstance(node, Mapping):
-                raise ValueError("hierarchy tree nodes must be objects or null")
+                raise ValueError(f"hierarchy for {attribute!r}: field 'tree' has a node not an object or null")
             for child_label, child in node.items():
                 walk(child_label, child, lineage)
 
@@ -650,6 +678,11 @@ def generalize_value(hierarchy: GeneralizationHierarchy, value, level: int):
 
 
 def hierarchy_from_json(doc: Mapping[str, Any] | str) -> GeneralizationHierarchy:
+    """A hierarchy from its JSON form: an ``attribute`` plus either a ``tree``
+    (an object with one root whose nodes are objects or null) or ``intervals``
+    (an object with numbers ``min`` and ``max`` and ``cuts``, a list of lists
+    of numbers). A section of another shape raises ValueError naming the
+    attribute and the field."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     attribute = doc["attribute"]
@@ -657,9 +690,15 @@ def hierarchy_from_json(doc: Mapping[str, Any] | str) -> GeneralizationHierarchy
         return GeneralizationHierarchy.from_tree(attribute, doc["tree"])
     if "intervals" in doc:
         spec = doc["intervals"]
-        return GeneralizationHierarchy.from_breakpoints(
-            attribute, spec["min"], spec["max"], spec.get("cuts", [])
-        )
+        if not isinstance(spec, Mapping):
+            raise ValueError(f"hierarchy for {attribute!r}: field 'intervals' must be an object")
+        for bound in ("min", "max"):
+            if not _is_number(spec.get(bound)):
+                raise ValueError(f"hierarchy for {attribute!r}: field {bound!r} must be a number")
+        cuts = spec.get("cuts", [])
+        if not (isinstance(cuts, list) and all(map(_is_number_list, cuts))):
+            raise ValueError(f"hierarchy for {attribute!r}: field 'cuts' must be a list of lists of numbers")
+        return GeneralizationHierarchy.from_breakpoints(attribute, spec["min"], spec["max"], cuts)
     raise ValueError("hierarchy document needs a 'tree' or 'intervals' section")
 
 
@@ -837,6 +876,15 @@ class AnonymizedRelease:
         return self.table, self.partition
 
 
+def write_text(path: Path, text: str):
+    """Write ``text`` as utf-8 bytes, with the same line ends on every platform."""
+    path.write_bytes(text.encode("utf-8"))
+
+
+def json_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def as_table(release_or_table) -> MicrodataTable:
     """A release's ``table`` (anatomy's QI side), or a bare table as it is."""
     if isinstance(release_or_table, MicrodataTable):
@@ -873,7 +921,7 @@ def write_release(release: AnonymizedRelease, directory: str | Path, basename: s
         doc["schema_qi"] = schema_to_descriptor(release.table.schema)
         doc["schema_conf"] = schema_to_descriptor(release.conf_table.schema)
     sidecar_path = directory / f"{basename}.provenance.json"
-    sidecar_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_text(sidecar_path, json_dumps(doc))
     return paths + [sidecar_path]
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -27,8 +26,6 @@ from .attacks import (
 from .confmodels import (
     CATEGORICAL_UNIFORM,
     ORDERED_NUMERIC,
-    Distribution,
-    emd,
     emd_rows,
     l_diversity,
     verify_t_closeness,
@@ -43,7 +40,16 @@ from .kanon import (
     sse_totals,
     verify_k_anonymity,
 )
-from .microdata import MicrodataTable, as_table, comparable_text, read_hierarchies, read_table, write_release
+from .microdata import (
+    MicrodataTable,
+    as_table,
+    json_dumps,
+    read_hierarchies,
+    read_table,
+    shared_text_codes,
+    write_release,
+    write_text,
+)
 from .probkanon import PERMUTE_MODES, anatomize, cluster_and_permute, verify_probabilistic_k
 from .seeds import derive_seed
 
@@ -83,22 +89,18 @@ class UtilityReport:
 
 
 def _marginal_distance(original: MicrodataTable, released: MicrodataTable, name: str) -> float:
-    orig_attr = original.attribute(name)
-    rel_attr = released.attribute(name)
-    if orig_attr.is_numeric and rel_attr.is_numeric:
-        a, b = (t.columns[name].astype(float) for t in (original, released))
+    tables = (original, released)
+    if all(t.attribute(name).is_numeric for t in tables):
+        a, b = (t.columns[name].astype(float) for t in tables)
         support, codes = np.unique(np.concatenate([a, b]), return_inverse=True)
-        m = support.size
-        counts = np.bincount(codes + np.repeat([0, m], [a.size, b.size]), minlength=2 * m)
-        return float(emd_rows((counts[:m] / a.size)[None], counts[m:] / b.size, ORDERED_NUMERIC)[0])
-    a = list(comparable_text(original, name))
-    b = list(comparable_text(released, name))
-    support = sorted(set(a) | set(b))
-    return emd(
-        Distribution.from_values(a, support=support),
-        Distribution.from_values(b, support=support),
-        CATEGORICAL_UNIFORM,
-    )
+        codes = np.split(codes, [a.size])
+        ground = ORDERED_NUMERIC
+    else:
+        support, codes = shared_text_codes(tables, name)
+        ground = CATEGORICAL_UNIFORM
+    m = len(support)
+    counts = np.bincount(np.concatenate([codes[0], codes[1] + m]), minlength=2 * m)
+    return float(emd_rows((counts[:m] / codes[0].size)[None], counts[m:] / codes[1].size, ground)[0])
 
 
 def utility_report(
@@ -315,14 +317,6 @@ def _run_attacks(config: RunConfig, table, release, factory, hierarchies):
     return reports, notes
 
 
-def _write_text(path: Path, text: str):
-    path.write_bytes(text.encode("utf-8"))
-
-
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def run(config: RunConfig, outdir: str | Path) -> int:
     """Execute one configured pipeline and write its artifact directory.
 
@@ -346,18 +340,18 @@ def run(config: RunConfig, outdir: str | Path) -> int:
     budget = ledger.compose()
 
     artifacts: list[Path] = []
-    _write_text(outdir / "config.json", _json_dumps(config.to_json()))
+    write_text(outdir / "config.json", json_dumps(config.to_json()))
     artifacts.append(outdir / "config.json")
 
     artifacts += write_release(release, outdir, "release")
 
     for name, report in sorted(attack_reports.items()):
         path = outdir / f"attack_{name}.json"
-        _write_text(path, _json_dumps(report.to_json()))
+        write_text(path, json_dumps(report.to_json()))
         artifacts.append(path)
-    _write_text(outdir / "utility.json", _json_dumps(utility.to_json()))
+    write_text(outdir / "utility.json", json_dumps(utility.to_json()))
     artifacts.append(outdir / "utility.json")
-    _write_text(outdir / "ledger.jsonl", ledger.to_jsonl())
+    write_text(outdir / "ledger.jsonl", ledger.to_jsonl())
     artifacts.append(outdir / "ledger.jsonl")
 
     all_passed = all(ok for _, ok, _ in checks)
@@ -385,13 +379,13 @@ def run(config: RunConfig, outdir: str | Path) -> int:
     warn_text = "; ".join(budget.warnings) if budget.warnings else "none"
     lines.append(f"budget: epsilon={eps_text} delta={budget.delta:.6g} warnings={warn_text}")
     lines.append(f"result: {'PASS' if all_passed else 'FAIL'}")
-    _write_text(outdir / "summary.txt", "\n".join(lines) + "\n")
+    write_text(outdir / "summary.txt", "\n".join(lines) + "\n")
     artifacts.append(outdir / "summary.txt")
 
     manifest = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(artifacts, key=lambda p: p.name)
     }
-    _write_text(outdir / "manifest.json", _json_dumps(manifest))
+    write_text(outdir / "manifest.json", json_dumps(manifest))
     return 0 if all_passed else 1
 
 
@@ -435,10 +429,10 @@ def sweep(
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_text(outdir / "sweep.json", _json_dumps(rows))
+        write_text(outdir / "sweep.json", json_dumps(rows))
         header = [parameter, "linkage_rate", "linkage_ucb", "baseline", "sse_raw", "sse_standardized"]
         csv_lines = [",".join(header)]
         for row in rows:
             csv_lines.append(",".join(format(row[h], ".10g") if row[h] is not None else "" for h in header))
-        _write_text(outdir / "sweep.csv", "\r\n".join(csv_lines) + "\r\n")
+        write_text(outdir / "sweep.csv", "\r\n".join(csv_lines) + "\r\n")
     return rows

@@ -38,7 +38,7 @@ from sdckit.microdata import (
     comparable_text,
     make_table,
     serialize_table,
-    sorted_codes,
+    text_codes,
 )
 from sdckit.reporting import _marginal_distance
 
@@ -287,14 +287,15 @@ def test_emd_rows_is_the_one_row_formula_per_row(counts, d):
     assert [x.hex() for x in got.tolist()] == [_oracle_emd(p, q, d).hex() for p in masses]
 
 
-def test_sorted_codes_number_text_and_numbers_as_np_unique():
-    text = np.asarray(["b", "a", "B", "b", "a b", "10", "9"], dtype=object)
-    distinct, codes = sorted_codes(text)
-    want, want_codes = np.unique(text.astype(str), return_inverse=True)
-    assert distinct == want.tolist() and codes.tolist() == want_codes.tolist()
-    numbers = np.asarray([2.5, -0.0, 0.0, -1.0, 2.5])
-    distinct, codes = sorted_codes(numbers)
-    assert distinct == [-1.0, 0.0, 2.5] and codes.tolist() == [2, 1, 1, 0, 2]
+def test_text_codes_number_text_and_numbers_as_np_unique():
+    text = ["b", "a", "B", "b", "a b", "10", "9"]
+    schema = (AttributeSchema("t", "quasi_identifier", CategoricalKind(tuple(sorted(set(text))))),)
+    distinct, codes = text_codes(make_table(schema, {"t": text}), "t")
+    want, want_codes = np.unique(np.asarray(text), return_inverse=True)
+    assert distinct.tolist() == want.tolist() and codes.tolist() == want_codes.tolist()
+    schema = (AttributeSchema("x", "quasi_identifier", NumericKind(-1, 3)),)
+    distinct, codes = text_codes(make_table(schema, {"x": [2.5, -0.0, 0.0, -1.0, 2.5]}), "x")
+    assert distinct.tolist() == ["-1", "0", "2.5"] and codes.tolist() == [2, 1, 1, 0, 2]
 
 
 # --------------------------------------------------------------------------

@@ -363,13 +363,35 @@ def test_malformed_schema_file_exits_two(people_inputs, tmp_path, capsys, schema
     assert message in capsys.readouterr().err
 
 
+MALFORMED_HIERARCHIES = [
+    ([1, 2], "hierarchy entry 0"),
+    # each names the attribute and the field
+    ({"attribute": "age", "intervals": 5}, "'age': field 'intervals'"),
+    ({"attribute": "age", "intervals": [0, 100]}, "'age': field 'intervals'"),
+    ({"attribute": "age", "intervals": {"max": 100}}, "'age': field 'min'"),
+    ({"attribute": "age", "intervals": {"min": "0", "max": 100}}, "'age': field 'min'"),
+    ({"attribute": "age", "intervals": {"min": 0, "max": True}}, "'age': field 'max'"),
+    ({"attribute": "age", "intervals": {"min": 0, "max": 100, "cuts": [50]}}, "'age': field 'cuts'"),
+    ({"attribute": "age", "intervals": {"min": 0, "max": 100, "cuts": {"a": 1}}}, "'age': field 'cuts'"),
+    ({"attribute": "age", "intervals": {"min": 0, "max": 100, "cuts": [["50"]]}}, "'age': field 'cuts'"),
+    ({"attribute": "age", "intervals": {"min": 0, "max": 100, "cuts": [[None]]}}, "'age': field 'cuts'"),
+    ({"attribute": "zip", "tree": 5}, "'zip': field 'tree'"),
+    ({"attribute": "zip", "tree": ["*"]}, "'zip': field 'tree'"),
+    ({"attribute": "zip", "tree": {"*": None, "+": None}}, "'zip': field 'tree'"),
+    ({"attribute": "zip", "tree": {"*": {"43007": 1}}}, "'zip': field 'tree'"),
+    ({"attribute": "zip", "tree": {"*": ["43007"]}}, "'zip': field 'tree'"),
+]
+
+
 def test_malformed_hierarchy_file_exits_two(people_inputs, tmp_path, capsys):
     data, schema = people_inputs
     hier = tmp_path / "h.json"
-    hier.write_text("[1, 2]", encoding="utf-8")
-    rc = _anonymize(data, schema, tmp_path / "gen", "--mechanism", "generalization", "--hierarchies", str(hier))
-    assert rc == 2
-    assert "hierarchy entry 0" in capsys.readouterr().err
+    for i, (doc, message) in enumerate(MALFORMED_HIERARCHIES):
+        hier.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / f"gen{i}"
+        rc = _anonymize(data, schema, out, "--mechanism", "generalization", "--hierarchies", str(hier))
+        assert rc == 2, doc
+        assert message in capsys.readouterr().err, doc
 
 
 def _choices(command: str, dest: str = "mechanism"):
