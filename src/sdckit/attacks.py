@@ -28,7 +28,7 @@ from .errors import (
 )
 from .kanon import _combine_codes, cell_is_minimal
 from .metric import MixedSpace
-from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table, text_codes
+from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table, row_positions, text_codes
 from .seeds import derive_rng, derive_seed
 
 
@@ -256,7 +256,7 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
     external record e, let V_e be its nearest release vectors
     ``nearest[bounds[e]:bounds[e + 1]]`` (one ``_nearest_vectors`` search),
     C_e the number of release rows whose vector is in V_e, g_e the class
-    (``release.labels``) of the release row carrying e's id (that row alone
+    (``release.partition.labels``) of the release row carrying e's id (that row alone
     unless the release is vector-permuted), and m_e the number of rows of
     g_e whose vector is in V_e. C_e and m_e are ``np.add.reduceat`` sums of
     per-vector counts over e's run of ``nearest``. The row with e's id
@@ -280,7 +280,7 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
     rel_table = as_table(release)
     # each row is a class of its own unless the release permuted whole
     # vectors within the classes of its partition
-    class_of_row = np.arange(rel_table.n_rows)
+    class_of_row, class_sizes = np.arange(rel_table.n_rows), np.ones(rel_table.n_rows, dtype=np.int64)
     provenance = getattr(release, "provenance", None)
     if provenance is not None and provenance.mechanism == "cluster_and_permute":
         mode = provenance.params.get("mode")
@@ -293,22 +293,20 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
                 f"release that permuted every shared quasi-identifier (mode {mode!r}, "
                 f"not permuted: {unpermuted}); pass a seed -> release factory instead"
             )
-        class_of_row = release.labels
+        class_of_row, class_sizes = release.partition.labels, release.partition.sizes
     vector_of_row, _, starts, nearest, bounds = _nearest_vectors(rel_table, external_table)
     n_vectors = starts.size - 1
     # rows per (class, vector), keyed by class * n_vectors + vector
     pair_keys, pair_counts = np.unique(class_of_row * n_vectors + vector_of_row, return_counts=True)
 
-    row_of = {int(r): i for i, r in enumerate(rel_table.row_ids)}
-    target = np.asarray([row_of.get(int(r), -1) for r in external_table.row_ids], dtype=np.int64)
+    target = row_positions(rel_table, external_table.row_ids)
     target_class = np.where(target >= 0, class_of_row[target], -1)
     # m_e and C_e summed over e's entries of ``nearest``
     keys = np.repeat(target_class, np.diff(bounds)) * n_vectors + nearest
     at = np.minimum(np.searchsorted(pair_keys, keys), pair_keys.size - 1)
     hits = np.add.reduceat(np.where(pair_keys[at] == keys, pair_counts[at], 0), bounds[:-1])
     total = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
-    class_size = np.bincount(class_of_row)[target_class]
-    return np.where(target_class >= 0, hits / (class_size * total), 0.0)
+    return np.where(target_class >= 0, hits / (class_sizes[target_class] * total), 0.0)
 
 
 def linkage_attack(
@@ -372,13 +370,13 @@ def attribute_inference_attack(
     """
     conf_table, classes = release.class_table(conf_attribute)
     values = ClassValues.of(conf_table, conf_attribute)
-    class_of = dict(zip(release.table.row_ids.tolist(), release.labels.tolist()))
     scheme = (release.provenance.params.get("scheme") or {}) if release.provenance else {}
     scored = ~np.isin(true_table.row_ids, [int(r) for r in scheme.get("suppressed_row_ids", ())])
     ids = true_table.row_ids[scored].tolist()
-    label = np.fromiter((class_of.get(r, -1) for r in ids), np.int64, len(ids))
-    if (label < 0).any():
-        raise Misaligned(f"row id {ids[int(np.argmax(label < 0))]} has no class in the release")
+    rows = row_positions(release.table, ids)
+    if (rows < 0).any():
+        raise Misaligned(f"row id {ids[int(np.argmax(rows < 0))]} has no class in the release")
+    label = release.partition.labels[rows]
     # each record's true value as an index into the release's support, -1 outside it
     if conf_table.attribute(conf_attribute).is_numeric:
         truth, row_of = np.unique(true_table.columns[conf_attribute].astype(float), return_inverse=True)
@@ -497,7 +495,7 @@ def intersection_attack(releases: Sequence[AnonymizedRelease]) -> AttackReport:
             raise MissingPartition("intersection attack needs each release's partition")
         order = np.argsort(r.table.row_ids)
         ids.append(r.table.row_ids[order])
-        labels.append((r.labels[order], len(r.partition)))
+        labels.append((r.partition.labels[order], len(r.partition)))
     if any(not np.array_equal(ids[0], other) for other in ids[1:]):
         raise Misaligned("releases cover different record ids")
     # a record's effective class: the records that share its class in every release

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyClass, Infeasible, InvalidT, NonNumeric, SupportMismatch
 from .kanon import mdav_partition
 from .metric import MixedSpace
-from .microdata import MicrodataTable, as_table, canonical_partition, class_counts, comparable_text, text_codes
+from .microdata import MicrodataTable, Partition, as_table, class_counts, comparable_text, text_codes
 
 
 # --------------------------------------------------------------------------
@@ -234,11 +234,13 @@ def verify_t_closeness(
     t: float,
     d: GroundDistance | None = None,
 ):
-    """Max class-to-global EMD must not exceed t. Returns (holds, max_distance)."""
+    """Max class-to-global EMD must not exceed t. Returns (holds, max_distance);
+    a partition that does not cover every row exactly once raises ValueError."""
     if t < 0:
         raise InvalidT("closeness threshold t must be nonnegative")
-    values = ClassValues.of(as_table(release_or_table), conf_attribute, d)
-    worst = float(values.distances(canonical_partition(partition)).max(initial=0.0))
+    table = as_table(release_or_table)
+    values = ClassValues.of(table, conf_attribute, d)
+    worst = float(values.distances(Partition(partition).covering(table.n_rows)).max(initial=0.0))
     return worst <= t, worst
 
 
@@ -278,14 +280,13 @@ def enforce_models(
     if t is not None and t < 0:
         raise InvalidT("closeness threshold t must be nonnegative")
     conf = ClassValues.of(table, conf_attribute, d)
-    partition = [list(g) for g in mdav_partition(table, qi_attributes, k)]
+    partition = mdav_partition(table, qi_attributes, k)
     (space,) = MixedSpace.from_tables([table], list(qi_attributes))
 
     def failing_constraint(gi: int, closeness) -> str | None:
-        group = partition[gi]
-        if len(group) < k:
+        if partition.sizes[gi] < k:
             return "k_anonymity"
-        if l is not None and l_diversity([conf.values[i] for i in group], variant) < l:
+        if l is not None and l_diversity([conf.values[i] for i in partition[gi]], variant) < l:
             return "l_diversity"
         if t is not None and closeness()[gi] > t:
             return "t_closeness"
@@ -301,7 +302,7 @@ def enforce_models(
                 violation = (gi, constraint)
                 break
         if violation is None:
-            return canonical_partition(partition)
+            return partition
         gi, constraint = violation
         if len(partition) == 1:
             raise Infeasible(constraint, f"single remaining class of {len(partition[0])} records still fails")
@@ -310,10 +311,7 @@ def enforce_models(
         dist = MixedSpace(np.stack(nums), np.stack(codes)).sq_dist_to(centroids[gi])
         dist[gi] = np.inf
         gj = int(np.argmin(dist))  # first minimum = lowest class index
-        merged = sorted(partition[gi] + partition[gj])
-        partition = [g for idx, g in enumerate(partition) if idx not in (gi, gj)]
-        partition.append(merged)
-        partition = [list(g) for g in canonical_partition(partition)]
+        partition = Partition.of_labels(np.where(partition.labels == gj, gi, partition.labels))
 
 
 # --------------------------------------------------------------------------

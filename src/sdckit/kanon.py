@@ -31,11 +31,11 @@ from .microdata import (
     GeneralizationHierarchy,
     MicrodataTable,
     Provenance,
+    Partition,
     as_table,
-    canonical_partition,
     class_counts,
-    classes_by_label,
     factorize,
+    row_positions,
     shared_text_codes,
     text_codes,
 )
@@ -214,7 +214,7 @@ def anonymize_generalization(
 
 
 def _partition_by_combo(table: MicrodataTable, qi: Sequence[str]):
-    return canonical_partition(classes_by_label(_class_codes(table, qi)[1]))
+    return Partition.of_labels(_class_codes(table, qi)[1])
 
 
 # --------------------------------------------------------------------------
@@ -447,7 +447,7 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
         groups.append(take_group(distances_from(far_extreme())))
     if ids.size:
         groups.append(ids.tolist())
-    return canonical_partition(groups)
+    return Partition(groups)
 
 
 def microaggregate_partition(
@@ -513,11 +513,10 @@ def sse_totals(table: MicrodataTable, release, qi_attributes: Sequence[str]) -> 
     """``sse`` raw and standardized, adding the same sums as two calls, from one row alignment."""
     rel_table = as_table(release)
     qi = list(qi_attributes)
-    pos_of = {int(rid): i for i, rid in enumerate(table.row_ids)}
-    try:
-        orig_rows = np.asarray([pos_of[int(rid)] for rid in rel_table.row_ids], dtype=np.int64)
-    except KeyError as e:
-        raise Misaligned(f"release row id {e.args[0]} is not present in the original table") from None
+    orig_rows = row_positions(table, rel_table.row_ids)
+    if (orig_rows < 0).any():
+        missing = rel_table.row_ids[np.argmax(orig_rows < 0)]
+        raise Misaligned(f"release row id {missing} is not present in the original table")
 
     raw = standardized = 0.0
     for name in qi:

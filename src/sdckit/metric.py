@@ -12,16 +12,7 @@ mismatch. A distance adds its terms one attribute at a time, numeric terms
 first, then the mismatches. Distances are squared, which preserves
 nearest/farthest decisions, and may be taken from a block of points at once.
 
-Record linkage takes distances once per distinct release vector: it keys the
-rows of both tables by their vector, an external row whose vector occurs in
-the release is at distance 0 from exactly the release rows behind it and
-needs no scan (unless a numeric gap squares to 0, which is checked), and the
-other external rows are scanned against the distinct release vectors only, in
-blocks of at most 2**17 distances (1 MiB of doubles). The search is separate
-from the tie draw: a fixed release is searched once and its ties are drawn
-once per trial, while a release drawn afresh each trial is searched each
-trial. MDAV keeps its remaining rows as one compacted space,
-so each distance runs over contiguous arrays without gathering rows.
+The linkage search is described at ``attacks._nearest_vectors``.
 """
 
 from __future__ import annotations

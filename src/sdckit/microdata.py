@@ -222,10 +222,6 @@ class MicrodataTable:
     def identifier_names(self) -> tuple[str, ...]:
         return self.names_with_role("identifier")
 
-    @property
-    def confidential_names(self) -> tuple[str, ...]:
-        return self.names_with_role("confidential")
-
     def column(self, name: str) -> np.ndarray:
         self.attribute(name)
         return self.columns[name]
@@ -772,43 +768,63 @@ def _is_integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def canonical_partition(groups: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Sort members within groups and groups by first member.
+class Partition(tuple):
+    """Equivalence classes covering rows 0..n-1 once: a tuple (as which it
+    compares and writes to JSON) of ascending row tuples in first-row order,
+    with read-only int64 ``labels`` (each row's class) and ``sizes``.
+    ``Partition(groups)``, from groups in any order, and ``of_labels`` are the
+    only place a partition is sorted, checked and labelled; an empty class, a
+    non-integer member or a row repeated or skipped raises ValueError.
+    ``Partition(p)`` of a Partition is ``p``."""
 
-    Raises ValueError for an empty group or a member that is not an integer.
-    """
-    groups = [tuple(g) for g in groups]
-    members = list(chain.from_iterable(groups))
-    # one member of each type stands for all members of that type
-    for value in dict(zip(map(type, members), members)).values():
-        if not _is_integer(value):
-            raise ValueError(f"partition member {value!r} is not an integer row position")
-    if not all(groups):
-        raise ValueError("partition has an empty class")
-    return tuple(sorted((tuple(sorted(map(int, g))) for g in groups), key=lambda g: g[0]))
+    def __new__(cls, groups: Iterable[Iterable[int]]):
+        if isinstance(groups, Partition):
+            return groups
+        groups = [tuple(g) for g in groups]
+        members = list(chain.from_iterable(groups))
+        # one member of each type stands for all members of that type
+        for value in dict(zip(map(type, members), members)).values():
+            if not _is_integer(value):
+                raise ValueError(f"partition member {value!r} is not an integer row position")
+        if not all(groups):
+            raise ValueError("partition has an empty class")
+        rows = np.fromiter(members, np.int64, len(members))
+        order = np.argsort(rows)
+        if not np.array_equal(rows[order], np.arange(rows.size)):
+            raise ValueError("partition must cover every row exactly once")
+        return cls.of_labels(np.repeat(np.arange(len(groups)), list(map(len, groups)))[order])
+
+    @classmethod
+    def of_labels(cls, labels) -> "Partition":
+        """The partition whose classes are the rows of equal ``labels[row]``."""
+        _, first, inverse = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+        labels = np.argsort(np.argsort(first))[inverse.reshape(-1)]  # classes in first-row order
+        sizes = np.bincount(labels, minlength=first.size)
+        rows, ends = np.argsort(labels, kind="stable").tolist(), np.cumsum(sizes).tolist()
+        self = super().__new__(cls, (tuple(rows[end - size : end]) for size, end in zip(sizes.tolist(), ends)))
+        for array in (labels, sizes):
+            array.setflags(write=False)
+        self.labels, self.sizes = labels, sizes
+        return self
+
+    def __reduce__(self):  # a copy or unpickled one is rebuilt, its arrays read-only again
+        return Partition, (tuple(self),)
+
+    def covering(self, n: int) -> "Partition":
+        """``self``, if it covers rows 0..n-1; else ValueError."""
+        if self.labels.size != n:
+            raise ValueError(f"partition must cover every row exactly once: it covers {self.labels.size} of {n}")
+        return self
 
 
-def class_labels(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """Each of rows 0..n-1's class: the index of its group in ``partition``.
-
-    Raises ValueError unless the partition covers every row exactly once.
-    """
-    sizes = list(map(len, partition))
-    members = np.fromiter(chain.from_iterable(partition), np.int64, sum(sizes))
-    if not np.array_equal(np.sort(members), np.arange(n)):
-        raise ValueError("partition must cover every row exactly once")
-    labels = np.empty(n, dtype=np.int64)
-    labels[members] = np.repeat(np.arange(len(sizes)), sizes)
-    return labels
-
-
-def classes_by_label(labels: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Rows grouped by equal label, ascending within a group, groups in label order."""
-    labels = np.asarray(labels)
-    order = np.argsort(labels, kind="stable")
-    ordered = labels[order]
-    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-    return tuple(tuple(g.tolist()) for g in np.split(order, cuts)) if order.size else ()
+def row_positions(table: MicrodataTable, row_ids) -> np.ndarray:
+    """The position in ``table`` of each of ``row_ids``, -1 where it is absent."""
+    row_ids = np.asarray(row_ids, dtype=np.int64)
+    if not table.n_rows:
+        return np.full(row_ids.size, -1, dtype=np.int64)
+    order = np.argsort(table.row_ids)
+    at = order[np.minimum(np.searchsorted(table.row_ids, row_ids, sorter=order), order.size - 1)]
+    return np.where(table.row_ids[at] == row_ids, at, -1)
 
 
 _COUNT_CELLS = 1 << 17  # count-matrix cells held at once: 1 MiB of int64
@@ -833,45 +849,65 @@ def class_counts(classes: Sequence[Sequence[int]], codes: np.ndarray, m: int):
 class AnonymizedRelease:
     """A published table and the equivalence classes it publishes.
 
-    ``table`` is the released table. ``partition`` holds the classes as row
-    positions in ``table``, or None when the release publishes no classes
-    (noise addition, the identity). Anatomy also sets ``conf_table``: the
-    confidential side, linked to ``table`` only through their shared
-    ``group_id`` column, where class j is the rows with ``group_id == j``.
-    ``labels`` gives each row of ``table`` the index of its class in
-    ``partition``, or is None without one. ``class_table(attribute)`` gives
-    the table holding an attribute and the classes as row positions in that
-    table, so checks and attacks read every release's classes one way.
+    ``table`` is the released table. ``partition`` holds the classes as a
+    ``Partition`` of ``table``'s rows (made from any groups given), or None
+    when the release publishes no classes (noise addition, the identity).
+    Anatomy also sets ``conf_table``: the confidential side, linked to
+    ``table`` only through their shared ``group_id`` column, whose values
+    each name one class; a side listing its classes in another order is
+    reordered stably by class. ``class_table(attribute)`` gives the table
+    holding an attribute and its classes, class j the same on either side,
+    so checks and attacks read every release's classes one way.
     """
 
     table: MicrodataTable
-    partition: tuple[tuple[int, ...], ...] | None
+    partition: Partition | None
     provenance: Provenance
     conf_table: MicrodataTable | None = None
 
     def __post_init__(self):
         if self.table.identifier_names:
             raise ValueError("releases must not contain identifier attributes")
-        labels = None
         if self.partition is not None:
-            object.__setattr__(self, "partition", canonical_partition(self.partition))
-            labels = class_labels(self.partition, self.table.n_rows)
-            labels.setflags(write=False)
-        # a plain attribute, not a field: equality and hashing stay on ``partition``
-        object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "partition", Partition(self.partition).covering(self.table.n_rows))
         if self.conf_table is not None:
-            if self.partition is None or self.conf_table.n_rows != self.table.n_rows:
-                raise ValueError("a confidential side needs a partition of as many rows")
-            # class j has as many rows on each side exactly when the sorted labels agree
-            if not np.array_equal(np.sort(self.conf_table.column("group_id")), np.sort(labels)):
-                raise ValueError("confidential group_id classes do not match the partition")
+            if self.partition is None:
+                raise ValueError("a confidential side needs a partition")
+            # a plain attribute, not a field: equality and hashing stay on the two tables
+            object.__setattr__(self, "_conf_partition", self._confidential_classes())
 
-    def class_table(self, attribute: str) -> tuple[MicrodataTable, tuple[tuple[int, ...], ...]]:
+    def _confidential_classes(self) -> Partition:
+        """The confidential side's classes, numbered through the QI side's group_id."""
+        partition, gids = self.partition, self.table.column("group_id")
+        values, first, inverse = np.unique(gids, return_index=True, return_inverse=True)
+        class_of_value = partition.labels[first]
+        if values.size != len(partition) or (class_of_value[inverse] != partition.labels).any():
+            raise ValueError("QI group_id classes do not match the partition")
+        conf_gids = self.conf_table.column("group_id")
+        at = np.searchsorted(values, conf_gids)
+        unknown = np.append(values, np.nan)[at] != conf_gids
+        if unknown.any():
+            gid = canonical_number(conf_gids[np.argmax(unknown)])
+            raise ValueError(f"confidential group_id {gid} is carried by no QI row")
+        labels = class_of_value[at]
+        sizes = np.bincount(labels, minlength=len(partition))
+        if (sizes != partition.sizes).any():
+            j = int(np.argmax(sizes != partition.sizes))
+            gid = canonical_number(gids[partition[j][0]])
+            raise ValueError(f"group_id {gid} has {partition.sizes[j]} QI rows but {sizes[j]} confidential rows")
+        classes = Partition.of_labels(labels)
+        if (classes.labels != labels).any():
+            order = np.argsort(labels, kind="stable")
+            object.__setattr__(self, "conf_table", self.conf_table.take(order))
+            classes = Partition.of_labels(labels[order])
+        return classes
+
+    def class_table(self, attribute: str) -> tuple[MicrodataTable, Partition]:
         """The published table holding ``attribute`` and the classes as row positions in it."""
         if self.partition is None:
             raise MissingPartition("release carries no class partition")
         if self.conf_table is not None and self.conf_table.has_attribute(attribute):
-            return self.conf_table, classes_by_label(self.conf_table.column("group_id"))
+            return self.conf_table, self._conf_partition
         self.table.attribute(attribute)
         return self.table, self.partition
 
@@ -912,7 +948,7 @@ def write_release(release: AnonymizedRelease, directory: str | Path, basename: s
         paths = [directory / f"{basename}.csv"]
         paths[0].write_bytes(serialize_table(release.table))
         doc["schema"] = schema_to_descriptor(release.table.schema)
-        doc["partition"] = [list(g) for g in release.partition] if release.partition is not None else None
+        doc["partition"] = release.partition
         doc["row_ids"] = [int(i) for i in release.table.row_ids]
     else:
         paths = [directory / f"{basename}_qi.csv", directory / f"{basename}_conf.csv"]
@@ -944,6 +980,7 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
     """Read what ``write_release`` wrote, either layout.
 
     A sidecar that is not a JSON object, or whose ``mechanism``, ``params``,
+    ``params.scheme`` (with its ``suppressed_row_ids`` and ``qi_order``),
     ``seed``, ``notes``, ``partition`` or ``row_ids`` has the wrong shape,
     raises ValueError naming the field.
     """
@@ -956,6 +993,14 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
     params, seed, notes = doc.get("params", {}), doc.get("seed"), doc.get("notes", [])
     if not isinstance(params, dict):
         raise ValueError("release sidecar field 'params' must be an object")
+    scheme = params.get("scheme", {})
+    if not isinstance(scheme, dict):
+        raise ValueError("release sidecar field 'params.scheme' must be an object")
+    if not _is_integer_list(scheme.get("suppressed_row_ids", [])):
+        raise ValueError("release sidecar field 'params.scheme.suppressed_row_ids' must be a list of integers")
+    qi_order = scheme.get("qi_order", [])
+    if not (isinstance(qi_order, list) and all(isinstance(name, str) for name in qi_order)):
+        raise ValueError("release sidecar field 'params.scheme.qi_order' must be a list of strings")
     if seed is not None and not _is_integer(seed):
         raise ValueError("release sidecar field 'seed' must be null or an integer")
     if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
@@ -969,7 +1014,7 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
     if "schema_conf" in doc:
         table = _read_release_csv(directory / f"{basename}_qi.csv", doc["schema_qi"])
         conf_table = _read_release_csv(directory / f"{basename}_conf.csv", doc["schema_conf"])
-        return AnonymizedRelease(table, classes_by_label(table.column("group_id")), prov, conf_table)
+        return AnonymizedRelease(table, Partition.of_labels(table.column("group_id")), prov, conf_table)
     table = _read_release_csv(directory / f"{basename}.csv", doc["schema"])
     if row_ids is not None:
         table = MicrodataTable(table.schema, dict(table.columns), np.asarray(row_ids, dtype=np.int64))

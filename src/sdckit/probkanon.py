@@ -23,9 +23,8 @@ from .microdata import (
     AttributeSchema,
     MicrodataTable,
     NumericKind,
+    Partition,
     Provenance,
-    canonical_partition,
-    class_labels,
 )
 from .seeds import derive_rng
 
@@ -55,7 +54,7 @@ def cluster_and_permute(
     if partition is None:
         partition = mdav_partition(table, qi, k)
     else:
-        partition = canonical_partition(partition)
+        partition = Partition(partition).covering(table.n_rows)
         _require_group_size(partition, k)
 
     # release row i takes column ``name`` from source row source[name][i]
@@ -85,9 +84,9 @@ def cluster_and_permute(
     )
 
 
-def _require_group_size(partition, k: int) -> None:
+def _require_group_size(partition: Partition, k: int) -> None:
     """Raise GroupTooSmall, naming the smallest group's size, if it is below k."""
-    smallest = min((len(g) for g in partition), default=k)
+    smallest = int(partition.sizes.min(initial=k))
     if smallest < k:
         raise GroupTooSmall(f"smallest group has {smallest} records, below k={k}")
 
@@ -102,11 +101,11 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
 
     The release's ``table`` is the QI side and its ``conf_table`` the
     confidential side; the two are linked only through ``group_id``, which is
-    the index of the record's group in the canonical ``partition``.
+    the index of the record's group in ``Partition(partition)``.
     """
-    partition = canonical_partition(partition)
+    partition = Partition(partition)
     _require_group_size(partition, k)
-    group_of = class_labels(partition, table.n_rows)
+    group_of = partition.covering(table.n_rows).labels
     n_groups = len(partition)
 
     gid_attr = AttributeSchema("group_id", "non_confidential", NumericKind(0, max(n_groups - 1, 0)))

@@ -263,8 +263,8 @@ def _run_checks(config: RunConfig, table, release, factory):
         )
         checks.append(("probabilistic_k", report.passed, detail))
     elif config.mechanism == "anatomy":
-        sizes = [len(g) for g in release.partition]
-        checks.append(("group_size", min(sizes) >= config.k, f"min_group={min(sizes)} k={config.k}"))
+        smallest = int(release.partition.sizes.min())
+        checks.append(("group_size", smallest >= config.k, f"min_group={smallest} k={config.k}"))
 
     conf = config.conf_attribute
     if conf and (config.l_floor is not None or config.t_ceiling is not None):

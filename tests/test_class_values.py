@@ -37,7 +37,7 @@ from sdckit.confmodels import (
 )
 from sdckit.kanon import mdav_partition, microaggregate_partition
 from sdckit.metric import MixedSpace
-from sdckit.microdata import as_table, canonical_partition, make_table
+from sdckit.microdata import Partition, as_table, make_table
 
 # --------------------------------------------------------------------------
 # frozen references: the readers as they were before ClassValues
@@ -60,7 +60,7 @@ def _oracle_verify_t_closeness(release_or_table, partition, conf_attribute, t, d
     if t < 0:
         raise InvalidT("closeness threshold t must be nonnegative")
     table = as_table(release_or_table)
-    partition = canonical_partition(partition)
+    partition = Partition(partition)
     global_dist, per_class, numeric = _oracle_class_distributions(table, partition, conf_attribute)
     if d is None:
         d = ORDERED_NUMERIC if numeric else CATEGORICAL_UNIFORM
@@ -100,7 +100,7 @@ def _oracle_enforce_models(table, qi_attributes, conf_attribute, k, l=None, t=No
                 violation = (gi, constraint)
                 break
         if violation is None:
-            return canonical_partition(partition)
+            return Partition(partition)
         gi, constraint = violation
         if len(partition) == 1:
             raise Infeasible(constraint, f"single remaining class of {len(partition[0])} records still fails")
@@ -112,7 +112,7 @@ def _oracle_enforce_models(table, qi_attributes, conf_attribute, k, l=None, t=No
         merged = sorted(partition[gi] + partition[gj])
         partition = [g for idx, g in enumerate(partition) if idx not in (gi, gj)]
         partition.append(merged)
-        partition = [list(g) for g in canonical_partition(partition)]
+        partition = [list(g) for g in Partition(partition)]
 
 
 def _oracle_attribute_inference(release, conf_attribute, true_table):
@@ -208,7 +208,7 @@ def tables_and_partitions(draw):
     groups = {}
     for i, g in enumerate(labels):
         groups.setdefault(g, []).append(i)
-    return _table(ages, zips, secrets, numeric), canonical_partition(groups.values())
+    return _table(ages, zips, secrets, numeric), Partition(groups.values())
 
 
 def _same_report(new, old):

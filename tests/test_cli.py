@@ -118,6 +118,31 @@ def test_attack_and_report_read_an_anatomy_run_directory(people_inputs, tmp_path
     assert json.loads(capsys.readouterr().out)["n_release"] == 30
 
 
+def test_attack_on_anatomy_sides_with_different_classes_exits_two(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    rel = tmp_path / "anatomy"
+    assert _anonymize(data, schema, rel, "--mechanism", "anatomy", "--k", "5", "--attacks", "") == 0
+    conf = rel / "release_conf.csv"
+    lines = conf.read_bytes().split(b"\r\n")
+    # the first confidential row moves from group 0 to group 1
+    assert lines[1].startswith(b"0,")
+    lines[1] = b"1," + lines[1][2:]
+    conf.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    rc = main(
+        [
+            "attack",
+            "--data", data,
+            "--schema", schema,
+            "--release", str(rel),
+            "--attack", "attribute_inference",
+            "--conf", "diagnosis",
+        ]
+    )
+    assert rc == 2
+    assert "confidential rows" in capsys.readouterr().err
+
+
 def test_attack_scores_a_suppressed_generalization_run_like_the_run(tmp_path, capsys):
     schema = (
         AttributeSchema("age", "quasi_identifier", NumericKind(0, 99)),
@@ -187,9 +212,13 @@ def test_attack_intersection_over_two_releases(people_inputs, tmp_path, capsys):
     assert (a / "attack_intersection.json").exists()
 
 
-def test_attack_downcoding_from_saved_release(tmp_path, capsys):
-    xs = (AttributeSchema("x", "quasi_identifier", NumericKind(1, 10)),)
-    table = make_table(xs, {"x": [1.0, 1.0, 2.0, 6.0, 9.0]})
+def _minimal_recoding_run(tmp_path):
+    """A minimal-recoder run directory over five rows; returns (data, schema, hierarchies, run) paths."""
+    attrs = (
+        AttributeSchema("x", "quasi_identifier", NumericKind(1, 10)),
+        AttributeSchema("diagnosis", "confidential", CategoricalKind(("flu", "cold"))),
+    )
+    table = make_table(attrs, {"x": [1.0, 1.0, 2.0, 6.0, 9.0], "diagnosis": ["flu", "cold", "flu", "cold", "flu"]})
     data = tmp_path / "x.csv"
     data.write_bytes(serialize_table(table))
     schema = tmp_path / "x.schema.json"
@@ -205,19 +234,54 @@ def test_attack_downcoding_from_saved_release(tmp_path, capsys):
         "--attacks", "downcoding",
     )
     assert rc == 0
+    return str(data), str(schema), str(hier), rel
+
+
+def test_attack_downcoding_from_saved_release(tmp_path, capsys):
+    data, schema, hier, rel = _minimal_recoding_run(tmp_path)
     capsys.readouterr()
     rc = main(
         [
             "attack",
-            "--data", str(data),
-            "--schema", str(schema),
+            "--data", data,
+            "--schema", schema,
             "--release", str(rel),
             "--attack", "downcoding",
-            "--hierarchies", str(hier),
+            "--hierarchies", hier,
         ]
     )
     assert rc == 0
     assert "downcoding: rate=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "scheme, attack, field",
+    [
+        (5, "attribute_inference", "params.scheme"),
+        ({"suppressed_row_ids": 5}, "attribute_inference", "params.scheme.suppressed_row_ids"),
+        ({"qi_order": 5}, "downcoding", "params.scheme.qi_order"),
+    ],
+)
+def test_attack_on_a_malformed_sidecar_scheme_exits_two(tmp_path, capsys, scheme, attack, field):
+    data, schema, hier, rel = _minimal_recoding_run(tmp_path)
+    sidecar = rel / "release.provenance.json"
+    doc = json.loads(sidecar.read_text())
+    doc["params"]["scheme"] = scheme
+    sidecar.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(
+        [
+            "attack",
+            "--data", data,
+            "--schema", schema,
+            "--release", str(rel),
+            "--attack", attack,
+            "--conf", "diagnosis",
+            "--hierarchies", hier,
+        ]
+    )
+    assert rc == 2
+    assert f"sidecar field '{field}'" in capsys.readouterr().err
 
 
 def test_account_composes_and_persists(tmp_path, capsys):

@@ -24,7 +24,7 @@ from sdckit import (
 )
 from sdckit import attacks
 from sdckit.metric import MixedSpace
-from sdckit.microdata import as_table, canonical_number, canonical_partition, comparable_text, make_table
+from sdckit.microdata import Partition, as_table, canonical_number, comparable_text, make_table
 from sdckit.seeds import derive_rng, derive_seed
 
 from conftest import build_people_table
@@ -163,7 +163,7 @@ def _oracle_mdav_partition(table, qi, k):
         groups.append(g_r.tolist())
     if remaining.size:
         groups.append(remaining.tolist())
-    return canonical_partition(groups)
+    return Partition(groups)
 
 
 # -- generated tables ---------------------------------------------------------------

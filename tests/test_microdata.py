@@ -1,4 +1,9 @@
+import copy
+import csv
+import io
 import json
+import pickle
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -12,8 +17,8 @@ from sdckit import (
     GeneralizationHierarchy,
     MicrodataTable,
     NumericKind,
+    Partition,
     Provenance,
-    canonical_partition,
     generalize_value,
     hierarchy_from_json,
     hierarchy_to_json,
@@ -32,13 +37,16 @@ from sdckit.errors import (
     DomainViolation,
     LevelOutOfRange,
     MalformedCsv,
+    Misaligned,
     MissingColumn,
     MissingPartition,
     SearchSpaceTooLarge,
     UnknownAttribute,
     UnknownValue,
 )
-from sdckit.microdata import canonical_number, class_labels, classes_by_label
+from sdckit.attacks import attribute_inference_attack
+from sdckit.kanon import microaggregate_partition, sse
+from sdckit.microdata import canonical_number, row_positions
 from sdckit.probkanon import anatomize
 
 from conftest import build_people_table
@@ -340,8 +348,33 @@ def test_load_hierarchies_rejects_a_second_hierarchy_for_one_attribute():
 # -- releases -------------------------------------------------------------------
 
 
+# frozen references: the partition converters as they were before ``Partition``
+
+
+def _oracle_canonical_partition(groups):
+    groups = [tuple(g) for g in groups]
+    return tuple(sorted((tuple(sorted(map(int, g))) for g in groups), key=lambda g: g[0]))
+
+
+def _oracle_class_labels(partition, n):
+    sizes = list(map(len, partition))
+    members = np.fromiter(chain.from_iterable(partition), np.int64, sum(sizes))
+    assert np.array_equal(np.sort(members), np.arange(n))
+    labels = np.empty(n, dtype=np.int64)
+    labels[members] = np.repeat(np.arange(len(sizes)), sizes)
+    return labels
+
+
+def _oracle_classes_by_label(labels):
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return tuple(tuple(g.tolist()) for g in np.split(order, cuts)) if order.size else ()
+
+
 def test_canonical_partition_sorts_groups_and_members():
-    assert canonical_partition([(3, 1), (0, 2)]) == ((0, 2), (1, 3))
+    assert Partition([(3, 1), (0, 2)]) == ((0, 2), (1, 3))
 
 
 @pytest.mark.parametrize(
@@ -357,41 +390,60 @@ def test_canonical_partition_sorts_groups_and_members():
 def test_release_rejects_an_empty_class_or_a_non_integer_member(partition, message):
     table = make_table((AttributeSchema("x", "quasi_identifier", NumericKind(0, 9)),), {"x": [1.0, 2.0, 3.0, 4.0]})
     with pytest.raises(ValueError, match=message):
+        Partition(partition)
+    with pytest.raises(ValueError, match=message):
         AnonymizedRelease(table, partition, Provenance("x"))
 
 
 def test_canonical_partition_takes_numpy_integers():
-    assert canonical_partition([np.array([3, 1]), (np.int32(0), 2)]) == ((0, 2), (1, 3))
+    assert Partition([np.array([3, 1]), (np.int32(0), 2)]) == ((0, 2), (1, 3))
 
 
 @pytest.mark.parametrize(
     "partition, n",
     [
         (((0, 1), (1, 2)), 3),  # row 1 twice
-        (((0, 1), (2,)), 4),  # row 3 missing
+        (((0, 1), (2,)), 4),  # row 3 missing: a partition of 3 rows, not of the release's 4
         (((0, 1), (1,)), 3),  # n members, one repeated, one missing
         (((0, 5), (1,)), 3),  # row 5 out of range
         (((-1, 0), (1,)), 3),  # negative row
     ],
 )
 def test_class_labels_requires_an_exact_cover(partition, n):
+    table = make_table((AttributeSchema("x", "quasi_identifier", NumericKind(0, 9)),), {"x": [1.0] * n})
     with pytest.raises(ValueError, match="cover every row exactly once"):
-        class_labels(partition, n)
+        AnonymizedRelease(table, partition, Provenance("x"))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_classes_by_label_inverts_class_labels(data):
+    """``Partition`` against the converters it replaced: any group order, any
+    member order, numpy integer members, and the empty table."""
     labels = data.draw(st.lists(st.integers(0, 5), max_size=30))
     groups = {}
     for row, label in enumerate(labels):
         groups.setdefault(label, []).append(row)
-    # any group order and any member order
-    partition = [data.draw(st.permutations(g)) for g in data.draw(st.permutations(list(groups.values())))]
-    got = class_labels(partition, len(labels))
-    for j, g in enumerate(partition):
-        assert all(got[i] == j for i in g)
-    assert canonical_partition(classes_by_label(got)) == canonical_partition(partition)
+    member = data.draw(st.sampled_from([int, np.int32, np.int64]))
+    partition = [
+        [member(row) for row in data.draw(st.permutations(g))]
+        for g in data.draw(st.permutations(list(groups.values())))
+    ]
+    if partition and data.draw(st.booleans()):
+        partition[0] = np.asarray(partition[0])
+    expected = _oracle_canonical_partition(partition)
+    p = Partition(partition)
+    assert p == expected and all(type(g) is tuple for g in p)
+    assert json.dumps(p) == json.dumps(expected)
+    assert p.labels.tolist() == _oracle_class_labels(expected, len(labels)).tolist()
+    assert p.sizes.tolist() == [len(g) for g in expected]
+    for array in (p.labels, p.sizes):
+        assert array.dtype == np.int64 and not array.flags.writeable
+    assert Partition.of_labels(labels) == _oracle_canonical_partition(_oracle_classes_by_label(labels))
+    assert Partition.of_labels(p.labels) == p
+    assert Partition(p) is p
+    for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert copied == p and copied.labels.tolist() == p.labels.tolist() and not copied.labels.flags.writeable
 
 
 def test_release_rejects_identifiers_and_bad_partitions(people_table):
@@ -403,11 +455,30 @@ def test_release_rejects_identifiers_and_bad_partitions(people_table):
     n = masked.n_rows
     rel = AnonymizedRelease(masked, (tuple(range(n)),), Provenance("x"))
     assert rel.partition == (tuple(range(n)),)
-    assert rel.labels.tolist() == [0] * n
+    assert rel.partition.labels.tolist() == [0] * n
     # labels follow the canonical class order, whatever order the classes came in
     rel = AnonymizedRelease(masked, [range(1, n), [0]], Provenance("x"))
-    assert rel.labels.tolist() == [0] + [1] * (n - 1)
-    assert AnonymizedRelease(masked, None, Provenance("x")).labels is None
+    assert rel.partition.labels.tolist() == [0] + [1] * (n - 1)
+    assert AnonymizedRelease(masked, None, Provenance("x")).partition is None
+
+
+def test_row_positions_finds_each_id_or_gives_minus_one():
+    table = make_table((AttributeSchema("x", "quasi_identifier", NumericKind(0, 9)),), {"x": [1, 2, 3]}, [30, 10, 20])
+    assert row_positions(table, [10, 40, 30, 20, -5]).tolist() == [1, -1, 0, 2, -1]
+    assert row_positions(table, []).tolist() == []
+    assert row_positions(table.take([]), [10]).tolist() == [-1]
+
+
+def test_misaligned_row_ids_are_named_by_the_first_missing_one(people_table):
+    qi = ["age", "zip", "height"]
+    release = microaggregate_partition(people_table, qi, mdav_partition(people_table, qi, 5))
+    ids = np.arange(people_table.n_rows)
+    ids[[3, 5]] = [45, 40]
+    moved = MicrodataTable(people_table.schema, dict(people_table.columns), ids)
+    with pytest.raises(Misaligned, match="release row id 3 is not present"):
+        sse(moved, release, qi)
+    with pytest.raises(Misaligned, match="row id 45 has no class"):
+        attribute_inference_attack(release, "diagnosis", moved)
 
 
 def test_write_read_release_round_trip(tmp_path, people_table):
@@ -497,6 +568,57 @@ def test_write_read_anatomy_release_round_trip(tmp_path, people_table):
     assert list(back.conf_table.row_ids) == list(rel.conf_table.row_ids)
     assert back.partition == rel.partition
     assert back.provenance == rel.provenance
+
+
+def _flu_hiv_anatomy(directory):
+    """A 4-row Anatomy release: ages 10 and 11 with flu, 50 and 51 with hiv."""
+    schema = (
+        AttributeSchema("age", "quasi_identifier", NumericKind(0, 99)),
+        AttributeSchema("disease", "confidential", CategoricalKind(("flu", "hiv"))),
+    )
+    table = make_table(schema, {"age": [10.0, 11.0, 50.0, 51.0], "disease": ["flu", "flu", "hiv", "hiv"]})
+    write_release(anatomize(table, [(0, 1), (2, 3)], k=2, rng_seed=0), directory)
+    return table
+
+
+def _rewrite_group_ids(path, new_id, sort=False):
+    """Rewrite a release csv's group_id cells through ``new_id``, sorting the rows by them if asked."""
+    header, *rows = csv.reader(io.StringIO(path.read_bytes().decode("utf-8")))
+    g = header.index("group_id")
+    rows = [row[:g] + [new_id(row[g])] + row[g + 1 :] for row in rows]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows([header] + (sorted(rows, key=lambda r: r[g]) if sort else rows))
+    path.write_bytes(buf.getvalue().encode("utf-8"))
+
+
+@pytest.mark.parametrize("sort_conf", [False, True])
+def test_anatomy_read_back_pairs_classes_by_group_id(tmp_path, sort_conf):
+    table = _flu_hiv_anatomy(tmp_path)
+    swap = {"0": "1", "1": "0"}.get
+    _rewrite_group_ids(tmp_path / "release_qi.csv", swap)
+    # the same release under another numbering, its confidential side listed either way
+    _rewrite_group_ids(tmp_path / "release_conf.csv", swap, sort=sort_conf)
+    release = read_release(tmp_path)
+    conf_table, classes = release.class_table("disease")
+    assert [[conf_table.columns["disease"][i] for i in c] for c in classes] == [["flu", "flu"], ["hiv", "hiv"]]
+    report = attribute_inference_attack(release, "disease", table)
+    assert report.success_rate == 1.0
+    assert [r["posterior"] for r in report.details["per_record"]] == [1.0] * 4
+
+
+@pytest.mark.parametrize(
+    "side, group_ids, message",
+    [
+        ("qi", ["0", "0", "0", "0"], "confidential group_id 1 is carried by no QI row"),
+        ("conf", ["0", "1", "1", "1"], "group_id 0 has 2 QI rows but 1 confidential rows"),
+    ],
+)
+def test_anatomy_read_back_rejects_group_ids_the_sides_disagree_on(tmp_path, side, group_ids, message):
+    _flu_hiv_anatomy(tmp_path)
+    ids = iter(group_ids)
+    _rewrite_group_ids(tmp_path / f"release_{side}.csv", lambda _: next(ids))
+    with pytest.raises(ValueError, match=message):
+        read_release(tmp_path)
 
 
 def test_class_table_reads_each_side_of_a_release(people_table):

@@ -25,7 +25,7 @@ from sdckit import (
 )
 from sdckit.errors import HierarchyMissing, SearchSpaceTooLarge, TooFewRows, UnknownValue, Unsatisfiable
 from sdckit.kanon import GeneralizationScheme, _partition_by_combo, cell_is_minimal
-from sdckit.microdata import AnonymizedRelease, Provenance, canonical_partition, comparable_text, serialize_table
+from sdckit.microdata import AnonymizedRelease, Partition, Provenance, comparable_text, serialize_table
 
 # --------------------------------------------------------------------------
 # frozen references: both recoders as they were before integer-coded counts
@@ -37,7 +37,7 @@ def _oracle_partition_by_combo(table, qi):
     groups = {}
     for i in range(table.n_rows):
         groups.setdefault(tuple(col[i] for col in cols), []).append(i)
-    return canonical_partition(groups.values())
+    return Partition(groups.values())
 
 
 def _oracle_label_column(table, name, hierarchy, level):
