@@ -932,9 +932,9 @@ def write_release(release: AnonymizedRelease, directory: str | Path, basename: s
     """Write the release csv plus a JSON provenance sidecar; returns the paths written.
 
     A release with a confidential side is written as ``<basename>_qi.csv`` and
-    ``<basename>_conf.csv``, with both schemas and no partition or row ids in
-    the sidecar (the ``group_id`` columns carry the classes). Any other
-    release is written as ``<basename>.csv``.
+    ``<basename>_conf.csv``, with both schemas and no partition in the sidecar
+    (the ``group_id`` columns carry the classes). Any other release is written
+    as ``<basename>.csv``. Either sidecar holds the row ids of ``table``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -949,13 +949,13 @@ def write_release(release: AnonymizedRelease, directory: str | Path, basename: s
         paths[0].write_bytes(serialize_table(release.table))
         doc["schema"] = schema_to_descriptor(release.table.schema)
         doc["partition"] = release.partition
-        doc["row_ids"] = [int(i) for i in release.table.row_ids]
     else:
         paths = [directory / f"{basename}_qi.csv", directory / f"{basename}_conf.csv"]
         paths[0].write_bytes(serialize_table(release.table))
         paths[1].write_bytes(serialize_table(release.conf_table))
         doc["schema_qi"] = schema_to_descriptor(release.table.schema)
         doc["schema_conf"] = schema_to_descriptor(release.conf_table.schema)
+    doc["row_ids"] = [int(i) for i in release.table.row_ids]
     sidecar_path = directory / f"{basename}.provenance.json"
     write_text(sidecar_path, json_dumps(doc))
     return paths + [sidecar_path]
@@ -1014,8 +1014,9 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
     if "schema_conf" in doc:
         table = _read_release_csv(directory / f"{basename}_qi.csv", doc["schema_qi"])
         conf_table = _read_release_csv(directory / f"{basename}_conf.csv", doc["schema_conf"])
-        return AnonymizedRelease(table, Partition.of_labels(table.column("group_id")), prov, conf_table)
-    table = _read_release_csv(directory / f"{basename}.csv", doc["schema"])
+        partition = Partition.of_labels(table.column("group_id"))
+    else:
+        table, conf_table = _read_release_csv(directory / f"{basename}.csv", doc["schema"]), None
     if row_ids is not None:
         table = MicrodataTable(table.schema, dict(table.columns), np.asarray(row_ids, dtype=np.int64))
-    return AnonymizedRelease(table=table, partition=partition, provenance=prov)
+    return AnonymizedRelease(table, partition, prov, conf_table)

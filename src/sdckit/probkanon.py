@@ -25,8 +25,9 @@ from .microdata import (
     NumericKind,
     Partition,
     Provenance,
+    text_codes,
 )
-from .seeds import derive_rng
+from .seeds import derive_rngs
 
 # cluster_and_permute moves whole QI vectors within a group, or each QI column on its own
 PERMUTE_MODES = ("vector", "per_attribute")
@@ -57,15 +58,14 @@ def cluster_and_permute(
         partition = Partition(partition).covering(table.n_rows)
         _require_group_size(partition, k)
 
-    # release row i takes column ``name`` from source row source[name][i]
-    source = {name: np.arange(table.n_rows) for name in qi}
-    for gid, group in enumerate(partition):
+    # release row i takes column ``name`` from source row source[name][i]; one
+    # array is shared by every QI in vector mode, each QI has its own otherwise
+    sources = [np.arange(table.n_rows) for _ in (qi if mode == "per_attribute" else qi[:1])]
+    for group, rng in zip(partition, derive_rngs(rng_seed, "permute", count=len(partition))):
         idx = np.asarray(group, dtype=np.int64)
-        rng = derive_rng(rng_seed, "permute", gid)
-        shared = rng.permutation(idx.size) if mode == "vector" else None
-        for name in qi:
-            perm = shared if shared is not None else rng.permutation(idx.size)
-            source[name][idx] = idx[perm]
+        for source in sources:
+            source[idx] = idx[rng.permutation(idx.size)]
+    source = dict(zip(qi, sources if mode == "per_attribute" else sources * len(qi)))
 
     kept = tuple(a for a in table.schema if a.role != "identifier")
     columns = {
@@ -73,6 +73,11 @@ def cluster_and_permute(
         for a in kept
     }
     masked = MicrodataTable(kept, columns, table.row_ids)
+    for name in qi:  # a permuted column has its source's texts, its codes permuted alike
+        distinct, codes = text_codes(table, name)
+        carried = codes[source[name]]
+        carried.setflags(write=False)
+        masked._text_codes[name] = (distinct, carried)
     return AnonymizedRelease(
         table=masked,
         partition=partition,
@@ -118,15 +123,11 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
 
     conf_side = [a for a in table.schema if a.role == "confidential"]
     conf_schema = (gid_attr,) + tuple(conf_side)
-    order: list[int] = []
-    for gid, g in enumerate(partition):
-        rng = derive_rng(rng_seed, "anatomy", gid)
-        idx = np.asarray(g, dtype=np.int64)
-        order.extend(idx[rng.permutation(idx.size)].tolist())
-    order_arr = np.asarray(order, dtype=np.int64)
+    streams = zip(partition, derive_rngs(rng_seed, "anatomy", count=n_groups))
+    order_arr = np.asarray([g[i] for g, rng in streams for i in rng.permutation(len(g)).tolist()], dtype=np.int64)
     conf_cols = {"group_id": group_of[order_arr].astype(np.float64)}
     conf_cols.update({a.name: table.columns[a.name][order_arr] for a in conf_side})
-    conf_table = MicrodataTable(conf_schema, conf_cols, np.arange(len(order), dtype=np.int64))
+    conf_table = MicrodataTable(conf_schema, conf_cols, np.arange(order_arr.size, dtype=np.int64))
 
     return AnonymizedRelease(
         table=qi_table,

@@ -106,7 +106,7 @@ CONFIGS = {
 GOLDEN = {
     "mdav": "787e822ad90eb65fb2157f8165560d6b16cb0e2fe344fec04a856d5340636a1e",
     "cluster_and_permute": "6b2c347961c60c8e61f91b37c2b76d8c7b061e26e709d6ca5d2fe0b0245329d4",
-    "anatomy": "90f1f18b2828caf2964b91408d407464d6bcf09a3d0e67ceb5c79b692c842411",
+    "anatomy": "791066a61eeaa2e7f495947ba27f4c2f77e8680afa0a0c8dc63173ef7c5d9255",
     "generalization": "6771e0e70dad20344f1e6375c398008d5448a7682035f5a6cfa5cb66f6b5c637",
     "dp_microdata": "ac5dd9dd8ffbc1bc278af72b6cf7086414f88dba6d82263b4f31457db616ec8d",
     "minimal_generalization": "254f947eca7cadfdabdb8f38e7c7352005932282ae275dcd7d3c6b392d315642",

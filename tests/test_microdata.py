@@ -559,7 +559,8 @@ def test_write_read_anatomy_release_round_trip(tmp_path, people_table):
     assert [p.name for p in written] == ["release_qi.csv", "release_conf.csv", "release.provenance.json"]
     sidecar = json.loads((tmp_path / "release.provenance.json").read_text())
     assert {"schema_qi", "schema_conf"} <= set(sidecar)
-    assert not {"schema", "partition", "row_ids"} & set(sidecar)
+    assert not {"schema", "partition"} & set(sidecar)
+    assert sidecar["row_ids"] == [int(i) for i in rel.table.row_ids]
 
     back = read_release(tmp_path)
     assert back.table.equals(rel.table)
@@ -568,6 +569,17 @@ def test_write_read_anatomy_release_round_trip(tmp_path, people_table):
     assert list(back.conf_table.row_ids) == list(rel.conf_table.row_ids)
     assert back.partition == rel.partition
     assert back.provenance == rel.provenance
+
+
+def test_anatomy_read_back_keeps_row_ids_for_the_attacks(tmp_path):
+    table = build_people_table(seed=1, n=40).take(range(10, 40))  # row ids 10..39
+    rel = anatomize(table, mdav_partition(table, ["age", "zip", "height"], 5), 5, 0)
+    write_release(rel, tmp_path)
+    back = read_release(tmp_path)
+    assert list(back.table.row_ids) == list(range(10, 40))
+    in_memory = attribute_inference_attack(rel, "diagnosis", table)
+    assert attribute_inference_attack(back, "diagnosis", table).details == in_memory.details
+    assert in_memory.success_rate == pytest.approx(0.413, abs=5e-4)
 
 
 def _flu_hiv_anatomy(directory):
