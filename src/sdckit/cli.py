@@ -9,22 +9,18 @@ risk-utility frontier. The default seed comes from SDCKIT_SEED.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
 from .accounting import BudgetLedger
-from .attacks import (
-    attribute_inference_attack,
-    downcoding_attack,
-    intersection_attack,
-    linkage_attack,
-)
+from .attacks import intersection_attack
 from .errors import SdcError
 from .microdata import json_dumps, read_hierarchies, read_release, read_table, write_text
 from .probkanon import PERMUTE_MODES
-from .reporting import MECHANISMS, RunConfig, run, sweep, utility_report
+from .reporting import MECHANISMS, RunConfig, run, run_attack, sweep, utility_report
 
 
 def _default_seed() -> int:
@@ -37,22 +33,30 @@ def _add_common_data_args(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=_default_seed())
 
 
+def _add_run_args(p: argparse.ArgumentParser):
+    """The data and mechanism arguments that anonymize and sweep share."""
+    _add_common_data_args(p)
+    p.add_argument("--mechanism", default="mdav", choices=MECHANISMS)
+    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--hierarchies", default=None, help="hierarchy json file")
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--permute-mode", dest="permute_mode", default="vector", choices=PERMUTE_MODES)
+
+
+def _run_config(args, **fields) -> RunConfig:
+    """A RunConfig from the arguments of ``_add_run_args`` and the given fields."""
+    return RunConfig(
+        data_csv=args.data, schema_json=args.schema, mechanism=args.mechanism, epsilon=args.epsilon,
+        hierarchies_json=args.hierarchies, attack_trials=args.trials, permute_mode=args.permute_mode,
+        seed=args.seed, **fields,
+    )
+
+
 def _cmd_anonymize(args) -> int:
-    config = RunConfig(
-        data_csv=args.data,
-        schema_json=args.schema,
-        mechanism=args.mechanism,
-        k=args.k,
-        epsilon=args.epsilon,
-        l_floor=args.l_floor,
-        t_ceiling=args.t_ceiling,
-        conf_attribute=args.conf,
-        hierarchies_json=args.hierarchies,
+    config = _run_config(
+        args, k=args.k, l_floor=args.l_floor, t_ceiling=args.t_ceiling, conf_attribute=args.conf,
         attacks=tuple(args.attacks.split(",")) if args.attacks else (),
-        attack_trials=args.trials,
-        permute_mode=args.permute_mode,
         max_suppression_fraction=args.max_suppression,
-        seed=args.seed,
     )
     code = run(config, args.out)
     print((Path(args.out) / "summary.txt").read_text(encoding="utf-8"), end="")
@@ -65,25 +69,24 @@ def _cmd_attack(args) -> int:
         releases = [read_release(d) for d in args.release]
         report = intersection_attack(releases)
     else:
-        release = read_release(args.release[0])
-        table = read_table(args.data, args.schema)
-        if args.attack == "linkage":
-            report = linkage_attack(release, table, trials=args.trials, rng_seed=args.seed)
-        elif args.attack == "attribute_inference":
-            if not args.conf:
-                raise SdcError("attribute_inference needs --conf")
-            report = attribute_inference_attack(release, args.conf, table)
-        elif args.attack == "downcoding":
-            if not args.hierarchies:
-                raise SdcError("downcoding needs --hierarchies")
-            report = downcoding_attack(release, read_hierarchies(args.hierarchies))
-        else:
-            raise SdcError(
-                f"attack {args.attack!r} is not file-drivable; use the library interface"
-            )
-    outdir.mkdir(parents=True, exist_ok=True)
+        report, note = run_attack(
+            args.attack, read_release(args.release[0]), read_table(args.data, args.schema),
+            trials=args.trials, seed=args.seed, conf_attribute=args.conf,
+            hierarchies=read_hierarchies(args.hierarchies) if args.hierarchies else None,
+        )
+        if report is None:
+            raise SdcError(note)
+    text = json_dumps(report.to_json())
     path = outdir / f"attack_{args.attack}.json"
-    write_text(path, json_dumps(report.to_json()))
+    manifest = outdir / "manifest.json"
+    # a run directory's manifest covers its attack reports: never rewrite one with other bytes
+    hashes = json.loads(manifest.read_text(encoding="utf-8")) if manifest.exists() else {}
+    if not isinstance(hashes, dict):
+        raise SdcError(f"{manifest} is not a json object")
+    if path.name in hashes and hashes[path.name] != hashlib.sha256(text.encode("utf-8")).hexdigest():
+        raise SdcError(f"{path} is listed in {manifest} with other bytes; pass --out to write the report elsewhere")
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_text(path, text)
     print(
         f"{args.attack}: rate={report.success_rate:.6g}"
         f" wilson=[{report.wilson[0]:.6g},{report.wilson[1]:.6g}]"
@@ -129,18 +132,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = RunConfig(
-        data_csv=args.data,
-        schema_json=args.schema,
-        mechanism=args.mechanism,
-        epsilon=args.epsilon,
-        hierarchies_json=args.hierarchies,
-        attack_trials=args.trials,
-        permute_mode=args.permute_mode,
-        seed=args.seed,
-    )
     values = [float(v) if args.parameter == "epsilon" else int(v) for v in args.values.split(",")]
-    rows = sweep(config, args.parameter, values, outdir=args.out)
+    rows = sweep(_run_config(args), args.parameter, values, outdir=args.out)
     for row in rows:
         print(json.dumps(row, sort_keys=True))
     return 0
@@ -153,18 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("anonymize", help="build a release and verify its guarantees")
-    _add_common_data_args(p)
+    _add_run_args(p)
     p.add_argument("--out", required=True, help="artifact directory")
-    p.add_argument("--mechanism", default="mdav", choices=MECHANISMS)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--l-floor", dest="l_floor", type=float, default=None)
     p.add_argument("--t-ceiling", dest="t_ceiling", type=float, default=None)
     p.add_argument("--conf", default=None, help="confidential attribute for l/t checks")
-    p.add_argument("--hierarchies", default=None, help="hierarchy json file")
     p.add_argument("--attacks", default="linkage", help="comma list, empty for none")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--permute-mode", dest="permute_mode", default="vector", choices=PERMUTE_MODES)
     p.add_argument("--max-suppression", dest="max_suppression", type=float, default=0.0)
     p.set_defaults(func=_cmd_anonymize)
 
@@ -195,14 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("sweep", help="risk-utility frontier over k or epsilon")
-    _add_common_data_args(p)
-    p.add_argument("--mechanism", default="mdav", choices=MECHANISMS)
+    _add_run_args(p)
     p.add_argument("--parameter", choices=["k", "epsilon"], default="k")
     p.add_argument("--values", required=True, help="comma separated values")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--hierarchies", default=None)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--permute-mode", dest="permute_mode", default="vector", choices=PERMUTE_MODES)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -196,6 +196,15 @@ class ClassValues:
         """EMD from the values at ``rows`` to the whole column."""
         return float(self.distances([rows])[0])
 
+    def l_diversities(self, classes: Sequence[Sequence[int]], variant: str = "distinct") -> np.ndarray:
+        """``l_diversity`` of each class, from the nonzero cells of its count-matrix row."""
+        out = []
+        for _, counts in class_counts(classes, self.codes, len(self.support)):
+            kept = counts[counts > 0].tolist()  # row by row, so each class's counts are a slice
+            ends = np.cumsum(np.count_nonzero(counts, axis=1)).tolist()
+            out += [_l_of_counts(kept[lo:hi], variant) for lo, hi in zip([0, *ends], ends)]
+        return np.asarray(out, dtype=float)
+
 
 # --------------------------------------------------------------------------
 # l-diversity
@@ -209,16 +218,19 @@ def l_diversity(class_values: Sequence, variant: str = "distinct") -> float:
     entropy (natural log), which equals the distinct count exactly when the
     class distribution is uniform and is strictly smaller otherwise.
     """
-    values = list(class_values)
-    if not values:
+    counts = list(Counter(class_values).values())
+    if not counts:
         raise EmptyClass("class has no records")
+    return _l_of_counts(counts, variant)
+
+
+def _l_of_counts(counts: Sequence[int], variant: str) -> float:
+    """l of one class from its values' positive counts, in any order (``fsum`` is exact)."""
     if variant == "distinct":
-        return float(len(set(values)))
+        return float(len(counts))
     if variant == "entropy":
-        counts = Counter(values)
-        n = len(values)
-        h = -math.fsum((c / n) * math.log(c / n) for c in counts.values())
-        return math.exp(h)
+        n = sum(counts)
+        return math.exp(-math.fsum((c / n) * math.log(c / n) for c in counts))
     raise ValueError(f"unknown l-diversity variant {variant!r}")
 
 
@@ -283,21 +295,22 @@ def enforce_models(
     partition = mdav_partition(table, qi_attributes, k)
     (space,) = MixedSpace.from_tables([table], list(qi_attributes))
 
-    def failing_constraint(gi: int, closeness) -> str | None:
+    def failing_constraint(gi: int, diversity, closeness) -> str | None:
         if partition.sizes[gi] < k:
             return "k_anonymity"
-        if l is not None and l_diversity([conf.values[i] for i in partition[gi]], variant) < l:
+        if l is not None and diversity()[gi] < l:
             return "l_diversity"
         if t is not None and closeness()[gi] > t:
             return "t_closeness"
         return None
 
     while True:
-        # every class's distance from one count matrix, taken when first needed
+        # every class's diversity and distance from one count matrix, taken when first needed
+        diversity = functools.cache(lambda: conf.l_diversities(partition, variant))
         closeness = functools.cache(lambda: conf.distances(partition))
         violation = None
         for gi in range(len(partition)):
-            constraint = failing_constraint(gi, closeness)
+            constraint = failing_constraint(gi, diversity, closeness)
             if constraint:
                 violation = (gi, constraint)
                 break

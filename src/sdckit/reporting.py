@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,8 +27,8 @@ from .attacks import (
 from .confmodels import (
     CATEGORICAL_UNIFORM,
     ORDERED_NUMERIC,
+    ClassValues,
     emd_rows,
-    l_diversity,
     verify_t_closeness,
 )
 from .dp import Query, answer_query, dp_microdata_release
@@ -213,13 +214,10 @@ def _build_release(config: RunConfig, table: MicrodataTable, hierarchies):
         return release, None
     if config.mechanism == "cluster_and_permute":
         partition = mdav_partition(table, qi, config.k)
-        release = cluster_and_permute(
-            table, qi, config.k, mech_seed, mode=config.permute_mode, partition=partition
-        )
         factory = lambda s: cluster_and_permute(
             table, qi, config.k, s, mode=config.permute_mode, partition=partition
         )
-        return release, factory
+        return factory(mech_seed), factory
     if config.mechanism == "anatomy":
         partition = mdav_partition(table, qi, config.k)
         return anatomize(table, partition, config.k, mech_seed), None
@@ -233,9 +231,8 @@ def _build_release(config: RunConfig, table: MicrodataTable, hierarchies):
         return release, None
     if config.epsilon is None:
         raise ValueError("dp_microdata needs an epsilon")
-    release = dp_microdata_release(table, config.epsilon, mech_seed)
     factory = lambda s: dp_microdata_release(table, config.epsilon, s)
-    return release, factory
+    return factory(mech_seed), factory
 
 
 def _run_checks(config: RunConfig, table, release, factory):
@@ -273,8 +270,7 @@ def _run_checks(config: RunConfig, table, release, factory):
         else:
             conf_table, classes = release.class_table(conf)
             if config.l_floor is not None:
-                values = conf_table.columns[conf]
-                worst = min(l_diversity([values[i] for i in g], config.l_variant) for g in classes)
+                worst = float(ClassValues.of(conf_table, conf).l_diversities(classes, config.l_variant).min())
                 checks.append(
                     ("l_diversity", worst >= config.l_floor, f"worst_l={worst:.6g} floor={config.l_floor:.6g}")
                 )
@@ -286,35 +282,54 @@ def _run_checks(config: RunConfig, table, release, factory):
     return checks
 
 
-def _run_attacks(config: RunConfig, table, release, factory, hierarchies):
-    reports: dict[str, AttackReport] = {}
-    notes: list[str] = []
-    attack_seed = derive_seed(config.seed, "attack", 0)
-    for name in config.attacks:
-        if name == "linkage":
-            target = factory or release
-            reports[name] = linkage_attack(
-                target, table, trials=config.attack_trials, rng_seed=attack_seed
-            )
-        elif name == "attribute_inference":
-            if not config.conf_attribute:
-                notes.append("attribute_inference skipped: no confidential attribute configured")
-                continue
-            if release.partition is None:
-                notes.append("attribute_inference skipped: release carries no class structure")
-                continue
-            reports[name] = attribute_inference_attack(release, config.conf_attribute, table)
-            unscored = table.n_rows - reports[name].trials
-            if unscored:
-                notes.append(f"attribute_inference: {unscored} suppressed records not scored")
-        elif name == "downcoding":
-            if config.mechanism != "minimal_generalization":
-                notes.append("downcoding skipped: release did not come from the minimal recoder")
-                continue
-            reports[name] = downcoding_attack(release, hierarchies)
-        else:
-            notes.append(f"{name} skipped: not runnable in single-release mode")
-    return reports, notes
+def run_attack(
+    name: str, release, table: MicrodataTable, *, trials: int, seed: int,
+    factory=None, conf_attribute: str | None = None, hierarchies=None,
+) -> tuple[AttackReport | None, str | None]:
+    """One attack on one release, as ``run()`` and ``sdckit attack`` run it: ``(report,
+    remark or None)``, or ``(None, why it was skipped)``. Linkage attacks ``factory``
+    (a ``seed -> release`` mechanism redrawn per trial) if given, else the release."""
+    if name == "linkage":
+        rng_seed = derive_seed(seed, "attack", 0)
+        return linkage_attack(factory or release, table, trials=trials, rng_seed=rng_seed), None
+    if name == "attribute_inference":
+        if not conf_attribute:
+            return None, "attribute_inference skipped: no confidential attribute configured"
+        if release.partition is None:
+            return None, "attribute_inference skipped: release carries no class structure"
+        report = attribute_inference_attack(release, conf_attribute, table)
+        unscored = table.n_rows - report.trials
+        return report, f"attribute_inference: {unscored} suppressed records not scored" if unscored else None
+    if name == "downcoding":
+        if release.provenance.mechanism != "minimal_generalization":
+            return None, "downcoding skipped: release did not come from the minimal recoder"
+        if not hierarchies:
+            return None, "downcoding skipped: no hierarchies given"
+        return downcoding_attack(release, hierarchies), None
+    return None, f"{name} skipped: not runnable in single-release mode"
+
+
+def _evaluate(config: RunConfig, table: MicrodataTable, hierarchies):
+    """Build, check, attack and score one release: everything ``run()`` writes
+    and ``sweep`` tabulates. Returns (release, checks, attack reports, notes,
+    utility report, ledger)."""
+    release, factory = _build_release(config, table, hierarchies)
+    checks = _run_checks(config, table, release, factory)
+    attacked = [
+        (name, *run_attack(name, release, table, trials=config.attack_trials, seed=config.seed, factory=factory,
+                           conf_attribute=config.conf_attribute, hierarchies=hierarchies))
+        for name in config.attacks
+    ]
+    reports = {name: report for name, report, _ in attacked if report is not None}
+    notes = [note for _, _, note in attacked if note]
+    utility = utility_report(table, release)
+
+    ledger = BudgetLedger()
+    if config.mechanism == "dp_microdata":
+        ledger.record_dp("dp_microdata", config.epsilon, notes=f"seed={config.seed}")
+    else:
+        ledger.record_syntactic(config.mechanism, notes=f"k={config.k}")
+    return release, checks, reports, notes, utility, ledger
 
 
 def run(config: RunConfig, outdir: str | Path) -> int:
@@ -326,17 +341,7 @@ def run(config: RunConfig, outdir: str | Path) -> int:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     table, hierarchies = _load_inputs(config)
-    release, factory = _build_release(config, table, hierarchies)
-
-    checks = _run_checks(config, table, release, factory)
-    attack_reports, attack_notes = _run_attacks(config, table, release, factory, hierarchies)
-    utility = utility_report(table, release)
-
-    ledger = BudgetLedger()
-    if config.mechanism == "dp_microdata":
-        ledger.record_dp("dp_microdata", config.epsilon, notes=f"seed={config.seed}")
-    else:
-        ledger.record_syntactic(config.mechanism, notes=f"k={config.k}")
+    release, checks, attack_reports, attack_notes, utility, ledger = _evaluate(config, table, hierarchies)
     budget = ledger.compose()
 
     artifacts: list[Path] = []
@@ -400,39 +405,34 @@ def sweep(
     values: Sequence,
     outdir: str | Path | None = None,
 ) -> list[dict]:
-    """Risk-utility frontier: one linkage-vs-error row per parameter value."""
+    """Risk-utility frontier: per parameter value, the numbers of a ``run()`` at that
+    value (linkage added to its attacks if missing): linkage rate, bound and baseline,
+    SSE, each other attack's rate, each check's PASS, composed epsilon and result."""
     if parameter not in ("k", "epsilon"):
         raise ValueError("sweep parameter must be 'k' or 'epsilon'")
+    if "linkage" not in config.attacks:
+        config = dataclasses.replace(config, attacks=("linkage", *config.attacks))
     table, hierarchies = _load_inputs(config)
     rows = []
     for value in values:
-        if parameter == "k":
-            cfg = dataclasses.replace(config, k=int(value))
-        else:
-            cfg = dataclasses.replace(config, epsilon=float(value))
-        release, factory = _build_release(cfg, table, hierarchies)
-        target = factory or release
-        attack = linkage_attack(
-            target, table, trials=cfg.attack_trials, rng_seed=derive_seed(cfg.seed, "attack", 0)
-        )
-        utility = utility_report(table, release)
-        rows.append(
-            {
-                parameter: value,
-                "linkage_rate": attack.success_rate,
-                "linkage_ucb": attack.wilson[1],
-                "baseline": attack.baseline,
-                "sse_raw": utility.sse_raw,
-                "sse_standardized": utility.sse_standardized,
-            }
-        )
+        cfg = dataclasses.replace(config, **{parameter: int(value) if parameter == "k" else float(value)})
+        _, checks, reports, _, utility, ledger = _evaluate(cfg, table, hierarchies)
+        linkage = reports["linkage"]
+        row = {parameter: value, "linkage_rate": linkage.success_rate, "linkage_ucb": linkage.wilson[1],
+               "baseline": linkage.baseline, "sse_raw": utility.sse_raw, "sse_standardized": utility.sse_standardized}
+        row.update((f"{name}_rate", r.success_rate) for name, r in sorted(reports.items()) if name != "linkage")
+        row.update((f"{name}_pass", ok) for name, ok, _ in checks)
+        budget = ledger.compose()
+        row["budget_epsilon"] = budget.epsilon if budget.defined else None
+        row["result_pass"] = all(ok for _, ok, _ in checks)
+        rows.append(row)
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         write_text(outdir / "sweep.json", json_dumps(rows))
-        header = [parameter, "linkage_rate", "linkage_ucb", "baseline", "sse_raw", "sse_standardized"]
+        header = list(dict.fromkeys(chain([parameter], *rows)))
         csv_lines = [",".join(header)]
         for row in rows:
-            csv_lines.append(",".join(format(row[h], ".10g") if row[h] is not None else "" for h in header))
+            csv_lines.append(",".join("" if row.get(h) is None else format(row[h], ".10g") for h in header))
         write_text(outdir / "sweep.csv", "\r\n".join(csv_lines) + "\r\n")
     return rows

@@ -1,5 +1,6 @@
 """Command line behavior: every subcommand, artifact round trips, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -499,3 +500,111 @@ def test_empty_release_csv_exits_two(people_inputs, tmp_path, capsys):
     rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "1"])
     assert rc == 2
     assert "empty input" in capsys.readouterr().err
+
+
+def _write_inputs(tmp_path, table):
+    data = tmp_path / "t.csv"
+    data.write_bytes(serialize_table(table))
+    schema = tmp_path / "t.schema.json"
+    schema.write_text(json.dumps(schema_to_descriptor(table.schema)), encoding="utf-8")
+    return str(data), str(schema)
+
+
+def _write_hierarchy(tmp_path, h):
+    path = tmp_path / "hier.json"
+    path.write_text(json.dumps([hierarchy_to_json(h)]), encoding="utf-8")
+    return str(path)
+
+
+def _deterministic_run_case(tmp_path, mechanism):
+    """(data, schema, anonymize arguments, attack arguments) of a deterministic run."""
+    conf = ["--conf", "diagnosis"]
+    if mechanism in ("mdav", "anatomy"):
+        data, schema = _write_inputs(tmp_path, build_people_table(seed=4, n=30))
+        return data, schema, ["--mechanism", mechanism, "--k", "5", *conf], conf
+    if mechanism == "generalization":
+        ages = [float(20 + i % 40) for i in range(77)] + [91.0, 95.0, 98.0]
+        attrs = (
+            AttributeSchema("age", "quasi_identifier", NumericKind(0, 99)),
+            AttributeSchema("diagnosis", "confidential", CategoricalKind(("flu", "cold", "none"))),
+        )
+        table = make_table(attrs, {"age": ages, "diagnosis": [("flu", "cold", "none")[i % 3] for i in range(80)]})
+        hier = _write_hierarchy(
+            tmp_path, GeneralizationHierarchy.from_breakpoints("age", 0, 99, [list(range(10, 100, 10))])
+        )
+        extra = ["--k", "4", "--max-suppression", "0.05", "--hierarchies", hier, *conf]
+        return (*_write_inputs(tmp_path, table), ["--mechanism", mechanism, *extra], ["--hierarchies", hier, *conf])
+    attrs = (AttributeSchema("x", "quasi_identifier", NumericKind(1, 10)),)
+    table = make_table(attrs, {"x": [1.0, 1.0, 2.0, 6.0, 9.0, 9.0]})
+    hier = _write_hierarchy(tmp_path, GeneralizationHierarchy.from_breakpoints("x", 1, 10, [[6]]))
+    return (*_write_inputs(tmp_path, table), ["--mechanism", mechanism, "--k", "2", "--hierarchies", hier],
+            ["--hierarchies", hier])
+
+
+@pytest.mark.parametrize(
+    "mechanism, attacks",
+    [
+        ("mdav", ("linkage", "attribute_inference")),
+        ("anatomy", ("linkage", "attribute_inference")),
+        ("generalization", ("linkage", "attribute_inference")),
+        ("minimal_generalization", ("linkage", "downcoding")),
+    ],
+)
+def test_attack_with_the_runs_seed_and_trials_rewrites_its_bytes(tmp_path, capsys, mechanism, attacks):
+    data, schema, anonymize_args, attack_args = _deterministic_run_case(tmp_path, mechanism)
+    rel = tmp_path / "run"
+    common = ["--data", data, "--schema", schema, "--seed", "7", "--trials", "3"]
+    rc = main(["anonymize", *common, "--out", str(rel), "--attacks", ",".join(attacks), *anonymize_args])
+    assert rc in (0, 1)
+    before = {p.name: p.read_bytes() for p in rel.iterdir()}
+    assert {f"attack_{name}.json" for name in attacks} <= set(before)
+    for name in attacks:
+        assert main(["attack", *common, "--release", str(rel), "--attack", name, *attack_args]) == 0
+    assert {p.name: p.read_bytes() for p in rel.iterdir()} == before
+    manifest = json.loads((rel / "manifest.json").read_text())
+    for name, digest in manifest.items():
+        assert hashlib.sha256((rel / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "attack, extra, reason",
+    [
+        ("attribute_inference", [], "attribute_inference skipped: no confidential attribute configured"),
+        ("downcoding", [], "downcoding skipped: release did not come from the minimal recoder"),
+    ],
+)
+def test_attack_skip_reasons_exit_two(people_inputs, tmp_path, capsys, attack, extra, reason):
+    data, schema = people_inputs
+    rel = tmp_path / "rel"
+    assert _anonymize(data, schema, rel, "--k", "5") == 0
+    capsys.readouterr()
+    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--attack", attack, *extra])
+    assert rc == 2
+    assert reason in capsys.readouterr().err
+    assert not (rel / f"attack_{attack}.json").exists()
+
+
+def test_attack_refuses_to_rewrite_a_file_the_manifest_covers(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    rel = tmp_path / "rel"
+    assert _anonymize(data, schema, rel, "--k", "5") == 0
+    saved = (rel / "attack_linkage.json").read_bytes()
+    capsys.readouterr()
+    attack = ["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "9"]
+    assert main(attack) == 2
+    err = capsys.readouterr().err
+    assert "attack_linkage.json" in err and "--out" in err
+    assert (rel / "attack_linkage.json").read_bytes() == saved
+
+    assert main([*attack, "--out", str(tmp_path / "elsewhere")]) == 0
+    assert json.loads((tmp_path / "elsewhere" / "attack_linkage.json").read_text())["trials"] == 9 * 30
+
+
+def test_attack_on_a_directory_whose_manifest_is_not_an_object_exits_two(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    rel = tmp_path / "rel"
+    assert _anonymize(data, schema, rel, "--k", "5") == 0
+    (rel / "manifest.json").write_text("[]", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "4"]) == 2
+    assert "manifest.json is not a json object" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Utility scoring and the end-to-end run/sweep pipeline with its artifact
 directory contract."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -346,3 +347,57 @@ def test_sweep_over_k_writes_frontier(tmp_path):
 
     with pytest.raises(ValueError):
         sweep(cfg, "l_floor", [1, 2])
+
+
+def _summary_numbers(path):
+    """Every number and verdict of a summary.txt, keyed as a sweep row keys them."""
+    found = {}
+    for line in path.read_text().splitlines():
+        head, _, rest = line.partition(": ")
+        fields = dict(f.split("=", 1) for f in rest.split() if "=" in f)
+        if head.startswith("check "):
+            found[f"{head[6:]}_pass"] = rest.startswith("PASS")
+        elif head == "attack linkage":
+            found["linkage_rate"] = fields["rate"]
+            found["linkage_ucb"] = fields["wilson"].strip("[]").split(",")[1]
+            found["baseline"] = fields["baseline"]
+        elif head.startswith("attack "):
+            found[f"{head[7:]}_rate"] = fields["rate"]
+        elif head == "utility":
+            found["sse_raw"], found["sse_standardized"] = fields["sse_raw"], fields["sse_standardized"]
+        elif head == "budget":
+            found["budget_epsilon"] = None if fields["epsilon"] == "undefined" else fields["epsilon"]
+        elif head == "result":
+            found["result_pass"] = rest == "PASS"
+    return found
+
+
+@pytest.mark.parametrize(
+    "table, fields, parameter, values",
+    [
+        (
+            build_people_table(seed=2, n=36),
+            dict(mechanism="mdav", conf_attribute="diagnosis", l_floor=2.0, t_ceiling=0.4,
+                 attacks=("linkage", "attribute_inference")),
+            "k",
+            [3, 5],
+        ),
+        (build_people_table(seed=2, n=36), dict(mechanism="cluster_and_permute"), "k", [2, 5]),
+        (build_numeric_table(seed=2, n=36), dict(mechanism="dp_microdata", epsilon=1.0), "epsilon", [0.5, 4.0]),
+    ],
+    ids=["mdav", "cluster_and_permute", "dp_microdata"],
+)
+def test_each_sweep_row_is_the_summary_of_a_run_at_that_value(tmp_path, table, fields, parameter, values):
+    data, schema = _write_inputs(tmp_path, table)
+    cfg = RunConfig(data_csv=data, schema_json=schema, attack_trials=4, seed=3, **fields)
+    rows = sweep(cfg, parameter, values)
+    assert [row[parameter] for row in rows] == values
+    for value, row in zip(values, rows):
+        out = tmp_path / f"run_{value}"
+        code = run(dataclasses.replace(cfg, **{parameter: value}), out)
+        summary = _summary_numbers(out / "summary.txt")
+        assert set(row) == {parameter, *summary}
+        assert summary["result_pass"] == (code == 0)
+        for key, expected in summary.items():
+            got = row[key]
+            assert (got if isinstance(got, bool) or got is None else format(got, ".6g")) == expected, key
