@@ -164,15 +164,18 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
         raise NoSharedQIs("the release and the external table share no quasi-identifiers")
     rel_space, ext_space = MixedSpace.from_tables([release_table, external_table], shared)
     n_rel, n_ext = rel_space.n, ext_space.n
-    numeric = np.concatenate([rel_space.numeric, ext_space.numeric]) + 0.0  # -0.0 keys as 0.0
-    codes = np.concatenate([rel_space.codes, ext_space.codes])
+    both = MixedSpace.of_columns(
+        n_rel + n_ext,
+        [np.concatenate(pair) + 0.0 for pair in zip(rel_space.num_cols, ext_space.num_cols)],  # -0.0 keys as 0.0
+        [np.concatenate(pair) for pair in zip(rel_space.code_cols, ext_space.code_cols)],
+    )
     # one sort of both tables by QI vector; equal vectors keep row order
-    order = np.lexsort([*codes.T, *numeric.T])
-    num_sorted, codes_sorted = numeric[order], codes[order]
-    new_key = np.ones(order.size, dtype=bool)
-    new_key[1:] = (num_sorted[1:] != num_sorted[:-1]).any(axis=1) | (
-        codes_sorted[1:] != codes_sorted[:-1]
-    ).any(axis=1)
+    order = np.lexsort([*both.code_cols, *both.num_cols])
+    new_key = np.zeros(order.size, dtype=bool)
+    new_key[0] = True
+    for col in both.num_cols + both.code_cols:
+        in_order = col[order]
+        new_key[1:] |= in_order[1:] != in_order[:-1]
     key = np.empty(order.size, dtype=np.int64)
     key[order] = np.cumsum(new_key) - 1
 
@@ -185,12 +188,12 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     vector_of_row = np.empty(n_rel, dtype=np.int64)
     vector_of_row[rel_rows] = np.cumsum(first) - 1
     starts = np.append(np.flatnonzero(first), n_rel)
-    vectors = MixedSpace(numeric[rel_rows[first]], codes[rel_rows[first]])
+    vectors = both.take(rel_rows[first])
     vector_of_key = np.full(int(new_key.sum()), -1, dtype=np.int64)
     vector_of_key[rel_keys[first]] = np.arange(vectors.n)
     # the release vector each external row equals, -1 where it must be scanned
     exact = vector_of_key[key[n_rel:]]
-    if _gap_squares_to_zero(numeric):
+    if any(map(_gap_squares_to_zero, both.num_cols)):
         exact[:] = -1
 
     # each external row's nearest vectors: the one it equals, or its scanned block's minima
@@ -213,10 +216,10 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     return vector_of_row, rel_rows, starts, nearest, bounds
 
 
-def _gap_squares_to_zero(numeric: np.ndarray) -> bool:
-    """Whether two distinct values of one numeric column differ by a gap whose
+def _gap_squares_to_zero(col: np.ndarray) -> bool:
+    """Whether two distinct values of a numeric column differ by a gap whose
     square is 0, so that rows with different vectors can be at distance 0."""
-    gaps = np.diff(np.sort(numeric, axis=0), axis=0)
+    gaps = np.diff(np.sort(col))
     return bool(((gaps != 0) & (gaps * gaps == 0)).any())
 
 

@@ -406,9 +406,11 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
         raise TooFewRows(f"{n} rows cannot form a group of k={k}")
 
     # the live pool: the remaining rows' points in ascending row id order,
-    # compacted once per group, so a distance never gathers rows. It stays
-    # row-major: the centroid's mean then adds rows one at a time, where a
-    # column-major mean adds them pairwise and can differ in the last bit
+    # one 1-D array per attribute, compacted once per group with one boolean
+    # gather per column (``MixedSpace.take``), so a distance never gathers
+    # rows and reads each column without a stride. Moving values leaves their
+    # bits alone, and ``centroid`` adds rows in the order numpy's mean of the
+    # row-major block added them, so every distance and tie is as before
     (pool,) = MixedSpace.from_tables([table], qi)
     ids = np.arange(n, dtype=np.int64)
     groups: list[list[int]] = []
@@ -421,7 +423,7 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
         chosen[np.flatnonzero(d == cut)[: k - np.count_nonzero(chosen)]] = True
         group = ids[chosen].tolist()
         keep = ~chosen
-        pool, ids = MixedSpace(pool.numeric[keep], pool.codes[keep]), ids[keep]
+        pool, ids = pool.take(keep), ids[keep]
         return group
 
     def distances_from(i: int) -> np.ndarray:

@@ -12,12 +12,19 @@ mismatch. A distance adds its terms one attribute at a time, numeric terms
 first, then the mismatches. Distances are squared, which preserves
 nearest/farthest decisions, and may be taken from a block of points at once.
 
+A space stores each attribute as its own contiguous 1-D array, so MDAV
+shrinks its pool of remaining rows with one 1-D gather per column instead of
+copying a 2-D block row by row, and every scan reads a column without a
+stride. A centroid's mean adds in the order numpy's ``mean(axis=0)`` of the
+row-major block did (pairwise for one numeric attribute, row by row for
+more), so distances, ties and partitions are byte for byte what the
+row-major layout gave.
+
 The linkage search is described at ``attacks._nearest_vectors``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,16 +47,35 @@ def zscore(col: np.ndarray, mean: float, std: float) -> np.ndarray:
     return (col - mean) / std
 
 
-@dataclass
 class MixedSpace:
-    """Rows of one table projected onto z-scored numeric and coded categorical blocks.
+    """Rows of one table projected onto z-scored numeric and coded categorical columns.
 
-    A point is a ``(numeric, codes)`` pair: one row's, a centroid's, or a
-    block of rows stacked along a leading axis.
+    A point is a ``(numeric, codes)`` pair of arrays: one row's, a centroid's,
+    or a block of rows stacked along a leading axis. The space itself keeps
+    one contiguous 1-D array per attribute (``num_cols``, then ``code_cols``);
+    ``take`` shrinks it with one 1-D gather per column, which moves values
+    without changing them.
+
+    ``centroid`` averages the rows the way ``mean(axis=0)`` of the row-major
+    n x dn block would: numpy adds an (m, 1) block pairwise and an (m, d)
+    block with d >= 2 one row at a time, so one numeric column is averaged
+    with the pairwise ``mean()`` and two or more with a running sum
+    (``np.add.accumulate``), which adds in row order.
     """
 
-    numeric: np.ndarray  # n x dn, z-scored
-    codes: np.ndarray    # n x dc, integer text codes
+    def __init__(self, numeric, codes):
+        """The space of an n x dn block of z-scores and an n x dc block of text codes."""
+        numeric, codes = np.asarray(numeric), np.asarray(codes)
+        self.n = numeric.shape[0]
+        self.num_cols = list(np.ascontiguousarray(numeric.T))
+        self.code_cols = list(np.ascontiguousarray(codes.T))
+
+    @classmethod
+    def of_columns(cls, n: int, num_cols: list[np.ndarray], code_cols: list[np.ndarray]) -> "MixedSpace":
+        """The space of ``n`` rows given as 1-D numeric and code columns."""
+        space = cls.__new__(cls)
+        space.n, space.num_cols, space.code_cols = n, num_cols, code_cols
+        return space
 
     @classmethod
     def from_tables(
@@ -68,40 +94,55 @@ class MixedSpace:
             else:
                 for out, codes in zip(code_cols, shared_text_codes(tables, name)[1]):
                     out.append(codes)
-        return [
-            cls(
-                numeric=np.column_stack(num) if num else np.zeros((t.n_rows, 0)),
-                codes=np.column_stack(cat) if cat else np.zeros((t.n_rows, 0), dtype=np.intp),
-            )
-            for t, num, cat in zip(tables, num_cols, code_cols)
-        ]
+        return [cls.of_columns(t.n_rows, num, cat) for t, num, cat in zip(tables, num_cols, code_cols)]
 
     @property
-    def n(self) -> int:
-        return self.numeric.shape[0]
+    def numeric(self) -> np.ndarray:
+        """The z-scores as an n x dn block."""
+        return self._rows(self.num_cols, slice(None), float)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The text codes as an n x dc block."""
+        return self._rows(self.code_cols, slice(None), np.intp)
+
+    def _rows(self, cols: list[np.ndarray], i, dtype) -> np.ndarray:
+        """Rows ``i`` of ``cols`` with the columns along the last axis."""
+        return np.array([c[i] for c in cols], dtype).T if cols else np.zeros((self.n, 0), dtype)[i]
 
     def point(self, i) -> tuple[np.ndarray, np.ndarray]:
         """Row ``i``, or a block of rows for a slice or an index array."""
-        return self.numeric[i], self.codes[i]
+        return self._rows(self.num_cols, i, float), self._rows(self.code_cols, i, np.intp)
+
+    def take(self, rows) -> "MixedSpace":
+        """The space of the rows ``rows`` (an index array or a boolean mask), in that order."""
+        rows = np.asarray(rows)
+        n = int(np.count_nonzero(rows)) if rows.dtype == bool else rows.size
+        return self.of_columns(n, [c[rows] for c in self.num_cols], [c[rows] for c in self.code_cols])
 
     def centroid(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
         """Numeric mean plus per-attribute mode (ties broken by smallest text)
         of every row, or of the rows in ``indices``."""
-        num, codes = self.point(slice(None) if indices is None else np.asarray(indices, dtype=np.int64))
-        modes = [np.bincount(codes[:, j]).argmax() for j in range(codes.shape[1])]
-        return num.mean(axis=0), np.asarray(modes, dtype=self.codes.dtype)
+        rows = slice(None) if indices is None else np.asarray(indices, dtype=np.int64)
+        num = [c[rows] for c in self.num_cols]
+        if len(num) == 1:
+            means = [num[0].mean()]  # pairwise, as numpy averages an (m, 1) block
+        else:
+            # row order, as numpy averages an (m, d >= 2) block; its sum starts
+            # from +0.0, so "+ 0.0" turns a column of -0.0 into +0.0 as it does
+            means = [(np.add.accumulate(c)[-1] + 0.0) / c.size for c in num]
+        modes = [np.bincount(c[rows]).argmax() for c in self.code_cols]
+        return np.asarray(means, dtype=float), np.asarray(modes, dtype=np.intp)
 
     def sq_dist_to(self, point, indices=None) -> np.ndarray:
         """Squared distances from one point (or a block of b points) to every
-        row, or to the rows in ``indices``; shape (m,) or (b, m)."""
+        row, or to the rows in the index array ``indices``; shape (m,) or (b, m)."""
         num_point, code_point = (np.asarray(p) for p in point)
-        num = self.numeric if indices is None else self.numeric[indices]
-        codes = self.codes if indices is None else self.codes[indices]
-        d = np.zeros(num_point.shape[:-1] + num.shape[:1])
-        for j in range(num.shape[1]):
-            diff = num[:, j] - num_point[..., j, None]
+        d = np.zeros(num_point.shape[:-1] + (self.n if indices is None else len(indices),))
+        for j, col in enumerate(self.num_cols):
+            diff = (col if indices is None else col[indices]) - num_point[..., j, None]
             diff *= diff
             d += diff
-        for j in range(codes.shape[1]):
-            d += codes[:, j] != code_point[..., j, None]
+        for j, col in enumerate(self.code_cols):
+            d += (col if indices is None else col[indices]) != code_point[..., j, None]
         return d
