@@ -44,7 +44,8 @@ def main() -> int:
     ap.add_argument("--data", help="existing data csv (default: synthesize)")
     ap.add_argument("--schema", help="schema json for --data")
     ap.add_argument("--n", type=int, default=400, help="rows to synthesize")
-    ap.add_argument("--trials", type=int, default=20, help="linkage trials per value")
+    ap.add_argument("--trials", type=int, default=20,
+                    help="linkage draws per value for dp_microdata (the others are exact)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--outdir", default="sweep_out")
     args = ap.parse_args()

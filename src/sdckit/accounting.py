@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidDelta, MalformedLedger, NonPositiveEpsilon, SdcError
+from .microdata import _is_number
 
 EMPIRICAL_CHECK_WARNING = "empirical check required"
 VOID_WARNING = "guarantee mostly void"
@@ -170,11 +171,14 @@ def _parse_entry(line: str) -> LedgerEntry:
         entry = LedgerEntry.from_json(json.loads(line))
     except (ValueError, KeyError, TypeError):
         raise MalformedLedger("not a JSON object with a mechanism and a kind") from None
+    for name, value in (("mechanism", entry.mechanism), ("group", entry.group), ("notes", entry.notes)):
+        if not isinstance(value, str) and not (name == "group" and value is None):
+            raise MalformedLedger(f"field {name!r} must be a string, got {value!r}")
     if entry.kind == "syntactic":
         if entry.epsilon is not None:
             raise MalformedLedger(f"syntactic entry carries an epsilon ({entry.epsilon!r})")
     elif entry.kind == "dp":
-        if not all(isinstance(v, (int, float)) for v in (entry.epsilon, entry.delta)):
+        if not all(map(_is_number, (entry.epsilon, entry.delta))):
             raise MalformedLedger("dp entry needs a numeric epsilon and delta")
         _check_dp(entry.epsilon, entry.delta)
     else:

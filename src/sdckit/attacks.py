@@ -5,6 +5,7 @@ Every attack returns an AttackReport with an aggregate success rate, a Wilson
 95% interval where the rate is a Bernoulli aggregate, and attack-specific
 detail. Attacks measure what an adversary actually achieves against concrete
 releases; they complement, and sometimes contradict, syntactic guarantees.
+Linkage rates are exact probabilities (``_linkage_rates``), also for the verifier.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTabl
 from .seeds import derive_rng, derive_seed
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: float, trials: int, z: float = 1.959963984540054):
+    """Wilson score interval for ``successes`` (a count or an expected count) in ``trials``."""
     if trials <= 0:
         return (0.0, 1.0)
     p = successes / trials
@@ -86,10 +87,9 @@ def link_records(
     on canonical text otherwise. The match is one ``_nearest_vectors`` search,
     which scans in blocks of at most ``_BLOCK_CELLS`` distances (1 MiB),
     followed by one ``_draw_matches`` tie draw. ``linkage_attack`` and the
-    probabilistic-k verifier run the two steps from one trial loop, which
-    searches a fixed release once and draws its ties once per trial, so they
-    do not call this function. Returns the matched release row position per
-    external row.
+    probabilistic-k verifier do not call this function: they take the same
+    search and price its tie draw in closed form (``_linkage_probabilities``).
+    Returns the matched release row position per external row.
     """
     return _draw_matches(_nearest_vectors(release_table, external_table), rng)
 
@@ -223,34 +223,31 @@ def _gap_squares_to_zero(col: np.ndarray) -> bool:
     return bool(((gaps != 0) & (gaps * gaps == 0)).any())
 
 
-def _linkage_successes(release, external_table: MicrodataTable, trials: int, rng_seed: int):
-    """The linkage trial loop: per-external-record success counts over ``trials``.
-
-    ``release`` is a release, a table, or a factory ``seed -> release`` drawn
-    afresh each trial from ``derive_seed(rng_seed, "trial", t, 0)``; trial t
-    breaks ties with ``derive_rng(rng_seed, "attack", t)``. A release or a
-    table is searched once and every trial draws its ties from that search; a
-    factory's release is searched in its own trial. Returns the counts and
-    the last trial's release table.
+def _linkage_rates(release, external_table: MicrodataTable, trials: int, rng_seed: int):
+    """The linkage estimator: ``(sums, draws, last release table)``, where
+    ``sums / max(draws, 1)`` is each external record's linkage probability.
+    A release or a table is scored once by ``_linkage_probabilities`` and has
+    ``draws=0``: its rates are exact, not drawn. A factory ``seed -> release``
+    is drawn ``trials`` times from ``derive_seed(rng_seed, "trial", t, 0)``,
+    and each draw is scored by it as a fixed table.
     """
-    ext_ids = np.asarray(external_table.row_ids)
-    successes = np.zeros(external_table.n_rows, dtype=np.int64)
-    rel_table = search = None
+    if external_table.n_rows == 0:
+        raise ValueError("the external table is empty: there is no record to link")
+    if not callable(release):
+        return _linkage_probabilities(release, external_table), 0, as_table(release)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    sums = np.zeros(external_table.n_rows)
     for t in range(trials):
-        # only the tie draws differ between trials on a fixed release
-        if callable(release) or search is None:
-            rel = release(derive_seed(rng_seed, "trial", t, 0)) if callable(release) else release
-            rel_table = as_table(rel)
-            search = _nearest_vectors(rel_table, external_table)
-        pos = _draw_matches(search, derive_rng(rng_seed, "attack", t))
-        successes += np.asarray(rel_table.row_ids)[pos] == ext_ids
-    return successes, rel_table
+        rel_table = as_table(release(derive_seed(rng_seed, "trial", t, 0)))
+        sums += _linkage_probabilities(rel_table, external_table)
+    return sums, trials, rel_table
 
 
 def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarray:
     """Per-external-record probability that ``link_records`` matches the
-    release row carrying the record's id: the exact value that
-    ``_linkage_successes`` estimates, for a release whose randomness is known.
+    release row carrying the record's id, for a release whose randomness is
+    known.
 
     A fixed release, or a bare table, is random only in its tie draws. A
     vector-mode ``cluster_and_permute`` release is also random in its
@@ -281,9 +278,9 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
     passes a factory for Monte Carlo trials instead.
     """
     rel_table = as_table(release)
-    # each row is a class of its own unless the release permuted whole
-    # vectors within the classes of its partition
-    class_of_row, class_sizes = np.arange(rel_table.n_rows), np.ones(rel_table.n_rows, dtype=np.int64)
+    # None: each row is a class of its own, as the release did not permute
+    # whole vectors within the classes of a partition
+    partition = None
     provenance = getattr(release, "provenance", None)
     if provenance is not None and provenance.mechanism == "cluster_and_permute":
         mode = provenance.params.get("mode")
@@ -296,20 +293,24 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
                 f"release that permuted every shared quasi-identifier (mode {mode!r}, "
                 f"not permuted: {unpermuted}); pass a seed -> release factory instead"
             )
-        class_of_row, class_sizes = release.partition.labels, release.partition.sizes
+        partition = release.partition
     vector_of_row, _, starts, nearest, bounds = _nearest_vectors(rel_table, external_table)
+    target = row_positions(rel_table, external_table.row_ids)
+    # C_e summed over e's entries of ``nearest``
+    total = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
+    if partition is None:
+        # |g_e| = 1, and m_e is whether the row with e's id carries one of V_e
+        target_vector = np.where(target >= 0, vector_of_row[target], -1)
+        return np.logical_or.reduceat(np.repeat(target_vector, np.diff(bounds)) == nearest, bounds[:-1]) / total
     n_vectors = starts.size - 1
     # rows per (class, vector), keyed by class * n_vectors + vector
-    pair_keys, pair_counts = np.unique(class_of_row * n_vectors + vector_of_row, return_counts=True)
-
-    target = row_positions(rel_table, external_table.row_ids)
-    target_class = np.where(target >= 0, class_of_row[target], -1)
-    # m_e and C_e summed over e's entries of ``nearest``
+    pair_keys, pair_counts = np.unique(partition.labels * n_vectors + vector_of_row, return_counts=True)
+    target_class = np.where(target >= 0, partition.labels[target], -1)
+    # m_e summed over e's entries of ``nearest``
     keys = np.repeat(target_class, np.diff(bounds)) * n_vectors + nearest
     at = np.minimum(np.searchsorted(pair_keys, keys), pair_keys.size - 1)
     hits = np.add.reduceat(np.where(pair_keys[at] == keys, pair_counts[at], 0), bounds[:-1])
-    total = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
-    return np.where(target_class >= 0, hits / (class_sizes[target_class] * total), 0.0)
+    return np.where(target_class >= 0, hits / (partition.sizes[target_class] * total), 0.0)
 
 
 def linkage_attack(
@@ -320,33 +321,37 @@ def linkage_attack(
 ) -> AttackReport:
     """Re-identification by nearest-neighbor linkage against known records.
 
-    ``release`` may be a finished release, a bare table, or a factory
-    ``seed -> release`` that is re-randomized on every trial. Success for one
-    external record means the matched release row carries that record's id.
-    Each trial matches as ``link_records`` does, but a finished release or
-    table is searched for nearest vectors once and each trial only draws its
-    ties from that search; a factory's release is searched every trial. The
-    search holds at most ``_BLOCK_CELLS`` (2**17) distances, 1 MiB, at once.
-    ``verify_probabilistic_k`` runs the same trials for a factory.
+    A record's rate is the exact probability that ``link_records`` matches
+    the release row carrying its id (``_linkage_rates``, which the verifier
+    reads too): for a release or a bare table, over its tie draws (and the
+    permutation of a vector-mode ``cluster_and_permute`` release); for a
+    factory ``seed -> release``, the mean over ``trials`` draws. A
+    ``per_attribute`` release, or one that left a shared QI in place, raises
+    ``ValueError``.
+
+    The report's ``trials`` is records times draws (one draw for a release),
+    and its Wilson interval counts the summed probabilities as successes in
+    those trials. For a release the rates carry no estimation error, so the
+    interval measures the spread of the rate over the sampled records; the
+    verifier, which bounds one record's exact rate, collapses it instead.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    successes, rel_table = _linkage_successes(release, external_table, trials, rng_seed)
+    sums, draws, rel_table = _linkage_rates(release, external_table, trials, rng_seed)
+    draws = max(draws, 1)
     n_ext = external_table.n_rows
     n_rel = rel_table.n_rows
-    hits = int(successes.sum())
-    total = trials * n_ext
+    expected = float(sums.sum())
+    total = draws * n_ext
     return AttackReport(
         attack="linkage",
-        success_rate=hits / total,
-        wilson=wilson_interval(hits, total),
+        success_rate=expected / total,
+        wilson=wilson_interval(expected, total),
         trials=total,
         baseline=1.0 / n_rel if n_rel else None,
         details={
             "shared_qis": [n for n in external_table.qi_names if n in rel_table.qi_names],
             "n_release_rows": n_rel,
             "n_external_rows": n_ext,
-            "per_record_rates": (successes / trials).tolist(),
+            "per_record_rates": (sums / draws).tolist(),
         },
     )
 

@@ -30,12 +30,12 @@ def _default_seed() -> int:
 def _add_common_data_args(p: argparse.ArgumentParser):
     p.add_argument("--data", required=True, help="input microdata csv")
     p.add_argument("--schema", required=True, help="schema descriptor json")
-    p.add_argument("--seed", type=int, default=_default_seed())
 
 
 def _add_run_args(p: argparse.ArgumentParser):
     """The data and mechanism arguments that anonymize and sweep share."""
     _add_common_data_args(p)
+    p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--mechanism", default="mdav", choices=MECHANISMS)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--hierarchies", default=None, help="hierarchy json file")
@@ -71,7 +71,7 @@ def _cmd_attack(args) -> int:
     else:
         report, note = run_attack(
             args.attack, read_release(args.release[0]), read_table(args.data, args.schema),
-            trials=args.trials, seed=args.seed, conf_attribute=args.conf,
+            conf_attribute=args.conf,
             hierarchies=read_hierarchies(args.hierarchies) if args.hierarchies else None,
         )
         if report is None:
@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="linkage",
         choices=["linkage", "attribute_inference", "intersection", "downcoding"],
     )
-    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--conf", default=None)
     p.add_argument("--hierarchies", default=None)
     p.add_argument("--out", default=None)

@@ -677,10 +677,13 @@ def hierarchy_from_json(doc: Mapping[str, Any] | str) -> GeneralizationHierarchy
     """A hierarchy from its JSON form: an ``attribute`` plus either a ``tree``
     (an object with one root whose nodes are objects or null) or ``intervals``
     (an object with numbers ``min`` and ``max`` and ``cuts``, a list of lists
-    of numbers). A section of another shape raises ValueError naming the
-    attribute and the field."""
+    of numbers). A document that is not an object with a string
+    ``attribute``, or a section of another shape, raises ValueError; a
+    section's error names the attribute and the field."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("attribute"), str):
+        raise ValueError("hierarchy document is not a JSON object with a string 'attribute'")
     attribute = doc["attribute"]
     if "tree" in doc:
         return GeneralizationHierarchy.from_tree(attribute, doc["tree"])
@@ -718,16 +721,16 @@ def hierarchy_to_json(h: GeneralizationHierarchy) -> dict[str, Any]:
 def load_hierarchies(docs: Iterable[Mapping[str, Any] | str]) -> dict[str, GeneralizationHierarchy]:
     """Hierarchies by attribute; each document is a JSON object or its text.
 
-    Raises ValueError for an entry that is not an object with a string
-    ``attribute`` and for a second hierarchy of one attribute.
+    Raises ValueError, naming the entry's index, for an entry that
+    ``hierarchy_from_json`` rejects and for a second hierarchy of one
+    attribute.
     """
     out: dict[str, GeneralizationHierarchy] = {}
     for i, doc in enumerate(docs):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        if not isinstance(doc, Mapping) or not isinstance(doc.get("attribute"), str):
-            raise ValueError(f"hierarchy entry {i} is not a JSON object with a string 'attribute'")
-        h = hierarchy_from_json(doc)
+        try:
+            h = hierarchy_from_json(doc)
+        except ValueError as e:
+            raise ValueError(f"hierarchy entry {i}: {e}") from None
         if h.attribute in out:
             raise ValueError(f"hierarchy entry {i} is a second hierarchy for {h.attribute!r}")
         out[h.attribute] = h

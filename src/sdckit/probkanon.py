@@ -4,8 +4,8 @@ The semantic target is that any linkage strategy succeeds with probability at
 most 1/k per record. Permuting whole QI vectors uniformly inside groups of at
 least k records achieves it while preserving every QI marginal exactly. The
 verifier computes nearest-neighbour linkage rates in closed form for a given
-release (fixed, or vector-permuted within its groups) and falls back to Monte
-Carlo trials only for an opaque mechanism given as a seed -> release factory.
+release (fixed, or vector-permuted within its groups), and averages them over
+the draws of an opaque mechanism given as a seed -> release factory.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attacks import _linkage_probabilities, _linkage_successes, wilson_interval
+from .attacks import _linkage_rates, wilson_interval
 from .errors import GroupTooSmall
 from .kanon import mdav_partition
 from .microdata import (
@@ -168,41 +168,35 @@ def verify_probabilistic_k(
     """Bound per-record linkage success against a release, exactly where the
     release's randomness is known and by Monte Carlo otherwise.
 
-    A release or a bare table takes the closed form: each record's exact
+    The rates are ``linkage_attack``'s (``attacks._linkage_rates``). A
+    release or a bare table takes the closed form: each record's exact
     probability of being linked to the row that carries its id, from one
-    nearest-vector search (``attacks._linkage_probabilities``). That covers
-    fixed releases, where only the tie draws are random, and vector-mode
-    ``cluster_and_permute`` releases, whose whole QI vectors are permuted
-    uniformly inside each class of their partition. The report then has
-    ``trials=0`` and a Wilson interval collapsed to the maximum rate. A
-    ``cluster_and_permute`` release that left a QI of ``external_table`` in
-    place, or permuted per attribute, raises ``ValueError``: its linkage
-    rates depend on the draw, so pass a factory instead.
+    nearest-vector search. That covers fixed releases, where only the tie
+    draws are random, and vector-mode ``cluster_and_permute`` releases, whose
+    whole QI vectors are permuted uniformly inside each class of their
+    partition. The report then has ``trials=0`` and a Wilson interval
+    collapsed to the maximum rate. A ``cluster_and_permute`` release that
+    left a QI of ``external_table`` in place, or permuted per attribute,
+    raises ``ValueError``: its linkage rates depend on the draw, so pass a
+    factory instead.
 
-    A callable seed -> release is an opaque mechanism and is re-drawn each
-    trial. Those trials are ``linkage_attack``'s: the same loop with the same
-    per-trial streams, so for one factory, trial count and seed both report
-    the same per-record rates, and the statistic's interval is the Wilson
-    95% interval of the highest per-record rate. ``trials`` must be at least
-    1 there and is unused for a release.
+    A callable seed -> release is an opaque mechanism, drawn ``trials`` times
+    and each draw scored in closed form as a fixed table; a record's rate is
+    its mean over the draws, and the interval is the Wilson 95% interval of
+    the worst record's summed probabilities in ``trials``. ``trials`` must be
+    at least 1 there and is unused for a release.
 
     PASS requires the upper end of the interval to stay at or below
     1/k + slack.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if callable(release_or_factory):
-        if trials < 1:
-            raise ValueError("trials must be at least 1")
-        successes, _ = _linkage_successes(release_or_factory, external_table, trials, rng_seed)
-        rates = successes / float(trials)
-    else:
-        rates = _linkage_probabilities(release_or_factory, external_table)
-        trials = 0
+    sums, draws, _ = _linkage_rates(release_or_factory, external_table, trials, rng_seed)
+    rates = sums / max(draws, 1)
     ext_ids = [int(r) for r in external_table.row_ids]
     worst = int(np.argmax(rates))
     max_rate = float(rates[worst])
-    interval = wilson_interval(int(successes[worst]), trials) if trials else (max_rate, max_rate)
+    interval = wilson_interval(float(sums[worst]), draws) if draws else (max_rate, max_rate)
     bound = 1.0 / k
     passed = interval[1] <= bound + slack
     return ProbabilisticKReport(
@@ -211,6 +205,6 @@ def verify_probabilistic_k(
         passed=passed,
         bound=bound,
         slack=slack,
-        trials=trials,
+        trials=draws,
         per_record_rates={ext_ids[i]: float(rates[i]) for i in range(len(ext_ids))},
     )

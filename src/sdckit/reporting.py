@@ -170,11 +170,11 @@ class RunConfig:
     conf_attribute: str | None = None
     hierarchies_json: str | None = None
     attacks: tuple[str, ...] = ("linkage",)
+    # Monte Carlo draws of the linkage attack and of the probabilistic-k check,
+    # used only for dp_microdata and permute_mode="per_attribute" (other releases
+    # are scored in closed form); the check bounds a per-record maximum, which
+    # needs many draws before its Wilson band tightens below the allowed slack
     attack_trials: int = 20
-    # Monte Carlo trials of the probabilistic-k check, used only for
-    # permute_mode="per_attribute" (vector mode is checked in closed form);
-    # the check bounds a per-record maximum, which needs many trials before
-    # its Wilson band tightens below the allowed slack
     verify_trials: int = 12000
     permute_mode: str = "vector"
     max_suppression_fraction: float = 0.0
@@ -205,8 +205,8 @@ def _load_inputs(config: RunConfig):
 
 
 def _build_release(config: RunConfig, table: MicrodataTable, hierarchies):
-    """Returns (release, linkage_factory). The factory re-randomizes the
-    mechanism per attack trial; None means the release is deterministic."""
+    """Returns (release, factory): a ``seed -> release`` factory where one release cannot
+    price the mechanism's randomness (per-attribute permutation, DP noise), else None."""
     qi = list(table.qi_names)
     mech_seed = derive_seed(config.seed, "mechanism")
     if config.mechanism == "mdav":
@@ -217,7 +217,7 @@ def _build_release(config: RunConfig, table: MicrodataTable, hierarchies):
         factory = lambda s: cluster_and_permute(
             table, qi, config.k, s, mode=config.permute_mode, partition=partition
         )
-        return factory(mech_seed), factory
+        return factory(mech_seed), factory if config.permute_mode == "per_attribute" else None
     if config.mechanism == "anatomy":
         partition = mdav_partition(table, qi, config.k)
         return anatomize(table, partition, config.k, mech_seed), None
@@ -244,10 +244,8 @@ def _run_checks(config: RunConfig, table, release, factory):
         min_class = min(counts.values()) if counts else 0
         checks.append(("k_anonymity", holds, f"min_class={min_class} k={config.k}"))
     elif config.mechanism == "cluster_and_permute":
-        # a vector-permuted release is checked exactly; per-attribute
-        # permutation is re-drawn by Monte Carlo
         report = verify_probabilistic_k(
-            release if config.permute_mode == "vector" else factory,
+            factory or release,
             table,
             config.k,
             trials=config.verify_trials,
@@ -283,12 +281,13 @@ def _run_checks(config: RunConfig, table, release, factory):
 
 
 def run_attack(
-    name: str, release, table: MicrodataTable, *, trials: int, seed: int,
-    factory=None, conf_attribute: str | None = None, hierarchies=None,
+    name: str, release, table: MicrodataTable, *, factory=None, trials: int = 1, seed: int = 0,
+    conf_attribute: str | None = None, hierarchies=None,
 ) -> tuple[AttackReport | None, str | None]:
     """One attack on one release, as ``run()`` and ``sdckit attack`` run it: ``(report,
     remark or None)``, or ``(None, why it was skipped)``. Linkage attacks ``factory``
-    (a ``seed -> release`` mechanism redrawn per trial) if given, else the release."""
+    (a ``seed -> release`` mechanism drawn ``trials`` times from streams of ``seed``)
+    if given, else the release, whose rates are exact and need neither."""
     if name == "linkage":
         rng_seed = derive_seed(seed, "attack", 0)
         return linkage_attack(factory or release, table, trials=trials, rng_seed=rng_seed), None

@@ -149,6 +149,25 @@ def test_jsonl_rejects_syntactic_entry_with_epsilon():
     _load_with_bad_second_line('{"mechanism": "mdav", "kind": "syntactic", "epsilon": 1.0}', MalformedLedger)
 
 
+def test_jsonl_rejects_bool_numbers():
+    # JSON true is not the number 1: it would compose as epsilon 1.0
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": true}', MalformedLedger)
+    _load_with_bad_second_line('{"mechanism": "q", "kind": "dp", "epsilon": 1, "delta": false}', MalformedLedger)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mechanism", "3"), ("mechanism", "null"), ("group", '["a"]'), ("group", "2"),
+        ("notes", "{}"), ("notes", "null"),
+    ],
+)
+def test_jsonl_rejects_text_fields_that_are_not_strings(field, value):
+    line = '{"mechanism": "q", "kind": "dp", "epsilon": 1, "%s": %s}' % (field, value)
+    with pytest.raises(MalformedLedger, match=f"ledger line 2: field '{field}' must be a string"):
+        BudgetLedger.from_jsonl(_GOOD_LINE + "\n" + line + "\n")
+
+
 def test_jsonl_rejects_lines_that_are_not_json_objects():
     _load_with_bad_second_line("[1, 2]", MalformedLedger)
     _load_with_bad_second_line("not json", MalformedLedger)

@@ -96,7 +96,8 @@ def test_linkage_attack_identity_release_links_everyone():
     report = linkage_attack(release, t, trials=3, rng_seed=0)
     assert report.success_rate == 1.0
     assert report.baseline == pytest.approx(1 / 15)
-    assert report.trials == 45
+    # a release is scored exactly, as one draw: trials counts the records
+    assert report.trials == 15
     assert report.details["per_record_rates"] == [1.0] * 15
     assert report.details["shared_qis"] == ["a", "b", "c"]
 
@@ -110,6 +111,23 @@ def test_linkage_attack_factory_redraws_each_trial():
     assert report.trials == 400
     with pytest.raises(ValueError):
         linkage_attack(factory, t, trials=0)
+
+
+def test_linkage_attack_rejects_a_release_whose_rates_depend_on_its_draw(people_table):
+    qi = list(people_table.qi_names)
+    per_attribute = cluster_and_permute(people_table, qi, 5, rng_seed=1, mode="per_attribute")
+    with pytest.raises(ValueError, match="factory"):
+        linkage_attack(per_attribute, people_table, trials=4)
+    partial = cluster_and_permute(people_table, ["age", "height"], 5, rng_seed=1)
+    with pytest.raises(ValueError, match="factory"):
+        linkage_attack(partial, people_table, trials=4)
+
+
+def test_linkage_attack_names_an_empty_external_table():
+    t = build_numeric_table(seed=2, n=10)
+    for release in (t, lambda s: t):
+        with pytest.raises(ValueError, match="external table is empty"):
+            linkage_attack(release, t.take([]), trials=2)
 
 
 # -- attribute inference ----------------------------------------------------------

@@ -2,22 +2,25 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from sdckit import AttributeSchema, CategoricalKind, GeneralizationHierarchy, NumericKind
+from sdckit import AttributeSchema, CategoricalKind, GeneralizationHierarchy, NumericKind, cluster_and_permute
 from sdckit.cli import build_parser, main
 from sdckit.microdata import (
     hierarchy_to_json,
     make_table,
+    read_table,
     schema_to_descriptor,
     serialize_table,
+    write_release,
 )
 
 from sdckit.probkanon import PERMUTE_MODES
 from sdckit.reporting import MECHANISMS
 
-from conftest import build_people_table
+from conftest import build_numeric_table, build_people_table
 
 
 @pytest.fixture
@@ -66,8 +69,6 @@ def test_anonymize_then_attack_then_report(people_inputs, tmp_path, capsys):
             str(release_dir),
             "--attack",
             "linkage",
-            "--trials",
-            "4",
         ]
     )
     assert rc == 0
@@ -320,6 +321,10 @@ def test_account_rejects_an_invalid_ledger(tmp_path, capsys):
     ledger.write_text('{"mechanism": "q", "kind": "dp", "epsilon": -1.0}\n', encoding="utf-8")
     assert main(["account", "--ledger", str(ledger)]) == 2
     assert "ledger line 1" in capsys.readouterr().err
+    # a group that is not a string would fail only when the ledger composes
+    ledger.write_text('{"mechanism": "q", "kind": "dp", "epsilon": 1.0, "group": ["a"]}\n', encoding="utf-8")
+    assert main(["account", "--ledger", str(ledger)]) == 2
+    assert "ledger line 1: field 'group' must be a string" in capsys.readouterr().err
 
 
 def test_sweep_prints_frontier_rows(people_inputs, tmp_path, capsys):
@@ -388,7 +393,7 @@ def test_attack_on_a_malformed_sidecar_exits_two(people_inputs, tmp_path, capsys
     sidecar = rel / "release.provenance.json"
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "partition": 5}), encoding="utf-8")
     capsys.readouterr()
-    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "1"])
+    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel)])
     assert rc == 2
     assert "sidecar field 'partition'" in capsys.readouterr().err
 
@@ -404,7 +409,7 @@ def test_attack_on_a_sidecar_with_a_malformed_schema_exits_two(people_inputs, tm
     sidecar = rel / "release.provenance.json"
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "schema": schema_doc}), encoding="utf-8")
     capsys.readouterr()
-    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "1"])
+    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel)])
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -476,6 +481,14 @@ def test_mechanism_choices_are_the_run_mechanisms(people_inputs, capsys):
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+def test_only_the_run_commands_take_seed_and_trials():
+    # attack and report score a saved release: nothing of theirs draws
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+    for command, takes in [("anonymize", {"seed", "trials"}), ("sweep", {"seed", "trials"}), ("attack", set()),
+                           ("report", set())]:
+        assert {a.dest for a in subcommands.choices[command]._actions} & {"seed", "trials"} == takes
+
+
 def test_permute_mode_choices_are_the_permutation_modes(people_inputs, tmp_path, capsys):
     assert _choices("anonymize", "permute_mode") == PERMUTE_MODES
     assert _choices("sweep", "permute_mode") == PERMUTE_MODES
@@ -497,7 +510,7 @@ def test_empty_release_csv_exits_two(people_inputs, tmp_path, capsys):
 
     assert main(["report", "--data", data, "--schema", schema, "--release", str(rel)]) == 2
     assert "release.csv: empty input: no header row" in capsys.readouterr().err
-    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "1"])
+    rc = main(["attack", "--data", data, "--schema", schema, "--release", str(rel)])
     assert rc == 2
     assert "empty input" in capsys.readouterr().err
 
@@ -517,9 +530,11 @@ def _write_hierarchy(tmp_path, h):
 
 
 def _deterministic_run_case(tmp_path, mechanism):
-    """(data, schema, anonymize arguments, attack arguments) of a deterministic run."""
+    """(data, schema, anonymize arguments, attack arguments) of a run whose
+    attacks are deterministic: a vector-mode permutation's linkage rate is
+    exact over its permutation, so it does not depend on the published draw."""
     conf = ["--conf", "diagnosis"]
-    if mechanism in ("mdav", "anatomy"):
+    if mechanism in ("mdav", "anatomy", "cluster_and_permute"):
         data, schema = _write_inputs(tmp_path, build_people_table(seed=4, n=30))
         return data, schema, ["--mechanism", mechanism, "--k", "5", *conf], conf
     if mechanism == "generalization":
@@ -548,13 +563,15 @@ def _deterministic_run_case(tmp_path, mechanism):
         ("anatomy", ("linkage", "attribute_inference")),
         ("generalization", ("linkage", "attribute_inference")),
         ("minimal_generalization", ("linkage", "downcoding")),
+        ("cluster_and_permute", ("linkage",)),
     ],
 )
 def test_attack_with_the_runs_seed_and_trials_rewrites_its_bytes(tmp_path, capsys, mechanism, attacks):
     data, schema, anonymize_args, attack_args = _deterministic_run_case(tmp_path, mechanism)
     rel = tmp_path / "run"
-    common = ["--data", data, "--schema", schema, "--seed", "7", "--trials", "3"]
-    rc = main(["anonymize", *common, "--out", str(rel), "--attacks", ",".join(attacks), *anonymize_args])
+    common = ["--data", data, "--schema", schema]
+    rc = main(["anonymize", *common, "--seed", "7", "--trials", "3", "--out", str(rel), "--attacks", ",".join(attacks),
+               *anonymize_args])
     assert rc in (0, 1)
     before = {p.name: p.read_bytes() for p in rel.iterdir()}
     assert {f"attack_{name}.json" for name in attacks} <= set(before)
@@ -584,20 +601,47 @@ def test_attack_skip_reasons_exit_two(people_inputs, tmp_path, capsys, attack, e
     assert not (rel / f"attack_{attack}.json").exists()
 
 
-def test_attack_refuses_to_rewrite_a_file_the_manifest_covers(people_inputs, tmp_path, capsys):
-    data, schema = people_inputs
+def test_attack_refuses_to_rewrite_a_file_the_manifest_covers(tmp_path, capsys):
+    # the run averages linkage over redrawn DP releases, the attack scores the
+    # one published release: other bytes, so the run's report must stay
+    data, schema = _write_inputs(tmp_path, build_numeric_table(seed=4, n=30))
     rel = tmp_path / "rel"
-    assert _anonymize(data, schema, rel, "--k", "5") == 0
+    assert _anonymize(data, schema, rel, "--mechanism", "dp_microdata", "--epsilon", "2") == 0
     saved = (rel / "attack_linkage.json").read_bytes()
     capsys.readouterr()
-    attack = ["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "9"]
+    attack = ["attack", "--data", data, "--schema", schema, "--release", str(rel)]
     assert main(attack) == 2
     err = capsys.readouterr().err
     assert "attack_linkage.json" in err and "--out" in err
     assert (rel / "attack_linkage.json").read_bytes() == saved
 
     assert main([*attack, "--out", str(tmp_path / "elsewhere")]) == 0
-    assert json.loads((tmp_path / "elsewhere" / "attack_linkage.json").read_text())["trials"] == 9 * 30
+    assert json.loads(saved)["trials"] == 4 * 30
+    assert json.loads((tmp_path / "elsewhere" / "attack_linkage.json").read_text())["trials"] == 30
+
+
+def test_attack_on_a_per_attribute_run_exits_two(people_inputs, tmp_path, capsys):
+    # a per-attribute permutation's linkage rates depend on its draw: the
+    # published release alone cannot give them
+    data, schema = people_inputs
+    table = read_table(data, schema)
+    release = cluster_and_permute(table, table.qi_names, 5, rng_seed=1, mode="per_attribute")
+    rel = tmp_path / "rel"
+    write_release(release, rel, "release")
+    assert main(["attack", "--data", data, "--schema", schema, "--release", str(rel)]) == 2
+    assert "pass a seed -> release factory" in capsys.readouterr().err
+    assert not (rel / "attack_linkage.json").exists()
+
+
+def test_attack_with_an_empty_external_table_exits_two(people_inputs, tmp_path, capsys):
+    data, schema = people_inputs
+    rel = tmp_path / "rel"
+    assert _anonymize(data, schema, rel, "--attacks", "") == 0
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(Path(data).read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["attack", "--data", str(header_only), "--schema", schema, "--release", str(rel)]) == 2
+    assert "external table is empty" in capsys.readouterr().err
 
 
 def test_attack_on_a_directory_whose_manifest_is_not_an_object_exits_two(people_inputs, tmp_path, capsys):
@@ -606,5 +650,5 @@ def test_attack_on_a_directory_whose_manifest_is_not_an_object_exits_two(people_
     assert _anonymize(data, schema, rel, "--k", "5") == 0
     (rel / "manifest.json").write_text("[]", encoding="utf-8")
     capsys.readouterr()
-    assert main(["attack", "--data", data, "--schema", schema, "--release", str(rel), "--trials", "4"]) == 2
+    assert main(["attack", "--data", data, "--schema", schema, "--release", str(rel)]) == 2
     assert "manifest.json is not a json object" in capsys.readouterr().err

@@ -104,12 +104,12 @@ CONFIGS = {
 }
 
 GOLDEN = {
-    "mdav": "787e822ad90eb65fb2157f8165560d6b16cb0e2fe344fec04a856d5340636a1e",
-    "cluster_and_permute": "6b2c347961c60c8e61f91b37c2b76d8c7b061e26e709d6ca5d2fe0b0245329d4",
-    "anatomy": "791066a61eeaa2e7f495947ba27f4c2f77e8680afa0a0c8dc63173ef7c5d9255",
-    "generalization": "6771e0e70dad20344f1e6375c398008d5448a7682035f5a6cfa5cb66f6b5c637",
+    "mdav": "8da6d73e4691f087d333a6427d61f83dfb3a2b4a4e64a1af880f06405e2af691",
+    "cluster_and_permute": "aaa5e6d63d8ff757ede61bdeb2e5050770314119fe8e6f82612a5709e8c490e8",
+    "anatomy": "f5c0d42fd682d9f3ab3683e13df8f6018b73e5ba7b3a8b8f6f83ef897fb39c83",
+    "generalization": "871a5b84347c6779e6fd4eae9fe86dd09f5559f8477dd5677ef9e8c79c986132",
     "dp_microdata": "ac5dd9dd8ffbc1bc278af72b6cf7086414f88dba6d82263b4f31457db616ec8d",
-    "minimal_generalization": "254f947eca7cadfdabdb8f38e7c7352005932282ae275dcd7d3c6b392d315642",
+    "minimal_generalization": "1a7c963b1977ad090924696b8f632fc81920df54b089c4657ec8777792db6a61",
 }
 
 

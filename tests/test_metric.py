@@ -1,8 +1,7 @@
 """The shared mixed-attribute metric against frozen copies of the per-module
 distance code it replaced: dense record linkage and the single-table MDAV
-space. Also checks that the probabilistic-k verifier and the linkage attack
-run the same trials, and that searching a fixed release once for all trials
-gives what one full link per trial gave."""
+space. Also checks the linkage rates against an exact dense oracle, and that
+the probabilistic-k verifier and the linkage attack read the same rates."""
 
 from unittest import mock
 
@@ -32,11 +31,11 @@ from conftest import build_people_table
 # -- frozen reference code ----------------------------------------------------------
 
 
-def _oracle_link_records(release_table, external_table, rng):
-    """Dense linkage: the full external x release distance matrix, one
-    attribute at a time, numeric z-scores pooled over both tables. Terms are
-    added in the metric's order, numeric attributes first and mismatches
-    last, so a tie that depends on the last bit of a sum breaks the same way."""
+def _oracle_distances(release_table, external_table):
+    """The full external x release distance matrix, one attribute at a time,
+    numeric z-scores pooled over both tables. Terms are added in the metric's
+    order, numeric attributes first and mismatches last, so a tie that
+    depends on the last bit of a sum breaks the same way."""
     shared = [n for n in external_table.qi_names if n in release_table.qi_names]
     n_rel, n_ext = release_table.n_rows, external_table.n_rows
     dist = np.zeros((n_ext, n_rel))
@@ -59,41 +58,35 @@ def _oracle_link_records(release_table, external_table, rng):
             rel = comparable_text(release_table, name)
             ext = comparable_text(external_table, name)
             dist += (ext[:, None] != rel[None, :]).astype(float)
-    positions = np.empty(n_ext, dtype=np.int64)
-    for i in range(n_ext):
+    return dist
+
+
+def _oracle_link_records(release_table, external_table, rng):
+    """Dense linkage: each external row's nearest release rows in the dense
+    distance matrix, ties broken by one scalar draw per tied row."""
+    dist = _oracle_distances(release_table, external_table)
+    positions = np.empty(external_table.n_rows, dtype=np.int64)
+    for i in range(external_table.n_rows):
         row = dist[i]
         ties = np.flatnonzero(row == row.min())
         positions[i] = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
     return positions
 
 
-def _frozen_link_records(release_table, external_table, rng):
-    """``link_records`` as it was when every trial ran the whole search: one
-    scalar ``rng.integers`` call per tied row, and one sort per row with
-    several nearest vectors."""
-    _, rel_rows, starts, nearest, bounds = attacks._nearest_vectors(release_table, external_table)
-    tie_counts = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
-    pick = np.zeros(tie_counts.size, dtype=np.int64)
-    tied = np.flatnonzero(tie_counts > 1)
-    pick[tied] = [rng.integers(c) for c in tie_counts[tied].tolist()]
-    positions = rel_rows[starts[nearest[bounds[:-1]]] + pick]
-    for e in np.flatnonzero(np.diff(bounds) > 1):
-        runs = [rel_rows[starts[v] : starts[v + 1]] for v in nearest[bounds[e] : bounds[e + 1]]]
-        positions[e] = np.sort(np.concatenate(runs))[pick[e]]
-    return positions
-
-
-def _frozen_linkage_successes(release, external_table, trials, rng_seed):
-    """The linkage trial loop with one full link per trial, fixed release or not."""
-    ext_ids = np.asarray(external_table.row_ids)
-    successes = np.zeros(external_table.n_rows, dtype=np.int64)
-    rel_table = None
-    for t in range(trials):
-        rel = release(derive_seed(rng_seed, "trial", t, 0)) if callable(release) else release
+def _oracle_linkage_rates(release, external_table, trials, rng_seed):
+    """Exact per-record linkage rates from the dense distance matrix: per
+    external row, 1/|tie set| if the release row carrying its id is among its
+    nearest rows, else 0; for a factory, summed over the draws the attack
+    makes and divided by their number."""
+    draws = [release(derive_seed(rng_seed, "trial", t, 0)) for t in range(trials)] if callable(release) else [release]
+    sums = np.zeros(external_table.n_rows)
+    for rel in draws:
         rel_table = as_table(rel)
-        pos = _frozen_link_records(rel_table, external_table, derive_rng(rng_seed, "attack", t))
-        successes += np.asarray(rel_table.row_ids)[pos] == ext_ids
-    return successes, rel_table
+        dist = _oracle_distances(rel_table, external_table)
+        tied = dist == dist.min(axis=1, keepdims=True)
+        own = np.asarray(rel_table.row_ids)[None, :] == np.asarray(external_table.row_ids)[:, None]
+        sums += (tied & own).sum(axis=1) / tied.sum(axis=1)
+    return sums / len(draws)
 
 
 class _OracleSpace:
@@ -331,12 +324,13 @@ def _gap_squares_to_zero_case():
     return make_table(schema, {"x": [1e-200, 0.0, -1.0]}), make_table(schema, {"x": [0.0, 1.0]}), 3
 
 
-def _linkage_reports(release, external, trials, rng_seed):
-    """The linkage report as the attack gives it, and as the frozen per-trial loop gives it."""
-    got = linkage_attack(release, external, trials=trials, rng_seed=rng_seed).to_json()
-    with mock.patch.object(attacks, "_linkage_successes", _frozen_linkage_successes):
-        want = linkage_attack(release, external, trials=trials, rng_seed=rng_seed).to_json()
-    return got, want
+def _assert_linkage_matches_the_oracle(release, external, trials, rng_seed):
+    report = linkage_attack(release, external, trials=trials, rng_seed=rng_seed)
+    want = _oracle_linkage_rates(release, external, trials, rng_seed)
+    draws = trials if callable(release) else 1
+    assert report.details["per_record_rates"] == want.tolist()
+    assert report.trials == draws * external.n_rows
+    assert report.success_rate == pytest.approx(want.mean(), rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,33 +338,32 @@ def _linkage_reports(release, external, trials, rng_seed):
 @example(inputs=_gap_squares_to_zero_case(), trials=8, block_cells=None)
 @example(inputs=_gap_squares_to_zero_case(), trials=8, block_cells=1)
 @example(inputs=_mismatch_before_numeric_case(), trials=4, block_cells=3)
-def test_linkage_attack_matches_the_frozen_per_trial_loop(inputs, trials, block_cells):
-    # block_cells small enough to split the scan into one row per block and
-    # the sort of tied (row, release row) pairs into single rows
+def test_linkage_attack_matches_the_exact_dense_oracle(inputs, trials, block_cells):
+    # block_cells small enough to split the scan into one row per block; the
+    # table is scored as a release and as a factory that draws it ``trials`` times
     release, external, seed = inputs
     with mock.patch.object(attacks, "_BLOCK_CELLS", block_cells or attacks._BLOCK_CELLS):
-        got, want = _linkage_reports(release, external, trials, seed)
-    assert got == want
+        _assert_linkage_matches_the_oracle(release, external, trials, seed)
+        _assert_linkage_matches_the_oracle(lambda s: release, external, trials, seed)
 
 
-def test_linkage_attack_matches_the_frozen_loop_on_a_factory_and_label_ties(monkeypatch):
+def test_linkage_attack_matches_the_exact_oracle_on_a_factory_and_label_ties(monkeypatch):
     # released labels never equal the external numbers: every external row is
-    # scanned and most tie with several vectors, over several pair blocks
+    # scanned and most tie with several vectors, over several scan blocks
     table = build_people_table(seed=8, n=40)
     qi = list(table.qi_names)
     monkeypatch.setattr("sdckit.attacks._BLOCK_CELLS", 64)
     partition = mdav_partition(table, qi, 4)
     factory = lambda s: cluster_and_permute(table, qi, 4, s, partition=partition)
-    got, want = _linkage_reports(factory, table, 6, 11)
-    assert got == want
+    _assert_linkage_matches_the_oracle(factory, table, 6, 11)
     ages = tuple(f"[{lo},{lo + 19}]" for lo in range(0, 120, 20))
     labelled = table.with_column(
         "age", [ages[int(v) // 20] for v in table.columns["age"]], kind=CategoricalKind(ages)
     ).with_column(
         "height", np.where(table.columns["height"] < 165, "short", "tall"), kind=CategoricalKind(("short", "tall"))
     )
-    got, want = _linkage_reports(labelled, table, 6, 12)
-    assert got == want
+    _assert_linkage_matches_the_oracle(labelled, table, 6, 12)
+    assert 0 < linkage_attack(labelled, table).success_rate < 1
 
 
 def test_linkage_searches_a_fixed_release_once_and_a_factory_once_per_trial(monkeypatch):
@@ -387,6 +380,8 @@ def test_linkage_searches_a_fixed_release_once_and_a_factory_once_per_trial(monk
     assert len(calls) == 6
     verify_probabilistic_k(factory, table, 3, trials=4)
     assert len(calls) == 10
+    verify_probabilistic_k(release, table, 3, trials=4)
+    assert len(calls) == 11
 
 
 @settings(max_examples=300, deadline=None)
@@ -493,3 +488,4 @@ def test_verifier_and_linkage_attack_share_trials():
     attack = linkage_attack(factory, table, trials=25, rng_seed=9)
     assert list(report.per_record_rates) == [int(r) for r in table.row_ids]
     assert list(report.per_record_rates.values()) == attack.details["per_record_rates"]
+    assert (report.trials, attack.trials) == (25, 25 * table.n_rows)

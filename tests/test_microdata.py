@@ -336,6 +336,14 @@ def test_load_hierarchies_rejects_entries_that_are_not_hierarchy_objects():
         load_hierarchies([{"attribute": 3, "tree": ZIP_TREE}])
 
 
+@pytest.mark.parametrize("doc", ['[1]', [1], 3, {"tree": ZIP_TREE}, {"attribute": 3, "tree": ZIP_TREE}])
+def test_hierarchy_from_json_rejects_documents_that_are_not_hierarchy_objects(doc):
+    with pytest.raises(ValueError, match="not a JSON object with a string 'attribute'"):
+        hierarchy_from_json(doc)
+    with pytest.raises(ValueError, match="hierarchy entry 1: hierarchy document is not a JSON object"):
+        load_hierarchies([{"attribute": "zip", "tree": ZIP_TREE}, doc])
+
+
 def test_load_hierarchies_rejects_a_second_hierarchy_for_one_attribute():
     docs = [
         {"attribute": "x", "intervals": {"min": 1, "max": 10, "cuts": [[6]]}},
