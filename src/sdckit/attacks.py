@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .confmodels import ClassValues, emd_rows
-from .dp import _output_edges, _require_positive_counts, neighbor_relation
+from .dp import _require_positive_counts, _two_sample_counts, neighbor_relation
 from .errors import (
     Misaligned,
     MissingPartition,
@@ -454,9 +454,7 @@ def membership_inference_attack(
         raise NotNeighbors("membership inference requires neighboring tables")
     cal_in = np.asarray(mechanism(table_with, derive_rng(rng_seed, "attack", 0), calibration), float)
     cal_out = np.asarray(mechanism(table_without, derive_rng(rng_seed, "attack", 1), calibration), float)
-    edges = _output_edges(cal_in, cal_out, bins)
-    h_in, _ = np.histogram(cal_in, bins=edges)
-    h_out, _ = np.histogram(cal_out, bins=edges)
+    edges, h_in, h_out = _two_sample_counts(cal_in, cal_out, bins)
     guess_in = h_in >= h_out
 
     def bin_of(x):

@@ -5,13 +5,22 @@ empirical indistinguishability check.
 All noise is sampled by explicit inverse-CDF transforms of a seeded uniform
 stream, so every draw is bit-reproducible given the generator state. Laplace
 noise takes all its uniforms in one call and transforms them in place, one
-cache-sized block at a time; the draws are bit-identical to the one-shot
-formula applied to the whole array.
+cache-sized block at a time, as ``copysign(scale * log1p(-2|u|), u)`` with
+``|u|`` clamped so that no uniform gives an infinite draw; the draws are
+bit-identical to the one-shot formula applied to the whole array.
+
+The empirical check and the membership attack run their numpy work on two
+threads: the Laplace transform of a large draw, and the histogram counts of
+two output samples, each give half to one short-lived helper thread. The caller allocates every buffer
+the helper writes, the mechanism is still called once per table from the
+caller's thread, and the results are identical on any number of cores.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -202,37 +211,87 @@ def individual_dp_sensitivity(
 # --------------------------------------------------------------------------
 
 
-# Doubles per block of the noise transform: the block and its two buffers
-# (768 KiB) stay in a core's L2 cache. Sizes from 2**13 to 2**16 time alike.
+# Doubles per block of the noise transform and of the histogram count: a
+# block and its thread's one 256 KiB scratch buffer stay in a core's L2
+# cache. Sizes from 2**15 to 2**16 time alike on two threads; smaller blocks
+# spend the second core's gain on handing the GIL back and forth.
 _BLOCK = 2**15
+
+# The largest |uniform - 0.5| of any uniform but 0.0, whose u = -0.5 would
+# give log1p(-1) = -inf. Clamping there keeps every other draw's bits.
+_MAX_ABS_U = 0.5 - 2.0**-53
+
+
+def _beside(fn, helper_args: tuple, own_args: tuple) -> None:
+    """Run ``fn(*helper_args)`` on a helper thread while ``fn(*own_args)``
+    runs on this one, then join the helper and re-raise what it raised.
+
+    The helper runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` (a context variable from numpy 2.0) covers both halves.
+    ``fn`` should spend its time in numpy calls that release the GIL and
+    allocate nothing large: the caller allocates every buffer the helper
+    writes, because a large allocation on the helper would stay in its malloc
+    arena after the thread ends.
+    """
+    errors = []
+    context = contextvars.copy_context()
+
+    def helper():
+        try:
+            context.run(fn, *helper_args)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
+        fn(*own_args)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _transform(flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
+    """Turn the uniforms in ``flat`` into Laplace(scale) draws in place, one
+    ``_BLOCK`` at a time, with ``buf`` as the scratch buffer."""
+    for start in range(0, flat.size, _BLOCK):
+        u = flat[start : start + _BLOCK]
+        t = buf[: u.size]
+        u -= 0.5
+        np.abs(u, out=t)
+        np.minimum(t, _MAX_ABS_U, out=t)
+        t *= -2.0
+        np.log1p(t, out=t)
+        t *= scale
+        np.copysign(t, u, out=u)
 
 
 def laplace_noise(rng: np.random.Generator, scale: float, size: int | None = None):
     """Inverse-CDF Laplace sampling from the generator's uniform stream.
 
     All uniforms come from one ``rng.random(size)`` call. The transform
-    ``-scale * sign(u) * log1p(-2|u|)``, with ``u = uniform - 0.5``, then runs in
-    place on one block of ``_BLOCK`` doubles at a time, so every pass over a
-    block reads it from cache. The draws are bit-identical to applying the
-    formula to the whole array at once.
+    ``copysign(scale * log1p(-2|u|), u)``, with ``u = uniform - 0.5`` and
+    ``|u|`` clamped at ``0.5 - 2**-53`` so that a uniform of 0.0 gives a finite
+    draw, then runs in place on one block of ``_BLOCK`` doubles at a time, so
+    every pass over a block reads it from cache. From four blocks up, the upper
+    half of the draw (cut at a block boundary) is transformed on a helper
+    thread. The draws are bit-identical to ``-scale * sign(u) * log1p(-2|u|)``
+    applied to the whole array at once, on any number of cores. A negative or
+    NaN scale raises ValueError.
     """
+    if not scale >= 0:
+        raise ValueError(f"Laplace scale must be nonnegative, got {scale}")
     if size is None:
         u = rng.random() - 0.5
-        return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        return np.copysign(scale * np.log1p(-2.0 * min(abs(u), _MAX_ABS_U)), u)
     out = rng.random(size)
     flat = out.reshape(-1)
-    sign = np.empty(min(flat.size, _BLOCK))
-    log_tail = np.empty_like(sign)
-    for start in range(0, flat.size, _BLOCK):
-        u = flat[start : start + _BLOCK]
-        s, t = sign[: u.size], log_tail[: u.size]
-        u -= 0.5
-        np.sign(u, out=s)
-        s *= -scale
-        np.abs(u, out=t)
-        t *= -2.0
-        np.log1p(t, out=t)
-        np.multiply(s, t, out=u)
+    if flat.size < 4 * _BLOCK:
+        _transform(flat, scale, np.empty(min(flat.size, _BLOCK)))
+    else:
+        cut = _BLOCK * -(-flat.size // (2 * _BLOCK))
+        _beside(_transform, (flat[cut:], scale, np.empty(_BLOCK)), (flat[:cut], scale, np.empty(_BLOCK)))
     return out if out.ndim else out[()]
 
 
@@ -427,15 +486,38 @@ def _require_positive_counts(**counts: int):
             raise ValueError(f"{name} must be a positive count, got {value}")
 
 
-def _output_edges(out1: np.ndarray, out2: np.ndarray, bins: int) -> np.ndarray:
-    """``bins + 1`` equal-width histogram edges spanning two output samples."""
+def _cumulative_counts(sample: np.ndarray, edges: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """Add to ``out[j]`` the number of values of ``sample`` below ``edges[j]``,
+    or at or below it for the last edge. This is how ``np.histogram`` counts
+    with array edges, so ``np.diff(out)`` gives its counts: each block is
+    copied into ``buf``, sorted there, and the edges are searched in it."""
+    for start in range(0, sample.size, buf.size):
+        block = buf[: min(buf.size, sample.size - start)]
+        block[...] = sample[start : start + block.size]
+        block.sort()
+        out[:-1] += block.searchsorted(edges[:-1], "left")
+        out[-1] += block.searchsorted(edges[-1], "right")
+
+
+def _two_sample_counts(out1: np.ndarray, out2: np.ndarray, bins: int):
+    """``(edges, c1, c2)``: ``bins + 1`` equal-width edges spanning two output
+    samples, and each sample's histogram counts over them. The second sample
+    is counted on a helper thread while the first is counted on this one."""
     lo = float(min(out1.min(), out2.min()))
     hi = float(max(out1.max(), out2.max()))
     if not math.isfinite(hi - lo):  # also an inf or NaN output
         raise ValueError(f"mechanism outputs span [{lo}, {hi}]: histogram edges need a finite range")
     if hi == lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, bins + 1)
+    cumulative = np.zeros((2, edges.size), np.intp)
+    _beside(
+        _cumulative_counts,
+        (out2.reshape(-1), edges, np.empty(min(out2.size, _BLOCK)), cumulative[1]),
+        (out1.reshape(-1), edges, np.empty(min(out1.size, _BLOCK)), cumulative[0]),
+    )
+    c1, c2 = np.diff(cumulative)
+    return edges, c1, c2
 
 
 @dataclass(frozen=True)
@@ -481,9 +563,7 @@ def empirical_dp_check(
     rng2 = derive_rng(seed, "trial", 2)
     out1 = np.asarray(mechanism(table1, rng1, trials), dtype=float)
     out2 = np.asarray(mechanism(table2, rng2, trials), dtype=float)
-    edges = _output_edges(out1, out2, bins)
-    c1, _ = np.histogram(out1, bins=edges)
-    c2, _ = np.histogram(out2, bins=edges)
+    _, c1, c2 = _two_sample_counts(out1, out2, bins)
 
     considered = np.where((c1 >= min_bin_count) & (c2 >= min_bin_count))[0]
     per_bin = []

@@ -2,6 +2,7 @@
 relaxation conversions, and the empirical indistinguishability check."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from sdckit import (
     zcdp_to_dp,
 )
 from sdckit.attacks import membership_inference_attack
-from sdckit.dp import _BLOCK
+from sdckit.dp import _BLOCK, _beside, _two_sample_counts
 from sdckit.microdata import make_table
 from sdckit.seeds import derive_rng
 
@@ -163,15 +164,122 @@ def _one_shot_laplace(rng, scale, size=None):
 
 
 @pytest.mark.parametrize(
-    "size", [None, (), 0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, (7, 5), (3, _BLOCK + 2)]
+    "size",
+    [
+        None, (), 0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, (7, 5), (3, _BLOCK + 2),
+        # from four blocks up the upper half is transformed on a helper thread
+        4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, 1_000_003, (3, 2 * _BLOCK + 5),
+    ],
 )
-@pytest.mark.parametrize("scale", [1.0, 0.37, 25.0, 1e-12])
+@pytest.mark.parametrize("scale", [1.0, 0.37, 25.0, 1e-12, 0.0])
 def test_blocked_laplace_noise_matches_the_one_shot_formula_bit_for_bit(size, scale):
     got = laplace_noise(derive_rng(9, "noise"), scale, size)
     want = _one_shot_laplace(derive_rng(9, "noise"), scale, size)
     assert type(got) is type(want)
     assert np.shape(got) == np.shape(want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class _ZerosAt:
+    """A generator whose uniforms are a real stream's, except 0.0 at the
+    given flat positions (and as the scalar draw)."""
+
+    def __init__(self, positions):
+        self.rng = derive_rng(9, "noise")
+        self.positions = positions
+
+    def random(self, size=None):
+        if size is None:
+            return 0.0
+        out = self.rng.random(size)
+        out.reshape(-1)[self.positions] = 0.0
+        return out
+
+
+def test_a_zero_uniform_gives_a_finite_draw_and_leaves_every_other_draw_alone():
+    size = 4 * _BLOCK + 9
+    positions = [0, 3 * _BLOCK + 5, size - 1]  # the middle one is in the helper's half
+    scale = 2.0
+    got = laplace_noise(_ZerosAt(positions), scale, size)
+    # the clamp: |u| = 0.5 - 2**-53, the largest any other uniform gives
+    edge = -scale * math.log1p(-1.0 + 2.0**-52)
+    assert np.isfinite(got).all()
+    assert got[positions].tolist() == [-edge] * 3
+    want = _one_shot_laplace(derive_rng(9, "noise"), scale, size)
+    rest = np.ones(size, bool)
+    rest[positions] = False
+    assert got[rest].tobytes() == want[rest].tobytes()
+    scalar = laplace_noise(_ZerosAt([]), scale)
+    assert math.isfinite(scalar) and scalar == -edge
+
+
+@pytest.mark.parametrize("size", [None, 10, 4 * _BLOCK])
+@pytest.mark.parametrize("scale", [-1.0, -1e-300, math.nan])
+def test_laplace_noise_rejects_a_negative_or_nan_scale(size, scale):
+    with pytest.raises(ValueError, match="scale"):
+        laplace_noise(derive_rng(9, "noise"), scale, size)
+
+
+def test_beside_reraises_the_helpers_exception_after_joining_it():
+    ran = []
+
+    def fn(name):
+        ran.append((name, threading.current_thread()))
+        if name == "helper":
+            raise KeyError("helper failed")
+
+    with pytest.raises(KeyError, match="helper failed"):
+        _beside(fn, ("helper",), ("own",))
+    threads = dict(ran)
+    assert sorted(threads) == ["helper", "own"]
+    assert threads["own"] is threading.current_thread()
+    assert threads["helper"] is not threads["own"] and not threads["helper"].is_alive()
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="np.errstate is thread-local, not a context variable, before numpy 2.0",
+)
+def test_beside_runs_the_helper_under_the_callers_errstate():
+    def log(part):
+        np.log(part, out=part)
+
+    def log_with_a_zero_in_the_helpers_half():
+        x = np.ones(8)
+        x[6] = 0.0
+        _beside(log, (x[4:],), (x[:4],))
+        return x
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        log_with_a_zero_in_the_helpers_half()
+    with np.errstate(divide="ignore"):
+        assert log_with_a_zero_in_the_helpers_half()[6] == -math.inf
+
+
+def _on_and_around_edges(size, seed):
+    """A shuffled sample of ``size`` values spanning [-3, 5]: every edge of the
+    equal-width bins over that range, the doubles just either side of each,
+    and uniform values between."""
+    edges = np.linspace(-3.0, 5.0, 65)
+    special = np.concatenate([edges, np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf)])
+    rng = np.random.default_rng(seed)
+    sample = rng.uniform(-3.0, 5.0, size)
+    sample[: min(size, special.size)] = special[:size]
+    sample[[0, -1]] = -3.0, 5.0  # both ends, so the edges span [-3, 5]
+    rng.shuffle(sample)
+    return sample
+
+
+@pytest.mark.parametrize("size", [200, 65_535, 65_536, 65_537, 200_003])
+def test_two_sample_counts_equal_numpys_histogram(size):
+    out1, out2 = _on_and_around_edges(size, 1), _on_and_around_edges(size, 2)
+    edges, c1, c2 = _two_sample_counts(out1, out2, 64)
+    assert edges.tobytes() == np.linspace(-3.0, 5.0, 65).tobytes()
+    for sample, counts in ((out1, c1), (out2, c2)):
+        want = np.histogram(sample, bins=edges)[0]
+        assert counts.dtype == want.dtype
+        assert np.array_equal(counts, want)
+        assert counts.sum() == size
 
 
 @pytest.mark.parametrize("size", [None, 100_000])
