@@ -4,16 +4,18 @@ empirical indistinguishability check.
 
 All noise is sampled by explicit inverse-CDF transforms of a seeded uniform
 stream, so every draw is bit-reproducible given the generator state. Laplace
-noise takes all its uniforms in one call and transforms them in place, one
-cache-sized block at a time, as ``copysign(scale * log1p(-2|u|), u)`` with
-``|u|`` clamped so that no uniform gives an infinite draw; the draws are
-bit-identical to the one-shot formula applied to the whole array.
+noise transforms its uniforms in place, one cache-sized block at a time, as
+``copysign(scale * log1p(-2|u|), u)`` with ``|u|`` clamped so that no
+uniform gives an infinite draw; the draws are bit-identical to the one-shot
+formula applied to one ``rng.random(size)`` array.
 
 The empirical check and the membership attack run their numpy work on two
-threads: the Laplace transform of a large draw, and the histogram counts of
-two output samples, each give half to one short-lived helper thread. The caller allocates every buffer
-the helper writes, the mechanism is still called once per table from the
-caller's thread, and the results are identical on any number of cores.
+threads, each giving half to one short-lived helper thread: a large Laplace
+draw from a PCG64 stream, whose upper half the helper draws and transforms
+from an advanced copy of the stream, and the range and histogram counts of
+two output samples. The caller allocates every buffer the helper writes, the
+mechanism is still called once per table from the caller's thread, and the
+results and the generator's end state are identical on any number of cores.
 """
 
 from __future__ import annotations
@@ -267,31 +269,72 @@ def _transform(flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
         np.copysign(t, u, out=u)
 
 
+def _draw(gen: np.random.Generator, flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
+    """Fill ``flat`` with Laplace(scale) draws from ``gen``'s next uniforms,
+    one ``_BLOCK`` at a time: each block is drawn and then transformed while
+    it is still in cache."""
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        gen.random(out=block)
+        _transform(block, scale, buf)
+
+
+def _split_draw(rng: np.random.Generator, flat: np.ndarray, scale: float) -> None:
+    """Fill ``flat`` as ``_draw(rng, flat, ...)`` would, on two threads. A
+    PCG64 double takes one 64-bit step of the stream, so the upper half (cut
+    at a block boundary) comes from a copy of the stream advanced past the
+    lower half, drawn on a helper thread. ``rng`` then takes the copy's end
+    state, with its own cached 32-bit half put back, which ``advance`` clears
+    and a double draw leaves alone."""
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    cut = _BLOCK * -(-flat.size // (2 * _BLOCK))
+    upper = np.random.PCG64()
+    upper.state = state
+    upper.advance(cut)
+    _beside(
+        _draw,
+        (np.random.Generator(upper), flat[cut:], scale, np.empty(_BLOCK)),
+        (rng, flat[:cut], scale, np.empty(_BLOCK)),
+    )
+    end = upper.state
+    end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+    bit_generator.state = end
+
+
 def laplace_noise(rng: np.random.Generator, scale: float, size: int | None = None):
     """Inverse-CDF Laplace sampling from the generator's uniform stream.
 
-    All uniforms come from one ``rng.random(size)`` call. The transform
-    ``copysign(scale * log1p(-2|u|), u)``, with ``u = uniform - 0.5`` and
-    ``|u|`` clamped at ``0.5 - 2**-53`` so that a uniform of 0.0 gives a finite
-    draw, then runs in place on one block of ``_BLOCK`` doubles at a time, so
-    every pass over a block reads it from cache. From four blocks up, the upper
-    half of the draw (cut at a block boundary) is transformed on a helper
-    thread. The draws are bit-identical to ``-scale * sign(u) * log1p(-2|u|)``
-    applied to the whole array at once, on any number of cores. A negative or
-    NaN scale raises ValueError.
+    The transform ``copysign(scale * log1p(-2|u|), u)``, with
+    ``u = uniform - 0.5`` and ``|u|`` clamped at ``0.5 - 2**-53`` so that a
+    uniform of 0.0 gives a finite draw, runs in place on one block of
+    ``_BLOCK`` doubles at a time, so every pass over a block reads it from
+    cache. A draw of four blocks or more from a ``Generator`` on a ``PCG64``
+    stream (every ``derive_rng`` stream) is split at a block boundary: this
+    thread draws and transforms the lower half block by block, and a helper
+    thread the upper half, from a copy of the stream advanced past the lower
+    half. Any other draw takes its uniforms from one ``rng.random(size)`` call
+    on this thread. Either way the draws equal
+    ``-scale * sign(u) * log1p(-2|u|)`` applied to one ``rng.random(size)``
+    array, bit for bit, and leave the generator in the state that call would,
+    on any number of cores. A negative or NaN scale raises ValueError.
     """
     if not scale >= 0:
         raise ValueError(f"Laplace scale must be nonnegative, got {scale}")
     if size is None:
         u = rng.random() - 0.5
         return np.copysign(scale * np.log1p(-2.0 * min(abs(u), _MAX_ABS_U)), u)
-    out = rng.random(size)
-    flat = out.reshape(-1)
-    if flat.size < 4 * _BLOCK:
-        _transform(flat, scale, np.empty(min(flat.size, _BLOCK)))
+    if (
+        np.prod(size) >= 4 * _BLOCK
+        and isinstance(rng, np.random.Generator)
+        and isinstance(rng.bit_generator, np.random.PCG64)
+    ):
+        out = np.empty(size)
+        _split_draw(rng, out.reshape(-1), scale)
     else:
-        cut = _BLOCK * -(-flat.size // (2 * _BLOCK))
-        _beside(_transform, (flat[cut:], scale, np.empty(_BLOCK)), (flat[:cut], scale, np.empty(_BLOCK)))
+        out = rng.random(size)
+        flat = out.reshape(-1)
+        _transform(flat, scale, np.empty(min(flat.size, _BLOCK)))
     return out if out.ndim else out[()]
 
 
@@ -499,12 +542,20 @@ def _cumulative_counts(sample: np.ndarray, edges: np.ndarray, buf: np.ndarray, o
         out[-1] += block.searchsorted(edges[-1], "right")
 
 
+def _range(sample: np.ndarray, out: np.ndarray) -> None:
+    """Write ``sample``'s min and max to ``out``; NaN if it holds a NaN."""
+    out[0] = sample.min()
+    out[1] = sample.max()
+
+
 def _two_sample_counts(out1: np.ndarray, out2: np.ndarray, bins: int):
     """``(edges, c1, c2)``: ``bins + 1`` equal-width edges spanning two output
-    samples, and each sample's histogram counts over them. The second sample
-    is counted on a helper thread while the first is counted on this one."""
-    lo = float(min(out1.min(), out2.min()))
-    hi = float(max(out1.max(), out2.max()))
+    samples, and each sample's histogram counts over them. The second sample's
+    range and counts are taken on a helper thread while the first's are taken
+    on this one. A NaN or infinite value in either sample raises ValueError."""
+    ranges = np.empty((2, 2))
+    _beside(_range, (out2, ranges[1]), (out1, ranges[0]))
+    lo, hi = float(ranges[:, 0].min()), float(ranges[:, 1].max())  # numpy's min and max keep a NaN
     if not math.isfinite(hi - lo):  # also an inf or NaN output
         raise ValueError(f"mechanism outputs span [{lo}, {hi}]: histogram edges need a finite range")
     if hi == lo:

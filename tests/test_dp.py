@@ -213,6 +213,30 @@ def test_a_zero_uniform_gives_a_finite_draw_and_leaves_every_other_draw_alone():
     assert math.isfinite(scalar) and scalar == -edge
 
 
+@pytest.mark.parametrize("size", [4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, 1_000_003, (3, 2 * _BLOCK + 5)])
+@pytest.mark.parametrize("cached_half", [False, True], ids=["fresh", "has_uint32"])
+def test_laplace_noise_leaves_the_stream_where_one_random_call_would(size, cached_half):
+    rng, twin = derive_rng(9, "noise"), derive_rng(9, "noise")
+    if cached_half:  # a 32-bit draw caches the other half of its 64-bit step
+        for g in (rng, twin):
+            g.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    assert laplace_noise(rng, 2.0, size).tobytes() == _one_shot_laplace(twin, 2.0, size).tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.integers(0, 2**32, dtype=np.uint32) == twin.integers(0, 2**32, dtype=np.uint32)
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("size", [4 * _BLOCK, 1_000_003])
+def test_laplace_noise_from_another_bit_generator_matches_the_one_shot_formula(size):
+    def mt():
+        return np.random.Generator(np.random.MT19937(7))
+
+    rng, twin = mt(), mt()
+    assert laplace_noise(rng, 0.37, size).tobytes() == _one_shot_laplace(twin, 0.37, size).tobytes()
+    assert rng.random() == twin.random()
+
+
 @pytest.mark.parametrize("size", [None, 10, 4 * _BLOCK])
 @pytest.mark.parametrize("scale", [-1.0, -1e-300, math.nan])
 def test_laplace_noise_rejects_a_negative_or_nan_scale(size, scale):
@@ -540,3 +564,20 @@ def test_dp_audit_rejects_non_finite_outputs(values):
         empirical_dp_check(mech, t1, t2, 1.0, trials=100)
     with pytest.raises(ValueError, match="finite"):
         membership_inference_attack(mech, t1, t2, trials=100, calibration=100)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dp_audit_rejects_a_non_finite_output_of_either_table_in_either_order(bad):
+    small, large = _table([1, 2, 3]), _table([1, 2, 3, 7])
+
+    def mechanism(table, rng, size=None):  # the bad value comes from the larger table alone
+        out = rng.uniform(-1.0, 1.0, size)
+        if table.n_rows == 4:
+            out[size // 2] = bad
+        return out
+
+    for t1, t2 in ((small, large), (large, small)):
+        with pytest.raises(ValueError, match="finite range"):
+            empirical_dp_check(mechanism, t1, t2, 1.0, trials=100)
+        with pytest.raises(ValueError, match="finite range"):
+            membership_inference_attack(mechanism, t1, t2, trials=100, calibration=100)
