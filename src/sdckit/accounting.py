@@ -10,10 +10,10 @@ composed guarantee undefined rather than silently vanishing.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .errors import InvalidDelta, MalformedLedger, NonPositiveEpsilon, SdcError
+from .dp import _check_epsilon
+from .errors import InvalidDelta, MalformedLedger, SdcError
 from .microdata import _is_number
 
 EMPIRICAL_CHECK_WARNING = "empirical check required"
@@ -160,8 +160,7 @@ class BudgetLedger:
 
 
 def _check_dp(epsilon: float, delta: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise NonPositiveEpsilon(f"epsilon must be positive and finite, got {epsilon}")
+    _check_epsilon(epsilon)
     if not 0.0 <= delta < 1.0:
         raise InvalidDelta(f"delta must be in [0, 1), got {delta}")
 

@@ -71,8 +71,7 @@ class AttackReport:
 # record linkage
 # --------------------------------------------------------------------------
 
-# distances (or tie pairs) the linkage search and tie draw hold at once, in
-# one block of 1 MiB of doubles
+# distances the linkage search holds at once, in one block of 1 MiB of doubles
 _BLOCK_CELLS = 1 << 17
 
 
@@ -86,29 +85,18 @@ def link_records(
     squared z-scored difference where both sides are numeric, exact-match 0/1
     on canonical text otherwise. The match is one ``_nearest_vectors`` search,
     which scans in blocks of at most ``_BLOCK_CELLS`` distances (1 MiB),
-    followed by one ``_draw_matches`` tie draw. ``linkage_attack`` and the
-    probabilistic-k verifier do not call this function: they take the same
-    search and price its tie draw in closed form (``_linkage_probabilities``).
-    Returns the matched release row position per external row.
+    followed by one tie draw. External record e's tie set is every release
+    row behind its nearest vectors ``nearest[bounds[e]:bounds[e + 1]]``, in
+    ascending row order, and ties are broken uniformly at random: one
+    ``rng.integers`` call with the tie count of every external row that has
+    more than one tied release row, in external row order, which draws what
+    one scalar call per row would. ``linkage_attack`` and the probabilistic-k
+    verifier do not call this function: they take the same search and price
+    its tie draw in closed form (``_linkage_probabilities``). Returns the
+    matched release row position per external row.
     """
-    return _draw_matches(_nearest_vectors(release_table, external_table), rng)
-
-
-def _draw_matches(search, rng: np.random.Generator) -> np.ndarray:
-    """One tie draw over a ``_nearest_vectors`` search: the matched release
-    row position per external row.
-
-    External record e's tie set is every release row behind its nearest
-    vectors ``nearest[bounds[e]:bounds[e + 1]]``, in ascending row order.
-    Ties are broken uniformly at random: one ``rng.integers`` call with the
-    tie count of every external row that has more than one tied release row,
-    in external row order, which draws what one scalar call per row would.
-    Rows with several nearest vectors find their pick by sorting their
-    (row, tied release row) pairs, at most ``_BLOCK_CELLS`` pairs at a time.
-    """
-    _, rel_rows, starts, nearest, bounds = search
-    run_lengths, n_nearest = np.diff(starts), np.diff(bounds)
-    tie_counts = np.add.reduceat(run_lengths[nearest], bounds[:-1])
+    _, rel_rows, starts, nearest, bounds = _nearest_vectors(release_table, external_table)
+    tie_counts = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
     # each row's match as an index into its tie set
     pick = np.zeros(tie_counts.size, dtype=np.int64)
     tied = np.flatnonzero(tie_counts > 1)
@@ -118,29 +106,10 @@ def _draw_matches(search, rng: np.random.Generator) -> np.ndarray:
     # with several is redone below (its index is in range: the runs from its
     # lowest nearest vector on hold at least its tie count)
     positions = rel_rows[starts[nearest[bounds[:-1]]] + pick]
-    several = np.flatnonzero(n_nearest > 1)
-    ends = np.cumsum(tie_counts[several])
-    lo = 0
-    while lo < several.size:
-        # a block of rows with at most _BLOCK_CELLS (row, tied release row) pairs, or one row
-        first = ends[lo] - tie_counts[several[lo]]
-        hi = max(lo + 1, int(np.searchsorted(ends, first + _BLOCK_CELLS, side="right")))
-        rows = several[lo:hi]
-        vec = nearest[_ranges(bounds[rows], n_nearest[rows])]
-        # each pair keyed by its row's place in the block, then the release
-        # row: one sort lists each row's tie set ascending, the rows in order
-        offset = np.arange(rows.size) * rel_rows.size
-        pairs = np.repeat(offset, tie_counts[rows]) + rel_rows[_ranges(starts[vec], run_lengths[vec])]
-        pairs.sort()
-        positions[rows] = pairs[ends[lo:hi] - first - tie_counts[rows] + pick[rows]] - offset
-        lo = hi
+    for e in np.flatnonzero(np.diff(bounds) > 1):
+        runs = [rel_rows[starts[v] : starts[v + 1]] for v in nearest[bounds[e] : bounds[e + 1]]]
+        positions[e] = np.sort(np.concatenate(runs))[pick[e]]
     return positions
-
-
-def _ranges(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``firsts[i], firsts[i] + 1, ...`` (``lengths[i]`` values) for each i, concatenated."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(firsts - offsets, lengths) + np.arange(int(lengths.sum()))
 
 
 def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTable):

@@ -3,11 +3,14 @@ perfect secrecy, metric DP, individual DP, relaxation conversions, and an
 empirical indistinguishability check.
 
 All noise is sampled by explicit inverse-CDF transforms of a seeded uniform
-stream, so every draw is bit-reproducible given the generator state. Laplace
-noise transforms its uniforms in place, one cache-sized block at a time, as
-``copysign(scale * log1p(-2|u|), u)`` with ``|u|`` clamped so that no
-uniform gives an infinite draw; the draws are bit-identical to the one-shot
-formula applied to one ``rng.random(size)`` array.
+stream, so every draw is bit-reproducible given the generator state. Every
+Laplace draw, a scalar one included, runs one block loop (``_draw``) over a
+numpy ``Generator``: it fills a cache-sized block with
+``Generator.random(out=block)`` and turns it in place into
+``copysign(scale * log1p(-2|u|), u)``, with ``|u|`` clamped so that no
+uniform gives an infinite draw. The draws are bit-identical to the one-shot
+formula applied to one ``rng.random(size)`` array. Every mechanism takes its
+epsilon through one check, ``_check_epsilon``: a positive finite number.
 
 The empirical check and the membership attack run their numpy work on two
 threads, each giving half to one short-lived helper thread: a large Laplace
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -101,6 +105,10 @@ class Query:
             raise ValueError(f"{self.kind} query needs an attribute")
         if self.kind == "identity" and self.row_index is None:
             raise ValueError("identity query needs a row_index")
+        if self.row_index is not None and (
+            isinstance(self.row_index, bool) or not isinstance(self.row_index, numbers.Integral) or self.row_index < 0
+        ):
+            raise ValueError(f"row_index must be a nonnegative int, got {self.row_index!r}")
 
     def describe(self) -> str:
         parts = [self.kind]
@@ -129,6 +137,14 @@ def answer_query(table: MicrodataTable, query: Query) -> float:
         if col.size == 0:
             raise ValueError("max of an empty table is undefined")
         return float(col.max())
+    return _queried_value(col, query)
+
+
+def _queried_value(col: np.ndarray, query: Query) -> float:
+    """The value an identity query reads: ``col[query.row_index]``, which
+    must be a row of the table."""
+    if query.row_index >= col.size:
+        raise ValueError(f"row_index {query.row_index} is past the end of a table of {col.size} rows")
     return float(col[query.row_index])
 
 
@@ -183,6 +199,10 @@ def individual_dp_sensitivity(
     dom = _numeric_domain(table.schema, query.attribute)
     lo, hi = dom.lo, dom.hi
     col = table.columns[query.attribute].astype(float)
+    if query.kind == "identity":
+        # the queried record can change anywhere inside the domain
+        v = _queried_value(col, query)
+        return max(v - lo, hi - v)
     if col.size == 0:
         return 0.0
     if query.kind == "sum":
@@ -197,15 +217,12 @@ def individual_dp_sensitivity(
                 return hi - lo
             return float(np.abs(col - mean).max() / (n - 1))
         return float(np.maximum(col - lo, hi - col).max() / n)
-    if query.kind == "max":
-        top = float(col.max())
-        second = float(np.partition(col, -2)[-2]) if col.size >= 2 else lo
-        if neighbor_model == "add_remove":
-            return top - max(second, lo) if col.size >= 2 else top - lo
-        return max(hi - top, top - max(second, lo))
-    # identity: the queried record can change anywhere inside the domain
-    v = float(col[query.row_index])
-    return max(v - lo, hi - v)
+    # max
+    top = float(col.max())
+    second = float(np.partition(col, -2)[-2]) if col.size >= 2 else lo
+    if neighbor_model == "add_remove":
+        return top - max(second, lo) if col.size >= 2 else top - lo
+    return max(hi - top, top - max(second, lo))
 
 
 # --------------------------------------------------------------------------
@@ -254,11 +271,15 @@ def _beside(fn, helper_args: tuple, own_args: tuple) -> None:
         raise errors[0]
 
 
-def _transform(flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
-    """Turn the uniforms in ``flat`` into Laplace(scale) draws in place, one
-    ``_BLOCK`` at a time, with ``buf`` as the scratch buffer."""
+def _draw(gen: np.random.Generator, flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
+    """Fill ``flat`` with Laplace(scale) draws from ``gen``'s next uniforms,
+    one ``_BLOCK`` at a time, with ``buf`` as the scratch buffer: each block
+    is filled by ``gen.random(out=block)`` and transformed in place while it
+    is still in cache. The sampler's one copy of the formula (see
+    ``laplace_noise``)."""
     for start in range(0, flat.size, _BLOCK):
         u = flat[start : start + _BLOCK]
+        gen.random(out=u)
         t = buf[: u.size]
         u -= 0.5
         np.abs(u, out=t)
@@ -267,16 +288,6 @@ def _transform(flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
         np.log1p(t, out=t)
         t *= scale
         np.copysign(t, u, out=u)
-
-
-def _draw(gen: np.random.Generator, flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
-    """Fill ``flat`` with Laplace(scale) draws from ``gen``'s next uniforms,
-    one ``_BLOCK`` at a time: each block is drawn and then transformed while
-    it is still in cache."""
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
-        gen.random(out=block)
-        _transform(block, scale, buf)
 
 
 def _split_draw(rng: np.random.Generator, flat: np.ndarray, scale: float) -> None:
@@ -303,45 +314,47 @@ def _split_draw(rng: np.random.Generator, flat: np.ndarray, scale: float) -> Non
 
 
 def laplace_noise(rng: np.random.Generator, scale: float, size: int | None = None):
-    """Inverse-CDF Laplace sampling from the generator's uniform stream.
+    """Inverse-CDF Laplace sampling from a numpy ``Generator``'s uniform
+    stream; any other ``rng`` raises TypeError.
 
-    The transform ``copysign(scale * log1p(-2|u|), u)``, with
-    ``u = uniform - 0.5`` and ``|u|`` clamped at ``0.5 - 2**-53`` so that a
-    uniform of 0.0 gives a finite draw, runs in place on one block of
-    ``_BLOCK`` doubles at a time, so every pass over a block reads it from
-    cache. A draw of four blocks or more from a ``Generator`` on a ``PCG64``
-    stream (every ``derive_rng`` stream) is split at a block boundary: this
-    thread draws and transforms the lower half block by block, and a helper
-    thread the upper half, from a copy of the stream advanced past the lower
-    half. Any other draw takes its uniforms from one ``rng.random(size)`` call
-    on this thread. Either way the draws equal
-    ``-scale * sign(u) * log1p(-2|u|)`` applied to one ``rng.random(size)``
-    array, bit for bit, and leave the generator in the state that call would,
-    on any number of cores. A negative or NaN scale raises ValueError.
+    Every draw, a scalar one (``size=None``) included, runs the one block loop
+    ``_draw``: it fills a block of at most ``_BLOCK`` doubles with
+    ``rng.random(out=block)`` and transforms it in place, while it is still in
+    cache, as ``copysign(scale * log1p(-2|u|), u)``, with ``u = uniform - 0.5``
+    and ``|u|`` clamped at ``0.5 - 2**-53`` so that a uniform of 0.0 gives a
+    finite draw. A draw of four blocks or more from a ``PCG64`` stream (every
+    ``derive_rng`` stream) is split at a block boundary: this thread runs the
+    loop over the lower half, and a helper thread over the upper half, from a
+    copy of the stream advanced past the lower half. Either way the draws
+    equal ``-scale * sign(u) * log1p(-2|u|)`` applied to one
+    ``rng.random(size)`` array, bit for bit, and leave the generator in the
+    state that call would, on any number of cores. A scalar draw returns an
+    ``np.float64``. A negative or NaN scale raises ValueError.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"Laplace noise needs a numpy Generator, got {type(rng).__name__}")
     if not scale >= 0:
         raise ValueError(f"Laplace scale must be nonnegative, got {scale}")
-    if size is None:
-        u = rng.random() - 0.5
-        return np.copysign(scale * np.log1p(-2.0 * min(abs(u), _MAX_ABS_U)), u)
-    if (
-        np.prod(size) >= 4 * _BLOCK
-        and isinstance(rng, np.random.Generator)
-        and isinstance(rng.bit_generator, np.random.PCG64)
-    ):
-        out = np.empty(size)
-        _split_draw(rng, out.reshape(-1), scale)
+    out = np.empty(() if size is None else size)
+    flat = out.reshape(-1)
+    if flat.size >= 4 * _BLOCK and isinstance(rng.bit_generator, np.random.PCG64):
+        _split_draw(rng, flat, scale)
     else:
-        out = rng.random(size)
-        flat = out.reshape(-1)
-        _transform(flat, scale, np.empty(min(flat.size, _BLOCK)))
+        _draw(rng, flat, scale, np.empty(min(flat.size, _BLOCK)))
     return out if out.ndim else out[()]
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """The one epsilon rule of every DP mechanism, check and ledger entry: a
+    positive finite number. Zero or less, NaN and +-inf raise
+    NonPositiveEpsilon; an infinite epsilon would release exact answers."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise NonPositiveEpsilon(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def laplace_mechanism(true_answer: float, sensitivity: float, epsilon: float, rng: np.random.Generator):
     """Add Laplace(sensitivity / epsilon) noise; zero sensitivity returns exactly."""
-    if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if sensitivity < 0:
         raise ValueError("sensitivity must be nonnegative")
     if sensitivity == 0:
@@ -362,8 +375,7 @@ def laplace_query_mechanism(
     scale_factor deliberately mis-scales the noise (for negative controls in
     empirical checks); 1.0 is the honest mechanism.
     """
-    if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     sens = global_sensitivity(query, schema, neighbor_model, n=n)
     scale = scale_factor * sens / epsilon
 
@@ -419,8 +431,7 @@ def dp_microdata_release(table: MicrodataTable, epsilon: float, rng_seed: int) -
     records are disjoint, so the release is epsilon-DP per record under the
     replace model. All released attributes must be numeric with finite bounds.
     """
-    if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     released = [a for a in table.schema if a.role != "identifier"]
     if not released:
         raise ValueError("no attributes to release")
@@ -461,8 +472,7 @@ def metric_dp_mechanism(point, epsilon: float, rng: np.random.Generator):
     density proportional to exp(-epsilon * ||y - x||). Indistinguishability of
     x and x' degrades no faster than exp(epsilon * d(x, x')).
     """
-    if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     arr = np.asarray(point, dtype=float)
     if arr.ndim == 0:
         return float(arr + laplace_noise(rng, 1.0 / epsilon))
@@ -605,8 +615,7 @@ def empirical_dp_check(
     min_bin_count below 1, or a sample with a non-finite output, raises
     ValueError.
     """
-    if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     _require_positive_counts(bins=bins, trials=trials, min_bin_count=min_bin_count)
     if neighbor_relation(table1, table2) is None:
         raise NotNeighbors("empirical check requires neighboring tables")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sdckit import (
     AttributeSchema,
+    BudgetLedger,
     CategoricalKind,
     InvalidAlpha,
     InvalidDelta,
@@ -92,6 +93,26 @@ def test_query_validation_and_answers():
     assert Query("count", predicate=Predicate("v", ">=", 3)).describe() == "count:v>=3"
 
 
+@pytest.mark.parametrize("row_index", [-1, 1.0, True, False, "1", np.float64(1.0)])
+def test_identity_query_rejects_a_row_index_that_is_not_a_nonnegative_int(row_index):
+    with pytest.raises(ValueError, match="row_index"):
+        Query("identity", "v", row_index=row_index)
+
+
+def test_identity_query_reads_a_row_of_the_table_or_raises():
+    t = _table([1, 2, 9])
+    for index in (0, 2, np.int64(2)):
+        q = Query("identity", "v", row_index=index)
+        assert answer_query(t, q) == float(t.columns["v"][index])
+        assert individual_dp_sensitivity(q, t) == max(answer_query(t, q), 10 - answer_query(t, q))
+    for table, index in ((t, 3), (t, 100), (_table([]), 0)):
+        q = Query("identity", "v", row_index=index)
+        with pytest.raises(ValueError, match="past the end"):
+            answer_query(table, q)
+        with pytest.raises(ValueError, match="past the end"):
+            individual_dp_sensitivity(q, table)
+
+
 # -- sensitivities ----------------------------------------------------------------
 
 
@@ -167,7 +188,7 @@ def _one_shot_laplace(rng, scale, size=None):
     "size",
     [
         None, (), 0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, (7, 5), (3, _BLOCK + 2),
-        # from four blocks up the upper half is transformed on a helper thread
+        # from four blocks up the upper half is drawn and transformed on a helper thread
         4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, 1_000_003, (3, 2 * _BLOCK + 5),
     ],
 )
@@ -180,40 +201,50 @@ def test_blocked_laplace_noise_matches_the_one_shot_formula_bit_for_bit(size, sc
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-class _ZerosAt:
-    """A generator whose uniforms are a real stream's, except 0.0 at the
-    given flat positions (and as the scalar draw)."""
+# PCG64's multiplier: each double advances the 128-bit state by
+# s -> s * _PCG64_MULT + inc (mod 2**128) and is read off the new state
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    def __init__(self, positions):
-        self.rng = derive_rng(9, "noise")
-        self.positions = positions
 
-    def random(self, size=None):
-        if size is None:
-            return 0.0
-        out = self.rng.random(size)
-        out.reshape(-1)[self.positions] = 0.0
-        return out
+def _zero_at(p):
+    """A real PCG64 stream, with ``derive_rng(9, "noise")``'s increment,
+    whose ``p``-th uniform is 0.0. State 0 outputs 0, so the state one step
+    before it, ``(0 - inc) / _PCG64_MULT``, draws 0.0 next; moving that state
+    back ``p`` steps (forward ``2**128 - p``) puts the zero at position p."""
+    state = derive_rng(9, "noise").bit_generator.state
+    state["state"]["state"] = -state["state"]["inc"] * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    bit_generator.advance(2**128 - p)
+    return np.random.Generator(bit_generator)
 
 
 def test_a_zero_uniform_gives_a_finite_draw_and_leaves_every_other_draw_alone():
-    size = 4 * _BLOCK + 9
-    positions = [0, 3 * _BLOCK + 5, size - 1]  # the middle one is in the helper's half
+    size = 4 * _BLOCK + 9  # split at 3 * _BLOCK: the upper half is drawn on the helper thread
     scale = 2.0
-    got = laplace_noise(_ZerosAt(positions), scale, size)
     # the clamp: |u| = 0.5 - 2**-53, the largest any other uniform gives
     edge = -scale * math.log1p(-1.0 + 2.0**-52)
-    assert np.isfinite(got).all()
-    assert got[positions].tolist() == [-edge] * 3
-    want = _one_shot_laplace(derive_rng(9, "noise"), scale, size)
-    rest = np.ones(size, bool)
-    rest[positions] = False
-    assert got[rest].tobytes() == want[rest].tobytes()
-    scalar = laplace_noise(_ZerosAt([]), scale)
-    assert math.isfinite(scalar) and scalar == -edge
+    for p in (0, 3 * _BLOCK + 5, size - 1):
+        assert _zero_at(p).random(size)[p] == 0.0
+        got = laplace_noise(_zero_at(p), scale, size)
+        assert np.isfinite(got).all()
+        assert got[p] == -edge
+        with np.errstate(divide="ignore"):  # the unclamped formula is infinite at p
+            want = _one_shot_laplace(_zero_at(p), scale, size)
+        rest = np.arange(size) != p
+        assert got[rest].tobytes() == want[rest].tobytes()
+    scalar = laplace_noise(_zero_at(0), scale)
+    assert type(scalar) is np.float64 and scalar == -edge
 
 
-@pytest.mark.parametrize("size", [4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, 1_000_003, (3, 2 * _BLOCK + 5)])
+@pytest.mark.parametrize(
+    "size",
+    [
+        4 * _BLOCK - 1, 4 * _BLOCK, 4 * _BLOCK + 1, 1_000_003, (3, 2 * _BLOCK + 5),
+        # one-thread draws, which fill their blocks with random(out=) too
+        None, 1, _BLOCK + 1, 3 * _BLOCK + 7,
+    ],
+)
 @pytest.mark.parametrize("cached_half", [False, True], ids=["fresh", "has_uint32"])
 def test_laplace_noise_leaves_the_stream_where_one_random_call_would(size, cached_half):
     rng, twin = derive_rng(9, "noise"), derive_rng(9, "noise")
@@ -227,7 +258,7 @@ def test_laplace_noise_leaves_the_stream_where_one_random_call_would(size, cache
     assert rng.random() == twin.random()
 
 
-@pytest.mark.parametrize("size", [4 * _BLOCK, 1_000_003])
+@pytest.mark.parametrize("size", [4 * _BLOCK, 1_000_003, 3 * _BLOCK + 7])
 def test_laplace_noise_from_another_bit_generator_matches_the_one_shot_formula(size):
     def mt():
         return np.random.Generator(np.random.MT19937(7))
@@ -242,6 +273,12 @@ def test_laplace_noise_from_another_bit_generator_matches_the_one_shot_formula(s
 def test_laplace_noise_rejects_a_negative_or_nan_scale(size, scale):
     with pytest.raises(ValueError, match="scale"):
         laplace_noise(derive_rng(9, "noise"), scale, size)
+
+
+@pytest.mark.parametrize("size", [None, 10])
+def test_laplace_noise_needs_a_generator(size):
+    with pytest.raises(TypeError, match="Generator"):
+        laplace_noise(np.random.RandomState(9), 1.0, size)
 
 
 def test_beside_reraises_the_helpers_exception_after_joining_it():
@@ -340,6 +377,32 @@ def test_laplace_query_mechanism_closure():
     assert many[0] == pytest.approx(one)
     with pytest.raises(NonPositiveEpsilon):
         laplace_query_mechanism(Query("count"), SCHEMA, epsilon=-1.0)
+
+
+# the half-scale count, whose true loss is twice any finite epsilon
+_HALF_SCALE_COUNT = laplace_query_mechanism(
+    Query("count", predicate=Predicate("v", ">=", 5.0)), SCHEMA, 1.0, scale_factor=0.5
+)
+
+_EPSILON_ENTRY_POINTS = {
+    "laplace_mechanism": lambda eps: laplace_mechanism(1.0, 1.0, eps, derive_rng(0, "noise")),
+    "laplace_query_mechanism": lambda eps: laplace_query_mechanism(Query("count"), SCHEMA, eps),
+    "metric_dp_mechanism": lambda eps: metric_dp_mechanism(3.0, eps, derive_rng(0, "noise")),
+    "dp_microdata_release": lambda eps: dp_microdata_release(make_table(SCHEMA[:1], {"v": [1.0, 2.0]}), eps, 0),
+    "empirical_dp_check": lambda eps: empirical_dp_check(
+        _HALF_SCALE_COUNT, _table([1, 2, 3, 7]), _table([1, 2, 3]), eps, trials=1000
+    ),
+    "record_dp": lambda eps: BudgetLedger().record_dp("q", eps),
+}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry_point", sorted(_EPSILON_ENTRY_POINTS))
+def test_every_dp_entry_point_rejects_an_epsilon_that_is_not_positive_and_finite(entry_point, epsilon):
+    # an infinite epsilon once released exact answers, and a NaN or infinite
+    # one PASSed the half-scale count in the empirical check
+    with pytest.raises(NonPositiveEpsilon, match="positive and finite"):
+        _EPSILON_ENTRY_POINTS[entry_point](epsilon)
 
 
 def test_perfect_secrecy_ignores_the_data():
