@@ -513,7 +513,11 @@ def downcoding_attack(
     label multiset is fixed, that acceptance test is independent across
     cells. A cell counts as (partially) recovered when its surviving set is a
     proper subset of the released node's leaves. Soundness: the true value
-    always survives, since the mechanism accepted the release for it.
+    survives whenever it is one of the enumerated leaves, since the mechanism
+    accepted the release for it. Every tree leaf is; under an integral
+    interval hierarchy only integers are, so a non-integer value is never
+    inferred (1.5 in [1, 10] cut at 6 is released as ``[1,5]`` and inferred
+    as ``[1, 2, 3, 4, 5]``).
     """
     if release.provenance is None or release.provenance.mechanism != "minimal_generalization":
         found = None if release.provenance is None else release.provenance.mechanism
@@ -549,8 +553,8 @@ def downcoding_attack(
         leaves = h.leaves_under(label, limit=max_candidates)
         survivors = [
             leaf
-            for leaf in leaves
-            if cell_is_minimal(counts, label_rows[i], a, (h.label(leaf, lower) for lower in range(level)), k)
+            for leaf, path in zip(leaves, h.paths(leaves).tolist())
+            if cell_is_minimal(counts, label_rows[i], a, path[:level], k)
         ]
         proper = len(survivors) < len(leaves)
         recovered += proper

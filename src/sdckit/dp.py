@@ -477,8 +477,9 @@ def metric_dp_mechanism(point, epsilon: float, rng: np.random.Generator):
     if arr.ndim == 0:
         return float(arr + laplace_noise(rng, 1.0 / epsilon))
     if arr.shape == (2,):
-        # radius ~ Gamma(2, 1/eps) as the sum of two exponentials, angle uniform
-        e1, e2 = -np.log(rng.random()), -np.log(rng.random())
+        # radius ~ Gamma(2, 1/eps) as the sum of two exponentials, angle uniform;
+        # -log(1 - u) stays finite for every u in [0, 1), -log(u) does not at 0
+        e1, e2 = -np.log1p(-rng.random()), -np.log1p(-rng.random())
         radius = (e1 + e2) / epsilon
         theta = 2.0 * math.pi * rng.random()
         return arr + radius * np.asarray([math.cos(theta), math.sin(theta)])

@@ -35,6 +35,7 @@ from .microdata import (
     as_table,
     class_counts,
     factorize,
+    label_paths,
     row_positions,
     shared_text_codes,
     text_codes,
@@ -113,20 +114,6 @@ def _require_hierarchies(qi: Sequence[str], hierarchies: Mapping[str, Generaliza
             raise HierarchyMissing(name)
 
 
-def _label_column(
-    table: MicrodataTable, name: str, hierarchy: GeneralizationHierarchy, level: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Column ``name`` at ``level``: (label per row, label code per row, number
-    of labels). ``hierarchy.label`` runs once per distinct value, which also
-    validates every value."""
-    col = table.columns[name]
-    values = col.astype(float) if table.attribute(name).is_numeric else col
-    distinct, row_of = factorize(values)
-    labels = np.asarray([hierarchy.label(v, level) for v in distinct], dtype=object)
-    distinct_labels, code_of = factorize(labels)
-    return labels[row_of], code_of[row_of], len(distinct_labels)
-
-
 def _column_kind_for_level(labels: np.ndarray) -> CategoricalKind:
     return CategoricalKind(tuple(sorted(set(labels))))
 
@@ -153,16 +140,15 @@ def anonymize_generalization(
     n = table.n_rows
     allowed = math.floor(max_suppression_fraction * n)
 
-    label_cache: dict[tuple[str, int], tuple[np.ndarray, np.ndarray, int]] = {}
-
-    def labels_at(name: str, level: int) -> tuple[np.ndarray, np.ndarray, int]:
-        key = (name, level)
-        if key not in label_cache:
-            label_cache[key] = _label_column(table, name, hierarchies[name], level)
-        return label_cache[key]
+    maps = {name: label_paths(table, name, hierarchies[name]) for name in qi}
+    # per QI and level: each row's label code and the number of distinct labels
+    coded = {
+        name: [(code_of[codes], len(labels)) for labels, code_of in map(factorize, paths.T)]
+        for name, (paths, codes) in maps.items()
+    }
 
     def violating_rows(levels: Mapping[str, int]) -> np.ndarray:
-        key, size = _combine_codes([labels_at(name, levels[name])[1:] for name in qi], n)
+        key, size = _combine_codes([coded[name][levels[name]] for name in qi], n)
         return np.flatnonzero(np.bincount(key, minlength=size)[key] < k)
 
     levels = {name: 0 for name in qi}
@@ -179,7 +165,7 @@ def anonymize_generalization(
             trial = dict(levels)
             trial[name] += 1
             remaining = violating_rows(trial)
-            distinct_now = labels_at(name, levels[name])[2]
+            distinct_now = coded[name][levels[name]][1]
             scored.append((remaining.size, distinct_now, qi.index(name), name, remaining))
         scored.sort(key=lambda t: (t[0], t[1], t[2]))
         _, _, _, best_name, violators = scored[0]
@@ -192,9 +178,9 @@ def anonymize_generalization(
 
     masked = table.take(keep)
     for name in qi:
-        lv = levels[name]
-        if lv > 0:
-            labels = labels_at(name, lv)[0][keep]
+        if levels[name] > 0:
+            paths, codes = maps[name]
+            labels = paths[codes[keep], levels[name]]
             masked = masked.with_column(name, labels, kind=_column_kind_for_level(labels))
     masked = masked.drop_columns(masked.identifier_names)
 
@@ -220,19 +206,6 @@ def _partition_by_combo(table: MicrodataTable, qi: Sequence[str]):
 # --------------------------------------------------------------------------
 # exhaustive minimal local recoding
 # --------------------------------------------------------------------------
-
-
-def _cell_label_paths(table, qi, hierarchies):
-    """For every row and QI attribute, the label at each level 0..height."""
-    paths = []
-    for i in range(table.n_rows):
-        row_paths = []
-        for name in qi:
-            h = hierarchies[name]
-            v = table.columns[name][i]
-            row_paths.append(h.value_path(float(v) if table.attribute(name).is_numeric else v))
-        paths.append(tuple(row_paths))
-    return paths
 
 
 def cell_is_minimal(counts: Mapping[tuple, int], row: tuple, a: int, lower_labels, k: int) -> bool:
@@ -289,7 +262,9 @@ def minimal_generalization(
                 f"scheme lattice exceeds {max_states} states for {n} rows x {len(qi)} attributes"
             )
 
-    paths = _cell_label_paths(table, qi, hierarchies)
+    maps = [label_paths(table, name, hierarchies[name]) for name in qi]
+    # paths[i][a]: cell (i, a)'s labels at levels 0..height
+    paths = list(zip(*(by_value[codes].tolist() for by_value, codes in maps)))
     width = len(qi)
     tops = heights * n  # each cell's highest level
 
@@ -309,15 +284,14 @@ def minimal_generalization(
         return True
 
     # A row's label tuple as one integer: a mixed-radix number with a digit per
-    # attribute, the label's index among that attribute's labels. Cell (i, a)
-    # at level lv adds place[i * width + a][lv] to row i's key.
-    digits: list[dict[str, int]] = [{} for _ in qi]
-    for row_paths in paths:
-        for a, path in enumerate(row_paths):
-            for label in path:
-                digits[a].setdefault(label, len(digits[a]))
-    radix = [math.prod(len(d) for d in digits[:a]) for a in range(width)]
-    place = [[digits[a][label] * radix[a] for label in paths[i][a]] for i in range(n) for a in range(width)]
+    # attribute, the label's code among that attribute's labels at all levels.
+    # Cell (i, a) at level lv adds place[i * width + a][lv] to row i's key.
+    radix, digits = 1, []
+    for by_value, codes in maps:
+        labels, code_of = factorize(by_value.ravel())
+        digits.append([[d * radix for d in row] for row in code_of.reshape(by_value.shape)[codes].tolist()])
+        radix *= len(labels)
+    place = [digits[a][i] for i in range(n) for a in range(width)]
 
     levels = [0] * (n * width)
     keys = [sum(place[i * width + a][0] for a in range(width)) for i in range(n)]

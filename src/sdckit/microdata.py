@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import unicodedata
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -326,6 +325,18 @@ def shared_text_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.n
     return support, [np.searchsorted(support, distinct)[codes] for distinct, codes in encoded]
 
 
+def label_paths(table: MicrodataTable, name: str, hierarchy: GeneralizationHierarchy):
+    """A column's recoding map: ``(paths, codes)``, where ``paths`` is
+    ``hierarchy.paths`` over the column's distinct ``text_codes`` texts (parsed
+    back to floats for a numeric column) and ``codes`` is each row's index
+    among them, so row i's label at level lv is ``paths[codes[i], lv]``."""
+    distinct, codes = text_codes(table, name)
+    values = distinct.tolist()
+    if table.attribute(name).is_numeric:
+        values = [float(text) for text in values]
+    return hierarchy.paths(values), codes
+
+
 def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
     """Column as canonical text, so masked label columns compare against raw numerics."""
     distinct, codes = text_codes(table, name)
@@ -486,6 +497,8 @@ class GeneralizationHierarchy:
         self._cuts: tuple[tuple[float, ...], ...] = ()
         self._integral = False
         self._interval_of: dict[str, tuple[float, float]] = {}
+        # per interval level 1..height: its cuts and the label of each interval
+        self._label_tables: list[tuple[np.ndarray, np.ndarray]] = []
 
     # -- constructors -------------------------------------------------------
 
@@ -559,24 +572,20 @@ class GeneralizationHierarchy:
         h._lo, h._hi = lo, hi
         h._cuts = tuple(cuts) + ((),)  # the final entry is the root level: no cuts
         h._integral = all(float(x).is_integer() for x in [lo, hi, *[c for lvl in cuts for c in lvl]])
-        for level in range(1, height + 1):
-            for ivl_lo, ivl_hi in h._intervals_at(level):
-                label = h._interval_label(ivl_lo, ivl_hi)
-                if label in h._level_of:
-                    # an interval no cut splits repeats at coarser levels; it is
-                    # the same node, registered once at its lowest level
-                    continue
-                h._level_of[label] = level
-                h._interval_of[label] = (ivl_lo, ivl_hi)
+        for level, cut_list in enumerate(h._cuts, start=1):
+            # half-open [lo, hi) intervals except the last, which closes at the domain max
+            edges = [lo, *cut_list, math.nextafter(hi, math.inf)]
+            intervals = list(zip(edges, edges[1:]))
+            labels = [h._interval_label(*ivl) for ivl in intervals]
+            h._label_tables.append((np.asarray(cut_list, dtype=float), np.asarray(labels, dtype=object)))
+            for label, ivl in zip(labels, intervals):
+                # an interval no cut splits repeats at coarser levels; it is
+                # the same node, registered once at its lowest level
+                h._level_of.setdefault(label, level)
+                h._interval_of.setdefault(label, ivl)
         return h
 
     # -- interval plumbing ---------------------------------------------------
-
-    def _intervals_at(self, level: int) -> list[tuple[float, float]]:
-        """Half-open [lo, hi) intervals except the last, which closes at the domain max."""
-        cut_list = self._cuts[level - 1]
-        edges = [self._lo, *cut_list, math.nextafter(self._hi, math.inf)]
-        return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
     def _interval_label(self, ivl_lo: float, ivl_hi: float) -> str:
         last = ivl_hi > self._hi
@@ -598,24 +607,36 @@ class GeneralizationHierarchy:
             return False
         return math.isfinite(v) and self._lo <= v <= self._hi
 
+    def paths(self, values: Iterable) -> np.ndarray:
+        """The recoding map: an object array of shape ``(len(values), height + 1)``
+        whose row i holds the labels of ``values[i]`` at levels 0..height.
+
+        Each value is checked once; the first that is not a leaf raises
+        UnknownValue. A tree reads each leaf's lineage; an interval level is one
+        ``searchsorted`` into its cuts and its table of labels.
+        """
+        values = list(values)
+        for value in values:
+            if not self.contains(value):
+                raise UnknownValue(f"{value!r} is not a leaf of the hierarchy for {self.attribute!r}")
+        if self.kind == "tree":
+            rows = [self._paths[nfc(value)] for value in values]
+            return np.array(rows, dtype=object).reshape(len(values), self.height + 1)
+        x = np.array([float(value) for value in values], dtype=float)
+        out = np.empty((len(values), self.height + 1), dtype=object)
+        out[:, 0] = [canonical_number(v) for v in x.tolist()]
+        for level, (cuts, labels) in enumerate(self._label_tables, start=1):
+            out[:, level] = labels[np.searchsorted(cuts, x, side="right")]
+        return out
+
     def label(self, value, level: int) -> str:
         """Text label of the ancestor of ``value`` at the requested level."""
         if not 0 <= level <= self.height:
             raise LevelOutOfRange(f"level {level} outside [0, {self.height}] for {self.attribute!r}")
-        if not self.contains(value):
-            raise UnknownValue(f"{value!r} is not a leaf of the hierarchy for {self.attribute!r}")
-        if self.kind == "tree":
-            return self._paths[nfc(value)][level]
-        v = float(value)
-        if level == 0:
-            return canonical_number(v)
-        cut_list = self._cuts[level - 1]
-        j = bisect_right(cut_list, v)
-        edges = [self._lo, *cut_list, math.nextafter(self._hi, math.inf)]
-        return self._interval_label(edges[j], edges[j + 1])
+        return self.paths([value])[0, level]
 
     def value_path(self, value) -> tuple[str, ...]:
-        return tuple(self.label(value, lv) for lv in range(self.height + 1))
+        return tuple(self.paths([value])[0])
 
     def level_of_label(self, label: str) -> int:
         if label in self._level_of:
@@ -659,18 +680,15 @@ class GeneralizationHierarchy:
         if self.kind == "tree":
             some_path = next(iter(self._paths.values()))
             return some_path[-1]
-        return self._interval_label(*self._intervals_at(self.height)[0])
+        return self._label_tables[-1][1][0]
 
 
 def generalize_value(hierarchy: GeneralizationHierarchy, value, level: int):
     """Ancestor of a leaf at the requested level; level 0 returns the value itself."""
     if not isinstance(level, (int, np.integer)) or level < 0 or level > hierarchy.height:
         raise LevelOutOfRange(f"level {level} outside [0, {hierarchy.height}]")
-    if not hierarchy.contains(value):
-        raise UnknownValue(f"{value!r} is not a leaf of the hierarchy for {hierarchy.attribute!r}")
-    if level == 0:
-        return value
-    return hierarchy.label(value, int(level))
+    label = hierarchy.paths([value])[0, level]  # raises UnknownValue for a non-leaf
+    return value if level == 0 else label
 
 
 def hierarchy_from_json(doc: Mapping[str, Any] | str) -> GeneralizationHierarchy:

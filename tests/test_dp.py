@@ -490,6 +490,20 @@ def test_metric_dp_planar_radius_distribution():
     assert np.mean(radii) == pytest.approx(2.0 / eps, rel=0.03)
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_metric_dp_planar_point_is_finite_when_a_radius_uniform_is_zero(p):
+    # the radius is -log(1 - u0) - log(1 - u1) over eps: a zero uniform adds
+    # nothing, where -log(u) would be infinite (an error under the suite's filter)
+    u = _zero_at(p).random(3)
+    assert u[p] == 0.0
+    eps = 2.0
+    point = metric_dp_mechanism([0.0, 0.0], eps, _zero_at(p))
+    assert np.isfinite(point).all()
+    radius = -(math.log1p(-u[0]) + math.log1p(-u[1])) / eps
+    assert np.linalg.norm(point) == pytest.approx(radius, rel=1e-12)
+    assert math.atan2(point[1], point[0]) % (2 * math.pi) == pytest.approx(2 * math.pi * u[2], rel=1e-12)
+
+
 # -- relaxation conversions -------------------------------------------------------
 
 
