@@ -548,13 +548,15 @@ def downcoding_attack(
 
     recovered = 0
     cell_details = []
+    candidates = {}  # (attribute, released label) -> its leaves and their lower labels
     for i, a, name, label, level in cells:
-        h = hierarchies[name]
-        leaves = h.leaves_under(label, limit=max_candidates)
+        if (a, label) not in candidates:
+            h = hierarchies[name]
+            leaves = h.leaves_under(label, limit=max_candidates)
+            candidates[a, label] = leaves, [path[:level] for path in h.paths(leaves).tolist()]
+        leaves, lowers = candidates[a, label]
         survivors = [
-            leaf
-            for leaf, path in zip(leaves, h.paths(leaves).tolist())
-            if cell_is_minimal(counts, label_rows[i], a, path[:level], k)
+            leaf for leaf, lower in zip(leaves, lowers) if cell_is_minimal(counts, label_rows[i], a, lower, k)
         ]
         proper = len(survivors) < len(leaves)
         recovered += proper

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -238,12 +238,24 @@ def minimal_generalization(
     scheme in which no single cell can move to any strictly lower level
     without breaking k-anonymity.
 
-    States (one level per cell, cells row by row) are visited in
+    States (one level per cell, cells row by row) are walked in
     ``itertools.product`` order, the last cell fastest. The class counts and
     the number of classes below k are updated per changed cell, so a state
     costs the cells that changed; only k-anonymous states are tested for
-    minimality. Only intended for desk-scale instances; the state count is
-    guarded.
+    minimality.
+
+    The walk skips every state that keeps a dead row prefix. Rows 0..r-1 at
+    their current levels form a dead prefix when one of them is in a class
+    that cannot reach k rows: its rows among the prefix, plus the later rows
+    whose label paths hold its labels, are fewer than k. No state that keeps
+    such a prefix is k-anonymous, so the walk steps the prefix's last cell
+    (and resets the cells after it) instead. The k-anonymous states, their
+    order and so the result and its errors are the same as a full walk's.
+    After a step in row i only prefixes of more than i rows can have died,
+    and only those are checked.
+
+    Only intended for desk-scale instances: ``max_states`` bounds the lattice
+    (the product of the cells' level counts), not the states walked.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -316,20 +328,55 @@ def minimal_generalization(
             counts[new] = c
             below += under_k[c] - under_k[c - 1]
 
-    # states in itertools.product order over the cells, the last cell fastest
+    # later[key]: the rows, ascending, whose label paths can give them ``key``
+    # at some levels but whose level-0 key differs
+    later: dict[int, list[int]] = {}
+    for i in range(n):
+        cell_places = (set(place[i * width + a]) for a in range(width))
+        for key in {sum(combo) for combo in product(*cell_places)}:
+            if key != keys[i]:
+                later.setdefault(key, []).append(i)
+
+    def dead_prefix(lo: int) -> int:
+        """The fewest leading rows, at least ``lo``, whose current levels no
+        state that keeps them can make k-anonymous; ``n`` when no shorter
+        prefix is dead.
+
+        Rows from ``lo`` on must be at level 0. A class of c < k rows that
+        holds row j can still gain only the rows in ``later`` for its key, so
+        a prefix that holds row j is dead once fewer than k - c of those rows
+        lie past it."""
+        best = n
+        for j in range(n - 1):
+            if j + 1 >= best:
+                break
+            c = counts[keys[j]]
+            if c < k:
+                rows = later.get(keys[j], ())
+                need = k - c
+                best = min(best, max(rows[-need] + 1 if need <= len(rows) else 0, j + 1, lo))
+        return best
+
+    # states in itertools.product order over the cells, the last cell fastest;
+    # the walk steps past every state that keeps a dead row prefix
+    last = len(levels) - 1
+    lo = 1  # the shortest row prefix that can have died since the last check
     while True:
         if not below:
             state = tuple(levels)
             label_rows = labels_for(state)
             if is_minimal(state, label_rows):
                 return _build_local_release(table, qi, hierarchies, state, label_rows, k)
-        cell = len(levels) - 1
+            cell = last
+        else:
+            cell = dead_prefix(lo) * width - 1 if lo < n else last
         while cell >= 0 and levels[cell] == tops[cell]:
             set_level(cell, 0)
             cell -= 1
         if cell < 0:
             raise Unsatisfiable(f"no cell-level recoding of {n} rows reaches k={k}")
         set_level(cell, levels[cell] + 1)
+        lo = cell // width + 1
 
 
 def _build_local_release(table, qi, hierarchies, levels, label_rows, k):

@@ -1,8 +1,10 @@
 """Both recoders against frozen copies of the per-row code they replaced:
 global recoding that labelled every cell and counted label tuples with a
 Counter per candidate level, and minimal recoding that rebuilt every row's
-label tuple and a Counter for every lattice state. Outputs, search order and
-errors must be the same."""
+label tuple and a Counter for every lattice state, with no state skipped.
+Outputs, search order and errors must be the same; for the minimal recoder
+that also checks that the states its walk skips at dead row prefixes hold no
+answer."""
 
 import itertools
 import math
@@ -288,6 +290,82 @@ def _desk():
         "sex": GeneralizationHierarchy.from_tree("sex", TREES["sex"]),
     }
     return table, hierarchies
+
+
+def _ten_row_desk():
+    """Ten rows of one interval QI of height 2 (a 3**10-state lattice), laid
+    out like the benchmark's desk instance. Row 0 (x=1) shares its leaf with no
+    other row, so the first 3**9 states, which keep it at level 0, hold no
+    answer; the full walk visits 28,541 states to find one at k=2."""
+    schema = (AttributeSchema("x", "quasi_identifier", NumericKind(1, 10)),)
+    table = make_table(schema, {"x": [1.0, 9.0, 10.0, 3.0, 3.0, 5.0, 5.0, 6.0, 6.0, 7.0]})
+    return table, {"x": GeneralizationHierarchy.from_breakpoints("x", 1, 10, [[6]])}
+
+
+def _sex_table(rows):
+    """One binary tree QI per column of ``rows``, named q0, q1, ..."""
+    names = [f"q{j}" for j in range(len(rows[0]))]
+    schema = [AttributeSchema(name, "quasi_identifier", CategoricalKind(LEAVES["sex"])) for name in names]
+    table = make_table(schema, {name: [row[j] for row in rows] for j, name in enumerate(names)})
+    return table, {name: GeneralizationHierarchy.from_tree(name, TREES["sex"]) for name in names}
+
+
+def _same_outcome(table, hierarchies, k, max_states=10**6):
+    want = _outcome(_oracle_minimal_generalization, table, hierarchies, k, max_states)
+    assert _outcome(minimal_generalization, table, hierarchies, k, max_states) == want
+    return want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pruned_walk_matches_frozen_copy_on_the_ten_row_desk(k):
+    want = _same_outcome(*_ten_row_desk(), k)
+    if k == 1:  # every class already holds one row: the first state is the answer
+        assert want[0]["cell_levels"] == [[0]] * 10
+    else:  # x=1 must leave level 0, so the answer is past the first 3**9 states
+        assert want[0]["cell_levels"][0] != [0]
+
+
+def test_a_dead_prefix_is_passed_over_at_its_rows_last_cell():
+    # k=4 over four rows of two binary QIs: only (*, *) in every row is
+    # k-anonymous. Row 0 reaches (*, m) by a step of its first cell and its
+    # second cell back at level 0; that prefix is dead, but the walk must go on
+    # to (*, *) through the second cell rather than treat row 0 as done
+    want = _same_outcome(*_sex_table([("m", "m"), ("m", "f"), ("f", "f"), ("f", "m")]), 4)
+    assert want[0]["cell_levels"] == [[1, 1]] * 4
+
+
+def test_the_state_a_jump_lands_on_is_the_answer():
+    # x=0 and x=1 each sit alone at level 0: the walk jumps from the first
+    # state to x=0 at [-2,1], then from there to x=1 at [-2,1], and the state
+    # that second jump lands on is the answer
+    schema = (AttributeSchema("x", "quasi_identifier", NumericKind(-2, 6)),)
+    table = make_table(schema, {"x": [-2.0, 0.0, 1.0, -2.0]})
+    hierarchies = {"x": GeneralizationHierarchy.from_breakpoints("x", -2, 6, INTERVALS["short"])}
+    want = _same_outcome(table, hierarchies, 2)
+    assert want[0]["cell_levels"] == [[0], [1], [1], [0]]
+
+
+def test_k_above_the_row_count_kills_every_prefix_at_row_zero():
+    table, hierarchies = _sex_table([("m", "m"), ("m", "f"), ("f", "f")])
+    want = ("Unsatisfiable", "no cell-level recoding of 3 rows reaches k=4")
+    assert _same_outcome(table, hierarchies, 4) == want
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_a_table_without_quasi_identifiers(k):
+    # no cells: the one state is the empty scheme, k-anonymous exactly when k <= n
+    schema = (AttributeSchema("diagnosis", "confidential", CategoricalKind(("flu", "cold"))),)
+    table = make_table(schema, {"diagnosis": ["flu", "cold", "flu"]})
+    want = _same_outcome(table, {}, k)
+    assert (want[0] == "Unsatisfiable") == (k > 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(recoding_inputs(max_rows=9, max_qis=1), st.sampled_from([1, 2, 3, 4]))
+def test_pruned_walk_matches_frozen_copy_on_one_qi(inputs, k):
+    # one QI over at most 9 rows: the 2*10**4 cap keeps the frozen copy's
+    # full walk affordable, and a larger lattice compares the guard's error
+    _same_outcome(*inputs, k, max_states=2 * 10**4)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
