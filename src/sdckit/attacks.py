@@ -501,7 +501,6 @@ def intersection_attack(releases: Sequence[AnonymizedRelease]) -> AttackReport:
 def downcoding_attack(
     release: AnonymizedRelease,
     hierarchies: Mapping[str, GeneralizationHierarchy],
-    max_candidates: int = 10**6,
 ) -> AttackReport:
     """Reconstruct information hidden by a minimality-seeking recoder.
 
@@ -552,7 +551,7 @@ def downcoding_attack(
     for i, a, name, label, level in cells:
         if (a, label) not in candidates:
             h = hierarchies[name]
-            leaves = h.leaves_under(label, limit=max_candidates)
+            leaves = h.leaves_under(label)
             candidates[a, label] = leaves, [path[:level] for path in h.paths(leaves).tolist()]
         leaves, lowers = candidates[a, label]
         survivors = [

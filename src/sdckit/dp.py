@@ -49,6 +49,7 @@ from .microdata import (
     NumericKind,
     Provenance,
     comparable_text,
+    suppress_identifiers,
 )
 from .seeds import derive_rng
 
@@ -442,16 +443,14 @@ def dp_microdata_release(table: MicrodataTable, epsilon: float, rng_seed: int) -
             )
     eps_cell = epsilon / len(released)
     rng = derive_rng(rng_seed, "noise")
-    masked = table.drop_columns(table.identifier_names)
+    noisy = {}
     for a in released:
         kind: NumericKind = a.kind  # type: ignore[assignment]
-        col = masked.columns[a.name].astype(float)
-        if kind.width == 0:
-            continue
-        noisy = col + laplace_noise(rng, kind.width / eps_cell, col.size)
-        masked = masked.with_column(a.name, np.clip(noisy, kind.lo, kind.hi))
+        if kind.width > 0:
+            col = table.columns[a.name].astype(float)
+            noisy[a.name] = np.clip(col + laplace_noise(rng, kind.width / eps_cell, col.size), kind.lo, kind.hi)
     return AnonymizedRelease(
-        table=masked,
+        table=suppress_identifiers(table, noisy),
         partition=None,
         provenance=Provenance(
             mechanism="dp_microdata",

@@ -38,6 +38,7 @@ from .microdata import (
     label_paths,
     row_positions,
     shared_text_codes,
+    suppress_identifiers,
     text_codes,
 )
 
@@ -114,10 +115,6 @@ def _require_hierarchies(qi: Sequence[str], hierarchies: Mapping[str, Generaliza
             raise HierarchyMissing(name)
 
 
-def _column_kind_for_level(labels: np.ndarray) -> CategoricalKind:
-    return CategoricalKind(tuple(sorted(set(labels))))
-
-
 def anonymize_generalization(
     table: MicrodataTable,
     hierarchies: Mapping[str, GeneralizationHierarchy],
@@ -160,43 +157,29 @@ def anonymize_generalization(
                 f"full generalization still leaves {violators.size} rows below k={k} "
                 f"with only {allowed} suppressions allowed"
             )
-        scored = []
-        for name in candidates:
-            trial = dict(levels)
-            trial[name] += 1
-            remaining = violating_rows(trial)
-            distinct_now = coded[name][levels[name]][1]
-            scored.append((remaining.size, distinct_now, qi.index(name), name, remaining))
-        scored.sort(key=lambda t: (t[0], t[1], t[2]))
-        _, _, _, best_name, violators = scored[0]
-        levels[best_name] += 1
+        remaining = {name: violating_rows({**levels, name: levels[name] + 1}) for name in candidates}
+        best = min(candidates, key=lambda name: (remaining[name].size, coded[name][levels[name]][1], qi.index(name)))
+        levels[best] += 1
+        violators = remaining[best]
 
-    suppressed = np.zeros(n, dtype=bool)
-    suppressed[violators] = True
-    keep = np.flatnonzero(~suppressed)
-    suppressed_ids = tuple(int(table.row_ids[i]) for i in violators)
-
-    masked = table.take(keep)
-    for name in qi:
-        if levels[name] > 0:
-            paths, codes = maps[name]
-            labels = paths[codes[keep], levels[name]]
-            masked = masked.with_column(name, labels, kind=_column_kind_for_level(labels))
-    masked = masked.drop_columns(masked.identifier_names)
-
+    keep = np.delete(np.arange(n), violators)
+    labels = {name: paths[codes[keep], levels[name]] for name, (paths, codes) in maps.items() if levels[name]}
+    suppressed_ids = tuple(table.row_ids[violators].tolist())
     scheme = GeneralizationScheme(
         kind="global", qi_order=tuple(qi), levels=dict(levels), suppressed_row_ids=suppressed_ids
     )
-    partition = _partition_by_combo(masked, qi)
-    release = AnonymizedRelease(
-        table=masked,
-        partition=partition,
-        provenance=Provenance(
-            mechanism="generalization",
-            params={"k": k, "scheme": scheme.to_json(), "max_suppression_fraction": max_suppression_fraction},
-        ),
-    )
-    return release, scheme
+    params = {"k": k, "max_suppression_fraction": max_suppression_fraction}
+    return _recoded_release(table.take(keep), qi, labels, scheme, "generalization", params)
+
+
+def _recoded_release(table, qi, labels, scheme: GeneralizationScheme, mechanism: str, params):
+    """A recoder's release of ``table`` and ``scheme``: each column of
+    ``labels`` replaces its QI, declared a CategoricalKind of its sorted
+    distinct labels; the classes are the rows' QI label combinations."""
+    kinds = {name: CategoricalKind(tuple(sorted(set(column.tolist())))) for name, column in labels.items()}
+    masked = suppress_identifiers(table, labels, kinds)
+    provenance = Provenance(mechanism=mechanism, params={**params, "scheme": scheme.to_json()})
+    return AnonymizedRelease(masked, _partition_by_combo(masked, qi), provenance), scheme
 
 
 def _partition_by_combo(table: MicrodataTable, qi: Sequence[str]):
@@ -366,7 +349,7 @@ def minimal_generalization(
             state = tuple(levels)
             label_rows = labels_for(state)
             if is_minimal(state, label_rows):
-                return _build_local_release(table, qi, hierarchies, state, label_rows, k)
+                break
             cell = last
         else:
             cell = dead_prefix(lo) * width - 1 if lo < n else last
@@ -378,27 +361,10 @@ def minimal_generalization(
         set_level(cell, levels[cell] + 1)
         lo = cell // width + 1
 
-
-def _build_local_release(table, qi, hierarchies, levels, label_rows, k):
-    width = len(qi)
-    masked = table
-    for a, name in enumerate(qi):
-        labels = np.asarray([label_rows[i][a] for i in range(table.n_rows)], dtype=object)
-        masked = masked.with_column(name, labels, kind=_column_kind_for_level(labels))
-    masked = masked.drop_columns(masked.identifier_names)
-    cell_levels = tuple(
-        tuple(levels[i * width + a] for a in range(width)) for i in range(table.n_rows)
-    )
+    cell_levels = tuple(state[i * width : (i + 1) * width] for i in range(n))
     scheme = GeneralizationScheme(kind="local", qi_order=tuple(qi), cell_levels=cell_levels)
-    release = AnonymizedRelease(
-        table=masked,
-        partition=_partition_by_combo(masked, qi),
-        provenance=Provenance(
-            mechanism="minimal_generalization",
-            params={"k": k, "scheme": scheme.to_json()},
-        ),
-    )
-    return release, scheme
+    labels = {name: np.asarray(column, dtype=object) for name, column in zip(qi, zip(*label_rows))}
+    return _recoded_release(table, qi, labels, scheme, "minimal_generalization", {"k": k})
 
 
 # --------------------------------------------------------------------------
@@ -483,7 +449,7 @@ def microaggregate_partition(
     last bit); a mode is the first maximum of a ``class_counts`` row over
     sorted text codes, so ties go to the smallest text."""
     qi = list(qi_attributes)
-    masked = table
+    masked = {}
     sizes = np.fromiter(map(len, partition), np.int64, len(partition))
     members = np.fromiter(chain.from_iterable(partition), np.int64, int(sizes.sum()))
     firsts = np.cumsum(sizes) - sizes
@@ -498,13 +464,11 @@ def microaggregate_partition(
             distinct, codes = text_codes(table, name)
             modes = [counts.argmax(axis=1) for _, counts in class_counts(partition, codes, len(distinct))]
             col[members] = distinct[np.repeat(np.concatenate(modes), sizes)]
-        masked = masked.with_column(name, col)
-    masked = masked.drop_columns(masked.identifier_names)
-    prov_params = {"k": None, "qi": qi}
-    if params:
-        prov_params.update(params)
+        masked[name] = col
     return AnonymizedRelease(
-        table=masked, partition=partition, provenance=Provenance(mechanism="mdav", params=prov_params)
+        table=suppress_identifiers(table, masked),
+        partition=partition,
+        provenance=Provenance(mechanism="mdav", params={"k": None, "qi": qi, **(params or {})}),
     )
 
 

@@ -3,6 +3,8 @@
 Tables are immutable after construction. Numeric cells are stored as float64,
 categorical cells as NFC-normalized text. Every record carries an internal
 row id that masking operations preserve and serialization never writes out.
+Every masking mechanism builds its published table in one
+``suppress_identifiers`` call.
 """
 
 from __future__ import annotations
@@ -241,10 +243,10 @@ class MicrodataTable:
         cols = {a.name: self.columns[a.name] for a in keep}
         return MicrodataTable(keep, cols, self.row_ids)
 
-    def with_column(self, name: str, values: np.ndarray, kind=None, role=None) -> "MicrodataTable":
-        """Replace one column, optionally changing its declared kind or role."""
+    def with_column(self, name: str, values: np.ndarray, kind=None) -> "MicrodataTable":
+        """Replace one column, optionally changing its declared kind."""
         old = self.attribute(name)
-        new_attr = AttributeSchema(name, role or old.role, kind or old.kind)
+        new_attr = AttributeSchema(name, old.role, kind or old.kind)
         schema = tuple(new_attr if a.name == name else a for a in self.schema)
         cols = dict(self.columns)
         cols[name] = np.asarray(values)
@@ -465,14 +467,31 @@ def serialize_table(table: MicrodataTable) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def suppress_identifiers(table: MicrodataTable) -> MicrodataTable:
-    """Drop every attribute with role identifier; all other columns pass through."""
-    return table.drop_columns(table.identifier_names)
+def suppress_identifiers(table: MicrodataTable, columns=None, kinds=None) -> MicrodataTable:
+    """The published table: every attribute but the identifiers, in schema
+    order, with ``columns`` (name -> values) in place of the named ones and
+    ``kinds`` (name -> kind) declared where given, built as one table with
+    ``table``'s row ids. Every masking mechanism publishes through it.
+
+    A name in ``columns`` or ``kinds`` that ``table`` lacks, or that names an
+    identifier, raises UnknownAttribute.
+    """
+    columns, kinds = columns or {}, kinds or {}
+    for name in chain(columns, kinds):
+        if table.attribute(name).role == "identifier":
+            raise UnknownAttribute(name)
+    kept = (a for a in table.schema if a.role != "identifier")
+    schema = tuple(AttributeSchema(a.name, a.role, kinds.get(a.name, a.kind)) for a in kept)
+    cols = {a.name: columns.get(a.name, table.columns[a.name]) for a in schema}
+    return MicrodataTable(schema, cols, table.row_ids)
 
 
 # --------------------------------------------------------------------------
 # generalization hierarchies
 # --------------------------------------------------------------------------
+
+
+_MAX_LEAVES = 10**6  # the most leaves ``leaves_under`` enumerates
 
 
 class GeneralizationHierarchy:
@@ -489,8 +508,7 @@ class GeneralizationHierarchy:
         self.attribute = attribute
         self.height = height
         self.kind = kind  # "tree" | "intervals"
-        self._paths: dict[str, tuple[str, ...]] = {}
-        self._children: dict[str, list[str]] = {}
+        self._paths: dict[str, tuple[str, ...]] = {}  # leaf -> lineage, leaves in the order read
         self._level_of: dict[str, int] = {}
         self._lo = 0.0
         self._hi = 0.0
@@ -531,17 +549,7 @@ class GeneralizationHierarchy:
         height = depths.pop()
         h = cls(attribute, height, "tree")
         h._paths = paths
-        for leaf, lineage in paths.items():
-            for level, label in enumerate(lineage):
-                prior = h._level_of.get(label)
-                if prior is not None and prior != level:
-                    raise ValueError(f"label {label!r} appears at two levels")
-                h._level_of[label] = level
-                if level > 0:
-                    h._children.setdefault(label, [])
-                    child = lineage[level - 1]
-                    if child not in h._children[label]:
-                        h._children[label].append(child)
+        h._level_of = {label: level for lineage in paths.values() for level, label in enumerate(lineage)}
         return h
 
     @classmethod
@@ -650,15 +658,16 @@ class GeneralizationHierarchy:
                 return 0
         raise UnknownValue(f"label {label!r} not in hierarchy for {self.attribute!r}")
 
-    def leaves_under(self, label: str, limit: int = 10**6) -> list:
-        """Enumerate the domain values below a node; refuses unenumerable domains."""
+    def leaves_under(self, label: str) -> list:
+        """Enumerate the domain values below a node; refuses unenumerable
+        domains and more than ``_MAX_LEAVES`` leaves."""
         level = self.level_of_label(label)
         if self.kind == "tree":
             if level == 0:
                 return [label]
             found = [leaf for leaf, lineage in self._paths.items() if lineage[level] == label]
-            if len(found) > limit:
-                raise SearchSpaceTooLarge(f"{len(found)} leaves under {label!r} exceed limit {limit}")
+            if len(found) > _MAX_LEAVES:
+                raise SearchSpaceTooLarge(f"{len(found)} leaves under {label!r} exceed limit {_MAX_LEAVES}")
             return found
         if level == 0:
             return [float(label)]
@@ -671,8 +680,8 @@ class GeneralizationHierarchy:
         left = int(ivl_lo)
         right = int(self._hi) if last else int(ivl_hi) - 1
         count = right - left + 1
-        if count > limit:
-            raise SearchSpaceTooLarge(f"{count} leaves under {label!r} exceed limit {limit}")
+        if count > _MAX_LEAVES:
+            raise SearchSpaceTooLarge(f"{count} leaves under {label!r} exceed limit {_MAX_LEAVES}")
         return [float(x) for x in range(left, right + 1)]
 
     @property
@@ -720,20 +729,22 @@ def hierarchy_from_json(doc: Mapping[str, Any] | str) -> GeneralizationHierarchy
 
 
 def hierarchy_to_json(h: GeneralizationHierarchy) -> dict[str, Any]:
+    """A hierarchy's JSON form, as ``hierarchy_from_json`` reads it. A tree
+    nests its leaves' lineages in the order they were read, so every node
+    lists its children in the order of the document read; every leaf, an
+    ``{}`` one too, is written as null."""
     if h.kind == "intervals":
         return {
             "attribute": h.attribute,
             "intervals": {"min": h._lo, "max": h._hi, "cuts": [list(c) for c in h._cuts[:-1]]},
         }
-
-    def build(label: str):
-        kids = h._children.get(label)
-        if not kids:
-            return None
-        return {k: build(k) for k in kids}
-
-    root = h.root_label
-    return {"attribute": h.attribute, "tree": {root: build(root)}}
+    tree: dict[str, Any] = {}
+    for leaf, lineage in h._paths.items():
+        node = tree
+        for label in reversed(lineage[1:]):
+            node = node.setdefault(label, {})
+        node[leaf] = None
+    return {"attribute": h.attribute, "tree": tree}
 
 
 def load_hierarchies(docs: Iterable[Mapping[str, Any] | str]) -> dict[str, GeneralizationHierarchy]:

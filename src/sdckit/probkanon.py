@@ -25,6 +25,7 @@ from .microdata import (
     NumericKind,
     Partition,
     Provenance,
+    suppress_identifiers,
     text_codes,
 )
 from .seeds import derive_rngs
@@ -67,12 +68,7 @@ def cluster_and_permute(
             source[idx] = idx[rng.permutation(idx.size)]
     source = dict(zip(qi, sources if mode == "per_attribute" else sources * len(qi)))
 
-    kept = tuple(a for a in table.schema if a.role != "identifier")
-    columns = {
-        a.name: table.columns[a.name][source[a.name]] if a.name in source else table.columns[a.name]
-        for a in kept
-    }
-    masked = MicrodataTable(kept, columns, table.row_ids)
+    masked = suppress_identifiers(table, {name: table.columns[name][source[name]] for name in qi})
     for name in qi:  # a permuted column has its source's texts, its codes permuted alike
         distinct, codes = text_codes(table, name)
         carried = codes[source[name]]

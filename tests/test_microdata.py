@@ -19,13 +19,18 @@ from sdckit import (
     NumericKind,
     Partition,
     Provenance,
+    anonymize_generalization,
+    cluster_and_permute,
+    dp_microdata_release,
     generalize_value,
     hierarchy_from_json,
     hierarchy_to_json,
     load_hierarchies,
     load_table,
     make_table,
+    mdav_microaggregate,
     mdav_partition,
+    minimal_generalization,
     read_release,
     schema_from_descriptor,
     schema_to_descriptor,
@@ -46,7 +51,7 @@ from sdckit.errors import (
 )
 from sdckit.attacks import attribute_inference_attack
 from sdckit.kanon import microaggregate_partition, sse
-from sdckit.microdata import canonical_number, row_positions
+from sdckit.microdata import _encode_text, canonical_number, row_positions
 from sdckit.probkanon import anatomize
 
 from conftest import build_people_table
@@ -315,6 +320,16 @@ def test_hierarchy_json_round_trip():
             assert again.value_path("43007") == h.value_path("43007")
         else:
             assert again.label(4, 1) == h.label(4, 1)
+
+
+def test_tree_json_is_the_document_read_in_its_order():
+    deep = {"r": {"m": {"z2": {"q": None, "b": None}, "a2": {"y": None}},
+                  "c": {"k1": {"e": None, "d": None}, "b1": {"f": None}}}}
+    for doc in (deep, {"only": None}):
+        assert hierarchy_to_json(GeneralizationHierarchy.from_tree("a", doc))["tree"] == doc
+    h = GeneralizationHierarchy.from_tree("a", {"r": {"x": {}, "w": None}})
+    assert hierarchy_to_json(h) == {"attribute": "a", "tree": {"r": {"x": None, "w": None}}}
+    assert json.dumps(hierarchy_to_json(h)["tree"]) == '{"r": {"x": null, "w": null}}'
 
 
 def test_interval_unsplit_by_coarser_cuts_keeps_its_label_and_lowest_level():
@@ -665,3 +680,126 @@ def test_release_rejects_a_confidential_side_that_disagrees_with_the_partition(p
     merged = (partition[0] + partition[1],) + tuple(partition[2:])
     with pytest.raises(ValueError):
         AnonymizedRelease(rel.table, merged, rel.provenance, rel.conf_table)
+
+
+# -- one release construction -------------------------------------------------
+
+TEXTS = ("b", "a", "0", "-0")
+
+
+def _masking_table(n=8):
+    """An identifier between the QIs, -0.0 cells and text cells."""
+    schema = (
+        AttributeSchema("x", "quasi_identifier", NumericKind(-5, 5)),
+        AttributeSchema("pid", "identifier", CategoricalKind(tuple(f"p{i}" for i in range(n)))),
+        AttributeSchema("t", "quasi_identifier", CategoricalKind(TEXTS)),
+        AttributeSchema("w", "non_confidential", NumericKind(-5, 5)),
+        AttributeSchema("d", "confidential", CategoricalKind(TEXTS)),
+    )
+    x = [-0.0, 0.0, 1.0, -1.0, -0.0, 3.0, 1.0, 0.0]
+    t = ["b", "a", "0", "-0", "b", "a", "0", "b"]
+    cols = {"x": x[:n], "pid": [f"p{i}" for i in range(n)], "t": t[:n], "w": x[::-1][:n], "d": t[::-1][:n]}
+    return make_table(schema, cols, row_ids=[10 * i + 3 for i in range(n)])
+
+
+MASKING_HIERARCHIES = {
+    "x": GeneralizationHierarchy.from_breakpoints("x", -5, 5, [[0]]),
+    "t": GeneralizationHierarchy.from_tree("t", {"*": {"letter": {"b": None, "a": None}, "digit": {"0": None, "-0": None}}}),
+}
+
+
+def _chained(table, columns, kinds=None):
+    """A published table as masking mechanisms used to build it: one
+    ``with_column`` per masked column, then ``drop_columns`` of the identifiers."""
+    masked = table
+    for name, values in columns.items():
+        masked = masked.with_column(name, values, kind=(kinds or {}).get(name))
+    return masked.drop_columns(masked.identifier_names)
+
+
+def _label_kinds(table, names):
+    return {name: CategoricalKind(tuple(sorted(set(table.columns[name].tolist())))) for name in names}
+
+
+def _same_construction(built, chained):
+    assert built.schema == chained.schema  # names, roles, kinds and their order
+    for name in chained.names:
+        mine, theirs = built.columns[name], chained.columns[name]
+        assert mine.dtype == theirs.dtype
+        assert not mine.flags.writeable and not theirs.flags.writeable
+        if mine.dtype == object:
+            assert mine.tolist() == theirs.tolist()
+        else:
+            assert mine.tobytes() == theirs.tobytes()  # -0.0 keeps its sign
+    assert not built.row_ids.flags.writeable
+    assert built.row_ids.dtype == np.int64 and built.row_ids.tolist() == chained.row_ids.tolist()
+
+
+def test_mdav_release_is_the_chained_construction():
+    table = _masking_table()
+    _, release = mdav_microaggregate(table, ["x", "t"], 2)
+    masked = {name: release.table.columns[name] for name in ("x", "t")}
+    _same_construction(release.table, _chained(table, masked))
+
+
+def test_generalization_release_is_the_chained_construction():
+    table = _masking_table()
+    release, scheme = anonymize_generalization(table, MASKING_HIERARCHIES, 3, max_suppression_fraction=0.3)
+    raised = [name for name, level in scheme.levels.items() if level]
+    assert raised
+    kept = table.take([i for i, rid in enumerate(table.row_ids.tolist()) if rid not in scheme.suppressed_row_ids])
+    labels = {name: release.table.columns[name] for name in raised}
+    _same_construction(release.table, _chained(kept, labels, _label_kinds(release.table, raised)))
+
+
+def test_minimal_generalization_release_is_the_chained_construction():
+    table = _masking_table(4)
+    release, _ = minimal_generalization(table, MASKING_HIERARCHIES, 2)
+    labels = {name: release.table.columns[name] for name in ("x", "t")}
+    _same_construction(release.table, _chained(table, labels, _label_kinds(release.table, labels)))
+
+
+@pytest.mark.parametrize("mode", ["vector", "per_attribute"])
+def test_cluster_and_permute_release_is_the_chained_construction(mode):
+    table = _masking_table()
+    release = cluster_and_permute(table, ["t", "x"], 2, 7, mode=mode)
+    permuted = {name: release.table.columns[name] for name in ("t", "x")}
+    _same_construction(release.table, _chained(table, permuted))
+    for name in ("t", "x"):  # the carried text codes are a fresh encoding's
+        distinct, codes = release.table._text_codes[name]
+        fresh_distinct, fresh_codes = _encode_text(release.table, name)
+        assert distinct.tolist() == fresh_distinct.tolist() and codes.tolist() == fresh_codes.tolist()
+
+
+def test_dp_microdata_release_is_the_chained_construction():
+    schema = (
+        AttributeSchema("v", "quasi_identifier", NumericKind(-1, 1)),
+        AttributeSchema("pid", "identifier", NumericKind(0, 9)),
+        AttributeSchema("flat", "non_confidential", NumericKind(2, 2)),
+        AttributeSchema("w", "confidential", NumericKind(0, 4)),
+    )
+    cols = {"v": [-0.0, 0.0, 1.0, -1.0], "pid": [0, 1, 2, 3], "flat": [2, 2, 2, 2], "w": [-0.0, 4, 0.0, 1]}
+    table = make_table(schema, cols, row_ids=[9, 4, 6, 1])
+    release = dp_microdata_release(table, 1.0, 3)
+    noisy = {name: release.table.columns[name] for name in ("v", "w")}  # "flat" has no width to noise
+    _same_construction(release.table, _chained(table, noisy))
+    assert release.table.columns["flat"] is table.columns["flat"]
+
+
+@pytest.mark.parametrize("name", ["nope", "pid"])
+def test_suppress_identifiers_rejects_an_unknown_or_identifier_name(name):
+    table = _masking_table()
+    with pytest.raises(UnknownAttribute):
+        suppress_identifiers(table, {name: table.columns["x"]})
+    with pytest.raises(UnknownAttribute):
+        suppress_identifiers(table, kinds={name: NumericKind(-5, 5)})
+
+
+def test_suppress_identifiers_replaces_and_declares_in_schema_order():
+    table = _masking_table()
+    labels = np.asarray(["lo", "hi"] * 4, dtype=object)
+    masked = suppress_identifiers(table, {"x": labels}, {"x": CategoricalKind(("hi", "lo"))})
+    assert masked.names == ("x", "t", "w", "d")
+    assert masked.attribute("x") == AttributeSchema("x", "quasi_identifier", CategoricalKind(("hi", "lo")))
+    assert masked.columns["x"] is labels and masked.columns["t"] is table.columns["t"]
+    _same_construction(masked, _chained(table, {"x": labels}, {"x": CategoricalKind(("hi", "lo"))}))
