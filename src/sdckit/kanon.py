@@ -40,6 +40,7 @@ from .microdata import (
     shared_text_codes,
     suppress_identifiers,
     text_codes,
+    text_codes_of,
 )
 
 
@@ -60,10 +61,10 @@ def _combine_codes(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[n
 
 
 def _class_codes(table: MicrodataTable, qi: Sequence[str]):
-    """Each row's QI combination, compared as text, as one code: (text columns, codes)."""
+    """Each row's QI combination, compared as text, as one code: (each QI's ``text_codes``, codes)."""
     encoded = [text_codes(table, name) for name in qi]
     key, _ = _combine_codes([(codes, len(distinct)) for distinct, codes in encoded], table.n_rows)
-    return [distinct[codes] for distinct, codes in encoded], key
+    return encoded, key
 
 
 def verify_k_anonymity(release_or_table, qi_attributes: Sequence[str], k: int):
@@ -76,10 +77,11 @@ def verify_k_anonymity(release_or_table, qi_attributes: Sequence[str], k: int):
         raise ValueError("k must be at least 1")
     table = as_table(release_or_table)
     qi = list(qi_attributes)
-    texts, key = _class_codes(table, qi)  # raises UnknownAttribute
+    encoded, key = _class_codes(table, qi)  # raises UnknownAttribute
     _, first, sizes = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(first)
-    counts = {tuple(col[i] for col in texts): int(c) for i, c in zip(first[order], sizes[order])}
+    heads = [distinct[codes[first[order]]] for distinct, codes in encoded]  # each class's texts, per QI
+    counts = {tuple(col[j] for col in heads): int(c) for j, c in enumerate(sizes[order])}
     return bool((sizes >= k).all()), counts
 
 
@@ -161,9 +163,10 @@ def anonymize_generalization(
         best = min(candidates, key=lambda name: (remaining[name].size, coded[name][levels[name]][1], qi.index(name)))
         levels[best] += 1
         violators = remaining[best]
+    del coded  # the search's per-level codes need not live through the release
 
     keep = np.delete(np.arange(n), violators)
-    labels = {name: paths[codes[keep], levels[name]] for name, (paths, codes) in maps.items() if levels[name]}
+    labels = {name: (paths[:, levels[name]], codes[keep]) for name, (paths, codes) in maps.items() if levels[name]}
     suppressed_ids = tuple(table.row_ids[violators].tolist())
     scheme = GeneralizationScheme(
         kind="global", qi_order=tuple(qi), levels=dict(levels), suppressed_row_ids=suppressed_ids
@@ -173,11 +176,16 @@ def anonymize_generalization(
 
 
 def _recoded_release(table, qi, labels, scheme: GeneralizationScheme, mechanism: str, params):
-    """A recoder's release of ``table`` and ``scheme``: each column of
-    ``labels`` replaces its QI, declared a CategoricalKind of its sorted
-    distinct labels; the classes are the rows' QI label combinations."""
-    kinds = {name: CategoricalKind(tuple(sorted(set(column.tolist())))) for name, column in labels.items()}
-    masked = suppress_identifiers(table, labels, kinds)
+    """A recoder's release of ``table`` and ``scheme``. ``labels`` maps each
+    recoded QI to (labels by code, each row's code): that column replaces the
+    QI, declared a CategoricalKind of its sorted distinct labels, and its
+    ``text_codes`` come from the pair; the classes are the rows' QI label
+    combinations."""
+    encoded = {name: text_codes_of(by_code, codes) for name, (by_code, codes) in labels.items()}
+    kinds = {name: CategoricalKind(tuple(distinct.tolist())) for name, (distinct, _) in encoded.items()}
+    masked = suppress_identifiers(table, {name: distinct[codes] for name, (distinct, codes) in encoded.items()}, kinds)
+    masked._text_codes.update(encoded)
+    del table  # a recoder's copy of its input rows need not live through the class count
     provenance = Provenance(mechanism=mechanism, params={**params, "scheme": scheme.to_json()})
     return AnonymizedRelease(masked, _partition_by_combo(masked, qi), provenance), scheme
 
@@ -363,7 +371,12 @@ def minimal_generalization(
 
     cell_levels = tuple(state[i * width : (i + 1) * width] for i in range(n))
     scheme = GeneralizationScheme(kind="local", qi_order=tuple(qi), cell_levels=cell_levels)
-    labels = {name: np.asarray(column, dtype=object) for name, column in zip(qi, zip(*label_rows))}
+    # cell (i, a) at level lv reads label lv of its value's path: code value * (height + 1) + lv
+    at_level = np.asarray(cell_levels, dtype=np.int64).reshape(n, width)
+    labels = {
+        name: (by_value.ravel(), codes * by_value.shape[1] + at_level[:, a])
+        for a, (name, (by_value, codes)) in enumerate(zip(qi, maps))
+    }
     return _recoded_release(table, qi, labels, scheme, "minimal_generalization", {"k": k})
 
 

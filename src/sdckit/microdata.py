@@ -5,6 +5,13 @@ categorical cells as NFC-normalized text. Every record carries an internal
 row id that masking operations preserve and serialization never writes out.
 Every masking mechanism builds its published table in one
 ``suppress_identifiers`` call.
+
+Each column is decoded once per distinct cell. A table keeps the
+factorization its decode found (each distinct cell's value and each row's
+index among them) until the column's ``text_codes`` are made from it;
+``take`` and ``suppress_identifiers`` carry both to the tables they derive
+(taken text codes keep only the texts still present), so no derived table
+hashes or formats a row again.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import math
 import numbers
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -36,8 +44,9 @@ from .errors import (
 ROLES = ("identifier", "quasi_identifier", "confidential", "non_confidential")
 
 
-def nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
+# ``nfc(text)``: ``text`` in Unicode normal form C; a partial, so ``map(nfc, ...)``
+# runs no Python frame per cell
+nfc = partial(unicodedata.normalize, "NFC")
 
 
 def canonical_number(value: float) -> str:
@@ -76,7 +85,7 @@ class CategoricalKind:
     values: tuple[str, ...]
 
     def __post_init__(self):
-        norm = tuple(nfc(str(v)) for v in self.values)
+        norm = tuple(map(nfc, map(str, self.values)))
         if not norm:
             raise ValueError("categorical domain is empty")
         members = frozenset(norm)
@@ -190,7 +199,9 @@ class MicrodataTable:
             raise ValueError("row_ids must be unique")
         ids.setflags(write=False)
         object.__setattr__(self, "row_ids", ids)
-        # a plain attribute, not a field: ``text_codes`` keeps each column's encoding here
+        # plain attributes, not fields: a column's factorization (distinct values,
+        # each row's index among them) as decoded or carried, and its ``text_codes``
+        object.__setattr__(self, "_factors", {})
         object.__setattr__(self, "_text_codes", {})
 
     # -- introspection ------------------------------------------------------
@@ -233,9 +244,13 @@ class MicrodataTable:
     # -- derivation ---------------------------------------------------------
 
     def take(self, indices: Iterable[int]) -> "MicrodataTable":
-        idx = np.asarray(list(indices), dtype=np.int64)
+        """The rows at ``indices``, in that order, carrying this table's
+        factorizations and text codes (see ``_carry``)."""
+        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64)
         cols = {name: self.columns[name][idx] for name in self.names}
-        return MicrodataTable(self.schema, cols, self.row_ids[idx])
+        taken = MicrodataTable(self.schema, cols, self.row_ids[idx])
+        _carry(self, taken, self.names, idx)
+        return taken
 
     def drop_columns(self, names: Iterable[str]) -> "MicrodataTable":
         drop = set(names)
@@ -283,10 +298,12 @@ def make_table(
             cells[a.name] = np.array(columns[a.name], dtype=np.float64)
         else:
             cells[a.name] = np.asarray([str(v) for v in columns[a.name]], dtype=object)
-    cols = _decode_columns(schema, cells, _given_value)
+    cols, factors = _decode_columns(schema, cells, _given_value)
     n = len(cells[schema[0].name]) if schema else 0
     ids = np.arange(n, dtype=np.int64) if row_ids is None else np.asarray(list(row_ids), dtype=np.int64)
-    return MicrodataTable(schema, cols, ids)
+    table = MicrodataTable(schema, cols, ids)
+    table._factors.update(factors)
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -297,25 +314,57 @@ def make_table(
 def text_codes(table: MicrodataTable, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The one text encoding of a column: its distinct canonical texts, sorted,
     and each row's index among them, made on first read and kept on the table.
-    A numeric column formats each distinct value once (-0.0 and 0.0 read "0");
-    any other cell reads as its ``str``."""
+    It is built per distinct value of the column's factorization (as decoded
+    or carried, else computed): a numeric value reads as its
+    ``canonical_number`` (-0.0 and 0.0 read "0"), a text cell as its ``str``."""
     if name not in table._text_codes:
         table._text_codes[name] = _encode_text(table, name)
+        table._factors.pop(name, None)  # the text codes stand for it from now on
     return table._text_codes[name]
 
 
 def _encode_text(table: MicrodataTable, name: str) -> tuple[np.ndarray, np.ndarray]:
-    if table.attribute(name).is_numeric:
-        values, row_of = np.unique(np.asarray(table.columns[name], dtype=float), return_inverse=True)
-        texts = [canonical_number(v) for v in values.tolist()]
-    else:
-        texts, row_of = factorize(np.asarray([str(v) for v in table.columns[name].tolist()], dtype=object))
-    order = sorted(range(len(texts)), key=texts.__getitem__)
-    distinct = np.asarray([texts[i] for i in order], dtype=object)
-    codes = np.argsort(order)[row_of]
+    numeric = table.attribute(name).is_numeric
+    factors = table._factors.get(name)
+    if factors is None:
+        column = table.columns[name]
+        factors = factorize(np.asarray(column, dtype=float) if numeric else column)
+        if not (numeric or _all_of(factors[0], str)):  # cells equal as values may differ as text (1, True)
+            factors = factorize(np.asarray(list(map(str, column.tolist())), dtype=object))
+    values, row_of = factors
+    texts = [canonical_number(v) for v in values.tolist()] if numeric else list(map(str, values))
+    return text_codes_of(texts, row_of)
+
+
+def text_codes_of(texts: Sequence[str], row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Text codes from a factorized text column: ``texts[c]`` is the text of
+    code c and ``row_of`` each row's code. Returns the sorted distinct texts
+    that some row has (a read-only object array) and each row's index among
+    them (read-only int64). Equal texts of several codes become one, and a
+    text no row has is dropped."""
+    present = np.bincount(row_of, minlength=len(texts)) > 0
+    distinct = sorted(set(compress(texts, present.tolist())))
+    position = dict(zip(distinct, count()))
+    code_of = np.fromiter(map(position.get, texts, repeat(0)), np.int64, len(texts))
+    distinct, codes = np.asarray(distinct, dtype=object), code_of[row_of]
     distinct.setflags(write=False)
     codes.setflags(write=False)
     return distinct, codes
+
+
+def _carry(source: MicrodataTable, target: MicrodataTable, names: Iterable[str], rows=None) -> None:
+    """Give ``target`` the text codes, else the factorization, that ``source``
+    holds for each of ``names``: of the rows at positions ``rows`` when
+    given, else of all rows. Taken text codes keep only the texts still
+    present; a taken factorization keeps every value, and ``text_codes_of``
+    drops those no row has."""
+    for name in names:
+        if name in source._text_codes:
+            distinct, codes = source._text_codes[name]
+            target._text_codes[name] = (distinct, codes) if rows is None else text_codes_of(distinct, codes[rows])
+        elif name in source._factors:
+            values, codes = source._factors[name]
+            target._factors[name] = (values, codes if rows is None else codes[rows])
 
 
 def shared_text_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -354,8 +403,11 @@ def factorize(values: np.ndarray):
     if values.dtype != object:
         return np.unique(values, return_inverse=True)
     index: dict = {}  # hashing beats sorting Python objects
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in values.tolist()), np.int64, len(values))
-    return list(index), codes
+    values = values.tolist()
+    first = np.fromiter(map(index.setdefault, values, count()), np.int64, len(values))  # each value's first row
+    rank = np.zeros(len(values), dtype=np.int64)
+    rank[np.flatnonzero(first == np.arange(len(values)))] = np.arange(len(index))
+    return list(index), rank[first]
 
 
 def _domain_fault(attr: AttributeSchema, value) -> str | None:
@@ -388,27 +440,50 @@ def _given_value(attr: AttributeSchema, cell):
     return value, _domain_fault(attr, value)
 
 
-def _decode_columns(schema, cells: Mapping[str, np.ndarray], decode) -> dict[str, np.ndarray]:
-    """Each column decoded once per distinct cell by ``decode(attr, cell) -> (value,
-    why rejected)``; raises the DomainViolation of the first rejected cell in
-    row-major order. A float64 column is only checked, since np.unique merges -0.0 and 0.0."""
+def _swept(attr: AttributeSchema, distinct):
+    """A column's distinct cells decoded in one sweep, or None when the sweep
+    cannot accept them all (a cell may be rejected, or is empty text)."""
+    if not attr.is_numeric:
+        values = list(map(nfc, distinct))
+        accepted = attr.kind.members.issuperset(values) and "" not in values
+        return np.asarray(values, dtype=object) if accepted else None
+    if isinstance(distinct, np.ndarray):  # a float64 column's distinct values
+        values = distinct
+    else:
+        try:
+            values = np.asarray(list(map(float, map(str.strip, distinct))), dtype=np.float64)
+        except ValueError:
+            return None
+    return values if ((attr.kind.lo <= values) & (values <= attr.kind.hi)).all() else None
+
+
+def _decode_columns(schema, cells: Mapping[str, np.ndarray], decode):
+    """Each column decoded once per distinct cell: returns the columns and
+    each column's factorization (decoded value per distinct cell, each row's
+    index among them). The distinct cells are swept at once; only when the
+    sweep balks does ``decode(attr, cell) -> (value, why rejected)`` run per
+    distinct cell, and the DomainViolation of the first rejected cell in
+    row-major order is raised. A float64 column is kept as given, since
+    np.unique merges -0.0 and 0.0."""
     cols: dict[str, np.ndarray] = {}
+    factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     faults: list[DomainViolation] = []
     for a in schema:
         distinct, codes = factorize(cells[a.name])
-        decoded = [decode(a, cell) for cell in distinct]
-        bad = np.fromiter((why is not None for _, why in decoded), bool, len(decoded))
-        if bad.any():
-            row = int(np.argmax(bad[codes]))
-            faults.append(DomainViolation(row, a.name, decoded[codes[row]][1]))
-        elif cells[a.name].dtype == np.float64:
-            cols[a.name] = cells[a.name]
-        else:
-            values = [value for value, _ in decoded]
-            cols[a.name] = np.asarray(values, dtype=np.float64 if a.is_numeric else object)[codes]
+        values = _swept(a, distinct)
+        if values is None:
+            decoded = [decode(a, cell) for cell in distinct]
+            bad = np.fromiter((why is not None for _, why in decoded), bool, len(decoded))
+            if bad.any():
+                row = int(np.argmax(bad[codes]))
+                faults.append(DomainViolation(row, a.name, decoded[codes[row]][1]))
+                continue
+            values = np.asarray([value for value, _ in decoded], dtype=np.float64 if a.is_numeric else object)
+        cols[a.name] = cells[a.name] if cells[a.name].dtype == np.float64 else values[codes]
+        factors[a.name] = (values, codes)
     if faults:
         raise min(faults, key=lambda e: e.row)
-    return cols
+    return cols, factors
 
 
 def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
@@ -452,10 +527,12 @@ def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
     end = int(ragged[0]) if ragged.size else len(body)
     fields = list(zip(*body[:end])) if end else [()] * len(header)
     cells = {name: np.asarray(fields[header.index(name)], dtype=object) for name in names}
-    cols = _decode_columns(schema, cells, _csv_value)
+    cols, factors = _decode_columns(schema, cells, _csv_value)
     if ragged.size:
         raise MalformedCsv(f"row {end}: expected {len(header)} fields, got {widths[end]}")
-    return MicrodataTable(schema, cols, np.arange(len(body), dtype=np.int64))
+    table = MicrodataTable(schema, cols, np.arange(len(body), dtype=np.int64))
+    table._factors.update(factors)
+    return table
 
 
 def serialize_table(table: MicrodataTable) -> bytes:
@@ -474,7 +551,8 @@ def suppress_identifiers(table: MicrodataTable, columns=None, kinds=None) -> Mic
     ``table``'s row ids. Every masking mechanism publishes through it.
 
     A name in ``columns`` or ``kinds`` that ``table`` lacks, or that names an
-    identifier, raises UnknownAttribute.
+    identifier, raises UnknownAttribute. Every column neither replaced nor
+    redeclared keeps ``table``'s factorization and text codes.
     """
     columns, kinds = columns or {}, kinds or {}
     for name in chain(columns, kinds):
@@ -483,7 +561,9 @@ def suppress_identifiers(table: MicrodataTable, columns=None, kinds=None) -> Mic
     kept = (a for a in table.schema if a.role != "identifier")
     schema = tuple(AttributeSchema(a.name, a.role, kinds.get(a.name, a.kind)) for a in kept)
     cols = {a.name: columns.get(a.name, table.columns[a.name]) for a in schema}
-    return MicrodataTable(schema, cols, table.row_ids)
+    published = MicrodataTable(schema, cols, table.row_ids)
+    _carry(table, published, [a.name for a in schema if a.name not in columns and a.name not in kinds])
+    return published
 
 
 # --------------------------------------------------------------------------
@@ -950,7 +1030,62 @@ def write_text(path: Path, text: str):
 
 
 def json_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    An ``indent`` makes ``json.dumps`` take its pure-Python encoder, so
+    json's C encoder writes instead, in one call each, every list or dict
+    of scalars and every list of such lists or of such dicts, with an item
+    separator that carries the newline and indent of the items. An encoded
+    string never holds a raw newline, so the separators are the only
+    newlines in its output. Only other containers are walked in Python.
+    """
+    return _indented(doc, "\n") + "\n"
+
+
+_SCALARS = (str, int, float, type(None))  # a bool is an int
+
+
+def _all_of(values, kinds) -> bool:
+    """Whether every one of ``values`` is an instance of ``kinds``, checked once per type."""
+    return all(issubclass(kind, kinds) for kind in set(map(type, values)))
+
+
+def _flat_dumps(doc, inner: str) -> str:
+    """``doc`` as the C encoder writes it with every item separator followed
+    by ``inner`` (a newline and an indent)."""
+    return json.dumps(doc, sort_keys=True, separators=("," + inner, ": "))
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or the text of a number, bool or None."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _indented(doc, newline: str) -> str:
+    """``doc`` as ``indent=2`` writes it, on a line that ``newline`` (a newline
+    and the line's indent) starts."""
+    if not isinstance(doc, (list, tuple, dict)) or not doc:
+        return json.dumps(doc)  # a scalar, [] or {}
+    inner = newline + "  "
+    if _all_of(doc.values() if isinstance(doc, dict) else doc, _SCALARS):
+        text = _flat_dumps(doc, inner)
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(doc, dict):
+        items = (f"{_json_key(key)}: {_indented(value, inner)}" for key, value in sorted(doc.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    brackets = "{}" if _all_of(doc, dict) else "[]" if _all_of(doc, (list, tuple)) else ""
+    if brackets and _all_of(chain.from_iterable(map(dict.values, doc) if brackets == "{}" else doc), _SCALARS):
+        # "[{a,<deeper>b},<deeper>{}]": the rows part at their "},<deeper>{" seams
+        deeper, (opening, closing) = inner + "  ", brackets
+        rows = _flat_dumps(doc, deeper)[2:-2].split(closing + "," + deeper + opening)
+        items = (opening + deeper + row + inner + closing if row else brackets for row in rows)
+    else:
+        items = (_indented(item, inner) for item in doc)
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def as_table(release_or_table) -> MicrodataTable:

@@ -3,17 +3,25 @@ copies of the code it replaced: ``comparable_text`` formatting the column on
 every call, and ``sorted_codes`` numbering the text of several tables
 concatenated. Tables hold -0.0, non-integer numbers and numbers past 2**53,
 text that NFC normalization merges, and a column that is numeric in one table
-and text in the other."""
+and text in the other. Every encoding a derived table carries (from the
+decode, ``take``, ``suppress_identifiers``, the recoders, MDAV and
+permutation) must be the frozen reference's encoding of its own column, and
+the decode's sweep must fault where its per-cell path does."""
 
+import csv
+import io
 import json
 import unicodedata
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdckit import microdata
+from sdckit import kanon, microdata
+from sdckit.errors import Unsatisfiable
+from sdckit.kanon import anonymize_generalization, mdav_microaggregate, minimal_generalization
 from sdckit.microdata import (
     AttributeSchema,
     CategoricalKind,
@@ -22,12 +30,15 @@ from sdckit.microdata import (
     canonical_number,
     comparable_text,
     hierarchy_to_json,
+    load_table,
     make_table,
     schema_to_descriptor,
     serialize_table,
     shared_text_codes,
+    suppress_identifiers,
     text_codes,
 )
+from sdckit.probkanon import cluster_and_permute
 from sdckit.reporting import RunConfig, run
 
 from conftest import build_people_table
@@ -111,6 +122,16 @@ def test_text_codes_are_read_only_and_merge_signed_zero():
             array[0] = array[1]
 
 
+def test_a_text_column_of_other_objects_reads_each_cell_as_its_str():
+    schema = (AttributeSchema("t", "quasi_identifier", CategoricalKind(("a",))),)
+    cells = [1, True, 1.0, -0.0, 0.0, "1", "True"]
+    for column in (np.asarray(cells, dtype=object), np.asarray([1.0, -0.0, 0.0, 1.0])):
+        table = microdata.MicrodataTable(schema, {"t": column}, np.arange(column.size))
+        distinct, codes = text_codes(table, "t")
+        assert distinct.tolist() == sorted(set(map(str, column.tolist())))
+        assert distinct[codes].tolist() == [str(v) for v in column.tolist()]
+
+
 # --------------------------------------------------------------------------
 # each column of each table is encoded once per run
 # --------------------------------------------------------------------------
@@ -144,15 +165,223 @@ def test_generalization_run_encodes_each_table_column_at_most_once(tmp_path, mon
         attack_trials=2,
     )
     encoded = []  # keeps every encoded table alive, so no two share an id
-    encode = microdata._encode_text
+    encode, recode = microdata._encode_text, kanon._recoded_release
 
     def counting(table, name):
         encoded.append((table, name))
         return encode(table, name)
 
+    def registering(table, qi, labels, *args):
+        """The recoder encodes its label columns from (labels by code, row codes)."""
+        release, scheme = recode(table, qi, labels, *args)
+        encoded.extend((release.table, name) for name in labels)
+        return release, scheme
+
     monkeypatch.setattr(microdata, "_encode_text", counting)
+    monkeypatch.setattr(kanon, "_recoded_release", registering)
     run(config, tmp_path / "out")
     pairs = [(id(table), name) for table, name in encoded]
     assert len(pairs) == len(set(pairs))
     # the input and the release: QIs, the confidential attribute and the release's columns
     assert len(pairs) >= 8
+
+
+# --------------------------------------------------------------------------
+# every carried encoding is the column's own encoding
+# --------------------------------------------------------------------------
+
+NFD_E = unicodedata.normalize("NFD", "\u00e9")
+ANGSTROM = "\u212b"  # NFC-normalizes to "\u00c5"
+LEAVES = ("a", "\u00e9", "1", "1.0", "\u00c5")
+CARRY_SCHEMA = (
+    AttributeSchema("pid", "identifier", CategoricalKind(tuple(f"p{i}" for i in range(12)))),
+    AttributeSchema("x", "quasi_identifier", NumericKind(-5, 5)),
+    AttributeSchema("t", "quasi_identifier", CategoricalKind(LEAVES)),
+    AttributeSchema("d", "confidential", CategoricalKind(("F", "M", " 1 "))),
+)
+CARRY_HIERARCHIES = {
+    "x": GeneralizationHierarchy.from_breakpoints("x", -5, 5, [[-2, 0, 2], [0]]),
+    "t": GeneralizationHierarchy.from_tree(
+        "t", {"*": {"letters": {"a": None, "\u00e9": None, "\u00c5": None}, "digits": {"1": None, "1.0": None}}}
+    ),
+}
+# cells spelling one value several ways: numbers with and without a fraction,
+# padded, signed zeros; text in NFC and NFD form
+X_TEXT = ["1", "1.0", " 1 ", "-0", "0", "-0.0", "2.5", "-3", "5", "0.1"]
+X_VALUE = [1.0, -0.0, 0.0, 2.5, -3.0, 5.0, 0.1, 4.0]
+T_TEXT = ["a", "\u00e9", NFD_E, "1", "1.0", "\u00c5", ANGSTROM]
+D_TEXT = ["F", "M", " 1 "]
+
+
+@st.composite
+def decoded_tables(draw, max_rows=8):
+    """A table as ``load_table`` or ``make_table`` decodes it."""
+    n = draw(st.integers(1, max_rows))
+    t = draw(st.lists(st.sampled_from(T_TEXT), min_size=n, max_size=n))
+    d = draw(st.lists(st.sampled_from(D_TEXT), min_size=n, max_size=n))
+    pid = [f"p{i}" for i in draw(st.permutations(range(12)))[:n]]
+    if draw(st.booleans()):
+        x = draw(st.lists(st.sampled_from(X_TEXT), min_size=n, max_size=n))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(["d", "t", "x", "pid"])
+        writer.writerows(zip(d, t, x, pid))
+        return load_table(buf.getvalue(), CARRY_SCHEMA)
+    x = draw(st.lists(st.sampled_from(X_VALUE), min_size=n, max_size=n))
+    return make_table(CARRY_SCHEMA, {"pid": pid, "x": x, "t": t, "d": d})
+
+
+def _reference_codes(table, name):
+    return _old_sorted_codes(_old_comparable_text(table, name))
+
+
+def _assert_encodings_are_fresh(table):
+    """Every encoding ``table`` carries, then every one it makes from a carried
+    factorization, is the frozen reference's: the texts present, sorted, read-only."""
+    for name in list(table._text_codes) + [name for name in table.names if name not in table._text_codes]:
+        distinct, codes = text_codes(table, name)
+        want_distinct, want_codes = _reference_codes(table, name)
+        assert distinct.tolist() == want_distinct, name
+        assert codes.dtype == np.int64 and codes.tolist() == want_codes.tolist(), name
+        assert not distinct.flags.writeable and not codes.flags.writeable
+
+
+def _rows(data, n):
+    """Row positions for ``take``: any subset in any order, often dropping values."""
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return np.asarray(rows, dtype=np.int64) if data.draw(st.booleans()) else rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoded_tables(), st.data())
+def test_take_and_suppress_identifiers_carry_fresh_encodings(table, data):
+    if data.draw(st.booleans()):  # some columns encoded before the take, some only factorized
+        for name in data.draw(st.lists(st.sampled_from(table.names), unique=True)):
+            text_codes(table, name)
+    taken = table.take(_rows(data, table.n_rows))
+    again = taken.take(_rows(data, taken.n_rows)) if taken.n_rows else taken
+    labels = np.asarray(["lo" if v < 0 else "hi" for v in taken.columns["x"].tolist()], dtype=object)
+    published = suppress_identifiers(taken, {"x": labels}, {"x": CategoricalKind(("hi", "lo"))})
+    redeclared = suppress_identifiers(taken, kinds={"d": CategoricalKind(("F", "M", " 1 ", "Q"))})
+    for derived in (table, taken, again, published, redeclared):
+        _assert_encodings_are_fresh(derived)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decoded_tables(), st.integers(1, 3), st.floats(0, 0.9))
+def test_global_recoding_carries_fresh_encodings(table, k, budget):
+    try:
+        release, _ = anonymize_generalization(table, CARRY_HIERARCHIES, k, max_suppression_fraction=budget)
+    except Unsatisfiable:
+        return
+    _assert_encodings_are_fresh(release.table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decoded_tables(max_rows=4), st.integers(1, 2))
+def test_minimal_recoding_carries_fresh_encodings(table, k):
+    try:
+        release, _ = minimal_generalization(table, CARRY_HIERARCHIES, k)
+    except Unsatisfiable:
+        return
+    _assert_encodings_are_fresh(release.table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decoded_tables(), st.integers(0, 2**16), st.sampled_from(["vector", "per_attribute"]))
+def test_mdav_and_permutation_carry_fresh_encodings(table, seed, mode):
+    if table.n_rows < 2:
+        return
+    _, release = mdav_microaggregate(table, ["x", "t"], 2)
+    _assert_encodings_are_fresh(release.table)
+    _assert_encodings_are_fresh(cluster_and_permute(table, ["x", "t"], 2, seed, mode=mode).table)
+
+
+# --------------------------------------------------------------------------
+# the decode's sweep faults where its per-cell path does
+# --------------------------------------------------------------------------
+
+FAULT_SCHEMA = (
+    AttributeSchema("x", "quasi_identifier", NumericKind(-5, 5)),
+    AttributeSchema("c", "quasi_identifier", CategoricalKind(("a", "\u00e9", "", "x,y"))),
+    AttributeSchema("s", "confidential", CategoricalKind(("F", "M"))),
+)
+GOOD_CELLS = {"x": X_TEXT + ["\x1c1", "1_0", "\u20031"], "c": ["a", "\u00e9", NFD_E, "x,y"], "s": ["F", "M"]}
+# missing, unparsable, non-finite and out-of-domain cells
+BAD_CELLS = {
+    "x": ["", "  ", "abc", "0x10", "nan", "-inf", "Infinity", "1e400", "6", "-5.0000001"],
+    "c": ["", " ", "zz", "a "],
+    "s": ["", "f", "FM"],
+}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except Exception as e:  # the outcome under test, compared below
+        return None, e
+
+
+def _per_cell(f, *args):
+    """``f`` with the sweep switched off, so every distinct cell takes the per-cell path."""
+    with mock.patch.object(microdata, "_swept", lambda attr, distinct: None):
+        return _outcome(f, *args)
+
+
+def _assert_same_outcome(f, *args):
+    want, want_error = _per_cell(f, *args)
+    got, got_error = _outcome(f, *args)
+    assert type(got_error) is type(want_error), (want_error, got_error)
+    if want_error is not None:
+        assert str(got_error) == str(want_error)
+        for field in ("row", "attribute"):
+            assert getattr(got_error, field, None) == getattr(want_error, field, None)
+        return
+    assert got.schema == want.schema
+    for name in want.names:
+        mine, theirs = got.columns[name], want.columns[name]
+        assert mine.dtype == theirs.dtype
+        if mine.dtype == object:
+            assert [(type(v), v) for v in mine.tolist()] == [(type(v), v) for v in theirs.tolist()]
+        else:
+            assert mine.tobytes() == theirs.tobytes()  # the sign of zero counts
+        assert text_codes(got, name)[0].tolist() == text_codes(want, name)[0].tolist()
+        assert text_codes(got, name)[1].tolist() == text_codes(want, name)[1].tolist()
+
+
+@st.composite
+def faulty_csv(draw):
+    """csv text over FAULT_SCHEMA: some bad cells, maybe a short or a long row."""
+    header = draw(st.permutations([a.name for a in FAULT_SCHEMA]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append([draw(st.sampled_from(BAD_CELLS[name] if draw(st.integers(0, 5)) == 0 else GOOD_CELLS[name]))
+                     for name in header])
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["extra"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(faulty_csv())
+def test_load_table_sweep_faults_like_the_per_cell_path(text):
+    _assert_same_outcome(load_table, text, FAULT_SCHEMA)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_make_table_sweep_faults_like_the_per_cell_path(data):
+    n = data.draw(st.integers(0, 6))
+    x_cells = st.sampled_from([1.0, -0.0, 0.0, 2.5, -5.0, 5.0, float("nan"), float("inf"), -float("inf"), 6.0, -1e300])
+    c_cells = st.sampled_from(["a", "\u00e9", NFD_E, "", "x,y", "zz", " ", 5])
+    columns = {
+        "x": data.draw(st.lists(x_cells, min_size=n, max_size=n)),
+        "c": data.draw(st.lists(c_cells, min_size=n, max_size=n)),
+        "s": data.draw(st.lists(st.sampled_from(["F", "M", "f"]), min_size=n, max_size=n)),
+    }
+    _assert_same_outcome(make_table, FAULT_SCHEMA, columns)
