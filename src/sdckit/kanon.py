@@ -183,8 +183,8 @@ def _recoded_release(table, qi, labels, scheme: GeneralizationScheme, mechanism:
     combinations."""
     encoded = {name: text_codes_of(by_code, codes) for name, (by_code, codes) in labels.items()}
     kinds = {name: CategoricalKind(tuple(distinct.tolist())) for name, (distinct, _) in encoded.items()}
-    masked = suppress_identifiers(table, {name: distinct[codes] for name, (distinct, codes) in encoded.items()}, kinds)
-    masked._text_codes.update(encoded)
+    columns = {name: distinct[codes] for name, (distinct, codes) in encoded.items()}
+    masked = suppress_identifiers(table, columns, kinds, encoded)
     del table  # a recoder's copy of its input rows need not live through the class count
     provenance = Provenance(mechanism=mechanism, params={**params, "scheme": scheme.to_json()})
     return AnonymizedRelease(masked, _partition_by_combo(masked, qi), provenance), scheme

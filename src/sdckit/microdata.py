@@ -6,12 +6,12 @@ row id that masking operations preserve and serialization never writes out.
 Every masking mechanism builds its published table in one
 ``suppress_identifiers`` call.
 
-Each column is decoded once per distinct cell. A table keeps the
-factorization its decode found (each distinct cell's value and each row's
-index among them) until the column's ``text_codes`` are made from it;
-``take`` and ``suppress_identifiers`` carry both to the tables they derive
-(taken text codes keep only the texts still present), so no derived table
-hashes or formats a row again.
+Each column is decoded once per distinct cell, straight to its one text
+encoding (``text_codes``): ``load_table`` and ``make_table`` keep it for
+every column but the identifiers, every table derived from another (``take``,
+``suppress_identifiers``, ``drop_columns``, ``with_column``) carries it (taken
+text codes keep only the texts still present), and ``serialize_table``
+writes from it, so no derived table hashes or formats a row again.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import io
 import json
 import math
 import numbers
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import partial
@@ -199,9 +200,7 @@ class MicrodataTable:
             raise ValueError("row_ids must be unique")
         ids.setflags(write=False)
         object.__setattr__(self, "row_ids", ids)
-        # plain attributes, not fields: a column's factorization (distinct values,
-        # each row's index among them) as decoded or carried, and its ``text_codes``
-        object.__setattr__(self, "_factors", {})
+        # a plain attribute, not a field: each column's ``text_codes``
         object.__setattr__(self, "_text_codes", {})
 
     # -- introspection ------------------------------------------------------
@@ -244,28 +243,25 @@ class MicrodataTable:
     # -- derivation ---------------------------------------------------------
 
     def take(self, indices: Iterable[int]) -> "MicrodataTable":
-        """The rows at ``indices``, in that order, carrying this table's
-        factorizations and text codes (see ``_carry``)."""
+        """The rows at ``indices``, in that order, carrying this table's text
+        codes (see ``_carry``)."""
         idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64)
         cols = {name: self.columns[name][idx] for name in self.names}
-        taken = MicrodataTable(self.schema, cols, self.row_ids[idx])
-        _carry(self, taken, self.names, idx)
-        return taken
+        return _carry(self, MicrodataTable(self.schema, cols, self.row_ids[idx]), idx)
 
     def drop_columns(self, names: Iterable[str]) -> "MicrodataTable":
         drop = set(names)
         keep = tuple(a for a in self.schema if a.name not in drop)
         cols = {a.name: self.columns[a.name] for a in keep}
-        return MicrodataTable(keep, cols, self.row_ids)
+        return _carry(self, MicrodataTable(keep, cols, self.row_ids))
 
     def with_column(self, name: str, values: np.ndarray, kind=None) -> "MicrodataTable":
-        """Replace one column, optionally changing its declared kind."""
+        """Replace one column, optionally changing its declared kind; the others keep their text codes."""
         old = self.attribute(name)
         new_attr = AttributeSchema(name, old.role, kind or old.kind)
         schema = tuple(new_attr if a.name == name else a for a in self.schema)
-        cols = dict(self.columns)
-        cols[name] = np.asarray(values)
-        return MicrodataTable(schema, cols, self.row_ids)
+        cols = {**self.columns, name: np.asarray(values)}
+        return _carry(self, MicrodataTable(schema, cols, self.row_ids))
 
     def equals(self, other: "MicrodataTable") -> bool:
         """Cell-wise and schema equality; internal row ids are not compared."""
@@ -298,12 +294,9 @@ def make_table(
             cells[a.name] = np.array(columns[a.name], dtype=np.float64)
         else:
             cells[a.name] = np.asarray([str(v) for v in columns[a.name]], dtype=object)
-    cols, factors = _decode_columns(schema, cells, _given_value)
     n = len(cells[schema[0].name]) if schema else 0
     ids = np.arange(n, dtype=np.int64) if row_ids is None else np.asarray(list(row_ids), dtype=np.int64)
-    table = MicrodataTable(schema, cols, ids)
-    table._factors.update(factors)
-    return table
+    return _decode_table(schema, cells, _given_value, ids)
 
 
 # --------------------------------------------------------------------------
@@ -313,27 +306,28 @@ def make_table(
 
 def text_codes(table: MicrodataTable, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The one text encoding of a column: its distinct canonical texts, sorted,
-    and each row's index among them, made on first read and kept on the table.
-    It is built per distinct value of the column's factorization (as decoded
-    or carried, else computed): a numeric value reads as its
-    ``canonical_number`` (-0.0 and 0.0 read "0"), a text cell as its ``str``."""
+    and each row's index among them, as decoded or carried, else made from
+    the column on first read and kept on the table. A numeric value reads as
+    its ``canonical_number`` (-0.0 and 0.0 read "0"), a text cell as its ``str``."""
     if name not in table._text_codes:
         table._text_codes[name] = _encode_text(table, name)
-        table._factors.pop(name, None)  # the text codes stand for it from now on
     return table._text_codes[name]
 
 
 def _encode_text(table: MicrodataTable, name: str) -> tuple[np.ndarray, np.ndarray]:
-    numeric = table.attribute(name).is_numeric
-    factors = table._factors.get(name)
-    if factors is None:
-        column = table.columns[name]
-        factors = factorize(np.asarray(column, dtype=float) if numeric else column)
-        if not (numeric or _all_of(factors[0], str)):  # cells equal as values may differ as text (1, True)
-            factors = factorize(np.asarray(list(map(str, column.tolist())), dtype=object))
-    values, row_of = factors
-    texts = [canonical_number(v) for v in values.tolist()] if numeric else list(map(str, values))
-    return text_codes_of(texts, row_of)
+    """A column's text codes made from the column itself, where no decode or
+    carry left them: an identifier, or a column the raw constructor placed.
+    A text cell reads as its ``str``: cells equal as values (1, True) may differ as text."""
+    numeric, column = table.attribute(name).is_numeric, table.columns[name]  # raises UnknownAttribute
+    if numeric:
+        values, row_of = factorize(np.asarray(column, dtype=float))
+        return text_codes_of(list(map(canonical_number, values.tolist())), row_of)
+    return text_codes_of(*factorize(np.asarray(list(map(str, column.tolist())), dtype=object)))
+
+
+def _keep_text_codes(table: MicrodataTable, name: str, texts: Sequence[str], row_of: np.ndarray) -> None:
+    """Keep column ``name``'s ``text_codes_of(texts, row_of)`` on ``table``: the decode's and ``take``'s."""
+    table._text_codes[name] = text_codes_of(texts, row_of)
 
 
 def text_codes_of(texts: Sequence[str], row_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,19 +346,18 @@ def text_codes_of(texts: Sequence[str], row_of: np.ndarray) -> tuple[np.ndarray,
     return distinct, codes
 
 
-def _carry(source: MicrodataTable, target: MicrodataTable, names: Iterable[str], rows=None) -> None:
-    """Give ``target`` the text codes, else the factorization, that ``source``
-    holds for each of ``names``: of the rows at positions ``rows`` when
-    given, else of all rows. Taken text codes keep only the texts still
-    present; a taken factorization keeps every value, and ``text_codes_of``
-    drops those no row has."""
-    for name in names:
-        if name in source._text_codes:
+def _carry(source: MicrodataTable, target: MicrodataTable, rows=None) -> MicrodataTable:
+    """``target``, given ``source``'s text codes of each column the two hold
+    under one name and kind: of ``source``'s rows at positions ``rows`` when
+    given (only the texts still present), else of a column array they share."""
+    for name in target.names:
+        if name in source._text_codes and source.attribute(name).kind == target.attribute(name).kind:
             distinct, codes = source._text_codes[name]
-            target._text_codes[name] = (distinct, codes) if rows is None else text_codes_of(distinct, codes[rows])
-        elif name in source._factors:
-            values, codes = source._factors[name]
-            target._factors[name] = (values, codes if rows is None else codes[rows])
+            if rows is not None:
+                _keep_text_codes(target, name, distinct, codes[rows])
+            elif target.columns[name] is source.columns[name]:
+                target._text_codes[name] = (distinct, codes)
+    return target
 
 
 def shared_text_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -457,16 +450,16 @@ def _swept(attr: AttributeSchema, distinct):
     return values if ((attr.kind.lo <= values) & (values <= attr.kind.hi)).all() else None
 
 
-def _decode_columns(schema, cells: Mapping[str, np.ndarray], decode):
-    """Each column decoded once per distinct cell: returns the columns and
-    each column's factorization (decoded value per distinct cell, each row's
-    index among them). The distinct cells are swept at once; only when the
-    sweep balks does ``decode(attr, cell) -> (value, why rejected)`` run per
-    distinct cell, and the DomainViolation of the first rejected cell in
+def _decode_table(schema, cells: Mapping[str, np.ndarray], decode, row_ids: np.ndarray) -> MicrodataTable:
+    """The table of ``cells``, each column decoded once per distinct cell,
+    with the ``text_codes`` of every column but the identifiers made from the
+    decode's factorization. The distinct cells are swept at once; only when
+    the sweep balks does ``decode(attr, cell) -> (value, why rejected)`` run
+    per distinct cell, and the DomainViolation of the first rejected cell in
     row-major order is raised. A float64 column is kept as given, since
     np.unique merges -0.0 and 0.0."""
     cols: dict[str, np.ndarray] = {}
-    factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    factors: dict[str, tuple[Sequence[str], np.ndarray]] = {}  # each column's texts by code, row codes
     faults: list[DomainViolation] = []
     for a in schema:
         distinct, codes = factorize(cells[a.name])
@@ -480,10 +473,14 @@ def _decode_columns(schema, cells: Mapping[str, np.ndarray], decode):
                 continue
             values = np.asarray([value for value, _ in decoded], dtype=np.float64 if a.is_numeric else object)
         cols[a.name] = cells[a.name] if cells[a.name].dtype == np.float64 else values[codes]
-        factors[a.name] = (values, codes)
+        if a.role != "identifier":  # no step reads an identifier as text
+            factors[a.name] = (list(map(canonical_number, values.tolist())) if a.is_numeric else values, codes)
     if faults:
         raise min(faults, key=lambda e: e.row)
-    return cols, factors
+    table = MicrodataTable(schema, cols, row_ids)
+    for name in list(factors):  # each factorization freed once encoded
+        _keep_text_codes(table, name, *factors.pop(name))
+    return table
 
 
 def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
@@ -527,42 +524,52 @@ def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
     end = int(ragged[0]) if ragged.size else len(body)
     fields = list(zip(*body[:end])) if end else [()] * len(header)
     cells = {name: np.asarray(fields[header.index(name)], dtype=object) for name in names}
-    cols, factors = _decode_columns(schema, cells, _csv_value)
+    table = _decode_table(schema, cells, _csv_value, np.arange(end, dtype=np.int64))
     if ragged.size:
         raise MalformedCsv(f"row {end}: expected {len(header)} fields, got {widths[end]}")
-    table = MicrodataTable(schema, cols, np.arange(len(body), dtype=np.int64))
-    table._factors.update(factors)
     return table
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.QUOTE_MINIMAL quotes under a "\r\n" line end
+
+
 def serialize_table(table: MicrodataTable) -> bytes:
-    """Write the table as RFC 4180 csv with canonical number formatting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    writer.writerow(table.names)
-    writer.writerows(zip(*(comparable_text(table, name).tolist() for name in table.names)))
-    return buf.getvalue().encode("utf-8")
+    """Write the table as RFC 4180 csv with canonical number formatting: the
+    bytes of ``csv.writer``, with each distinct text of a column quoted once
+    (a ``canonical_number`` never needs it) and rows gathered by ``text_codes``."""
+    lone = len(table.schema) == 1  # csv quotes a row's one field when it is empty
+    quote = lambda t: '"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) or lone and not t else t
+    lines, fields = [",".join(map(quote, table.names))], []
+    for a in table.schema:
+        distinct, codes = text_codes(table, a.name)
+        texts = distinct if a.is_numeric else np.asarray(list(map(quote, distinct.tolist())), dtype=object)
+        fields.append(texts[codes].tolist())
+    lines += map(",".join, zip(*fields))
+    return "\r\n".join(lines + [""]).encode("utf-8")  # the one join makes every line end
 
 
-def suppress_identifiers(table: MicrodataTable, columns=None, kinds=None) -> MicrodataTable:
+def suppress_identifiers(table: MicrodataTable, columns=None, kinds=None, encoded=None) -> MicrodataTable:
     """The published table: every attribute but the identifiers, in schema
     order, with ``columns`` (name -> values) in place of the named ones and
     ``kinds`` (name -> kind) declared where given, built as one table with
     ``table``'s row ids. Every masking mechanism publishes through it.
 
-    A name in ``columns`` or ``kinds`` that ``table`` lacks, or that names an
-    identifier, raises UnknownAttribute. Every column neither replaced nor
-    redeclared keeps ``table``'s factorization and text codes.
+    A name in ``columns``, ``kinds`` or ``encoded`` that ``table`` lacks, or
+    that names an identifier, raises UnknownAttribute. A column neither
+    replaced nor redeclared keeps ``table``'s text codes; ``encoded`` gives a
+    replaced one's (name -> (distinct, codes), as ``text_codes`` gives them).
     """
-    columns, kinds = columns or {}, kinds or {}
-    for name in chain(columns, kinds):
+    columns, kinds, encoded = columns or {}, kinds or {}, encoded or {}
+    for name in chain(columns, kinds, encoded):
         if table.attribute(name).role == "identifier":
             raise UnknownAttribute(name)
     kept = (a for a in table.schema if a.role != "identifier")
     schema = tuple(AttributeSchema(a.name, a.role, kinds.get(a.name, a.kind)) for a in kept)
     cols = {a.name: columns.get(a.name, table.columns[a.name]) for a in schema}
-    published = MicrodataTable(schema, cols, table.row_ids)
-    _carry(table, published, [a.name for a in schema if a.name not in columns and a.name not in kinds])
+    published = _carry(table, MicrodataTable(schema, cols, table.row_ids))
+    for name, (distinct, codes) in encoded.items():
+        codes.setflags(write=False)
+        published._text_codes[name] = (distinct, codes)
     return published
 
 
@@ -1185,5 +1192,5 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
     else:
         table, conf_table = _read_release_csv(directory / f"{basename}.csv", doc["schema"]), None
     if row_ids is not None:
-        table = MicrodataTable(table.schema, dict(table.columns), np.asarray(row_ids, dtype=np.int64))
+        table = _carry(table, MicrodataTable(table.schema, dict(table.columns), np.asarray(row_ids, dtype=np.int64)))
     return AnonymizedRelease(table, partition, prov, conf_table)

@@ -25,6 +25,7 @@ from .microdata import (
     NumericKind,
     Partition,
     Provenance,
+    _carry,
     suppress_identifiers,
     text_codes,
 )
@@ -68,12 +69,11 @@ def cluster_and_permute(
             source[idx] = idx[rng.permutation(idx.size)]
     source = dict(zip(qi, sources if mode == "per_attribute" else sources * len(qi)))
 
-    masked = suppress_identifiers(table, {name: table.columns[name][source[name]] for name in qi})
+    encoded = {}
     for name in qi:  # a permuted column has its source's texts, its codes permuted alike
         distinct, codes = text_codes(table, name)
-        carried = codes[source[name]]
-        carried.setflags(write=False)
-        masked._text_codes[name] = (distinct, carried)
+        encoded[name] = (distinct, codes[source[name]])
+    masked = suppress_identifiers(table, {name: table.columns[name][source[name]] for name in qi}, encoded=encoded)
     return AnonymizedRelease(
         table=masked,
         partition=partition,
@@ -115,7 +115,7 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
     qi_schema = (gid_attr,) + tuple(qi_side)
     qi_cols = {"group_id": group_of.astype(np.float64)}
     qi_cols.update({a.name: table.columns[a.name] for a in qi_side})
-    qi_table = MicrodataTable(qi_schema, qi_cols, table.row_ids)
+    qi_table = _carry(table, MicrodataTable(qi_schema, qi_cols, table.row_ids))
 
     conf_side = [a for a in table.schema if a.role == "confidential"]
     conf_schema = (gid_attr,) + tuple(conf_side)
@@ -123,7 +123,7 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
     order_arr = np.asarray([g[i] for g, rng in streams for i in rng.permutation(len(g)).tolist()], dtype=np.int64)
     conf_cols = {"group_id": group_of[order_arr].astype(np.float64)}
     conf_cols.update({a.name: table.columns[a.name][order_arr] for a in conf_side})
-    conf_table = MicrodataTable(conf_schema, conf_cols, np.arange(order_arr.size, dtype=np.int64))
+    conf_table = _carry(table, MicrodataTable(conf_schema, conf_cols, np.arange(order_arr.size)), order_arr)
 
     return AnonymizedRelease(
         table=qi_table,

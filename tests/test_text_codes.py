@@ -3,14 +3,18 @@ copies of the code it replaced: ``comparable_text`` formatting the column on
 every call, and ``sorted_codes`` numbering the text of several tables
 concatenated. Tables hold -0.0, non-integer numbers and numbers past 2**53,
 text that NFC normalization merges, and a column that is numeric in one table
-and text in the other. Every encoding a derived table carries (from the
-decode, ``take``, ``suppress_identifiers``, the recoders, MDAV and
-permutation) must be the frozen reference's encoding of its own column, and
-the decode's sweep must fault where its per-cell path does."""
+and text in the other. Every encoding a table keeps (from the decode,
+``take``, ``suppress_identifiers``, ``drop_columns``, ``with_column``,
+``read_release``, the recoders, MDAV, permutation and anatomy) must be the
+frozen reference's encoding of its own column, the decode's sweep must fault
+where its per-cell path does, and ``serialize_table``, which writes from the
+encodings, must write the per-cell reference's bytes."""
 
 import csv
 import io
 import json
+import math
+import tempfile
 import unicodedata
 from unittest import mock
 
@@ -26,22 +30,27 @@ from sdckit.microdata import (
     AttributeSchema,
     CategoricalKind,
     GeneralizationHierarchy,
+    MicrodataTable,
     NumericKind,
+    Partition,
     canonical_number,
     comparable_text,
     hierarchy_to_json,
     load_table,
     make_table,
+    read_release,
     schema_to_descriptor,
     serialize_table,
     shared_text_codes,
     suppress_identifiers,
     text_codes,
+    write_release,
 )
-from sdckit.probkanon import cluster_and_permute
+from sdckit.probkanon import anatomize, cluster_and_permute
 from sdckit.reporting import RunConfig, run
 
 from conftest import build_people_table
+from test_codec_oracle import _reference_serialize_table
 
 # --------------------------------------------------------------------------
 # frozen references
@@ -165,10 +174,17 @@ def test_generalization_run_encodes_each_table_column_at_most_once(tmp_path, mon
         attack_trials=2,
     )
     encoded = []  # keeps every encoded table alive, so no two share an id
-    encode, recode = microdata._encode_text, kanon._recoded_release
+    lazy = []
+    keep, encode, recode = microdata._keep_text_codes, microdata._encode_text, kanon._recoded_release
 
-    def counting(table, name):
+    def counting(table, name, texts, row_of):
+        """The decode and a take make the text codes they keep here."""
         encoded.append((table, name))
+        keep(table, name, texts, row_of)
+
+    def lazily(table, name):
+        encoded.append((table, name))
+        lazy.append((table, name))
         return encode(table, name)
 
     def registering(table, qi, labels, *args):
@@ -177,13 +193,16 @@ def test_generalization_run_encodes_each_table_column_at_most_once(tmp_path, mon
         encoded.extend((release.table, name) for name in labels)
         return release, scheme
 
-    monkeypatch.setattr(microdata, "_encode_text", counting)
+    monkeypatch.setattr(microdata, "_keep_text_codes", counting)
+    monkeypatch.setattr(microdata, "_encode_text", lazily)
     monkeypatch.setattr(kanon, "_recoded_release", registering)
     run(config, tmp_path / "out")
     pairs = [(id(table), name) for table, name in encoded]
     assert len(pairs) == len(set(pairs))
     # the input and the release: QIs, the confidential attribute and the release's columns
     assert len(pairs) >= 8
+    # every column the run reads as text was encoded by the decode, carried or registered
+    assert lazy == []
 
 
 # --------------------------------------------------------------------------
@@ -295,6 +314,90 @@ def test_mdav_and_permutation_carry_fresh_encodings(table, seed, mode):
     _, release = mdav_microaggregate(table, ["x", "t"], 2)
     _assert_encodings_are_fresh(release.table)
     _assert_encodings_are_fresh(cluster_and_permute(table, ["x", "t"], 2, seed, mode=mode).table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decoded_tables())
+def test_the_decode_encodes_every_column_but_the_identifiers(table):
+    assert sorted(table._text_codes) == ["d", "t", "x"]
+    _assert_encodings_are_fresh(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decoded_tables(), st.integers(0, 2**16), st.data())
+def test_derived_tables_and_read_releases_carry_fresh_encodings(table, seed, data):
+    """Each derived table holds the codes of every column it carries, before any is read."""
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=table.n_rows, max_size=table.n_rows))
+    release = anatomize(table, Partition.of_labels(labels), 1, seed)
+    derived = [
+        (release.table, ["t", "x"]),  # anatomy's QI side: the source's codes
+        (release.conf_table, ["d"]),  # its confidential side: the source's codes at the shuffled rows
+        (table.with_column("x", -table.columns["x"]), ["d", "t"]),  # every column but the replaced one
+        (table.drop_columns(["pid", "t"]), ["d", "x"]),
+    ]
+    for derived_table, carried in derived:
+        assert sorted(derived_table._text_codes) == carried
+    with tempfile.TemporaryDirectory() as directory:
+        write_release(release, directory)
+        read = read_release(directory)
+        recoded, _ = anonymize_generalization(suppress_identifiers(table), CARRY_HIERARCHIES, 1)
+        write_release(recoded, directory, "recoded")
+        read_recoded = read_release(directory, "recoded").table
+    read_back = [  # with the sidecar's row ids
+        (read.table, ["group_id", "t", "x"]),
+        (read.conf_table, ["d", "group_id"]),
+        (read_recoded, ["d", "t", "x"]),
+    ]
+    for derived_table, carried in read_back:
+        assert sorted(derived_table._text_codes) == carried
+    for derived_table, _ in derived + read_back:
+        _assert_encodings_are_fresh(derived_table)
+    assert read.table.row_ids.tolist() == release.table.row_ids.tolist()
+    assert read_recoded.row_ids.tolist() == recoded.table.row_ids.tolist()
+
+
+# --------------------------------------------------------------------------
+# serialization from the encodings
+# --------------------------------------------------------------------------
+
+TEXT = AttributeSchema("t", "quasi_identifier", CategoricalKind(("a",)))
+NUMBER = AttributeSchema("v", "quasi_identifier", NumericKind(0, 1))
+# texts csv quotes (",", '"', a lone "\r" or "\n", a one-field row's "") and
+# texts it writes as they are (spaces, NFD text)
+EDGE_TEXT = ["", "\r", "\n", "\r\n", '"', 'say "hi"', ",", " lead", "trail ", " ", NFD_E, "\u00e9", "plain"]
+EDGE_NUMBERS = [-0.0, 0.0, 2.0**53, 2.0**53 + 2, 5e-324, 0.1, -1e300, math.nan, math.inf, -math.inf]
+
+
+def _raw(schema, columns):
+    """A table from the raw constructor: serialization does not check domains."""
+    n = len(next(iter(columns.values()))) if columns else 0
+    cols = {name: np.asarray(values, dtype=object if name == "t" else np.float64) for name, values in columns.items()}
+    return MicrodataTable(schema, cols, np.arange(n))
+
+
+def test_serialize_table_edge_texts_write_the_reference_bytes():
+    texts = EDGE_TEXT + EDGE_TEXT[::-1]
+    numbers = (EDGE_NUMBERS * 3)[: len(texts)]
+    tables = [
+        _raw((TEXT,), {"t": texts}),  # one column: its empty cells are written ""
+        _raw((TEXT,), {"t": [""]}),
+        _raw((NUMBER,), {"v": EDGE_NUMBERS}),
+        _raw((TEXT, NUMBER), {"t": texts, "v": numbers}),
+        _raw((NUMBER, TEXT), {"v": numbers, "t": texts}),
+        _raw((TEXT,), {"t": []}),  # no rows
+        _raw((TEXT, NUMBER), {"t": [], "v": []}),
+        _raw((), {}),  # no columns
+    ]
+    for table in tables:
+        assert serialize_table(table) == _reference_serialize_table(table)
+    # the same texts, encoded by the decode instead of on first read
+    domain = CategoricalKind(tuple(dict.fromkeys(unicodedata.normalize("NFC", t) for t in EDGE_TEXT)))
+    for schema in [(AttributeSchema("t", "quasi_identifier", domain),),
+                   (AttributeSchema("t", "quasi_identifier", domain), NUMBER)]:
+        columns = {"t": texts, "v": [min(max(v, 0.0), 1.0) if v == v else 0.5 for v in numbers]}
+        made = make_table(schema, {a.name: columns[a.name] for a in schema})
+        assert sorted(made._text_codes) == sorted(made.names)
+        assert serialize_table(made) == _reference_serialize_table(made)
 
 
 # --------------------------------------------------------------------------
