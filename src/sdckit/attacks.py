@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .confmodels import ClassValues, emd_rows
-from .dp import _require_positive_counts, _two_sample_counts, neighbor_relation
+from .dp import _bin_counts, _require_positive_counts, _two_samples, neighbor_relation
 from .errors import (
     Misaligned,
     MissingPartition,
@@ -415,23 +415,20 @@ def membership_inference_attack(
     on both worlds, then guesses the world of new outputs by which calibrated
     histogram is denser at the observed bin. Advantage is max(0, 2*acc - 1),
     an empirical lower bound on the distinguishability the mechanism allows.
-    A trials, calibration or bins below 1, or a calibration sample with a
-    non-finite output, raises ValueError.
+    A trials, calibration or bins below 1, or a non-finite output, raises
+    ValueError. Each pair of samples is drawn as in ``empirical_dp_check``:
+    the mechanism is called on table_with, then on table_without, on this
+    thread, and an output array that owns its memory is sorted in place.
     """
     _require_positive_counts(trials=trials, calibration=calibration, bins=bins)
     if neighbor_relation(table_with, table_without) is None:
         raise NotNeighbors("membership inference requires neighboring tables")
-    cal_in = np.asarray(mechanism(table_with, derive_rng(rng_seed, "attack", 0), calibration), float)
-    cal_out = np.asarray(mechanism(table_without, derive_rng(rng_seed, "attack", 1), calibration), float)
-    edges, h_in, h_out = _two_sample_counts(cal_in, cal_out, bins)
-    guess_in = h_in >= h_out
-
-    def bin_of(x):
-        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1)
-
-    ev_in = np.asarray(mechanism(table_with, derive_rng(rng_seed, "attack", 2), trials), float)
-    ev_out = np.asarray(mechanism(table_without, derive_rng(rng_seed, "attack", 3), trials), float)
-    correct = int(guess_in[bin_of(ev_in)].sum()) + int((~guess_in[bin_of(ev_out)]).sum())
+    rngs = [derive_rng(rng_seed, "attack", i) for i in range(4)]
+    cal_in, cal_out, edges = _two_samples(mechanism, table_with, table_without, rngs[0], rngs[1], calibration, bins)
+    guess_in = _bin_counts(cal_in, edges) >= _bin_counts(cal_out, edges)
+    ev_in, ev_out, _ = _two_samples(mechanism, table_with, table_without, rngs[2], rngs[3], trials, bins)
+    # each output is guessed by its calibration bin, the end bins taking what lies beyond the edges
+    correct = int(_bin_counts(ev_in, edges)[guess_in].sum()) + int(_bin_counts(ev_out, edges)[~guess_in].sum())
     total = 2 * trials
     accuracy = correct / total
     advantage = max(0.0, 2.0 * accuracy - 1.0)

@@ -15,10 +15,11 @@ epsilon through one check, ``_check_epsilon``: a positive finite number.
 The empirical check and the membership attack run their numpy work on two
 threads, each giving half to one short-lived helper thread: a large Laplace
 draw from a PCG64 stream, whose upper half the helper draws and transforms
-from an advanced copy of the stream, and the range and histogram counts of
-two output samples. The caller allocates every buffer the helper writes, the
-mechanism is still called once per table from the caller's thread, and the
-results and the generator's end state are identical on any number of cores.
+from an advanced copy of the stream, and the in-place sort of two output
+samples, one per thread. The caller allocates every buffer the helper writes,
+the mechanism is still called once per table from the caller's thread, and
+the results and the generator's end state are identical on any number of
+cores.
 """
 
 from __future__ import annotations
@@ -231,10 +232,10 @@ def individual_dp_sensitivity(
 # --------------------------------------------------------------------------
 
 
-# Doubles per block of the noise transform and of the histogram count: a
-# block and its thread's one 256 KiB scratch buffer stay in a core's L2
-# cache. Sizes from 2**15 to 2**16 time alike on two threads; smaller blocks
-# spend the second core's gain on handing the GIL back and forth.
+# Doubles per block of the noise transform: a block and its thread's one
+# 256 KiB scratch buffer stay in a core's L2 cache. Sizes from 2**15 to 2**16
+# time alike on two threads; smaller blocks spend the second core's gain on
+# handing the GIL back and forth.
 _BLOCK = 2**15
 
 # The largest |uniform - 0.5| of any uniform but 0.0, whose u = -0.5 would
@@ -539,46 +540,42 @@ def _require_positive_counts(**counts: int):
             raise ValueError(f"{name} must be a positive count, got {value}")
 
 
-def _cumulative_counts(sample: np.ndarray, edges: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
-    """Add to ``out[j]`` the number of values of ``sample`` below ``edges[j]``,
-    or at or below it for the last edge. This is how ``np.histogram`` counts
-    with array edges, so ``np.diff(out)`` gives its counts: each block is
-    copied into ``buf``, sorted there, and the edges are searched in it."""
-    for start in range(0, sample.size, buf.size):
-        block = buf[: min(buf.size, sample.size - start)]
-        block[...] = sample[start : start + block.size]
-        block.sort()
-        out[:-1] += block.searchsorted(edges[:-1], "left")
-        out[-1] += block.searchsorted(edges[-1], "right")
+def _sortable(output) -> np.ndarray:
+    """A mechanism's output as a flat float array the audit may sort in place:
+    the output itself when it is a writeable float array that owns its
+    memory, a copy otherwise, so a view of the caller's data is never
+    reordered."""
+    sample = np.asarray(output)
+    if not (sample.flags.owndata and sample.flags.writeable and sample.dtype == float):
+        sample = sample.astype(float)
+    return sample.reshape(-1)
 
 
-def _range(sample: np.ndarray, out: np.ndarray) -> None:
-    """Write ``sample``'s min and max to ``out``; NaN if it holds a NaN."""
-    out[0] = sample.min()
-    out[1] = sample.max()
+def _two_samples(mechanism: Callable, table1, table2, rng1, rng2, size: int, bins: int):
+    """``(sample1, sample2, edges)``: ``mechanism(table1, rng1, size)`` and
+    ``mechanism(table2, rng2, size)``, called in that order on this thread,
+    each as a ``_sortable`` array sorted in place, and ``bins + 1`` equal-width
+    edges spanning both. The second sample is sorted on a helper thread while
+    the first is sorted on this one. A NaN, which sorts last, or an infinite
+    output, or a span too wide for a double, raises ValueError."""
+    sample1 = _sortable(mechanism(table1, rng1, size))
+    sample2 = _sortable(mechanism(table2, rng2, size))
+    if np.may_share_memory(sample1, sample2):  # one buffer returned twice: two threads must not sort it
+        sample2 = sample2.copy()
+    _beside(np.ndarray.sort, (sample2,), (sample1,))
+    lo = float(np.minimum(sample1[0], sample2[0]))  # numpy's minimum and maximum keep a NaN
+    hi = float(np.maximum(sample1[-1], sample2[-1]))
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"mechanism outputs span [{lo}, {hi}]: the audit needs a finite range")
+    return sample1, sample2, np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
 
 
-def _two_sample_counts(out1: np.ndarray, out2: np.ndarray, bins: int):
-    """``(edges, c1, c2)``: ``bins + 1`` equal-width edges spanning two output
-    samples, and each sample's histogram counts over them. The second sample's
-    range and counts are taken on a helper thread while the first's are taken
-    on this one. A NaN or infinite value in either sample raises ValueError."""
-    ranges = np.empty((2, 2))
-    _beside(_range, (out2, ranges[1]), (out1, ranges[0]))
-    lo, hi = float(ranges[:, 0].min()), float(ranges[:, 1].max())  # numpy's min and max keep a NaN
-    if not math.isfinite(hi - lo):  # also an inf or NaN output
-        raise ValueError(f"mechanism outputs span [{lo}, {hi}]: histogram edges need a finite range")
-    if hi == lo:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    cumulative = np.zeros((2, edges.size), np.intp)
-    _beside(
-        _cumulative_counts,
-        (out2.reshape(-1), edges, np.empty(min(out2.size, _BLOCK)), cumulative[1]),
-        (out1.reshape(-1), edges, np.empty(min(out1.size, _BLOCK)), cumulative[0]),
-    )
-    c1, c2 = np.diff(cumulative)
-    return edges, c1, c2
+def _bin_counts(sample: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """How many values of a sorted sample fall in each bin between ``edges``,
+    a bin holding its lower edge; the first and last bins also take every
+    value below or above the edges. For a sample within the edges these are
+    ``np.histogram(sample, edges)[0]``."""
+    return np.diff(sample.searchsorted(edges[1:-1], "left"), prepend=0, append=sample.size)
 
 
 @dataclass(frozen=True)
@@ -614,16 +611,18 @@ def empirical_dp_check(
     reported slack is the global 3*sqrt(1/min joint count). A bins, trials or
     min_bin_count below 1, or a sample with a non-finite output, raises
     ValueError.
+
+    The mechanism is called once per table, table1 first, on this thread.
+    An output that is a writeable float array owning its memory is sorted in
+    place, on a helper thread for table2; any other output is copied first.
     """
     _check_epsilon(epsilon)
     _require_positive_counts(bins=bins, trials=trials, min_bin_count=min_bin_count)
     if neighbor_relation(table1, table2) is None:
         raise NotNeighbors("empirical check requires neighboring tables")
-    rng1 = derive_rng(seed, "trial", 1)
-    rng2 = derive_rng(seed, "trial", 2)
-    out1 = np.asarray(mechanism(table1, rng1, trials), dtype=float)
-    out2 = np.asarray(mechanism(table2, rng2, trials), dtype=float)
-    _, c1, c2 = _two_sample_counts(out1, out2, bins)
+    rng1, rng2 = derive_rng(seed, "trial", 1), derive_rng(seed, "trial", 2)
+    out1, out2, edges = _two_samples(mechanism, table1, table2, rng1, rng2, trials, bins)
+    c1, c2 = _bin_counts(out1, edges), _bin_counts(out2, edges)
 
     considered = np.where((c1 >= min_bin_count) & (c2 >= min_bin_count))[0]
     per_bin = []

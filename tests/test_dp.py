@@ -38,7 +38,7 @@ from sdckit import (
     zcdp_to_dp,
 )
 from sdckit.attacks import membership_inference_attack
-from sdckit.dp import _BLOCK, _beside, _two_sample_counts
+from sdckit.dp import _BLOCK, _beside, _bin_counts, _two_samples
 from sdckit.microdata import make_table
 from sdckit.seeds import derive_rng
 
@@ -333,11 +333,18 @@ def _on_and_around_edges(size, seed):
 
 @pytest.mark.parametrize("size", [200, 65_535, 65_536, 65_537, 200_003])
 def test_two_sample_counts_equal_numpys_histogram(size):
-    out1, out2 = _on_and_around_edges(size, 1), _on_and_around_edges(size, 2)
-    edges, c1, c2 = _two_sample_counts(out1, out2, 64)
+    outputs = {1: _on_and_around_edges(size, 1), 2: _on_and_around_edges(size, 2)}
+
+    def mechanism(table, rng, n):  # a copy, so the check's in-place sort leaves the oracle's sample alone
+        assert n == size
+        return outputs[table].copy()
+
+    out1, out2, edges = _two_samples(mechanism, 1, 2, None, None, size, 64)
     assert edges.tobytes() == np.linspace(-3.0, 5.0, 65).tobytes()
-    for sample, counts in ((out1, c1), (out2, c2)):
-        want = np.histogram(sample, bins=edges)[0]
+    for sample, table in ((out1, 1), (out2, 2)):
+        assert np.array_equal(sample, np.sort(outputs[table]))
+        counts = _bin_counts(sample, edges)
+        want = np.histogram(outputs[table], bins=edges)[0]
         assert counts.dtype == want.dtype
         assert np.array_equal(counts, want)
         assert counts.sum() == size
@@ -658,3 +665,169 @@ def test_dp_audit_rejects_a_non_finite_output_of_either_table_in_either_order(ba
             empirical_dp_check(mechanism, t1, t2, 1.0, trials=100)
         with pytest.raises(ValueError, match="finite range"):
             membership_inference_attack(mechanism, t1, t2, trials=100, calibration=100)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stream", [2, 3], ids=["with", "without"])
+def test_membership_attack_rejects_a_non_finite_evaluation_output(bad, stream):
+    # the calibration outputs are finite; half of one evaluation sample is not
+    bad_stream = _stream_state(0, "attack", stream)
+
+    def mechanism(table, rng, size=None):
+        poisoned = _stream_state_of(rng) == bad_stream
+        out = rng.uniform(-1.0, 1.0, size)
+        if poisoned:
+            out[::2] = bad
+        return out
+
+    with pytest.raises(ValueError, match="finite range"):
+        membership_inference_attack(mechanism, _table([1, 2, 3, 7]), _table([1, 2, 3]), trials=100, calibration=100)
+
+
+def _stream_state(seed, *path):
+    return _stream_state_of(derive_rng(seed, *path))
+
+
+def _stream_state_of(rng):
+    return rng.bit_generator.state["state"]["state"]
+
+
+def _recording(mechanism):
+    """``mechanism`` and the list of its calls: the table, the state of the
+    stream it was handed, and the thread it ran on."""
+    calls = []
+
+    def recorded(table, rng, size=None):
+        calls.append((table, _stream_state_of(rng), threading.current_thread()))
+        return mechanism(table, rng, size)
+
+    return recorded, calls
+
+
+def _assert_called_once_per_table_per_pair(calls, pairs):
+    """``pairs`` lists (table1, stream1, table2, stream2) per pair of samples:
+    each table is called once with its own stream, table1 first, all on this
+    thread."""
+    want = []
+    for table1, stream1, table2, stream2 in pairs:
+        want += [(id(table1), stream1), (id(table2), stream2)]
+    assert [(id(table), stream) for table, stream, _ in calls] == want
+    assert all(thread is threading.current_thread() for _, _, thread in calls)
+
+
+_ORACLE_QUERIES = [Query("count", predicate=Predicate("v", ">=", 5.0)), Query("sum", "v")]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("query", _ORACLE_QUERIES, ids=["count", "sum"])
+def test_empirical_dp_check_equals_a_one_thread_histogram_oracle(query, seed):
+    t1, t2 = _table([1, 2, 3, 7]), _table([1, 2, 3])
+    eps, bins, trials, min_bin_count = 1.0, 64, 50_000, 25
+    mech = laplace_query_mechanism(query, SCHEMA, eps)
+    recorded, calls = _recording(mech)
+    got = empirical_dp_check(recorded, t1, t2, eps, bins=bins, trials=trials, seed=seed)
+    _assert_called_once_per_table_per_pair(
+        calls, [(t1, _stream_state(seed, "trial", 1), t2, _stream_state(seed, "trial", 2))]
+    )
+
+    # the oracle: both samples drawn one after the other on this thread, binned by np.histogram
+    out1 = mech(t1, derive_rng(seed, "trial", 1), trials)
+    out2 = mech(t2, derive_rng(seed, "trial", 2), trials)
+    edges = np.linspace(min(out1.min(), out2.min()), max(out1.max(), out2.max()), bins + 1)
+    c1, c2 = np.histogram(out1, edges)[0], np.histogram(out2, edges)[0]
+    considered = [b for b in range(bins) if min(c1[b], c2[b]) >= min_bin_count]
+    per_bin = tuple((b, abs(math.log(c1[b] / c2[b])), 3.0 * math.sqrt(1.0 / c1[b] + 1.0 / c2[b])) for b in considered)
+    ratios = [ratio for _, ratio, _ in per_bin]
+    assert got.per_bin == per_bin
+    assert got.max_log_ratio == max(ratios)
+    assert got.worst_bin == considered[ratios.index(max(ratios))]
+    assert got.min_joint_count == min(min(c1[b], c2[b]) for b in considered)
+    assert got.passed == all(ratio <= eps + allowance for _, ratio, allowance in per_bin)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("query", _ORACLE_QUERIES, ids=["count", "sum"])
+def test_membership_attack_equals_a_one_thread_histogram_oracle(query, seed):
+    t_with, t_without = _table([1, 2, 3, 7]), _table([1, 2, 3])
+    trials, calibration, bins = 20_000, 10_000, 64
+    mech = laplace_query_mechanism(query, SCHEMA, 1.0)
+    recorded, calls = _recording(mech)
+    got = membership_inference_attack(
+        recorded, t_with, t_without, trials=trials, calibration=calibration, bins=bins, rng_seed=seed
+    )
+    streams = [_stream_state(seed, "attack", i) for i in range(4)]
+    _assert_called_once_per_table_per_pair(
+        calls, [(t_with, streams[0], t_without, streams[1]), (t_with, streams[2], t_without, streams[3])]
+    )
+
+    cal_in = mech(t_with, derive_rng(seed, "attack", 0), calibration)
+    cal_out = mech(t_without, derive_rng(seed, "attack", 1), calibration)
+    ev_in = mech(t_with, derive_rng(seed, "attack", 2), trials)
+    ev_out = mech(t_without, derive_rng(seed, "attack", 3), trials)
+    edges = np.linspace(min(cal_in.min(), cal_out.min()), max(cal_in.max(), cal_out.max()), bins + 1)
+    guess_in = np.histogram(cal_in, edges)[0] >= np.histogram(cal_out, edges)[0]
+    # an evaluation output beyond the calibration edges counts in the nearest end bin
+    h_in, h_out = (np.histogram(np.clip(ev, edges[0], edges[-1]), edges)[0] for ev in (ev_in, ev_out))
+    assert np.clip(ev_in, edges[0], edges[-1]).tobytes() != ev_in.tobytes()  # some are beyond them
+    correct = int(h_in[guess_in].sum()) + int(h_out[~guess_in].sum())
+    assert got.trials == 2 * trials
+    assert got.success_rate == correct / (2 * trials)
+    assert got.details["advantage"] == max(0.0, 2.0 * got.success_rate - 1.0)
+
+
+def test_the_audit_sorts_a_writeable_output_in_place_and_copies_a_read_only_one():
+    t1, t2 = _table([1, 2, 3, 7]), _table([1, 2, 3])
+    honest = laplace_query_mechanism(Query("sum", "v"), SCHEMA, 1.0)
+
+    def returning(writeable):
+        returned = []
+
+        def mechanism(table, rng, size=None):
+            out = honest(table, rng, size)
+            out.flags.writeable = writeable
+            returned.append((out, out.copy()))
+            return out
+
+        return mechanism, returned
+
+    frozen, returned = returning(False)
+    assert empirical_dp_check(frozen, t1, t2, 1.0, trials=20_000, seed=3) == empirical_dp_check(
+        honest, t1, t2, 1.0, trials=20_000, seed=3
+    )
+    assert membership_inference_attack(frozen, t1, t2, trials=2_000, calibration=2_000) == (
+        membership_inference_attack(honest, t1, t2, trials=2_000, calibration=2_000)
+    )
+    assert len(returned) == 6
+    for out, before in returned:
+        assert not out.flags.writeable
+        assert out.tobytes() == before.tobytes()
+
+    writeable, returned = returning(True)
+    empirical_dp_check(writeable, t1, t2, 1.0, trials=20_000, seed=3)
+    for out, before in returned:
+        assert out.tobytes() == np.sort(before).tobytes()
+
+
+def test_the_audit_copies_a_view_and_sorts_one_buffer_returned_twice_once_per_thread():
+    base = np.arange(12.0)[::-1]
+    views = []
+
+    def viewing(table, rng, size=None):  # a view of data the mechanism keeps
+        views.append(base[1 : size + 1])
+        return views[-1]
+
+    out1, out2, _ = _two_samples(viewing, 1, 2, None, None, 10, 4)
+    assert base.tobytes() == np.arange(12.0)[::-1].tobytes()
+    assert out1.tobytes() == out2.tobytes() == np.arange(1.0, 11.0).tobytes()
+    assert not any(np.shares_memory(out, base) for out in (out1, out2))
+
+    buffer = np.empty(50_000)
+
+    def reusing(table, rng, size=None):  # the same owned buffer, refilled by every call
+        buffer[:] = np.random.default_rng(table).uniform(-1.0, 1.0, size)
+        return buffer
+
+    out1, out2, _ = _two_samples(reusing, 1, 2, None, None, buffer.size, 4)
+    want = np.sort(np.random.default_rng(2).uniform(-1.0, 1.0, buffer.size))
+    assert out1.tobytes() == out2.tobytes() == want.tobytes()
+    assert not np.shares_memory(out1, out2)
