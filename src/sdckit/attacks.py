@@ -29,7 +29,15 @@ from .errors import (
 )
 from .kanon import _combine_codes, cell_is_minimal
 from .metric import MixedSpace
-from .microdata import AnonymizedRelease, GeneralizationHierarchy, MicrodataTable, as_table, row_positions, text_codes
+from .microdata import (
+    AnonymizedRelease,
+    GeneralizationHierarchy,
+    MicrodataTable,
+    as_table,
+    row_positions,
+    text_codes,
+    value_codes,
+)
 from .seeds import derive_rng, derive_seed
 
 
@@ -133,7 +141,7 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
         raise NoSharedQIs("the release and the external table share no quasi-identifiers")
     rel_space, ext_space = MixedSpace.from_tables([release_table, external_table], shared)
     n_rel, n_ext = rel_space.n, ext_space.n
-    both = MixedSpace.of_columns(
+    both = MixedSpace(
         n_rel + n_ext,
         [np.concatenate(pair) + 0.0 for pair in zip(rel_space.num_cols, ext_space.num_cols)],  # -0.0 keys as 0.0
         [np.concatenate(pair) for pair in zip(rel_space.code_cols, ext_space.code_cols)],
@@ -343,22 +351,22 @@ def attribute_inference_attack(
     posterior. The worst class-vs-global distribution distance is included;
     homogeneous or skewed classes leak even when k-anonymity holds. Records
     the release declares suppressed are not scored; any other record without
-    a class raises Misaligned.
+    a class raises Misaligned, and having no record to score raises ValueError.
     """
     conf_table, classes = release.class_table(conf_attribute)
-    values = ClassValues.of(conf_table, conf_attribute)
     scheme = (release.provenance.params.get("scheme") or {}) if release.provenance else {}
     scored = ~np.isin(true_table.row_ids, [int(r) for r in scheme.get("suppressed_row_ids", ())])
     ids = true_table.row_ids[scored].tolist()
+    if not ids:
+        why = "the true table is empty" if not true_table.n_rows else "the release declares every record suppressed"
+        raise ValueError(f"{why}: there is no record to score")
     rows = row_positions(release.table, ids)
     if (rows < 0).any():
         raise Misaligned(f"row id {ids[int(np.argmax(rows < 0))]} has no class in the release")
     label = release.partition.labels[rows]
+    values = ClassValues.of(conf_table, conf_attribute)
     # each record's true value as an index into the release's support, -1 outside it
-    if conf_table.attribute(conf_attribute).is_numeric:
-        truth, row_of = np.unique(true_table.columns[conf_attribute].astype(float), return_inverse=True)
-    else:
-        truth, row_of = text_codes(true_table, conf_attribute)
+    truth, (_, row_of) = value_codes([conf_table, true_table], conf_attribute)
     index = {v: i for i, v in enumerate(values.support)}
     code = np.fromiter((index.get(v, -1) for v in truth.tolist()), np.int64, len(truth))[row_of[scored]]
 

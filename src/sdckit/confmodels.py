@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyClass, Infeasible, InvalidT, NonNumeric, SupportMismatch
 from .kanon import mdav_partition
 from .metric import MixedSpace
-from .microdata import MicrodataTable, Partition, as_table, class_counts, comparable_text, text_codes
+from .microdata import MicrodataTable, Partition, as_table, class_counts, value_codes
 
 
 # --------------------------------------------------------------------------
@@ -150,18 +150,18 @@ def emd_transport(p: Distribution, q: Distribution, d: GroundDistance) -> float:
 class ClassValues:
     """One confidential column read as distributions: the whole column's and any class's.
 
-    ``values`` are floats for a numeric attribute and text otherwise, so a
-    class's values compare with the column's one way wherever classes are
-    judged (t-closeness, class merging, attribute inference). ``codes`` are
-    the rows' indices into the sorted ``support``. Classes are read as one
-    count matrix, classes x support, from ``np.bincount(class * |support| +
-    code)``; over the class sizes its rows are the class masses (``count / n``
-    as in ``overall``), and ``emd_rows`` takes all their distances at once.
-    ``ground`` is the given ground distance, else ordered numeric or
-    categorical uniform by the attribute's kind.
+    ``support`` and ``codes`` are the column's ``value_codes``: floats for a
+    numeric attribute and text otherwise, so a class's values compare with
+    the column's one way wherever classes are judged (t-closeness, class
+    merging, attribute inference), and each row's index into the sorted
+    support. ``overall`` is ``np.bincount(codes) / n``. Classes are read as
+    one count matrix, classes x support, from ``np.bincount(class * |support|
+    + code)``; over the class sizes its rows are the class masses, and
+    ``emd_rows`` takes all their distances at once. ``ground`` is the given
+    ground distance, else ordered numeric or categorical uniform by the
+    attribute's kind. An empty column raises EmptyClass.
     """
 
-    values: tuple
     support: tuple
     ground: GroundDistance
     overall: Distribution
@@ -169,17 +169,13 @@ class ClassValues:
 
     @classmethod
     def of(cls, table: MicrodataTable, attribute: str, d: GroundDistance | None = None) -> "ClassValues":
-        numeric = table.attribute(attribute).is_numeric
-        col = table.columns[attribute].astype(float) if numeric else comparable_text(table, attribute)
-        support, codes = np.unique(col, return_inverse=True) if numeric else text_codes(table, attribute)
+        support, (codes,) = value_codes([table], attribute)
+        if not codes.size:
+            raise EmptyClass("cannot build a distribution from zero values")
         if d is None:
-            d = ORDERED_NUMERIC if numeric else CATEGORICAL_UNIFORM
-        values, support = tuple(col.tolist()), tuple(support.tolist())
-        return cls(values, support, d, Distribution.from_values(values, support), codes)
-
-    def distribution(self, rows: Sequence[int]) -> Distribution:
-        """The distribution of the values at ``rows`` over the column's support."""
-        return Distribution.from_values([self.values[i] for i in rows], self.support)
+            d = ORDERED_NUMERIC if table.attribute(attribute).is_numeric else CATEGORICAL_UNIFORM
+        overall = Distribution(tuple(support.tolist()), tuple((np.bincount(codes) / codes.size).tolist()))
+        return cls(overall.support, d, overall, codes)
 
     def class_masses(self, classes: Sequence[Sequence[int]]):
         """Yields ``(lo, masses)`` blocks: row j of ``masses`` is the mass of
@@ -320,8 +316,8 @@ def enforce_models(
         if len(partition) == 1:
             raise Infeasible(constraint, f"single remaining class of {len(partition[0])} records still fails")
         centroids = [space.centroid(np.asarray(g, dtype=np.int64)) for g in partition]
-        nums, codes = zip(*centroids)
-        dist = MixedSpace(np.stack(nums), np.stack(codes)).sq_dist_to(centroids[gi])
+        nums, codes = (list(np.stack(block, axis=1)) for block in zip(*centroids))
+        dist = MixedSpace(len(centroids), nums, codes).sq_dist_to(centroids[gi])
         dist[gi] = np.inf
         gj = int(np.argmin(dist))  # first minimum = lowest class index
         partition = Partition.of_labels(np.where(partition.labels == gj, gi, partition.labels))

@@ -37,10 +37,10 @@ from .microdata import (
     factorize,
     label_paths,
     row_positions,
-    shared_text_codes,
     suppress_identifiers,
     text_codes,
     text_codes_of,
+    value_codes,
 )
 
 
@@ -527,7 +527,7 @@ def sse_totals(table: MicrodataTable, release, qi_attributes: Sequence[str]) -> 
             raw += float(((o - r) ** 2).sum())
             standardized += float(((zscore(o, mean, std) - zscore(r, mean, std)) ** 2).sum())
         else:
-            o_codes, r_codes = shared_text_codes([table, rel_table], name)[1]
+            o_codes, r_codes = value_codes([table, rel_table], name)[1]
             mismatches = float(np.count_nonzero(o_codes[orig_rows] != r_codes))
             raw, standardized = raw + mismatches, standardized + mismatches
     return raw, standardized

@@ -7,7 +7,7 @@ population standard deviation pooled over all of them (a constant column
 contributes zero) and compared by squared difference. Every other attribute
 is compared as canonical text (the text a release is written with), stored
 as integer codes whose order is the order of the text, over one support for
-all the tables (``microdata.shared_text_codes``), and contributes 0/1 per
+all the tables (``microdata.value_codes``), and contributes 0/1 per
 mismatch. A distance adds its terms one attribute at a time, numeric terms
 first, then the mismatches. Distances are squared, which preserves
 nearest/farthest decisions, and may be taken from a block of points at once.
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .microdata import MicrodataTable, shared_text_codes
+from .microdata import MicrodataTable, value_codes
 
 
 def column_stats(columns: Sequence[np.ndarray]) -> tuple[float, float]:
@@ -63,19 +63,9 @@ class MixedSpace:
     (``np.add.accumulate``), which adds in row order.
     """
 
-    def __init__(self, numeric, codes):
-        """The space of an n x dn block of z-scores and an n x dc block of text codes."""
-        numeric, codes = np.asarray(numeric), np.asarray(codes)
-        self.n = numeric.shape[0]
-        self.num_cols = list(np.ascontiguousarray(numeric.T))
-        self.code_cols = list(np.ascontiguousarray(codes.T))
-
-    @classmethod
-    def of_columns(cls, n: int, num_cols: list[np.ndarray], code_cols: list[np.ndarray]) -> "MixedSpace":
+    def __init__(self, n: int, num_cols: list[np.ndarray], code_cols: list[np.ndarray]):
         """The space of ``n`` rows given as 1-D numeric and code columns."""
-        space = cls.__new__(cls)
-        space.n, space.num_cols, space.code_cols = n, num_cols, code_cols
-        return space
+        self.n, self.num_cols, self.code_cols = n, num_cols, code_cols
 
     @classmethod
     def from_tables(
@@ -92,19 +82,9 @@ class MixedSpace:
                 for out, col in zip(num_cols, cols):
                     out.append(zscore(col, mean, std))
             else:
-                for out, codes in zip(code_cols, shared_text_codes(tables, name)[1]):
+                for out, codes in zip(code_cols, value_codes(tables, name)[1]):
                     out.append(codes)
-        return [cls.of_columns(t.n_rows, num, cat) for t, num, cat in zip(tables, num_cols, code_cols)]
-
-    @property
-    def numeric(self) -> np.ndarray:
-        """The z-scores as an n x dn block."""
-        return self._rows(self.num_cols, slice(None), float)
-
-    @property
-    def codes(self) -> np.ndarray:
-        """The text codes as an n x dc block."""
-        return self._rows(self.code_cols, slice(None), np.intp)
+        return [cls(t.n_rows, num, cat) for t, num, cat in zip(tables, num_cols, code_cols)]
 
     def _rows(self, cols: list[np.ndarray], i, dtype) -> np.ndarray:
         """Rows ``i`` of ``cols`` with the columns along the last axis."""
@@ -118,7 +98,7 @@ class MixedSpace:
         """The space of the rows ``rows`` (an index array or a boolean mask), in that order."""
         rows = np.asarray(rows)
         n = int(np.count_nonzero(rows)) if rows.dtype == bool else rows.size
-        return self.of_columns(n, [c[rows] for c in self.num_cols], [c[rows] for c in self.code_cols])
+        return MixedSpace(n, [c[rows] for c in self.num_cols], [c[rows] for c in self.code_cols])
 
     def centroid(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
         """Numeric mean plus per-attribute mode (ties broken by smallest text)

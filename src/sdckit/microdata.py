@@ -12,6 +12,8 @@ every column but the identifiers, every table derived from another (``take``,
 ``suppress_identifiers``, ``drop_columns``, ``with_column``) carries it (taken
 text codes keep only the texts still present), and ``serialize_table``
 writes from it, so no derived table hashes or formats a row again.
+``value_codes`` numbers a column's values over one support for one or
+several tables, from those encodings; whatever compares values reads it.
 """
 
 from __future__ import annotations
@@ -360,25 +362,31 @@ def _carry(source: MicrodataTable, target: MicrodataTable, rows=None) -> Microda
     return target
 
 
-def shared_text_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``text_codes`` of one column in several tables over one support: the
-    sorted union of their distinct texts, and each table's codes into it."""
+def value_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One column of several tables over one sorted support, from their
+    ``text_codes``: the support and each table's codes into it. When the
+    column is numeric in every table the support is its distinct values as
+    floats, parsed from their canonical texts (exact; -0.0 and 0.0 are one
+    value), else the sorted union of its texts."""
     encoded = [text_codes(t, name) for t in tables]
-    texts = set(chain.from_iterable(distinct.tolist() for distinct, _ in encoded))
-    support = np.asarray(sorted(texts), dtype=object)
-    return support, [np.searchsorted(support, distinct)[codes] for distinct, codes in encoded]
+    distincts = [distinct for distinct, _ in encoded]
+    if all(t.attribute(name).is_numeric for t in tables):
+        distincts = [distinct.astype(float) for distinct in distincts]
+        pooled = np.sort(np.concatenate(distincts))  # not np.unique, whose plain form imports numpy.ma
+        support = pooled[np.diff(pooled, prepend=-np.inf) > 0]  # each value once
+    else:
+        texts = set(chain.from_iterable(distinct.tolist() for distinct in distincts))
+        support = np.asarray(sorted(texts), dtype=object)
+    return support, [np.searchsorted(support, distinct)[codes] for distinct, (_, codes) in zip(distincts, encoded)]
 
 
 def label_paths(table: MicrodataTable, name: str, hierarchy: GeneralizationHierarchy):
     """A column's recoding map: ``(paths, codes)``, where ``paths`` is
-    ``hierarchy.paths`` over the column's distinct ``text_codes`` texts (parsed
-    back to floats for a numeric column) and ``codes`` is each row's index
-    among them, so row i's label at level lv is ``paths[codes[i], lv]``."""
-    distinct, codes = text_codes(table, name)
-    values = distinct.tolist()
-    if table.attribute(name).is_numeric:
-        values = [float(text) for text in values]
-    return hierarchy.paths(values), codes
+    ``hierarchy.paths`` over the column's ``value_codes`` support and
+    ``codes`` is each row's index into it, so row i's label at level lv is
+    ``paths[codes[i], lv]``."""
+    support, (codes,) = value_codes([table], name)
+    return hierarchy.paths(support.tolist()), codes
 
 
 def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
@@ -1102,13 +1110,14 @@ def as_table(release_or_table) -> MicrodataTable:
     return release_or_table.table
 
 
-def write_release(release: AnonymizedRelease, directory: str | Path, basename: str = "release") -> list[Path]:
+def write_release(release: AnonymizedRelease, directory: str | Path) -> list[Path]:
     """Write the release csv plus a JSON provenance sidecar; returns the paths written.
 
-    A release with a confidential side is written as ``<basename>_qi.csv`` and
-    ``<basename>_conf.csv``, with both schemas and no partition in the sidecar
+    A release with a confidential side is written as ``release_qi.csv`` and
+    ``release_conf.csv``, with both schemas and no partition in the sidecar
     (the ``group_id`` columns carry the classes). Any other release is written
-    as ``<basename>.csv``. Either sidecar holds the row ids of ``table``.
+    as ``release.csv``. Either sidecar, ``release.provenance.json``, holds the
+    row ids of ``table``.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -1119,18 +1128,18 @@ def write_release(release: AnonymizedRelease, directory: str | Path, basename: s
         "notes": list(release.provenance.notes),
     }
     if release.conf_table is None:
-        paths = [directory / f"{basename}.csv"]
+        paths = [directory / "release.csv"]
         paths[0].write_bytes(serialize_table(release.table))
         doc["schema"] = schema_to_descriptor(release.table.schema)
         doc["partition"] = release.partition
     else:
-        paths = [directory / f"{basename}_qi.csv", directory / f"{basename}_conf.csv"]
+        paths = [directory / "release_qi.csv", directory / "release_conf.csv"]
         paths[0].write_bytes(serialize_table(release.table))
         paths[1].write_bytes(serialize_table(release.conf_table))
         doc["schema_qi"] = schema_to_descriptor(release.table.schema)
         doc["schema_conf"] = schema_to_descriptor(release.conf_table.schema)
     doc["row_ids"] = [int(i) for i in release.table.row_ids]
-    sidecar_path = directory / f"{basename}.provenance.json"
+    sidecar_path = directory / "release.provenance.json"
     write_text(sidecar_path, json_dumps(doc))
     return paths + [sidecar_path]
 
@@ -1150,7 +1159,7 @@ def _is_integer_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_integer, value))
 
 
-def read_release(directory: str | Path, basename: str = "release") -> AnonymizedRelease:
+def read_release(directory: str | Path) -> AnonymizedRelease:
     """Read what ``write_release`` wrote, either layout.
 
     A sidecar that is not a JSON object, or whose ``mechanism``, ``params``,
@@ -1159,7 +1168,7 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
     raises ValueError naming the field.
     """
     directory = Path(directory)
-    doc = json.loads((directory / f"{basename}.provenance.json").read_text(encoding="utf-8"))
+    doc = json.loads((directory / "release.provenance.json").read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("release sidecar must be a JSON object")
     if not isinstance(doc.get("mechanism"), str):
@@ -1186,11 +1195,11 @@ def read_release(directory: str | Path, basename: str = "release") -> Anonymized
         raise ValueError("release sidecar field 'row_ids' must be a list of integers")
     prov = Provenance(mechanism=doc["mechanism"], params=params, seed=seed, notes=tuple(notes))
     if "schema_conf" in doc:
-        table = _read_release_csv(directory / f"{basename}_qi.csv", doc["schema_qi"])
-        conf_table = _read_release_csv(directory / f"{basename}_conf.csv", doc["schema_conf"])
+        table = _read_release_csv(directory / "release_qi.csv", doc["schema_qi"])
+        conf_table = _read_release_csv(directory / "release_conf.csv", doc["schema_conf"])
         partition = Partition.of_labels(table.column("group_id"))
     else:
-        table, conf_table = _read_release_csv(directory / f"{basename}.csv", doc["schema"]), None
+        table, conf_table = _read_release_csv(directory / "release.csv", doc["schema"]), None
     if row_ids is not None:
         table = _carry(table, MicrodataTable(table.schema, dict(table.columns), np.asarray(row_ids, dtype=np.int64)))
     return AnonymizedRelease(table, partition, prov, conf_table)

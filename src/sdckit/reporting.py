@@ -47,7 +47,7 @@ from .microdata import (
     json_dumps,
     read_hierarchies,
     read_table,
-    shared_text_codes,
+    value_codes,
     write_release,
     write_text,
 )
@@ -90,15 +90,8 @@ class UtilityReport:
 
 
 def _marginal_distance(original: MicrodataTable, released: MicrodataTable, name: str) -> float:
-    tables = (original, released)
-    if all(t.attribute(name).is_numeric for t in tables):
-        a, b = (t.columns[name].astype(float) for t in tables)
-        support, codes = np.unique(np.concatenate([a, b]), return_inverse=True)
-        codes = np.split(codes, [a.size])
-        ground = ORDERED_NUMERIC
-    else:
-        support, codes = shared_text_codes(tables, name)
-        ground = CATEGORICAL_UNIFORM
+    support, codes = value_codes([original, released], name)
+    ground = ORDERED_NUMERIC if support.dtype == float else CATEGORICAL_UNIFORM
     m = len(support)
     counts = np.bincount(np.concatenate([codes[0], codes[1] + m]), minlength=2 * m)
     return float(emd_rows((counts[:m] / codes[0].size)[None], counts[m:] / codes[1].size, ground)[0])
@@ -116,9 +109,13 @@ def utility_report(
     per quasi-identifier (ordered transport distance for numeric columns,
     total variation otherwise), and errors on an optional query workload.
     Permutation-style releases preserve marginals exactly, so their marginal
-    distances are exactly zero even when their squared error is large.
+    distances are exactly zero even when their squared error is large. An
+    original table or a release without rows raises ValueError.
     """
     rel_table = as_table(release)
+    for table, what in ((original, "the original table"), (rel_table, "the release")):
+        if not table.n_rows:
+            raise ValueError(f"{what} has no rows: there are no marginals to compare")
     qi = list(qi_attributes) if qi_attributes is not None else list(original.qi_names)
     for name in qi:
         original.attribute(name)
@@ -347,7 +344,7 @@ def run(config: RunConfig, outdir: str | Path) -> int:
     write_text(outdir / "config.json", json_dumps(config.to_json()))
     artifacts.append(outdir / "config.json")
 
-    artifacts += write_release(release, outdir, "release")
+    artifacts += write_release(release, outdir)
 
     for name, report in sorted(attack_reports.items()):
         path = outdir / f"attack_{name}.json"

@@ -175,6 +175,16 @@ def test_attribute_inference_needs_partition_and_alignment():
         attribute_inference_attack(release, "s", stranger)
 
 
+def test_attribute_inference_names_why_no_record_is_scored():
+    table, release = _skew_instance()
+    with pytest.raises(ValueError, match="the true table is empty: there is no record to score"):
+        attribute_inference_attack(release, "s", table.take([]))
+    scheme = {"suppressed_row_ids": table.row_ids.tolist()}
+    suppressed = AnonymizedRelease(table, release.partition, Provenance("test", {"scheme": scheme}, 0))
+    with pytest.raises(ValueError, match="declares every record suppressed: there is no record to score"):
+        attribute_inference_attack(suppressed, "s", table)
+
+
 def test_attribute_inference_on_anatomy(people_table):
     partition = mdav_partition(people_table, ["age", "zip", "height"], 5)
     release = anatomize(people_table, partition, k=5, rng_seed=1)

@@ -5,8 +5,6 @@ per-call) code it replaced. The data use non-integer floats of varied
 magnitude, -0.0 and groups of 1 to 48 rows, so that a different summation
 order would show in the last bit."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,7 +217,9 @@ def test_class_distances_match_per_class_emd_in_any_block_size(inputs, cells):
         mp.setattr(microdata, "_COUNT_CELLS", cells)
         for name, d in (("s", ORDERED_NUMERIC), ("s", CATEGORICAL_UNIFORM), ("d", CATEGORICAL_UNIFORM)):
             values = ClassValues.of(table, name, d)
-            old = [emd(values.distribution(g), values.overall, d) for g in partition]
+            column = table.columns[name].tolist()
+            old = [emd(Distribution.from_values([column[i] for i in g], values.support), values.overall, d)
+                   for g in partition]
             assert values.distances(partition).tolist() == old
             assert verify_t_closeness(table, partition, name, 0.2, d)[1] == max(old)
             report = attribute_inference_attack(
@@ -250,24 +250,24 @@ def test_class_checks_build_no_distribution_per_class(monkeypatch):
         microaggregate_partition(table, ["x", "c"], partition, params={}),
         anatomize(table, partition, 4, rng_seed=1),
     ]
-    calls = Counter()
-    from_values = Distribution.from_values.__func__
+    overall = {name: Distribution.from_values(table.columns[name].tolist()) for name in ("s", "d")}
+    built = []
+    check = Distribution.__post_init__
 
-    def counting(cls, values, support=None):
-        values = list(values)
-        calls[len(values)] += 1
-        return from_values(cls, values, support)
+    def counting(self):
+        built.append(self)
+        check(self)
 
-    monkeypatch.setattr(Distribution, "from_values", classmethod(counting))
+    monkeypatch.setattr(Distribution, "__post_init__", counting)
     for name in ("s", "d"):
         for release in releases:
-            calls.clear()
+            built.clear()
             conf_table, classes = release.class_table(name)
             assert len(classes) == n_classes
             verify_t_closeness(conf_table, classes, name, 0.3)
             attribute_inference_attack(release, name, table)
             # one distribution of the whole column per call, none per class
-            assert calls == {n: 2}
+            assert built == [overall[name]] * 2
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sdckit import (
     AttributeSchema,
     CategoricalKind,
+    EmptyClass,
     GeneralizationHierarchy,
     Infeasible,
     InvalidT,
@@ -105,8 +106,8 @@ def _oracle_enforce_models(table, qi_attributes, conf_attribute, k, l=None, t=No
         if len(partition) == 1:
             raise Infeasible(constraint, f"single remaining class of {len(partition[0])} records still fails")
         centroids = [space.centroid(np.asarray(g, dtype=np.int64)) for g in partition]
-        nums, codes = zip(*centroids)
-        dist = MixedSpace(np.stack(nums), np.stack(codes)).sq_dist_to(centroids[gi])
+        nums, codes = (list(np.ascontiguousarray(np.stack(block).T)) for block in zip(*centroids))
+        dist = MixedSpace(len(centroids), nums, codes).sq_dist_to(centroids[gi])
         dist[gi] = np.inf
         gj = int(np.argmin(dist))
         merged = sorted(partition[gi] + partition[gj])
@@ -280,11 +281,12 @@ def test_attribute_inference_skips_suppressed_records_like_a_restricted_table(in
 def test_class_values_reads_one_column_both_ways():
     table = _table([20.0] * 4, ["a"] * 4, [3.0, 0.5, 3.0, -1.0], numeric=True)
     values = ClassValues.of(table, "secret")
-    assert values.values == (3.0, 0.5, 3.0, -1.0)
+    assert np.asarray(values.support)[values.codes].tolist() == [3.0, 0.5, 3.0, -1.0]
     assert values.support == (-1.0, 0.5, 3.0)
     assert values.ground == ORDERED_NUMERIC
     assert values.overall == Distribution((-1.0, 0.5, 3.0), (0.25, 0.25, 0.5))
-    assert values.distribution([0, 2]) == Distribution((-1.0, 0.5, 3.0), (0.0, 0.0, 1.0))
+    (_, masses), = values.class_masses([[0, 2]])
+    assert Distribution(values.support, tuple(masses[0].tolist())) == Distribution((-1.0, 0.5, 3.0), (0.0, 0.0, 1.0))
     # the cdf differences are 0.25 and 0.5 over two rank steps
     assert values.distance([0, 2]) == pytest.approx(0.375)
     assert ClassValues.of(table, "secret", CATEGORICAL_UNIFORM).distance([0, 2]) == pytest.approx(0.5)
@@ -293,6 +295,18 @@ def test_class_values_reads_one_column_both_ways():
     values = ClassValues.of(text, "secret")
     assert values.support == ("10", "9")
     assert values.ground == CATEGORICAL_UNIFORM
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.lists(st.integers(0, 4), min_size=1, max_size=30))
+def test_overall_is_the_distribution_of_the_column(numeric, picks):
+    pool = (0.0, -0.0, 3.0, -2.5, 40.0) if numeric else TEXT_SECRETS
+    table = _table([20.0] * len(picks), ["a"] * len(picks), [pool[i] for i in picks], numeric)
+    values = ClassValues.of(table, "secret")
+    assert values.overall == Distribution.from_values(table.columns["secret"].tolist())
+    assert values.support == values.overall.support
+    with pytest.raises(EmptyClass):
+        ClassValues.of(table.take([]), "secret")
 
 
 def test_negative_zero_counts_as_zero_in_attribute_inference():

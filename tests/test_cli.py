@@ -627,7 +627,7 @@ def test_attack_on_a_per_attribute_run_exits_two(people_inputs, tmp_path, capsys
     table = read_table(data, schema)
     release = cluster_and_permute(table, table.qi_names, 5, rng_seed=1, mode="per_attribute")
     rel = tmp_path / "rel"
-    write_release(release, rel, "release")
+    write_release(release, rel)
     assert main(["attack", "--data", data, "--schema", schema, "--release", str(rel)]) == 2
     assert "pass a seed -> release factory" in capsys.readouterr().err
     assert not (rel / "attack_linkage.json").exists()
@@ -642,6 +642,9 @@ def test_attack_with_an_empty_external_table_exits_two(people_inputs, tmp_path, 
     capsys.readouterr()
     assert main(["attack", "--data", str(header_only), "--schema", schema, "--release", str(rel)]) == 2
     assert "external table is empty" in capsys.readouterr().err
+    inference = ["attack", "--attack", "attribute_inference", "--conf", "diagnosis", "--release", str(rel)]
+    assert main([*inference, "--data", str(header_only), "--schema", schema]) == 2
+    assert "the true table is empty: there is no record to score" in capsys.readouterr().err
 
 
 def test_attack_on_a_directory_whose_manifest_is_not_an_object_exits_two(people_inputs, tmp_path, capsys):

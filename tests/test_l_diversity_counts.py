@@ -1,11 +1,13 @@
 """l-diversity read from the one count matrix. ``ClassValues.l_diversities``
 must equal, bit for bit, a frozen copy of the per-class list path that the
 run checks (over the published column) and ``enforce_models`` (over the
-column's ``ClassValues.values``) used before, for both variants."""
+column's values, read here through ``ClassValues``' support and codes) used
+before, for both variants."""
 
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +68,8 @@ def test_count_matrix_l_equals_the_list_path_bit_for_bit(case, attribute, varian
     got = _bits(values.l_diversities(partition, variant))
     published = table.columns[attribute]
     assert got == _bits(_old_l_diversity([published[i] for i in g], variant) for g in partition)
-    assert got == _bits(_old_l_diversity([values.values[i] for i in g], variant) for g in partition)
+    read = np.asarray(values.support, dtype=object)[values.codes].tolist()
+    assert got == _bits(_old_l_diversity([read[i] for i in g], variant) for g in partition)
     assert got == _bits(l_diversity([published[i] for i in g], variant) for g in partition)
 
 

@@ -51,7 +51,7 @@ def _frozen_mdav_partition(table, qi, k):
     """``mdav_partition`` as it was, compacting the 2-D blocks after each group."""
     n = table.n_rows
     (space,) = MixedSpace.from_tables([table], qi)  # z-scores and codes, packed as row-major blocks
-    pool = _RowMajorSpace(np.ascontiguousarray(space.numeric), np.ascontiguousarray(space.codes))
+    pool = _RowMajorSpace(*map(np.ascontiguousarray, space.point(slice(None))))
     ids = np.arange(n, dtype=np.int64)
     groups = []
 
@@ -172,7 +172,7 @@ def test_centroid_adds_like_the_row_major_mean(n_numeric):
     for seed, m in enumerate([1, 2, 7, 8, 9, 16, 17, 100, 129, 130, 1000, 5000]):
         numeric, codes = _block(n_numeric, m, seed)
         frozen = _RowMajorSpace(numeric, codes)
-        space = MixedSpace(numeric, codes)
+        space = MixedSpace(m, list(np.ascontiguousarray(numeric.T)), list(np.ascontiguousarray(codes.T)))
         assert _bits(space.centroid()) == _bits(frozen.centroid())
         rng = np.random.default_rng(seed)
         keep = rng.random(m) < 0.7

@@ -447,12 +447,12 @@ def test_space_pools_numeric_stats_and_shares_codes():
         {"x": ["[0-3)", "4"]},
     )
     (only,) = MixedSpace.from_tables([ext], ["x"])
-    assert only.numeric[:, 0] == pytest.approx([-1.224744871391589, 0.0, 1.224744871391589])
+    assert only.num_cols[0] == pytest.approx([-1.224744871391589, 0.0, 1.224744871391589])
     rel_space, ext_space = MixedSpace.from_tables([rel, ext], ["x"])
     # numeric on one side only: compared as text, "0" < "2" < "4" < "[0-3)"
-    assert rel_space.numeric.shape == (2, 0)
-    assert rel_space.codes[:, 0].tolist() == [3, 2]
-    assert ext_space.codes[:, 0].tolist() == [0, 1, 2]
+    assert rel_space.point(slice(None))[0].shape == (2, 0)
+    assert rel_space.code_cols[0].tolist() == [3, 2]
+    assert ext_space.code_cols[0].tolist() == [0, 1, 2]
     assert rel_space.sq_dist_to(ext_space.point(2)).tolist() == [1.0, 0.0]
     assert rel_space.sq_dist_to(ext_space.point(slice(0, 3))).tolist() == [
         [1.0, 1.0],
@@ -476,7 +476,7 @@ def test_text_codes_match_per_cell_formatting(numbers, labels):
     assert "-0" not in want_text
     _, want = np.unique(np.asarray(want_text + labels, dtype=object), return_inverse=True)
     num_space, lab_space = MixedSpace.from_tables([num, lab], ["x"])
-    assert np.concatenate([num_space.codes[:, 0], lab_space.codes[:, 0]]).tolist() == want.tolist()
+    assert np.concatenate([num_space.code_cols[0], lab_space.code_cols[0]]).tolist() == want.tolist()
 
 
 def test_verifier_and_linkage_attack_share_trials():

@@ -82,6 +82,14 @@ def test_utility_report_rejects_missing_columns(numeric_table):
         utility_report(numeric_table, release, qi_attributes=["nope"])
 
 
+def test_utility_report_names_an_empty_table(numeric_table):
+    empty = numeric_table.take([])
+    with pytest.raises(ValueError, match="the release has no rows"):
+        utility_report(numeric_table, empty)
+    with pytest.raises(ValueError, match="the original table has no rows"):
+        utility_report(empty, empty)
+
+
 # -- run config -------------------------------------------------------------------
 
 

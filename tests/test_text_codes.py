@@ -1,9 +1,11 @@
 """The one text encoding of a column, ``microdata.text_codes``, against frozen
 copies of the code it replaced: ``comparable_text`` formatting the column on
 every call, and ``sorted_codes`` numbering the text of several tables
-concatenated. Tables hold -0.0, non-integer numbers and numbers past 2**53,
-text that NFC normalization merges, and a column that is numeric in one table
-and text in the other. Every encoding a table keeps (from the decode,
+concatenated, which ``value_codes`` must match unless the column is numeric
+in every table (then ``np.unique`` over the values is the oracle). Tables
+hold -0.0, non-integer numbers and numbers past 2**53, text that NFC
+normalization merges, and a column that is numeric in one table and text in
+the other. Every encoding a table keeps (from the decode,
 ``take``, ``suppress_identifiers``, ``drop_columns``, ``with_column``,
 ``read_release``, the recoders, MDAV, permutation and anatomy) must be the
 frozen reference's encoding of its own column, the decode's sweep must fault
@@ -41,9 +43,9 @@ from sdckit.microdata import (
     read_release,
     schema_to_descriptor,
     serialize_table,
-    shared_text_codes,
     suppress_identifiers,
     text_codes,
+    value_codes,
     write_release,
 )
 from sdckit.probkanon import anatomize, cluster_and_permute
@@ -114,9 +116,14 @@ def test_text_codes_match_the_old_comparable_text_and_sorted_codes(pair):
             assert codes.dtype == np.int64 and codes.tolist() == want_codes.tolist()
             assert comparable_text(table, name).tolist() == text.tolist()
             assert text_codes(table, name)[1] is codes  # encoded once, then read back
-        support, codes = shared_text_codes(pair, name)
-        want_support, want_codes = _old_sorted_codes(np.concatenate(old))
-        assert support.tolist() == want_support
+        support, codes = value_codes(pair, name)
+        if all(t.attribute(name).is_numeric for t in pair):  # values, signed zeros included
+            values = np.concatenate([t.columns[name] for t in pair])
+            want_support, want_codes = np.unique(values, return_inverse=True)
+            assert support.dtype == np.float64
+        else:
+            want_support, want_codes = _old_sorted_codes(np.concatenate(old))
+        assert support.tolist() == list(want_support)
         assert np.concatenate(codes).tolist() == want_codes.tolist()
         assert [c.size for c in codes] == [t.n_rows for t in pair]
 
@@ -337,12 +344,12 @@ def test_derived_tables_and_read_releases_carry_fresh_encodings(table, seed, dat
     ]
     for derived_table, carried in derived:
         assert sorted(derived_table._text_codes) == carried
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, tempfile.TemporaryDirectory() as recoded_directory:
         write_release(release, directory)
         read = read_release(directory)
         recoded, _ = anonymize_generalization(suppress_identifiers(table), CARRY_HIERARCHIES, 1)
-        write_release(recoded, directory, "recoded")
-        read_recoded = read_release(directory, "recoded").table
+        write_release(recoded, recoded_directory)
+        read_recoded = read_release(recoded_directory).table
     read_back = [  # with the sidecar's row ids
         (read.table, ["group_id", "t", "x"]),
         (read.conf_table, ["d", "group_id"]),
