@@ -79,8 +79,10 @@ class AttackReport:
 # record linkage
 # --------------------------------------------------------------------------
 
-# distances the linkage search holds at once, in one block of 1 MiB of doubles
-_BLOCK_CELLS = 1 << 17
+# distances the linkage search holds at once: 256 KiB of doubles, which stay
+# in L2; its key window cuts the release vectors into chunks of 1/512 of it
+# (64 vectors), so that a block is 512 external rows
+_BLOCK_CELLS = 1 << 15
 
 
 def link_records(
@@ -92,16 +94,18 @@ def link_records(
     the two tables share, with numeric statistics pooled over both tables:
     squared z-scored difference where both sides are numeric, exact-match 0/1
     on canonical text otherwise. The match is one ``_nearest_vectors`` search,
-    which scans in blocks of at most ``_BLOCK_CELLS`` distances (1 MiB),
-    followed by one tie draw. External record e's tie set is every release
-    row behind its nearest vectors ``nearest[bounds[e]:bounds[e + 1]]``, in
-    ascending row order, and ties are broken uniformly at random: one
-    ``rng.integers`` call with the tie count of every external row that has
-    more than one tied release row, in external row order, which draws what
-    one scalar call per row would. ``linkage_attack`` and the probabilistic-k
-    verifier do not call this function: they take the same search and price
-    its tie draw in closed form (``_linkage_probabilities``). Returns the
-    matched release row position per external row.
+    which scans in blocks of at most ``_BLOCK_CELLS`` distances and skips
+    every release vector whose squared gap on one numeric QI alone exceeds
+    the row's best distance, followed by one tie draw. External record e's
+    tie set is every release row behind its nearest vectors
+    ``nearest[bounds[e]:bounds[e + 1]]``, in ascending row order, and ties are
+    broken uniformly at random: one ``rng.integers`` call with the tie count
+    of every external row that has more than one tied release row, in
+    external row order, which draws what one scalar call per row would.
+    ``linkage_attack`` and the probabilistic-k verifier do not call this
+    function: they take the same search and price its tie draw in closed
+    form (``_linkage_probabilities``). Returns the matched release row
+    position per external row.
     """
     _, rel_rows, starts, nearest, bounds = _nearest_vectors(release_table, external_table)
     tie_counts = np.add.reduceat(np.diff(starts)[nearest], bounds[:-1])
@@ -133,9 +137,14 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     occurs in the release is at distance 0 from exactly that vector and is
     not scanned, unless two distinct values of a numeric column lie so close
     that their squared gap is 0, in which case every row is scanned. Other
-    rows are scanned against the distinct release vectors in blocks of at
-    most ``_BLOCK_CELLS`` distances.
+    rows are scanned by ``_window_scan`` in blocks of at most ``_BLOCK_CELLS``
+    distances, which skips every vector whose squared gap to the row on one
+    numeric QI, the key, exceeds the row's best distance: no other term of a
+    distance is negative, so such a vector cannot tie it. An empty release
+    raises ValueError.
     """
+    if release_table.n_rows == 0:
+        raise ValueError("the release is empty: there is no row to link a record to")
     shared = [n for n in external_table.qi_names if n in release_table.qi_names]
     if not shared:
         raise NoSharedQIs("the release and the external table share no quasi-identifiers")
@@ -173,24 +182,120 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     if any(map(_gap_squares_to_zero, both.num_cols)):
         exact[:] = -1
 
-    # each external row's nearest vectors: the one it equals, or its scanned block's minima
-    counts = np.ones(n_ext, dtype=np.int64)
-    minima = []
-    scanned = np.flatnonzero(exact < 0)
-    step = max(1, _BLOCK_CELLS // max(vectors.n, 1))
-    for lo in range(0, scanned.size, step):
-        block = scanned[lo : lo + step]
-        dist = vectors.sq_dist_to(ext_space.point(block))
-        at, vec = np.nonzero(dist == dist.min(axis=1, keepdims=True))
-        del dist  # free this block's distances before the next block is computed
-        counts[block] = np.bincount(at, minlength=block.size)
-        minima.append((block[at], vec))
+    # each external row's nearest vectors: the one it equals, or the scan's minima
+    rows, vec = _window_scan(vectors, ext_space, np.flatnonzero(exact < 0))
+    counts = (exact >= 0) + np.bincount(rows, minlength=n_ext)
     bounds = np.concatenate([[0], np.cumsum(counts)])
     nearest = np.repeat(exact, counts)
-    for rows, vec in minima:
-        # a row's minima come consecutive and ascending: the i-th goes i places after its start
-        nearest[bounds[rows] + np.arange(rows.size) - np.searchsorted(rows, rows)] = vec
+    # a row's minima come consecutive and ascending: the i-th goes i places after its start
+    nearest[bounds[rows] + np.arange(rows.size) - np.searchsorted(rows, rows)] = vec
     return vector_of_row, rel_rows, starts, nearest, bounds
+
+
+def _window_scan(vectors: MixedSpace, ext_space: MixedSpace, scanned: np.ndarray):
+    """``(rows, vec)``: every pair of an external row in ``scanned`` and a
+    release vector at the row's minimum distance, sorted by row, then vector.
+
+    Rows and distinct vectors are both sorted by one numeric QI, the key
+    (``_key_column``), and the vectors are cut into chunks of ``_BLOCK_CELLS
+    >> 9``. Each block of key-adjacent rows, ``_BLOCK_CELLS`` distances to
+    one chunk, scans the chunk that holds its middle row's key, then chunks
+    outward on both sides. A row stops on a side once its squared key gap to
+    that side's next chunk exceeds its best distance so far; the block stops
+    when every row has. This is exact: every term ``sq_dist_to`` adds is at
+    least +0 and rounded addition is monotone, so a vector's computed
+    distance is at least its computed squared key gap, and that grows with
+    the gap; a gap whose square is 0 never stops a row. With no more vectors
+    than one chunk holds, no numeric QI, or no key that leaves a vector out
+    of a sampled row's window, the key is 0 everywhere and the window is
+    every vector, in one chunk unless there are more than ``_BLOCK_CELLS``:
+    the dense scan. A chunk's minima are kept while they tie the row's best,
+    and at the end only those at its overall minimum.
+    """
+    if not scanned.size:
+        return scanned, scanned
+    width = max(1, _BLOCK_CELLS >> 9)
+    key = _key_column(vectors, ext_space, scanned) if vectors.n > width and vectors.num_cols else None
+    if key is None:
+        width, vec_keys, row_keys = min(vectors.n, _BLOCK_CELLS), np.zeros(vectors.n), np.zeros(ext_space.n)
+    else:
+        vec_keys, row_keys = vectors.num_cols[key], ext_space.num_cols[key]
+    by_key = np.argsort(vec_keys, kind="stable")
+    scanned = scanned[np.argsort(row_keys[scanned], kind="stable")]
+    cuts = np.arange(width, vectors.n, width)
+    chunks = [(ids, vectors.take(ids)) for ids in np.split(by_key, cuts)]
+    firsts, lasts = vec_keys[by_key[::width]], vec_keys[by_key[np.append(cuts, vectors.n) - 1]]
+    found_rows, found_vec = [], []
+    step = max(1, _BLOCK_CELLS // width)
+    for lo in range(0, scanned.size, step):
+        block = scanned[lo : lo + step]
+        num, codes = ext_space.point(block)
+        x = row_keys[block]
+        best = np.full(block.size, np.inf)
+        hits = []
+
+        def scan(c: int, rows: np.ndarray) -> None:
+            """Distances from the block's ``rows`` to chunk ``c``, keeping the minima that tie a row's best."""
+            ids, chunk = chunks[c]
+            dist = chunk.sq_dist_to((num[rows], codes[rows]))
+            low = dist.min(axis=1)
+            best[rows] = np.minimum(best[rows], low)
+            tied = np.flatnonzero(low == best[rows])
+            at, col = np.nonzero((dist if tied.size == rows.size else dist[tied]) == low[tied, None])
+            at = tied[at]
+            hits.append((rows[at], ids[col], low[at]))
+
+        home = max(int(np.searchsorted(firsts, x[x.size // 2], side="right")) - 1, 0)
+        scan(home, np.arange(block.size))
+        # a row may find a minimum in a side's next chunk only if its squared
+        # key gap to the chunk's near edge is at most its best so far (a row
+        # past that edge has a best at least that gap anyway). A side with no
+        # such row left is closed for good; of two open sides, the one whose
+        # edge is nearer the middle row's key goes first.
+        sides = [[home - 1, -1, lasts], [home + 1, 1, firsts]]
+        while True:
+            open_sides = []
+            for side in sides:
+                c, _, edges = side
+                if 0 <= c < len(chunks):
+                    open_rows = np.flatnonzero(np.square(edges[c] - x) <= best)
+                    if open_rows.size:
+                        open_sides.append((abs(edges[c] - x[x.size // 2]), side, open_rows))
+                    else:
+                        side[0] = -1
+            if not open_sides:
+                break
+            _, side, open_rows = min(open_sides, key=lambda o: o[0])
+            scan(side[0], open_rows)
+            side[0] += side[1]
+        at, vec, low = map(np.concatenate, zip(*hits))
+        keep = low == best[at]
+        found_rows.append(block[at[keep]])
+        found_vec.append(vec[keep])
+    rows, vec = np.concatenate(found_rows), np.concatenate(found_vec)
+    order = np.lexsort((vec, rows))
+    return rows[order], vec[order]
+
+
+def _key_column(vectors: MixedSpace, ext_space: MixedSpace, scanned: np.ndarray):
+    """The numeric column (an index into ``num_cols``) that prunes the window
+    scan most for 32 rows spread over ``scanned``: the one whose key window
+    around each of them, out to the row's minimum distance, holds the fewest
+    vectors, the first on a tie. None if every window holds every vector."""
+    sample = scanned[np.linspace(0, scanned.size - 1, min(scanned.size, 32)).astype(np.int64)]
+    point = ext_space.point(sample)
+    reach = np.full(sample.size, np.inf)
+    span = max(1, _BLOCK_CELLS // sample.size)
+    for lo in range(0, vectors.n, span):
+        dist = vectors.take(np.arange(lo, min(lo + span, vectors.n))).sq_dist_to(point)
+        np.minimum(reach, dist.min(axis=1), out=reach)
+    reach = np.sqrt(reach)
+    held = []
+    for j, col in enumerate(vectors.num_cols):
+        keys, x = np.sort(col), point[0][:, j]
+        held.append(int((np.searchsorted(keys, x + reach, "right") - np.searchsorted(keys, x - reach)).sum()))
+    key = int(np.argmin(held))
+    return key if held[key] < sample.size * vectors.n else None
 
 
 def _gap_squares_to_zero(col: np.ndarray) -> bool:

@@ -33,6 +33,7 @@ from .microdata import (
     Provenance,
     Partition,
     as_table,
+    canonical_number,
     class_counts,
     factorize,
     label_paths,
@@ -460,27 +461,36 @@ def microaggregate_partition(
     A mean is one row of ``mean(axis=1)`` over all groups of its size, which
     adds like the group's own ``mean()`` (``np.add.reduceat`` can differ in the
     last bit); a mode is the first maximum of a ``class_counts`` row over
-    sorted text codes, so ties go to the smallest text."""
+    sorted text codes, so ties go to the smallest text. The release's text
+    codes are made per class: each mean's ``canonical_number``, formatted
+    once, or each mode's source text. A partition that does not cover every
+    row raises ValueError."""
     qi = list(qi_attributes)
-    masked = {}
+    checked = Partition(partition).covering(table.n_rows)
+    # groups as given: a mean adds its group's rows in their given order
     sizes = np.fromiter(map(len, partition), np.int64, len(partition))
-    members = np.fromiter(chain.from_iterable(partition), np.int64, int(sizes.sum()))
+    members = np.fromiter(chain.from_iterable(partition), np.int64, table.n_rows)
     firsts = np.cumsum(sizes) - sizes
+    labels = np.empty(table.n_rows, dtype=np.int64)
+    labels[members] = np.repeat(np.arange(sizes.size), sizes)
+    masked, encoded = {}, {}
     for name in qi:
-        col = np.array(table.columns[name], dtype=table.columns[name].dtype)
         if table.attribute(name).is_numeric:
-            values = col.astype(float)
+            values = table.columns[name].astype(float)
+            means = np.empty(sizes.size)
             for size in set(sizes.tolist()):
-                rows = members[firsts[sizes == size, None] + np.arange(size)]
-                col[rows] = values[rows].mean(axis=1)[:, None]
+                classes = np.flatnonzero(sizes == size)
+                means[classes] = values[members[firsts[classes, None] + np.arange(size)]].mean(axis=1)
+            masked[name] = means[labels]
+            encoded[name] = text_codes_of(list(map(canonical_number, means.tolist())), labels)
         else:
             distinct, codes = text_codes(table, name)
-            modes = [counts.argmax(axis=1) for _, counts in class_counts(partition, codes, len(distinct))]
-            col[members] = distinct[np.repeat(np.concatenate(modes), sizes)]
-        masked[name] = col
+            counts = class_counts(partition, codes, len(distinct))
+            modes = np.concatenate([class_rows.argmax(axis=1) for _, class_rows in counts])[labels]
+            masked[name], encoded[name] = distinct[modes], text_codes_of(distinct, modes)
     return AnonymizedRelease(
-        table=suppress_identifiers(table, masked),
-        partition=partition,
+        table=suppress_identifiers(table, masked, encoded=encoded),
+        partition=checked,
         provenance=Provenance(mechanism="mdav", params={"k": None, "qi": qi, **(params or {})}),
     )
 

@@ -20,7 +20,10 @@ row-major block did (pairwise for one numeric attribute, row by row for
 more), so distances, ties and partitions are byte for byte what the
 row-major layout gave.
 
-The linkage search is described at ``attacks._nearest_vectors``.
+The linkage search is described at ``attacks._nearest_vectors``. It bounds a
+distance from below by its term for one numeric attribute: every term is at
+least +0 and rounded addition is monotone, so no sum is below any one of its
+terms (``attacks._window_scan``).
 """
 
 from __future__ import annotations
@@ -118,11 +121,17 @@ class MixedSpace:
         """Squared distances from one point (or a block of b points) to every
         row, or to the rows in the index array ``indices``; shape (m,) or (b, m)."""
         num_point, code_point = (np.asarray(p) for p in point)
-        d = np.zeros(num_point.shape[:-1] + (self.n if indices is None else len(indices),))
+        shape = num_point.shape[:-1] + (self.n if indices is None else len(indices),)
+        d = None  # the first numeric term is the sum: +0.0 + t is t for every t >= +0
         for j, col in enumerate(self.num_cols):
             diff = (col if indices is None else col[indices]) - num_point[..., j, None]
             diff *= diff
-            d += diff
+            if d is None:
+                d = diff
+            else:
+                d += diff
+        if d is None:
+            d = np.zeros(shape)
         for j, col in enumerate(self.code_cols):
             d += (col if indices is None else col[indices]) != code_point[..., j, None]
         return d

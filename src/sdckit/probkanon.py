@@ -26,6 +26,8 @@ from .microdata import (
     Partition,
     Provenance,
     _carry,
+    _keep_text_codes,
+    canonical_number,
     suppress_identifiers,
     text_codes,
 )
@@ -116,6 +118,8 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
     qi_cols = {"group_id": group_of.astype(np.float64)}
     qi_cols.update({a.name: table.columns[a.name] for a in qi_side})
     qi_table = _carry(table, MicrodataTable(qi_schema, qi_cols, table.row_ids))
+    gid_texts = list(map(canonical_number, range(n_groups)))
+    _keep_text_codes(qi_table, "group_id", gid_texts, group_of)
 
     conf_side = [a for a in table.schema if a.role == "confidential"]
     conf_schema = (gid_attr,) + tuple(conf_side)
@@ -124,6 +128,7 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
     conf_cols = {"group_id": group_of[order_arr].astype(np.float64)}
     conf_cols.update({a.name: table.columns[a.name][order_arr] for a in conf_side})
     conf_table = _carry(table, MicrodataTable(conf_schema, conf_cols, np.arange(order_arr.size)), order_arr)
+    _keep_text_codes(conf_table, "group_id", gid_texts, group_of[order_arr])
 
     return AnonymizedRelease(
         table=qi_table,

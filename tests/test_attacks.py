@@ -36,6 +36,7 @@ from sdckit import (
     minimal_generalization,
     perfect_secrecy_query_mechanism,
     verify_k_anonymity,
+    verify_probabilistic_k,
     wilson_interval,
 )
 from sdckit.microdata import make_table
@@ -128,6 +129,22 @@ def test_linkage_attack_names_an_empty_external_table():
     for release in (t, lambda s: t):
         with pytest.raises(ValueError, match="external table is empty"):
             linkage_attack(release, t.take([]), trials=2)
+
+
+def test_linkage_names_an_empty_release():
+    # every caller of the nearest-vector search, on a release and on a factory's draw
+    t = build_numeric_table(seed=2, n=10)
+    empty = t.take([])
+    calls = [
+        lambda: link_records(empty, t, np.random.default_rng(0)),
+        lambda: linkage_attack(empty, t),
+        lambda: linkage_attack(lambda s: empty, t, trials=2),
+        lambda: verify_probabilistic_k(empty, t, 2),
+        lambda: verify_probabilistic_k(lambda s: empty, t, 2, trials=2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="the release is empty: there is no row to link a record to"):
+            call()
 
 
 # -- attribute inference ----------------------------------------------------------

@@ -15,6 +15,7 @@ from sdckit import (
     CategoricalKind,
     NumericKind,
     cluster_and_permute,
+    dp_microdata_release,
     link_records,
     linkage_attack,
     mdav_microaggregate,
@@ -26,7 +27,7 @@ from sdckit.metric import MixedSpace
 from sdckit.microdata import Partition, as_table, canonical_number, comparable_text, make_table
 from sdckit.seeds import derive_rng, derive_seed
 
-from conftest import build_people_table
+from conftest import build_numeric_table, build_people_table
 
 # -- frozen reference code ----------------------------------------------------------
 
@@ -173,6 +174,36 @@ ZEROS = (-0.0, 0.0)
 TINY = (0.0, 1e-200, 2e-200)  # distinct, but their z-score gaps square to 0
 
 
+def _linkage_tables(kinds, ext_rows, rel_rows):
+    """(release, external) with one QI per kind from the value tuples of each
+    table's rows; see ``linkage_inputs`` for the kinds."""
+    ext_schema, rel_schema, ext_cols, rel_cols = [], [], {}, {}
+    for j, kind in enumerate(kinds):
+        name = f"q{j}"
+        ext_vals = [row[j] for row in ext_rows]
+        rel_vals = [row[j] for row in rel_rows]
+        if kind == "cat":
+            ext_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(CATS)))
+            rel_schema.append(ext_schema[-1])
+        elif kind in ("zero", "tiny"):
+            ext_vals[0], rel_vals[0] = 1.0, -1.0
+            ext_schema.append(AttributeSchema(name, "quasi_identifier", NumericKind(-1, 1)))
+            rel_schema.append(ext_schema[-1])
+        else:
+            if kind == "const":
+                ext_vals, rel_vals = [2] * len(ext_vals), [2] * len(rel_vals)
+            ext_schema.append(AttributeSchema(name, "quasi_identifier", NumericKind(0, 4)))
+            if kind == "label":
+                rel_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(LABELS)))
+                rel_vals = [_label(v) for v in rel_vals]
+            else:
+                rel_schema.append(ext_schema[-1])
+        ext_cols[name], rel_cols[name] = ext_vals, rel_vals
+    release = make_table(rel_schema, rel_cols)
+    external = make_table(ext_schema, ext_cols)
+    return release, external
+
+
 @st.composite
 def linkage_inputs(draw):
     """(release, external, seed): a pool of rows sampled with replacement into
@@ -209,30 +240,7 @@ def linkage_inputs(draw):
     else:
         k = draw(st.integers(2, 4))
         rel_rows = [ext_rows[i - i % k] for i in range(len(ext_rows))]
-    ext_schema, rel_schema, ext_cols, rel_cols = [], [], {}, {}
-    for j, kind in enumerate(kinds):
-        name = f"q{j}"
-        ext_vals = [row[j] for row in ext_rows]
-        rel_vals = [row[j] for row in rel_rows]
-        if kind == "cat":
-            ext_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(CATS)))
-            rel_schema.append(ext_schema[-1])
-        elif kind in ("zero", "tiny"):
-            ext_vals[0], rel_vals[0] = 1.0, -1.0
-            ext_schema.append(AttributeSchema(name, "quasi_identifier", NumericKind(-1, 1)))
-            rel_schema.append(ext_schema[-1])
-        else:
-            if kind == "const":
-                ext_vals, rel_vals = [2] * len(ext_vals), [2] * len(rel_vals)
-            ext_schema.append(AttributeSchema(name, "quasi_identifier", NumericKind(0, 4)))
-            if kind == "label":
-                rel_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(LABELS)))
-                rel_vals = [_label(v) for v in rel_vals]
-            else:
-                rel_schema.append(ext_schema[-1])
-        ext_cols[name], rel_cols[name] = ext_vals, rel_vals
-    release = make_table(rel_schema, rel_cols)
-    external = make_table(ext_schema, ext_cols)
+    release, external = _linkage_tables(kinds, ext_rows, rel_rows)
     return release, external, draw(st.integers(0, 2**31))
 
 
@@ -345,6 +353,142 @@ def test_linkage_attack_matches_the_exact_dense_oracle(inputs, trials, block_cel
     with mock.patch.object(attacks, "_BLOCK_CELLS", block_cells or attacks._BLOCK_CELLS):
         _assert_linkage_matches_the_oracle(release, external, trials, seed)
         _assert_linkage_matches_the_oracle(lambda s: release, external, trials, seed)
+
+
+# numeric values of the window inputs: "wide" spreads the key over 41
+# values, "pile" puts most rows on the two clamped ends of its domain
+WINDOW_VALUES = {
+    "wide": st.integers(0, 40).map(lambda v: v / 10),
+    "pile": st.sampled_from((0.0, 0.0, 0.0, 4.0, 4.0, 4.0, 1.5, 2.5)),
+    "num": st.integers(0, 4),
+    "label": st.integers(0, 4),
+    "cat": st.sampled_from(CATS),
+    "zero": st.sampled_from(ZEROS),
+    "tiny": st.sampled_from(TINY),
+}
+
+
+@st.composite
+def window_inputs(draw):
+    """(release, external, seed) with up to 40 release rows over many distinct
+    vectors, so that a small ``_BLOCK_CELLS`` splits them into several key
+    chunks, and external rows that are release rows or fresh ones. Kinds as
+    in ``linkage_inputs``, plus "wide" and "pile" (``WINDOW_VALUES``); with
+    only "cat" and "label" the tables share no numeric QI."""
+    kinds = draw(st.lists(st.sampled_from(sorted(WINDOW_VALUES)), min_size=1, max_size=4))
+    row = st.tuples(*[WINDOW_VALUES[kd] for kd in kinds])
+    rel_rows = draw(st.lists(row, min_size=1, max_size=40))
+    ext_rows = draw(st.lists(st.one_of(st.sampled_from(rel_rows), row), min_size=1, max_size=20))
+    release, external = _linkage_tables(kinds, ext_rows, rel_rows)
+    return release, external, draw(st.integers(0, 2**31))
+
+
+# 1..512 cells: one vector per chunk and that many rows per block; 1024 and
+# up: 512 rows per block and 2, 4 or 8 vectors per chunk
+WINDOW_BLOCK_CELLS = st.sampled_from([1, 2, 3, 16, 1024, 2048, 4096])
+
+
+@settings(max_examples=400, deadline=None)
+@given(window_inputs(), WINDOW_BLOCK_CELLS)
+@example(inputs=_gap_squares_to_zero_case(), block_cells=1)
+@example(inputs=_mismatch_before_numeric_case(), block_cells=1)
+def test_the_key_window_matches_the_dense_oracles(inputs, block_cells):
+    release, external, seed = inputs
+    with mock.patch.object(attacks, "_BLOCK_CELLS", block_cells):
+        got = link_records(release, external, derive_rng(seed, "attack", 0))
+        want = _oracle_link_records(release, external, derive_rng(seed, "attack", 0))
+        assert got.tolist() == want.tolist()
+        _assert_linkage_matches_the_oracle(release, external, 1, seed)
+
+
+def test_the_key_window_skips_vectors_beyond_the_best_distance(monkeypatch):
+    # one numeric QI spread over 0..100: each external row's window holds a
+    # few chunks of one vector, far fewer distances than the dense scan's,
+    # the key's choice from 32 sampled rows included
+    schema = (AttributeSchema("x", "quasi_identifier", NumericKind(0, 100)),)
+    external = make_table(schema, {"x": np.arange(0.0, 100.0, 0.25)})
+    release = make_table(schema, {"x": np.arange(0.125, 100.0, 2.0)})
+    monkeypatch.setattr(attacks, "_BLOCK_CELLS", 16)
+    cells = []
+    dist = MixedSpace.sq_dist_to
+
+    def counted(space, point):
+        d = dist(space, point)
+        cells.append(d.size)
+        return d
+
+    monkeypatch.setattr(MixedSpace, "sq_dist_to", counted)
+    got = link_records(release, external, derive_rng(0, "attack", 0))
+    assert got.tolist() == _oracle_link_records(release, external, derive_rng(0, "attack", 0)).tolist()
+    assert sum(cells) < external.n_rows * release.n_rows / 5
+
+
+def _frozen_dense_nearest_vectors(release_table, external_table):
+    """``attacks._nearest_vectors`` as it was before the key window: every
+    scanned row against every distinct vector, in blocks of 2**17 distances."""
+    shared = [n for n in external_table.qi_names if n in release_table.qi_names]
+    rel_space, ext_space = MixedSpace.from_tables([release_table, external_table], shared)
+    n_rel, n_ext = rel_space.n, ext_space.n
+    both = MixedSpace(
+        n_rel + n_ext,
+        [np.concatenate(pair) + 0.0 for pair in zip(rel_space.num_cols, ext_space.num_cols)],
+        [np.concatenate(pair) for pair in zip(rel_space.code_cols, ext_space.code_cols)],
+    )
+    order = np.lexsort([*both.code_cols, *both.num_cols])
+    new_key = np.zeros(order.size, dtype=bool)
+    new_key[0] = True
+    for col in both.num_cols + both.code_cols:
+        in_order = col[order]
+        new_key[1:] |= in_order[1:] != in_order[:-1]
+    key = np.empty(order.size, dtype=np.int64)
+    key[order] = np.cumsum(new_key) - 1
+    rel_rows = order[order < n_rel]
+    rel_keys = key[rel_rows]
+    first = np.ones(n_rel, dtype=bool)
+    first[1:] = rel_keys[1:] != rel_keys[:-1]
+    vector_of_row = np.empty(n_rel, dtype=np.int64)
+    vector_of_row[rel_rows] = np.cumsum(first) - 1
+    starts = np.append(np.flatnonzero(first), n_rel)
+    vectors = both.take(rel_rows[first])
+    vector_of_key = np.full(int(new_key.sum()), -1, dtype=np.int64)
+    vector_of_key[rel_keys[first]] = np.arange(vectors.n)
+    exact = vector_of_key[key[n_rel:]]
+    if any(map(attacks._gap_squares_to_zero, both.num_cols)):
+        exact[:] = -1
+    counts = np.ones(n_ext, dtype=np.int64)
+    minima = []
+    scanned = np.flatnonzero(exact < 0)
+    step = max(1, (1 << 17) // max(vectors.n, 1))
+    for lo in range(0, scanned.size, step):
+        block = scanned[lo : lo + step]
+        dist = vectors.sq_dist_to(ext_space.point(block))
+        at, vec = np.nonzero(dist == dist.min(axis=1, keepdims=True))
+        counts[block] = np.bincount(at, minlength=block.size)
+        minima.append((block[at], vec))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    nearest = np.repeat(exact, counts)
+    for rows, vec in minima:
+        nearest[bounds[rows] + np.arange(rows.size) - np.searchsorted(rows, rows)] = vec
+    return vector_of_row, rel_rows, starts, nearest, bounds
+
+
+@pytest.mark.parametrize("mechanism", ["mdav", "dp_microdata"])
+def test_the_search_returns_the_frozen_dense_loops_arrays_at_n_5000(mechanism):
+    # at full size: 512 rows per block and chunks of 64 vectors, keyed by a
+    # column the sample picks; dp_microdata's clamped cells pile many vectors
+    # onto the two ends of each key
+    if mechanism == "mdav":
+        external = build_people_table(seed=11, n=5000)
+        _, release = mdav_microaggregate(external, list(external.qi_names), 5)
+    else:
+        external = build_numeric_table(seed=11, n=5000)
+        release = dp_microdata_release(external, 1.0, 3)
+    got = attacks._nearest_vectors(release.table, external)
+    want = _frozen_dense_nearest_vectors(release.table, external)
+    vectors = got[2].size - 1
+    assert vectors > 8 * (attacks._BLOCK_CELLS >> 9)  # more than eight chunks
+    for mine, theirs in zip(got, want):
+        assert mine.tolist() == theirs.tolist()
 
 
 def test_linkage_attack_matches_the_exact_oracle_on_a_factory_and_label_ties(monkeypatch):

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, which nothing else imports."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +34,17 @@ def test_risk_utility_sweep_runs(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "sweep.json").exists()
+
+
+def test_linkage_scale_runs(tmp_path):
+    done = _run_script(
+        "linkage_scale.py", "--sizes", "60,120", "--repeats", "1", "--trials", "2", "--out", str(tmp_path)
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "BENCH_linkage.json").read_text(encoding="utf-8"))
+    assert [(s["mechanism"], s["n"]) for s in result["searches"]] == [
+        ("mdav", 60), ("dp_microdata", 60), ("mdav", 120), ("dp_microdata", 120)
+    ]
+    assert (result["run"]["n"], result["run"]["trials"]) == (120, 2)
+    refused = _run_script("linkage_scale.py", "--sizes", "60", "--out", str(REPO / "bench_out"))
+    assert refused.returncode == 2 and not (REPO / "bench_out").exists()

@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdckit import kanon, microdata
@@ -323,6 +323,40 @@ def test_mdav_and_permutation_carry_fresh_encodings(table, seed, mode):
     _assert_encodings_are_fresh(cluster_and_permute(table, ["x", "t"], 2, seed, mode=mode).table)
 
 
+@st.composite
+def partitioned_tables(draw):
+    """(table, partition): a decoded table and up to four classes of any rows."""
+    table = draw(decoded_tables())
+    labels = draw(st.lists(st.integers(0, 3), min_size=table.n_rows, max_size=table.n_rows))
+    return table, Partition.of_labels(labels)
+
+
+def _class_cases():
+    """A class of -0.0 and one of 0.0 (their means both read "0"), one mean
+    (1.0) in two classes ({1, 1} and {0.5, 1.5}), and a mode tie in each
+    class of two."""
+    x = [-0.0, 0.0, 1.0, 1.0, 0.5, 1.5]
+    t = ["\u00e9", "a", "1", "1.0", "a", "\u00c5"]
+    table = make_table(CARRY_SCHEMA, {"pid": [f"p{i}" for i in range(6)], "x": x, "t": t, "d": ["F"] * 6})
+    return table, Partition([[0], [1], [2, 3], [4, 5]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitioned_tables())
+@example(inputs=_class_cases())
+def test_microaggregation_hands_over_the_codes_its_columns_encode_to(inputs):
+    # the release carries its masked columns' codes, built per class, which
+    # must be what encoding the masked column itself gives
+    table, partition = inputs
+    masked = kanon.microaggregate_partition(table, ["x", "t"], partition).table
+    for name in ("x", "t"):
+        distinct, codes = masked._text_codes[name]
+        want_distinct, want_codes = microdata._encode_text(masked, name)
+        assert distinct.tolist() == want_distinct.tolist(), name
+        assert codes.tolist() == want_codes.tolist(), name
+    _assert_encodings_are_fresh(masked)
+
+
 @settings(max_examples=100, deadline=None)
 @given(decoded_tables())
 def test_the_decode_encodes_every_column_but_the_identifiers(table):
@@ -337,8 +371,8 @@ def test_derived_tables_and_read_releases_carry_fresh_encodings(table, seed, dat
     labels = data.draw(st.lists(st.integers(0, 2), min_size=table.n_rows, max_size=table.n_rows))
     release = anatomize(table, Partition.of_labels(labels), 1, seed)
     derived = [
-        (release.table, ["t", "x"]),  # anatomy's QI side: the source's codes
-        (release.conf_table, ["d"]),  # its confidential side: the source's codes at the shuffled rows
+        (release.table, ["group_id", "t", "x"]),  # anatomy's QI side: the source's codes and its group ids'
+        (release.conf_table, ["d", "group_id"]),  # its confidential side: the same at the shuffled rows
         (table.with_column("x", -table.columns["x"]), ["d", "t"]),  # every column but the replaced one
         (table.drop_columns(["pid", "t"]), ["d", "x"]),
     ]
