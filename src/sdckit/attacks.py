@@ -531,7 +531,8 @@ def membership_inference_attack(
     A trials, calibration or bins below 1, or a non-finite output, raises
     ValueError. Each pair of samples is drawn as in ``empirical_dp_check``:
     the mechanism is called on table_with, then on table_without, on this
-    thread, and an output array that owns its memory is sorted in place.
+    thread, and an output array that owns its memory is sorted in place run
+    by run; each sample's bin counts are one ``searchsorted`` per run.
     """
     _require_positive_counts(trials=trials, calibration=calibration, bins=bins)
     if neighbor_relation(table_with, table_without) is None:

@@ -12,14 +12,19 @@ uniform gives an infinite draw. The draws are bit-identical to the one-shot
 formula applied to one ``rng.random(size)`` array. Every mechanism takes its
 epsilon through one check, ``_check_epsilon``: a positive finite number.
 
+A query mechanism adds its true answer to each block inside that loop too
+(``laplace_noise``'s ``loc``), while the block is still in cache.
+
 The empirical check and the membership attack run their numpy work on two
 threads, each giving half to one short-lived helper thread: a large Laplace
 draw from a PCG64 stream, whose upper half the helper draws and transforms
 from an advanced copy of the stream, and the in-place sort of two output
-samples, one per thread. The caller allocates every buffer the helper writes,
-the mechanism is still called once per table from the caller's thread, and
-the results and the generator's end state are identical on any number of
-cores.
+samples, one per thread. A sample is sorted run by run, ``_BLOCK`` values at
+a time, so each run is sorted in cache; the histogram's edges are read off
+the runs' ends and its counts are one ``searchsorted`` per run, which equal
+``np.histogram``'s. The caller allocates every buffer the helper writes, the
+mechanism is still called once per table from the caller's thread, and the
+results and the generator's end state are identical on any number of cores.
 """
 
 from __future__ import annotations
@@ -273,12 +278,12 @@ def _beside(fn, helper_args: tuple, own_args: tuple) -> None:
         raise errors[0]
 
 
-def _draw(gen: np.random.Generator, flat: np.ndarray, scale: float, buf: np.ndarray) -> None:
+def _draw(gen: np.random.Generator, flat: np.ndarray, scale: float, buf: np.ndarray, loc: float | None) -> None:
     """Fill ``flat`` with Laplace(scale) draws from ``gen``'s next uniforms,
-    one ``_BLOCK`` at a time, with ``buf`` as the scratch buffer: each block
-    is filled by ``gen.random(out=block)`` and transformed in place while it
-    is still in cache. The sampler's one copy of the formula (see
-    ``laplace_noise``)."""
+    plus ``loc`` unless it is None, one ``_BLOCK`` at a time, with ``buf`` as
+    the scratch buffer: each block is filled by ``gen.random(out=block)`` and
+    transformed in place while it is still in cache. The sampler's one copy
+    of the formula (see ``laplace_noise``)."""
     for start in range(0, flat.size, _BLOCK):
         u = flat[start : start + _BLOCK]
         gen.random(out=u)
@@ -290,9 +295,11 @@ def _draw(gen: np.random.Generator, flat: np.ndarray, scale: float, buf: np.ndar
         np.log1p(t, out=t)
         t *= scale
         np.copysign(t, u, out=u)
+        if loc is not None:
+            u += loc
 
 
-def _split_draw(rng: np.random.Generator, flat: np.ndarray, scale: float) -> None:
+def _split_draw(rng: np.random.Generator, flat: np.ndarray, scale: float, loc: float | None) -> None:
     """Fill ``flat`` as ``_draw(rng, flat, ...)`` would, on two threads. A
     PCG64 double takes one 64-bit step of the stream, so the upper half (cut
     at a block boundary) comes from a copy of the stream advanced past the
@@ -307,15 +314,15 @@ def _split_draw(rng: np.random.Generator, flat: np.ndarray, scale: float) -> Non
     upper.advance(cut)
     _beside(
         _draw,
-        (np.random.Generator(upper), flat[cut:], scale, np.empty(_BLOCK)),
-        (rng, flat[:cut], scale, np.empty(_BLOCK)),
+        (np.random.Generator(upper), flat[cut:], scale, np.empty(_BLOCK), loc),
+        (rng, flat[:cut], scale, np.empty(_BLOCK), loc),
     )
     end = upper.state
     end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
     bit_generator.state = end
 
 
-def laplace_noise(rng: np.random.Generator, scale: float, size: int | None = None):
+def laplace_noise(rng: np.random.Generator, scale: float, size: int | None = None, loc: float | None = None):
     """Inverse-CDF Laplace sampling from a numpy ``Generator``'s uniform
     stream; any other ``rng`` raises TypeError.
 
@@ -324,25 +331,31 @@ def laplace_noise(rng: np.random.Generator, scale: float, size: int | None = Non
     ``rng.random(out=block)`` and transforms it in place, while it is still in
     cache, as ``copysign(scale * log1p(-2|u|), u)``, with ``u = uniform - 0.5``
     and ``|u|`` clamped at ``0.5 - 2**-53`` so that a uniform of 0.0 gives a
-    finite draw. A draw of four blocks or more from a ``PCG64`` stream (every
-    ``derive_rng`` stream) is split at a block boundary: this thread runs the
-    loop over the lower half, and a helper thread over the upper half, from a
-    copy of the stream advanced past the lower half. Either way the draws
-    equal ``-scale * sign(u) * log1p(-2|u|)`` applied to one
-    ``rng.random(size)`` array, bit for bit, and leave the generator in the
-    state that call would, on any number of cores. A scalar draw returns an
-    ``np.float64``. A negative or NaN scale raises ValueError.
+    finite draw. A ``loc`` other than None is then added to the block in the
+    same loop: the draws equal ``laplace_noise(rng, scale, size) + loc`` bit
+    for bit, without a second pass over them; with None nothing is added, so
+    a draw of -0.0 stays -0.0. A draw of four blocks or more from a ``PCG64``
+    stream (every ``derive_rng`` stream) is split at a block boundary: this
+    thread runs the loop over the lower half, and a helper thread over the
+    upper half, from a copy of the stream advanced past the lower half.
+    Either way the draws equal ``-scale * sign(u) * log1p(-2|u|)`` applied to
+    one ``rng.random(size)`` array, bit for bit, and leave the generator in
+    the state that call would, on any number of cores. A scalar draw returns
+    an ``np.float64``. A negative, infinite or NaN scale, or an infinite or
+    NaN ``loc``, raises ValueError.
     """
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"Laplace noise needs a numpy Generator, got {type(rng).__name__}")
-    if not scale >= 0:
-        raise ValueError(f"Laplace scale must be nonnegative, got {scale}")
+    if not (scale >= 0 and math.isfinite(scale)):
+        raise ValueError(f"Laplace scale must be nonnegative and finite, got {scale}")
+    if loc is not None and not math.isfinite(loc):
+        raise ValueError(f"Laplace loc must be finite, got {loc}")
     out = np.empty(() if size is None else size)
     flat = out.reshape(-1)
     if flat.size >= 4 * _BLOCK and isinstance(rng.bit_generator, np.random.PCG64):
-        _split_draw(rng, flat, scale)
+        _split_draw(rng, flat, scale, loc)
     else:
-        _draw(rng, flat, scale, np.empty(min(flat.size, _BLOCK)))
+        _draw(rng, flat, scale, np.empty(min(flat.size, _BLOCK)), loc)
     return out if out.ndim else out[()]
 
 
@@ -375,9 +388,13 @@ def laplace_query_mechanism(
     """Vectorized mechanism closure: (table, rng, size=None) -> noisy answer(s).
 
     scale_factor deliberately mis-scales the noise (for negative controls in
-    empirical checks); 1.0 is the honest mechanism.
+    empirical checks); 1.0 is the honest mechanism and 0.0 the noiseless
+    control. A negative, infinite or NaN scale_factor raises ValueError. The
+    answer is added to the noise inside ``laplace_noise``'s block loop.
     """
     _check_epsilon(epsilon)
+    if not (scale_factor >= 0 and math.isfinite(scale_factor)):
+        raise ValueError(f"scale_factor must be nonnegative and finite, got {scale_factor}")
     sens = global_sensitivity(query, schema, neighbor_model, n=n)
     scale = scale_factor * sens / epsilon
 
@@ -385,9 +402,7 @@ def laplace_query_mechanism(
         answer = answer_query(table, query)
         if scale == 0:
             return answer if size is None else np.full(size, answer)
-        noise = laplace_noise(rng, scale, size)
-        noise += answer  # in place: one array fewer, the same sums
-        return noise
+        return laplace_noise(rng, scale, size, loc=answer)
 
     return mechanism
 
@@ -551,31 +566,47 @@ def _sortable(output) -> np.ndarray:
     return sample.reshape(-1)
 
 
+def _sort_runs(sample: np.ndarray) -> None:
+    """Sort ``sample`` in place one run of ``_BLOCK`` values at a time, each
+    run while it is in cache; a NaN sorts last in its run."""
+    for start in range(0, sample.size, _BLOCK):
+        sample[start : start + _BLOCK].sort()
+
+
 def _two_samples(mechanism: Callable, table1, table2, rng1, rng2, size: int, bins: int):
     """``(sample1, sample2, edges)``: ``mechanism(table1, rng1, size)`` and
     ``mechanism(table2, rng2, size)``, called in that order on this thread,
-    each as a ``_sortable`` array sorted in place, and ``bins + 1`` equal-width
-    edges spanning both. The second sample is sorted on a helper thread while
-    the first is sorted on this one. A NaN, which sorts last, or an infinite
-    output, or a span too wide for a double, raises ValueError."""
+    each as a ``_sortable`` array sorted in place run by run (``_sort_runs``),
+    and ``bins + 1`` equal-width edges spanning both, read off the runs' first
+    and last values. The second sample is sorted on a helper thread while the
+    first is sorted on this one. A NaN, which sorts last in its run, or an
+    infinite output, or a span too wide for a double, raises ValueError."""
     sample1 = _sortable(mechanism(table1, rng1, size))
     sample2 = _sortable(mechanism(table2, rng2, size))
     if np.may_share_memory(sample1, sample2):  # one buffer returned twice: two threads must not sort it
         sample2 = sample2.copy()
-    _beside(np.ndarray.sort, (sample2,), (sample1,))
-    lo = float(np.minimum(sample1[0], sample2[0]))  # numpy's minimum and maximum keep a NaN
-    hi = float(np.maximum(sample1[-1], sample2[-1]))
+    _beside(_sort_runs, (sample2,), (sample1,))
+    # numpy's minimum and maximum keep a NaN; a run's last value is its largest
+    lo = float(np.minimum(sample1[::_BLOCK].min(), sample2[::_BLOCK].min()))
+    hi = float(np.maximum(sample1[_BLOCK - 1 :: _BLOCK].max(initial=sample1[-1]),
+                          sample2[_BLOCK - 1 :: _BLOCK].max(initial=sample2[-1])))
     if not math.isfinite(hi - lo):
         raise ValueError(f"mechanism outputs span [{lo}, {hi}]: the audit needs a finite range")
     return sample1, sample2, np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)
 
 
 def _bin_counts(sample: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """How many values of a sorted sample fall in each bin between ``edges``,
-    a bin holding its lower edge; the first and last bins also take every
-    value below or above the edges. For a sample within the edges these are
+    """How many values of a sample sorted run by run (``_sort_runs``) fall in
+    each bin between ``edges``, a bin holding its lower edge; the first and
+    last bins also take every value below or above the edges. One
+    ``searchsorted`` per run counts the values below each inner edge, and
+    the sums need no merge. For a sample within the edges these are
     ``np.histogram(sample, edges)[0]``."""
-    return np.diff(sample.searchsorted(edges[1:-1], "left"), prepend=0, append=sample.size)
+    inner = edges[1:-1]
+    below = np.zeros(inner.size, dtype=np.intp)
+    for start in range(0, sample.size, _BLOCK):
+        below += sample[start : start + _BLOCK].searchsorted(inner, "left")
+    return np.diff(below, prepend=0, append=sample.size)
 
 
 @dataclass(frozen=True)
@@ -614,7 +645,9 @@ def empirical_dp_check(
 
     The mechanism is called once per table, table1 first, on this thread.
     An output that is a writeable float array owning its memory is sorted in
-    place, on a helper thread for table2; any other output is copied first.
+    place run by run, ``_BLOCK`` values at a time, on a helper thread for
+    table2; any other output is copied first. The counts are those of
+    ``np.histogram`` over the edges, bit for bit.
     """
     _check_epsilon(epsilon)
     _require_positive_counts(bins=bins, trials=trials, min_bin_count=min_bin_count)

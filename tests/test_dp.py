@@ -275,6 +275,39 @@ def test_laplace_noise_rejects_a_negative_or_nan_scale(size, scale):
         laplace_noise(derive_rng(9, "noise"), scale, size)
 
 
+@pytest.mark.parametrize("size", [None, 10, 4 * _BLOCK])
+def test_laplace_noise_rejects_an_infinite_scale_and_a_non_finite_loc(size):
+    with pytest.raises(ValueError, match="scale"):
+        laplace_noise(derive_rng(9, "noise"), math.inf, size)
+    for loc in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="loc"):
+            laplace_noise(derive_rng(9, "noise"), 1.0, size, loc=loc)
+
+
+@pytest.mark.parametrize("scale_factor", [math.inf, math.nan, -1.0])
+def test_laplace_query_mechanism_rejects_a_bad_scale_factor_when_built(scale_factor):
+    with pytest.raises(ValueError, match="scale_factor"):
+        laplace_query_mechanism(Query("count"), SCHEMA, 1.0, scale_factor=scale_factor)
+
+
+@pytest.mark.parametrize("size", [None, 4 * _BLOCK - 1, 4 * _BLOCK + 1, 1_000_003])
+@pytest.mark.parametrize("loc", [0.0, -0.0, -3.5, 1e300])
+@pytest.mark.parametrize("stream", ["pcg64", "mt19937"])
+def test_laplace_noise_adds_loc_in_its_block_loop_as_a_second_pass_would(size, loc, stream):
+    def generator():
+        if stream == "pcg64":
+            return derive_rng(9, "noise")
+        return np.random.Generator(np.random.MT19937(7))
+
+    rng, twin = generator(), generator()
+    got = laplace_noise(rng, 0.37, size, loc=loc)
+    want = laplace_noise(twin, 0.37, size) + loc
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # an MT19937 state holds an array: compare where both streams go next
+    assert rng.bit_generator.random_raw(16).tobytes() == twin.bit_generator.random_raw(16).tobytes()
+
+
 @pytest.mark.parametrize("size", [None, 10])
 def test_laplace_noise_needs_a_generator(size):
     with pytest.raises(TypeError, match="Generator"):
@@ -317,18 +350,33 @@ def test_beside_runs_the_helper_under_the_callers_errstate():
         assert log_with_a_zero_in_the_helpers_half()[6] == -math.inf
 
 
+def _edge_values(lo, hi):
+    """Every edge of the 64 equal-width bins over [lo, hi] and the doubles
+    just either side of each, inside [lo, hi]."""
+    edges = np.linspace(lo, hi, 65)
+    return np.concatenate([edges, np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf)])
+
+
 def _on_and_around_edges(size, seed):
     """A shuffled sample of ``size`` values spanning [-3, 5]: every edge of the
     equal-width bins over that range, the doubles just either side of each,
     and uniform values between."""
-    edges = np.linspace(-3.0, 5.0, 65)
-    special = np.concatenate([edges, np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf)])
+    special = _edge_values(-3.0, 5.0)
     rng = np.random.default_rng(seed)
     sample = rng.uniform(-3.0, 5.0, size)
     sample[: min(size, special.size)] = special[:size]
     sample[[0, -1]] = -3.0, 5.0  # both ends, so the edges span [-3, 5]
     rng.shuffle(sample)
     return sample
+
+
+def _assert_sorted_run_by_run(sample, output):
+    """Every run of ``_BLOCK`` values of ``sample`` ascends, and ``sample``
+    holds the values of ``output``, each as often."""
+    for start in range(0, sample.size, _BLOCK):
+        run = sample[start : start + _BLOCK]
+        assert (run[1:] >= run[:-1]).all()
+    assert np.array_equal(np.sort(sample), np.sort(np.asarray(output).reshape(-1)))
 
 
 @pytest.mark.parametrize("size", [200, 65_535, 65_536, 65_537, 200_003])
@@ -342,12 +390,62 @@ def test_two_sample_counts_equal_numpys_histogram(size):
     out1, out2, edges = _two_samples(mechanism, 1, 2, None, None, size, 64)
     assert edges.tobytes() == np.linspace(-3.0, 5.0, 65).tobytes()
     for sample, table in ((out1, 1), (out2, 2)):
-        assert np.array_equal(sample, np.sort(outputs[table]))
+        _assert_sorted_run_by_run(sample, outputs[table])
         counts = _bin_counts(sample, edges)
         want = np.histogram(outputs[table], bins=edges)[0]
         assert counts.dtype == want.dtype
         assert np.array_equal(counts, want)
         assert counts.sum() == size
+
+
+def _edges_in_every_run(size, seed):
+    """A sample of ``size`` values spanning [-3, 5]: ``_edge_values``,
+    shuffled and set at evenly spaced places, so that every run of ``_BLOCK``
+    values holds some of them, and uniform values between."""
+    special = _edge_values(-3.0, 5.0)
+    rng = np.random.default_rng(seed)
+    rng.shuffle(special)
+    sample = rng.uniform(-3.0, 5.0, size)
+    sample[np.linspace(0, size - 1, special.size).astype(np.intp)] = special
+    sample[[1, -2]] = -3.0, 5.0  # both ends, in the first and the last run
+    return sample
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 1_000_000])
+def test_run_sorted_counts_equal_numpys_histogram_across_run_boundaries(size):
+    outputs = {1: _edges_in_every_run(size, 1), 2: _edges_in_every_run(size, 2)}
+    for output in outputs.values():
+        on_or_by_an_edge = np.isin(output, _edge_values(-3.0, 5.0))
+        assert all(on_or_by_an_edge[start : start + _BLOCK].any() for start in range(0, size, _BLOCK))
+
+    def mechanism(table, rng, n):
+        assert n == size
+        return outputs[table].copy()
+
+    out1, out2, edges = _two_samples(mechanism, 1, 2, None, None, size, 64)
+    both = np.concatenate([outputs[1], outputs[2]])
+    assert edges.tobytes() == np.histogram_bin_edges(both, 64).tobytes()
+    for sample, table in ((out1, 1), (out2, 2)):
+        _assert_sorted_run_by_run(sample, outputs[table])
+        counts = _bin_counts(sample, edges)
+        want = np.histogram(outputs[table], bins=edges)[0]
+        assert counts.dtype == want.dtype
+        assert np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("table", [1, 2])
+def test_a_non_finite_output_in_a_middle_run_of_either_sample_raises(bad, table):
+    size = 3 * _BLOCK + 5
+
+    def mechanism(t, rng, n):
+        out = np.random.default_rng(t).uniform(-1.0, 1.0, n)
+        if t == table:
+            out[_BLOCK + _BLOCK // 2] = bad  # in the second of four runs
+        return out
+
+    with pytest.raises(ValueError, match="finite range"):
+        _two_samples(mechanism, 1, 2, None, None, size, 64)
 
 
 @pytest.mark.parametrize("size", [None, 100_000])
@@ -828,6 +926,6 @@ def test_the_audit_copies_a_view_and_sorts_one_buffer_returned_twice_once_per_th
         return buffer
 
     out1, out2, _ = _two_samples(reusing, 1, 2, None, None, buffer.size, 4)
-    want = np.sort(np.random.default_rng(2).uniform(-1.0, 1.0, buffer.size))
-    assert out1.tobytes() == out2.tobytes() == want.tobytes()
+    assert out1.tobytes() == out2.tobytes()
+    _assert_sorted_run_by_run(out1, np.random.default_rng(2).uniform(-1.0, 1.0, buffer.size))
     assert not np.shares_memory(out1, out2)

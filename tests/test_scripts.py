@@ -48,3 +48,18 @@ def test_linkage_scale_runs(tmp_path):
     assert (result["run"]["n"], result["run"]["trials"]) == (120, 2)
     refused = _run_script("linkage_scale.py", "--sizes", "60", "--out", str(REPO / "bench_out"))
     assert refused.returncode == 2 and not (REPO / "bench_out").exists()
+
+
+def test_dp_audit_scale_runs(tmp_path):
+    # 40000 samples make two sorted runs of 2**15 values and 70000 make three
+    done = _run_script("dp_audit_scale.py", "--sizes", "40000,70000", "--repeats", "1", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "BENCH_dp_audit.json").read_text(encoding="utf-8"))
+    assert [(c["query"], c["samples"]) for c in result["checks"]] == [
+        ("count", 40000), ("sum", 40000), ("count", 70000), ("sum", 70000)
+    ]
+    for check in result["checks"]:
+        assert check["epsilon"] == 1.0 and check["check_s"] > 0
+        assert check["max_log_ratio"] >= 0 and len(check["per_bin_sha256"]) == 64
+    refused = _run_script("dp_audit_scale.py", "--sizes", "40000", "--out", str(REPO / "bench_out"))
+    assert refused.returncode == 2 and not (REPO / "bench_out").exists()
