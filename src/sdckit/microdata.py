@@ -14,6 +14,11 @@ text codes keep only the texts still present), and ``serialize_table``
 writes from it, so no derived table hashes or formats a row again.
 ``value_codes`` numbers a column's values over one support for one or
 several tables, from those encodings; whatever compares values reads it.
+
+``load_table`` drops one leading byte-order mark. A text with no quote, NUL
+or lone CR, no line longer than ``csv.field_size_limit()`` and no ragged row
+(every text ``serialize_table`` writes unquoted) is split column-wise, with
+no object per row; any other text is read by ``csv.reader``, the same way.
 """
 
 from __future__ import annotations
@@ -382,11 +387,12 @@ def value_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.ndarray
 
 def label_paths(table: MicrodataTable, name: str, hierarchy: GeneralizationHierarchy):
     """A column's recoding map: ``(paths, codes)``, where ``paths`` is
-    ``hierarchy.paths`` over the column's ``value_codes`` support and
-    ``codes`` is each row's index into it, so row i's label at level lv is
-    ``paths[codes[i], lv]``."""
-    support, (codes,) = value_codes([table], name)
-    return hierarchy.paths(support.tolist()), codes
+    ``hierarchy.paths`` over the column's distinct texts (read as numbers in a
+    numeric column) and ``codes`` is the column's ``text_codes``, so row i's
+    label at level lv is ``paths[codes[i], lv]``."""
+    distinct, codes = text_codes(table, name)
+    values = distinct.astype(float) if table.attribute(name).is_numeric else distinct
+    return hierarchy.paths(values.tolist()), codes
 
 
 def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
@@ -395,16 +401,17 @@ def comparable_text(table: MicrodataTable, name: str) -> np.ndarray:
     return distinct[codes]
 
 
-def factorize(values: np.ndarray):
+def factorize(values: np.ndarray | Sequence):
     """The distinct values and, per entry, the index of its value among them.
 
-    Numeric arrays go through ``np.unique``; object arrays take one hash pass
-    and number their values in order of first occurrence.
+    Numeric arrays go through ``np.unique``; object arrays, lists and tuples
+    take one hash pass and number their values in order of first occurrence.
     """
-    if values.dtype != object:
-        return np.unique(values, return_inverse=True)
+    if isinstance(values, np.ndarray):
+        if values.dtype != object:
+            return np.unique(values, return_inverse=True)
+        values = values.tolist()
     index: dict = {}  # hashing beats sorting Python objects
-    values = values.tolist()
     first = np.fromiter(map(index.setdefault, values, count()), np.int64, len(values))  # each value's first row
     rank = np.zeros(len(values), dtype=np.int64)
     rank[np.flatnonzero(first == np.arange(len(values)))] = np.arange(len(index))
@@ -458,7 +465,7 @@ def _swept(attr: AttributeSchema, distinct):
     return values if ((attr.kind.lo <= values) & (values <= attr.kind.hi)).all() else None
 
 
-def _decode_table(schema, cells: Mapping[str, np.ndarray], decode, row_ids: np.ndarray) -> MicrodataTable:
+def _decode_table(schema, cells: Mapping[str, Sequence], decode, row_ids: np.ndarray) -> MicrodataTable:
     """The table of ``cells``, each column decoded once per distinct cell,
     with the ``text_codes`` of every column but the identifiers made from the
     decode's factorization. The distinct cells are swept at once; only when
@@ -480,7 +487,8 @@ def _decode_table(schema, cells: Mapping[str, np.ndarray], decode, row_ids: np.n
                 faults.append(DomainViolation(row, a.name, decoded[codes[row]][1]))
                 continue
             values = np.asarray([value for value, _ in decoded], dtype=np.float64 if a.is_numeric else object)
-        cols[a.name] = cells[a.name] if cells[a.name].dtype == np.float64 else values[codes]
+        given = cells[a.name]
+        cols[a.name] = given if getattr(given, "dtype", None) == np.float64 else values[codes]
         if a.role != "identifier":  # no step reads an identifier as text
             factors[a.name] = (list(map(canonical_number, values.tolist())) if a.is_numeric else values, codes)
     if faults:
@@ -497,6 +505,12 @@ def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
     The header must carry exactly the declared attribute names. Missing values
     are rejected: every cell must parse and fall inside its declared domain.
     The first fault in row-major order is raised; a ragged row faults before its cells.
+
+    One leading byte-order mark (U+FEFF) is dropped; one anywhere else is
+    text. A text with no quote, NUL or lone CR, no line longer than
+    ``csv.field_size_limit()`` and no ragged row is split column-wise
+    (``_split_fields``) into the cells ``csv.reader`` would read; any other
+    text is read by ``csv.reader``.
     """
     if isinstance(schema_descriptor, Mapping):
         schema = schema_from_descriptor(schema_descriptor)
@@ -509,13 +523,11 @@ def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
             raise MalformedCsv(f"input is not valid utf-8: {e}") from e
     else:
         text = csv_data
-    try:
-        rows = list(csv.reader(io.StringIO(text)))
-    except csv.Error as e:
-        raise MalformedCsv(str(e)) from e
-    if not rows:
+    text = text.removeprefix("\ufeff")  # the byte-order mark of a "CSV UTF-8" export
+    if not text:
         raise MalformedCsv("empty input: no header row")
-    header = [nfc(h) for h in rows[0]]
+    header, fields, end, ragged_width = _split_fields(text) or _reader_fields(text)
+    header = [nfc(h) for h in header]
     names = [a.name for a in schema]
     for name in names:
         if name not in header:
@@ -526,16 +538,61 @@ def load_table(csv_data: bytes | str, schema_descriptor) -> MicrodataTable:
         if h not in names:
             raise MalformedCsv(f"unexpected column {h!r} not declared in schema")
 
-    body = rows[1:]
+    cells = {name: fields[header.index(name)] for name in names}
+    table = _decode_table(schema, cells, _csv_value, np.arange(end, dtype=np.int64))
+    if ragged_width is not None:
+        raise MalformedCsv(f"row {end}: expected {len(header)} fields, got {ragged_width}")
+    return table
+
+
+def _reader_fields(text: str):
+    """``text`` as ``csv.reader`` reads it: the header's fields, the columns
+    of the body rows before the first ragged one, their number ``end``, and
+    the ragged row's field count (None when no row is ragged)."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as e:
+        raise MalformedCsv(str(e)) from e
+    header, body = rows[0], rows[1:]
     widths = np.fromiter(map(len, body), np.int64, len(body))
     ragged = np.flatnonzero(widths != len(header))
     end = int(ragged[0]) if ragged.size else len(body)
     fields = list(zip(*body[:end])) if end else [()] * len(header)
-    cells = {name: np.asarray(fields[header.index(name)], dtype=object) for name in names}
-    table = _decode_table(schema, cells, _csv_value, np.arange(end, dtype=np.int64))
-    if ragged.size:
-        raise MalformedCsv(f"row {end}: expected {len(header)} fields, got {widths[end]}")
-    return table
+    return header, fields, end, int(widths[end]) if ragged.size else None
+
+
+def _split_fields(text: str):
+    """``_reader_fields(text)`` read column-wise, with no object per row, or
+    None when only ``csv.reader`` reads ``text`` right: it has a quote, a NUL,
+    a lone CR, a line longer than ``csv.field_size_limit()`` or a ragged row.
+
+    The body becomes one row-major list of cells, and column j is every w-th
+    cell from the j-th. Each line's field count is its commas plus one, or 0
+    for a blank line, as ``csv.reader`` counts them, read off the byte
+    positions of newlines and commas."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if not text.endswith("\n"):
+        text += "\n"  # every line ends in a newline
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    newline = raw == ord("\n")
+    lengths = np.diff(np.flatnonzero(newline), prepend=-1) - 1  # each line's bytes, at least its characters
+    if lengths.max() > csv.field_size_limit():
+        return None
+    # each line's commas: the gaps between newlines in the sequence of newlines and commas
+    commas = np.diff(np.flatnonzero(newline[newline | (raw == ord(","))]), prepend=-1) - 1
+    widths = commas + (lengths > 0)
+    w, n = int(widths[0]), len(widths) - 1
+    if (widths[1:] != w).any():
+        return None
+    head, _, body = text.partition("\n")
+    flat = body.replace("\n", ",").split(",")
+    flat.pop()  # the empty cell after the last line end
+    return head.split(",") if w else [], [flat[j::w] for j in range(w)], n, None
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')  # what csv.QUOTE_MINIMAL quotes under a "\r\n" line end
@@ -1147,7 +1204,7 @@ def write_release(release: AnonymizedRelease, directory: str | Path) -> list[Pat
 def _read_release_csv(path: Path, descriptor) -> MicrodataTable:
     schema = schema_from_descriptor(descriptor)
     raw = path.read_bytes()
-    header = next(csv.reader(io.StringIO(raw.decode("utf-8"))), None)
+    header = next(csv.reader(io.StringIO(raw.decode("utf-8").removeprefix("\ufeff"))), None)
     if header is None:
         raise MalformedCsv(f"{path}: empty input: no header row")
     # the sidecar's keys are sorted: take the csv's column order, declared columns it lacks last

@@ -2,9 +2,13 @@
 
 ``_reference_make_table``, ``_reference_load_table`` and
 ``_reference_serialize_table`` are the per-cell implementations the codec in
-``sdckit.microdata`` replaced, kept verbatim. On every input, faulty ones
-included, the codec must raise the same exception (type, message, row,
-attribute) or build a bitwise-identical table, and write the same bytes.
+``sdckit.microdata`` replaced, kept verbatim but for one line: the reference
+reader drops a leading byte-order mark, as ``load_table`` does. On every
+input, faulty ones included, the codec must raise the same exception (type,
+message, row, attribute) or build a bitwise-identical table with the same
+text codes, and write the same bytes. ``load_table`` reads most texts
+column-wise, without ``csv.reader``; hand-written texts check that path and
+its hand-over to ``csv.reader`` against the reference.
 """
 
 import csv
@@ -12,6 +16,7 @@ import io
 import math
 import unicodedata
 from typing import Mapping, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from sdckit.microdata import (
     schema_from_descriptor,
     schema_to_descriptor,
     serialize_table,
+    text_codes,
 )
 
 # -- the per-cell reference ---------------------------------------------------------
@@ -90,6 +96,7 @@ def _reference_load_table(csv_data: bytes | str, schema_descriptor) -> Microdata
             raise MalformedCsv(f"input is not valid utf-8: {e}") from e
     else:
         text = csv_data
+    text = text.removeprefix("\ufeff")
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as e:
@@ -180,8 +187,11 @@ def _assert_identical(table_a: MicrodataTable, table_b: MicrodataTable):
 
 
 def _assert_same_outcome(reference, codec, *args):
-    want, want_error = _outcome(reference, *args)
-    got, got_error = _outcome(codec, *args)
+    _assert_outcomes_equal(_outcome(reference, *args), _outcome(codec, *args))
+
+
+def _assert_outcomes_equal(reference_outcome, codec_outcome):
+    (want, want_error), (got, got_error) = reference_outcome, codec_outcome
     if want_error is not None or got_error is not None:
         assert type(got_error) is type(want_error), (want_error, got_error)
         assert str(got_error) == str(want_error)
@@ -189,6 +199,10 @@ def _assert_same_outcome(reference, codec, *args):
             assert getattr(got_error, field, None) == getattr(want_error, field, None)
         return
     _assert_identical(want, got)
+    for a in want.schema:  # the reference's codes are made from its columns on first read
+        (want_texts, want_codes), (got_texts, got_codes) = text_codes(want, a.name), text_codes(got, a.name)
+        assert got_texts.tolist() == want_texts.tolist()
+        assert got_codes.tolist() == want_codes.tolist()
     assert serialize_table(got) == _reference_serialize_table(want)
 
 
@@ -268,6 +282,65 @@ def python_columns(draw):
     return {"x": column(NUMBER_VALUE, BAD_NUMBER_VALUE), "c": column(CATEGORY_VALUE, BAD_CATEGORY_VALUE)}
 
 
+# hand-written csv text: no csv.writer, so no quoting and any line end
+PADDED = st.sampled_from(["", " ", "  "])
+RAW_CELL_TEXT = {
+    "x": st.tuples(PADDED, NUMBER_TEXT["x"], PADDED).map("".join),
+    "big": st.tuples(PADDED, NUMBER_TEXT["big"], PADDED).map("".join),
+    "c": st.sampled_from(["a", "\u00e9", NFD_E, "\u00c5", ANGSTROM, ""]),
+    "s": CATEGORY_TEXT["s"],
+}
+RAW_BAD_CELL_TEXT = st.one_of(
+    BAD_NUMBER_TEXT,
+    BAD_CATEGORY_TEXT.filter(lambda t: "," not in t),
+    st.sampled_from(["a\u2028b", "\x85", "1\x0c"]),  # line breaks to str.splitlines, text to csv
+)
+RAW_SCHEMAS = [SCHEMA, (SCHEMA[0],), (SCHEMA[2],), (SCHEMA[3], SCHEMA[0])]
+# what only csv.reader reads right, put at a drawn place in the text
+READER_ONLY = ['"', "\0", "\r", "long field", "long line"]
+
+
+@st.composite
+def raw_csv_texts(draw):
+    """(csv text, schema, whether only csv.reader reads the text right).
+
+    LF and CRLF line ends mixed, with or without a final one; blank lines in
+    the middle and at the end; padded numbers and non-ASCII cells; a
+    one-column schema; sometimes a ragged row, a byte-order mark, or one of
+    ``READER_ONLY``: a quote, a NUL, a lone CR, a field longer than
+    ``csv.field_size_limit()``, or a longer line of shorter fields."""
+    schema = draw(st.sampled_from(RAW_SCHEMAS))
+    header = draw(st.permutations([a.name for a in schema]))
+    lines, ragged = [",".join(header)], False
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # a row of 0 fields
+            continue
+        row = [draw(RAW_BAD_CELL_TEXT if draw(st.integers(0, 9)) == 0 else RAW_CELL_TEXT[name]) for name in header]
+        if draw(st.integers(0, 19)) == 0:
+            row = row[:-1] if len(row) > 1 and draw(st.booleans()) else row + ["extra"]
+            ragged = True
+        lines.append(",".join(row))
+    lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+    trigger = draw(st.sampled_from([None] * 10 + READER_ONLY))
+    limit = csv.field_size_limit()
+    if trigger == "long field":
+        lines[0] += "a" * limit
+    elif trigger == "long line":  # the header's first and last fields padded to half the limit each
+        lines[0] = " " * (limit // 2) + lines[0] + " " * (limit // 2 + 1)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no final line end; an empty last line is then no line
+    blank = "" in [line for line, end in zip(lines[1:], ends[1:]) if line or end]
+    text = "".join(map("".join, zip(lines, ends)))
+    if trigger in ('"', "\0", "\r"):  # a CR before a LF would be no lone CR
+        at = draw(st.sampled_from([i for i in range(len(text) + 1) if text[i : i + 1] != "\n"]))
+        text = text[:at] + trigger + text[at:]
+    if draw(st.integers(0, 4)) == 0:
+        text = "\ufeff" + text
+    return text, schema, ragged or blank or trigger is not None
+
+
 # -- oracle tests ---------------------------------------------------------------------
 
 
@@ -276,6 +349,43 @@ def python_columns(draw):
 def test_load_table_matches_the_per_cell_reference(text):
     _assert_same_outcome(_reference_load_table, load_table, text, DESCRIPTOR)
     _assert_same_outcome(_reference_load_table, load_table, text.encode("utf-8"), SCHEMA)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_csv_texts())
+def test_hand_written_csv_matches_the_per_cell_reference(case):
+    text, schema, reader_only = case
+    for data in (text, text.encode("utf-8")):
+        want = _outcome(_reference_load_table, data, schema)
+        with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+            got = _outcome(load_table, data, schema)
+        assert reader.called == reader_only
+        _assert_outcomes_equal(want, got)
+
+
+HALF_LIMIT = " " * (csv.field_size_limit() // 2)
+
+
+@pytest.mark.parametrize(
+    "text, reader_only",
+    [
+        ("x,big\r\n 1,2\n-2.5 ,3 \r\n0,4", False),  # mixed line ends, no final one
+        ("\ufeffx,big\n1,2\n", False),
+        ('x,big\r\n"1",2\r\n', True),  # a quote
+        ("x,big\n1,2\x00\n", True),  # a NUL
+        ("x,big\n1,2\r", True),  # a lone CR
+        ("x,big\n1,2\n\n", True),  # a blank line: a ragged row of 0 fields
+        ("x,big\n1,2,3\n", True),  # a ragged row
+        ("x,big\n" + HALF_LIMIT + "1,2" + HALF_LIMIT + "\n", True),  # a line longer than the limit
+    ],
+)
+def test_only_what_the_column_wise_reader_cannot_read_reaches_csv_reader(monkeypatch, text, reader_only):
+    schema = SCHEMA[:2]
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: calls.append(args) or reader(*args))
+    _assert_outcomes_equal(_outcome(_reference_load_table, text, schema), _outcome(load_table, text, schema))
+    assert len(calls) == 1 + reader_only  # the reference's own call and the codec's
 
 
 @settings(max_examples=300, deadline=None)

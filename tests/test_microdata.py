@@ -198,6 +198,19 @@ def test_load_table_accepts_quoted_fields_and_column_reordering():
     assert t.names == ("age", "zip")
 
 
+@pytest.mark.parametrize("text", ["age,zip\r\n1,43007\r\n2,43008\r\n", 'zip,age\n"43007",12\n'])
+def test_load_table_drops_one_leading_byte_order_mark(text):
+    want = load_table(text, _descriptor())
+    for marked in ("\ufeff" + text, ("\ufeff" + text).encode("utf-8")):
+        got = load_table(marked, _descriptor())
+        assert got.equals(want) and got.row_ids.tolist() == want.row_ids.tolist()
+    # a second mark, or one inside a cell, is text
+    with pytest.raises(MissingColumn):
+        load_table("\ufeff\ufeff" + text, _descriptor())
+    with pytest.raises(DomainViolation, match="not in declared domain"):
+        load_table("age,zip\r\n1,\ufeff43007\r\n", _descriptor())
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_serialize_load_round_trip_random(seed, n):
@@ -517,6 +530,9 @@ def test_write_read_release_round_trip(tmp_path, people_table):
     assert back.provenance.mechanism == "demo"
     assert back.provenance.params == {"k": 2}
     assert back.provenance.seed == 7
+    # a byte-order mark, as a spreadsheet saving the csv adds, leaves the columns in their order
+    (tmp_path / "release.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "release.csv").read_bytes())
+    assert read_release(tmp_path).table.equals(masked)
 
 
 _DROP = object()
