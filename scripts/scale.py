@@ -138,7 +138,7 @@ def runs(n: int, seed: int) -> dict:
     """Mechanism -> the config of its one run(). The syntactic mechanisms run on the
     people table with linkage, attribute inference on diagnosis, l=2 and t=0.3;
     dp_microdata (epsilon=1) on the numeric table with linkage; the minimal recoder,
-    whose lattice guard refuses any people table, on the benchmark's 10-row desk table."""
+    whose budget refuses a people table before its set-up, on the benchmark's 10-row desk table."""
     data, schema = people(n, seed)
     gen.write_json(Path("people.hierarchies.json"), gen.hierarchies())
     gen.generate("recode_generalization", seed, Path("desk"))

@@ -300,7 +300,11 @@ def _key_column(vectors: MixedSpace, ext_space: MixedSpace, scanned: np.ndarray)
 
 def _gap_squares_to_zero(col: np.ndarray) -> bool:
     """Whether two distinct values of a numeric column differ by a gap whose
-    square is 0, so that rows with different vectors can be at distance 0."""
+    square is 0, so that rows with different vectors can be at distance 0. Only
+    a column with a nonzero value below 2**-480 is sorted: values no closer to
+    0 differ by 2**-532 or more, whose square is not 0."""
+    if not ((np.abs(col) < 2.0**-480) & (col != 0)).any():
+        return False
     gaps = np.diff(np.sort(col))
     return bool(((gaps != 0) & (gaps * gaps == 0)).any())
 

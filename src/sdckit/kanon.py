@@ -246,8 +246,10 @@ def minimal_generalization(
     After a step in row i only prefixes of more than i rows can have died,
     and only those are checked.
 
-    Only intended for desk-scale instances: ``max_states`` bounds the lattice
-    (the product of the cells' level counts), not the states walked.
+    Only intended for desk-scale instances. ``max_states`` bounds the work in
+    row-states, one row at one state: the set-up takes each row through its own
+    level combinations and each state walked visits every row (skipped ones are
+    free). More raises ``SearchSpaceTooLarge``, at once if the set-up needs it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -258,14 +260,10 @@ def minimal_generalization(
         raise TooFewRows("cannot anonymize an empty table")
 
     heights = [hierarchies[name].height for name in qi]
-    states = 1
-    for h in heights * n:
-        states *= h + 1
-        if states > max_states:
-            raise SearchSpaceTooLarge(
-                f"scheme lattice exceeds {max_states} states for {n} rows x {len(qi)} attributes"
-            )
-
+    too_large = f"the search exceeds {max_states} row-states for {n} rows x {len(qi)} attributes"
+    walks = (max_states - n * math.prod(h + 1 for h in heights)) // n  # the states left to walk after the set-up
+    if walks < 1:
+        raise SearchSpaceTooLarge(too_large)
     maps = [label_paths(table, name, hierarchies[name]) for name in qi]
     # paths[i][a]: cell (i, a)'s labels at levels 0..height
     paths = list(zip(*(by_value[codes].tolist() for by_value, codes in maps)))
@@ -353,7 +351,7 @@ def minimal_generalization(
     # the walk steps past every state that keeps a dead row prefix
     last = len(levels) - 1
     lo = 1  # the shortest row prefix that can have died since the last check
-    while True:
+    for _ in range(walks):
         if not below:
             state = tuple(levels)
             label_rows = labels_for(state)
@@ -369,6 +367,8 @@ def minimal_generalization(
             raise Unsatisfiable(f"no cell-level recoding of {n} rows reaches k={k}")
         set_level(cell, levels[cell] + 1)
         lo = cell // width + 1
+    else:
+        raise SearchSpaceTooLarge(too_large)
 
     cell_levels = tuple(state[i * width : (i + 1) * width] for i in range(n))
     scheme = GeneralizationScheme(kind="local", qi_order=tuple(qi), cell_levels=cell_levels)

@@ -36,11 +36,11 @@ from .microdata import MicrodataTable, value_codes
 
 
 def column_stats(columns: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Pooled mean and population std over one or more numeric columns."""
+    """Pooled mean and population std over one or more numeric columns: ``pooled.mean()``
+    and ``.std()`` bit for bit, by their sums, divisions and square root, without their wrappers."""
     pooled = np.concatenate([np.asarray(c, dtype=float) for c in columns])
-    mean = float(pooled.mean())
-    std = float(pooled.std())
-    return mean, std
+    mean = np.add.reduce(pooled) / pooled.size
+    return float(mean), float(np.sqrt(np.add.reduce(np.square(pooled - mean)) / pooled.size))
 
 
 def zscore(col: np.ndarray, mean: float, std: float) -> np.ndarray:

@@ -372,13 +372,16 @@ def value_codes(tables: Sequence[MicrodataTable], name: str) -> tuple[np.ndarray
     ``text_codes``: the support and each table's codes into it. When the
     column is numeric in every table the support is its distinct values as
     floats, parsed from their canonical texts (exact; -0.0 and 0.0 are one
-    value), else the sorted union of its texts."""
+    value), else the sorted union of its texts. A ``distinct`` array that every table shares
+    (a carried or permuted column) is that union: it and the codes are returned as they are, read-only."""
     encoded = [text_codes(t, name) for t in tables]
     distincts = [distinct for distinct, _ in encoded]
     if all(t.attribute(name).is_numeric for t in tables):
         distincts = [distinct.astype(float) for distinct in distincts]
         pooled = np.sort(np.concatenate(distincts))  # not np.unique, whose plain form imports numpy.ma
         support = pooled[np.diff(pooled, prepend=-np.inf) > 0]  # each value once
+    elif all(distinct is distincts[0] for distinct in distincts):
+        return distincts[0], [codes for _, codes in encoded]
     else:
         texts = set(chain.from_iterable(distinct.tolist() for distinct in distincts))
         support = np.asarray(sorted(texts), dtype=object)
@@ -1213,7 +1216,8 @@ def _read_release_csv(path: Path, descriptor) -> MicrodataTable:
 
 
 def _is_integer_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_integer, value))
+    """Whether ``value`` lists ``_is_integer`` members, judged once per member type."""
+    return isinstance(value, list) and all(t is int or issubclass(t, np.integer) for t in set(map(type, value)))
 
 
 def read_release(directory: str | Path) -> AnonymizedRelease:
@@ -1246,7 +1250,8 @@ def read_release(directory: str | Path) -> AnonymizedRelease:
     if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
         raise ValueError("release sidecar field 'notes' must be a list of strings")
     partition, row_ids = doc.get("partition"), doc.get("row_ids")
-    if partition is not None and not (isinstance(partition, list) and all(map(_is_integer_list, partition))):
+    groups = isinstance(partition, list) and all(isinstance(group, list) for group in partition)
+    if partition is not None and not (groups and _is_integer_list(list(chain.from_iterable(partition)))):
         raise ValueError("release sidecar field 'partition' must be null or a list of lists of integers")
     if row_ids is not None and not _is_integer_list(row_ids):
         raise ValueError("release sidecar field 'row_ids' must be a list of integers")

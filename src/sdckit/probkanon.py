@@ -52,6 +52,8 @@ def cluster_and_permute(
     independently inside each group. Confidential and non-confidential values
     never move. Per-group streams are derived from the seed by a counter
     construction, so the result does not depend on group processing order.
+    A group's stream shuffles its rows in place once per permuted source, as
+    ``permutation(size)`` would deal them.
     """
     if mode not in PERMUTE_MODES:
         raise ValueError(f"unknown permutation mode {mode!r}")
@@ -62,13 +64,18 @@ def cluster_and_permute(
         partition = Partition(partition).covering(table.n_rows)
         _require_group_size(partition, k)
 
-    # release row i takes column ``name`` from source row source[name][i]; one
-    # array is shared by every QI in vector mode, each QI has its own otherwise
-    sources = [np.arange(table.n_rows) for _ in (qi if mode == "per_attribute" else qi[:1])]
-    for group, rng in zip(partition, derive_rngs(rng_seed, "permute", count=len(partition))):
-        idx = np.asarray(group, dtype=np.int64)
-        for source in sources:
-            source[idx] = idx[rng.permutation(idx.size)]
+    # release row i takes column ``name`` from source row source[name][i], one array in vector mode and one
+    # per QI otherwise. members: each class's rows, ascending, end to end; each source shuffles a copy of it
+    # class by class, and row members[j] takes the copy's entry j
+    members = np.argsort(partition.labels, kind="stable")
+    dealt = [members.copy() for _ in (qi if mode == "per_attribute" else qi[:1])]
+    ends = np.cumsum(partition.sizes).tolist()
+    for lo, hi, rng in zip([0, *ends], ends, derive_rngs(rng_seed, "permute", count=len(ends))):
+        for rows in dealt:
+            rng.shuffle(rows[lo:hi])
+    sources = [np.empty_like(members) for _ in dealt]
+    for source, rows in zip(sources, dealt):
+        source[members] = rows
     source = dict(zip(qi, sources if mode == "per_attribute" else sources * len(qi)))
 
     encoded = {}

@@ -11,6 +11,7 @@ oracle test in ``tests/test_seeds.py`` pins every draw to ``derive_rng``.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +31,8 @@ _TAGS = {
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+# _ROUNDS[src, dst]: the constant, 4 + 3 * src + 0..2 over dst != src ascending, that mixes word src into dst
+_ROUNDS = np.array([[4 + 3 * src + dst - (dst > src) if dst != src else 0 for dst in range(4)] for src in range(4)])
 
 
 def _entropy(seed: int, path) -> list[int]:
@@ -53,16 +56,19 @@ def derive_rngs(seed: int, *path: int | str, count: int) -> Iterator[np.random.G
     entropy[: len(words)] = np.asarray(words, dtype=np.uint32)[:, None]
     entropy[len(words)] = np.arange(count)
     c = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    rounds = c[:, _ROUNDS]
     pool = _hashmix(entropy[:4], c[:, :4])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[:, 4 + 3 * src : 7 + 3 * src]))
+    for src in range(4):  # every word takes pool[src]'s hash; then pool[src] is put back
+        row = pool[src]
+        pool = _mix(pool, _hashmix(row, rounds[:, src]))
+        pool[src] = row
     for j in range(4, len(entropy)):
         pool = _mix(pool, _hashmix(entropy[j], c[:, 4 * j : 4 * j + 4]))
-    generated = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    generated = _hashmix(pool[[0, 1, 2, 3] * 2], _hash_constants(_INIT_B, _MULT_B, 8))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    for hi, lo, seq_hi, seq_lo in zip(*(generated[1::2] << np.uint64(32) | generated[::2]).tolist()):
+    # stream i's words as little-endian pairs: its state (hi, lo) and sequence (hi, lo)
+    for hi, lo, seq_hi, seq_lo in generated.T.astype("<u4", order="C").view("<u8").tolist():
         inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
         state = ((hi << 64 | lo) + inc) * _PCG_MULT + inc & _MASK128
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
@@ -70,10 +76,13 @@ def derive_rngs(seed: int, *path: int | str, count: int) -> Iterator[np.random.G
         yield rng
 
 
+@cache
 def _hash_constants(const: int, mult: int, n: int) -> np.ndarray:
-    """The (xor, multiplier) pairs, 2 x n x 1, of n successive SeedSequence hashes."""
+    """The (xor, multiplier) pairs, 2 x n x 1, of n successive SeedSequence hashes; memoized, so read-only."""
     steps = np.uint32(const) * np.cumprod(np.full(n, mult, dtype=np.uint32), dtype=np.uint32)
-    return np.stack([np.concatenate([[np.uint32(const)], steps[:-1]]), steps])[..., None]
+    constants = np.stack([np.concatenate([[np.uint32(const)], steps[:-1]]), steps])[..., None]
+    constants.flags.writeable = False
+    return constants
 
 
 def _hashmix(values: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -1,14 +1,25 @@
 """cluster_and_permute and anatomize draw every group's permutation from one
-``derive_rngs`` batch. Frozen copies of the per-group ``derive_rng`` loops
-they replaced must give the same release tables, the same source row for
-every released QI cell and the same confidential order, and the text codes a
-permuted release carries must equal a fresh encoding of its columns."""
+``derive_rngs`` batch, and cluster_and_permute shuffles each group's rows in
+place. Frozen copies of the per-group ``derive_rng`` loops they replaced must
+give the same release tables, partitions and provenance, the same source row
+for every released QI cell and the same confidential order, on given and on
+MDAV partitions, and the text codes a permuted release carries must equal a
+fresh encoding of its columns."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdckit import AttributeSchema, CategoricalKind, NumericKind, Partition, anatomize, cluster_and_permute
+from sdckit import (
+    AttributeSchema,
+    CategoricalKind,
+    NumericKind,
+    Partition,
+    Provenance,
+    anatomize,
+    cluster_and_permute,
+    mdav_partition,
+)
 from sdckit.microdata import MicrodataTable, _encode_text, make_table, text_codes
 from sdckit.probkanon import PERMUTE_MODES
 from sdckit.seeds import derive_rng
@@ -70,7 +81,8 @@ def cases(draw):
 
     table = make_table(_schema(False), {"pid": cells(TEXTS), "x": cells(NUMBERS), "t": cells(TEXTS),
                                         "y": cells(NUMBERS), "w": cells(NUMBERS), "d": cells(TEXTS)})
-    partition = Partition.of_labels(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    top = draw(st.integers(0, 3))  # 0: one group
+    partition = Partition.of_labels(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
     qi = draw(st.permutations(NAMES))[: draw(st.integers(1, 3))]
     return table, partition, list(qi), draw(st.integers(-(2**64), 2**70))
 
@@ -94,19 +106,25 @@ def _same_table(a, b):
 # --------------------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(cases(), st.sampled_from(PERMUTE_MODES))
-def test_cluster_and_permute_matches_the_per_group_loop(case, mode):
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.sampled_from(PERMUTE_MODES), st.booleans())
+def test_cluster_and_permute_matches_the_per_group_loop(case, mode, mdav):
     table, partition, qi, seed = case
     k = int(partition.sizes.min())
-    release = cluster_and_permute(table, qi, k, seed, mode=mode, partition=partition)
+    if mdav and table.n_rows >= 2:  # the partition MDAV makes inside the call, groups of 2..3 rows
+        k, partition = 2, mdav_partition(table, qi, 2)
+        release = cluster_and_permute(table, qi, k, seed, mode=mode)
+        assert release.partition == partition
+    else:
+        release = cluster_and_permute(table, qi, k, seed, mode=mode, partition=partition)
+        assert release.partition is partition
+    assert release.provenance == Provenance("cluster_and_permute", {"k": k, "qi": qi, "mode": mode}, seed)
 
     source = _old_permute_sources(table.n_rows, qi, partition, seed, mode)
     kept = tuple(a for a in table.schema if a.role != "identifier")
     columns = {a.name: table.columns[a.name][source[a.name]] if a.name in source else table.columns[a.name]
                for a in kept}
     _same_table(release.table, MicrodataTable(kept, columns, table.row_ids))
-    assert release.partition is partition
 
     positions = cluster_and_permute(_positions(table.n_rows), qi, k, seed, mode=mode, partition=partition)
     for name in qi:

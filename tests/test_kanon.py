@@ -210,8 +210,14 @@ def test_minimal_generalization_prefers_low_levels():
 def test_minimal_generalization_unsatisfiable_and_guarded():
     with pytest.raises(Unsatisfiable):
         minimal_generalization(_x_table([1]), _x_hierarchy(), 2)
-    with pytest.raises(SearchSpaceTooLarge):
-        minimal_generalization(_x_table(list(range(1, 11)) * 3), _x_hierarchy(), 2)
+    # a 3**30-state lattice whose first state is 2-anonymous: the set-up takes
+    # 30 rows x 3 levels = 90 row-states and the one state walked 30 more
+    table = _x_table(list(range(1, 11)) * 3)
+    _, scheme = minimal_generalization(table, _x_hierarchy(), 2, max_states=120)
+    assert scheme.cell_levels == ((0,),) * 30
+    for budget in (89, 119):  # the set-up, then the first state, passes the budget
+        with pytest.raises(SearchSpaceTooLarge, match=f"^the search exceeds {budget} row-states for 30 rows x 1 "):
+            minimal_generalization(table, _x_hierarchy(), 2, max_states=budget)
 
 
 def test_cell_is_minimal_rule():

@@ -573,6 +573,24 @@ def test_read_release_rejects_a_malformed_sidecar_field(tmp_path, people_table, 
         read_release(tmp_path)
 
 
+@pytest.mark.parametrize("member", [True, 2.0, "2"])
+@pytest.mark.parametrize("field", ["row_ids", "partition", "params.scheme.suppressed_row_ids"])
+def test_read_release_rejects_one_non_integer_member_among_integers(tmp_path, people_table, field, member):
+    # a list of plain ints passes on its set of types; one other member must still fail it
+    write_release(AnonymizedRelease(suppress_identifiers(people_table), None, Provenance("demo")), tmp_path)
+    sidecar = tmp_path / "release.provenance.json"
+    doc = json.loads(sidecar.read_text())
+    if field == "row_ids":
+        doc["row_ids"] = [*range(2), member, *range(3, people_table.n_rows)]
+    elif field == "partition":
+        doc["partition"] = [[0, 1], [2, member]]
+    else:
+        doc["params"] = {"scheme": {"suppressed_row_ids": [0, member]}}
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^release sidecar field '{field}' must be "):
+        read_release(tmp_path)
+
+
 def test_read_release_rejects_a_sidecar_that_is_not_an_object(tmp_path, people_table):
     write_release(AnonymizedRelease(suppress_identifiers(people_table), None, Provenance("demo")), tmp_path)
     (tmp_path / "release.provenance.json").write_text("[1, 2]")
