@@ -27,13 +27,14 @@ from .errors import (
     NotNeighbors,
     UnknownAttribute,
 )
-from .kanon import _combine_codes, cell_is_minimal
+from .kanon import cell_is_minimal
 from .metric import MixedSpace
 from .microdata import (
     AnonymizedRelease,
     GeneralizationHierarchy,
     MicrodataTable,
     as_table,
+    combine_codes,
     row_positions,
     text_codes,
     value_codes,
@@ -80,8 +81,9 @@ class AttackReport:
 # --------------------------------------------------------------------------
 
 # distances the linkage search holds at once: 256 KiB of doubles, which stay
-# in L2; its key window cuts the release vectors into chunks of 1/512 of it
-# (64 vectors), so that a block is 512 external rows
+# in L2; its cell step computes pair distances in blocks of half as many,
+# and its key window cuts the release vectors into chunks of 1/512 of it (64
+# vectors), so that a block is 512 external rows
 _BLOCK_CELLS = 1 << 15
 
 
@@ -94,14 +96,16 @@ def link_records(
     the two tables share, with numeric statistics pooled over both tables:
     squared z-scored difference where both sides are numeric, exact-match 0/1
     on canonical text otherwise. The match is one ``_nearest_vectors`` search,
-    which scans in blocks of at most ``_BLOCK_CELLS`` distances and skips
-    every release vector whose squared gap on one numeric QI alone exceeds
-    the row's best distance, followed by one tie draw. External record e's
-    tie set is every release row behind its nearest vectors
-    ``nearest[bounds[e]:bounds[e + 1]]``, in ascending row order, and ties are
-    broken uniformly at random: one ``rng.integers`` call with the tie count
-    of every external row that has more than one tied release row, in
-    external row order, which draws what one scalar call per row would.
+    which first settles each row it can among the release vectors with the
+    row's own categorical codes, then scans the rest in blocks of at most
+    ``_BLOCK_CELLS`` distances and skips every release vector whose squared
+    gap on one numeric QI alone exceeds the row's best distance, followed by
+    one tie draw. External record e's tie set is every release row behind
+    its nearest vectors ``nearest[bounds[e]:bounds[e + 1]]``, in ascending
+    row order, and ties are broken uniformly at random: one ``rng.integers``
+    call with the tie count of every external row that has more than one
+    tied release row, in external row order, which draws what one scalar
+    call per row would.
     ``linkage_attack`` and the probabilistic-k verifier do not call this
     function: they take the same search and price its tie draw in closed
     form (``_linkage_probabilities``). Returns the matched release row
@@ -136,12 +140,15 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     are ``nearest[bounds[e] : bounds[e + 1]]``. An external row whose vector
     occurs in the release is at distance 0 from exactly that vector and is
     not scanned, unless two distinct values of a numeric column lie so close
-    that their squared gap is 0, in which case every row is scanned. Other
-    rows are scanned by ``_window_scan`` in blocks of at most ``_BLOCK_CELLS``
-    distances, which skips every vector whose squared gap to the row on one
-    numeric QI, the key, exceeds the row's best distance: no other term of a
-    distance is negative, so such a vector cannot tie it. An empty release
-    raises ValueError.
+    that their squared gap is 0, in which case every row is scanned. Every
+    scanned row first meets the vectors of its own cell, those with its codes
+    on every categorical QI (``_cell_scan``): one of them below distance 1.0
+    settles the row, since a vector that mismatches it on any categorical QI
+    is at 1.0 or more. The rows left are scanned by ``_window_scan`` in blocks
+    of at most ``_BLOCK_CELLS`` distances, which skips every vector whose
+    squared gap to the row on one numeric QI, the key, exceeds the row's best
+    distance: no other term of a distance is negative, so such a vector cannot
+    tie it. An empty release raises ValueError.
     """
     if release_table.n_rows == 0:
         raise ValueError("the release is empty: there is no row to link a record to")
@@ -181,9 +188,16 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     exact = vector_of_key[key[n_rel:]]
     if any(map(_gap_squares_to_zero, both.num_cols)):
         exact[:] = -1
+    del rel_space, both, order, key, vector_of_key  # the sort's arrays need not live through the search
 
-    # each external row's nearest vectors: the one it equals, or the scan's minima
-    rows, vec = _window_scan(vectors, ext_space, np.flatnonzero(exact < 0))
+    # each external row's nearest vectors: the one it equals, or the minima
+    # the cell step settles, or the scan's. Both steps list their pairs by
+    # row, then vector, and share no row, so one stable sort by row merges them
+    cell_rows, cell_vec, scanned = _cell_scan(vectors, ext_space, np.flatnonzero(exact < 0))
+    scan_rows, scan_vec = _window_scan(vectors, ext_space, scanned)
+    rows, vec = np.concatenate([cell_rows, scan_rows]), np.concatenate([cell_vec, scan_vec])
+    order = np.argsort(rows, kind="stable")
+    rows, vec = rows[order], vec[order]
     counts = (exact >= 0) + np.bincount(rows, minlength=n_ext)
     bounds = np.concatenate([[0], np.cumsum(counts)])
     nearest = np.repeat(exact, counts)
@@ -275,6 +289,58 @@ def _window_scan(vectors: MixedSpace, ext_space: MixedSpace, scanned: np.ndarray
     rows, vec = np.concatenate(found_rows), np.concatenate(found_vec)
     order = np.lexsort((vec, rows))
     return rows[order], vec[order]
+
+
+def _cell_scan(vectors: MixedSpace, ext_space: MixedSpace, scanned: np.ndarray):
+    """``(rows, vec, rest)``: every pair of a row of ``scanned`` that its own
+    cell settles and a vector at the row's minimum distance, sorted by row,
+    then vector, and the rows of ``scanned`` left for the window scan.
+
+    A cell is one combination of codes on every categorical QI
+    (``combine_codes`` over the vectors and the rows). A row settles when a
+    vector in its cell is at distance below 1.0: every other vector
+    mismatches it on some categorical QI, and that mismatch adds 1.0 to a sum
+    of terms that are all at least +0, so with monotone rounding its distance
+    is at least 1.0. A row whose cell is empty or whose best is 1.0 or more
+    is left for the scan. Pair distances come in blocks of half
+    ``_BLOCK_CELLS``, since each pair also gathers the values of both its
+    sides; a row's pairs may span blocks. The step is skipped with no
+    categorical QI (the cell is every vector) or no numeric one (a row with
+    a vector in its cell equals it and is not scanned).
+    """
+    none = np.zeros(0, dtype=np.int64)
+    if not (vectors.num_cols and vectors.code_cols and scanned.size):
+        return none, none, scanned
+    codes = (np.concatenate([v, e[scanned]]) for v, e in zip(vectors.code_cols, ext_space.code_cols))
+    key, size = combine_codes([(c, int(c.max()) + 1) for c in codes], vectors.n + scanned.size)
+    vec_cell, row_cell = key[: vectors.n], key[vectors.n :]
+    by_cell = np.argsort(vec_cell, kind="stable")  # vectors by cell, ascending within one
+    in_cell = np.bincount(vec_cell, minlength=size)
+    first_in_cell = np.cumsum(in_cell) - in_cell
+    # the rows with a vector in their cell; live row i's pairs are numbered
+    # bounds[i] .. bounds[i + 1] - 1, and pair p is with vector by_cell[p + shift[i]]
+    live = np.flatnonzero(in_cell[row_cell])
+    bounds = np.concatenate([[0], np.cumsum(in_cell[row_cell[live]])])
+    shift = first_in_cell[row_cell[live]] - bounds[:-1]
+    live_rows = scanned[live]
+    best = np.full(live.size, np.inf)
+    hits = [(none, none, np.zeros(0))]
+    step = max(1, _BLOCK_CELLS >> 1)
+    for lo in range(0, int(bounds[-1]), step):
+        hi = min(lo + step, int(bounds[-1]))
+        r0, r1 = np.searchsorted(bounds, lo, "right") - 1, np.searchsorted(bounds, hi)
+        span = np.minimum(bounds[r0 + 1 : r1 + 1], hi) - np.maximum(bounds[r0:r1], lo)
+        vec = by_cell[np.repeat(shift[r0:r1], span) + np.arange(lo, hi)]
+        dist = vectors.sq_dist_pairs(vec, ext_space, np.repeat(live_rows[r0:r1], span))
+        best[r0:r1] = np.minimum(best[r0:r1], np.minimum.reduceat(dist, np.cumsum(span) - span))
+        tie = np.flatnonzero(dist == np.repeat(best[r0:r1], span))
+        hits.append((np.searchsorted(bounds, lo + tie, "right") - 1, vec[tie], dist[tie]))
+    at, vec, dist = map(np.concatenate, zip(*hits))
+    settled = best < 1.0
+    keep = settled[at] & (dist == best[at])
+    left = np.ones(scanned.size, dtype=bool)
+    left[live[settled]] = False
+    return live_rows[at[keep]], vec[keep], scanned[left]
 
 
 def _key_column(vectors: MixedSpace, ext_space: MixedSpace, scanned: np.ndarray):
@@ -589,7 +655,7 @@ def intersection_attack(releases: Sequence[AnonymizedRelease]) -> AttackReport:
     if any(not np.array_equal(ids[0], other) for other in ids[1:]):
         raise Misaligned("releases cover different record ids")
     # a record's effective class: the records that share its class in every release
-    key, _ = _combine_codes(labels, ids[0].size)
+    key, _ = combine_codes(labels, ids[0].size)
     sizes = np.bincount(key)[key].tolist()
     singletons = sum(1 for s in sizes if s == 1)
     n = len(sizes)

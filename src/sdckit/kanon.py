@@ -35,6 +35,7 @@ from .microdata import (
     as_table,
     canonical_number,
     class_counts,
+    combine_codes,
     factorize,
     label_paths,
     row_positions,
@@ -45,26 +46,10 @@ from .microdata import (
 )
 
 
-def _combine_codes(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
-    """One code per row, equal for two rows exactly when each column's code is.
-
-    Columns are ``(codes, size)`` pairs, combined in mixed radix; whenever the
-    radix outgrows 8n the codes are renumbered densely, so they stay far from
-    overflow and a ``bincount`` over them stays small.
-    """
-    key, size = np.zeros(n, dtype=np.int64), 1
-    for codes, m in columns:
-        key, size = key * m + codes, size * m
-        if size > 8 * n:
-            distinct, key = factorize(key)
-            size = len(distinct)
-    return key, size
-
-
 def _class_codes(table: MicrodataTable, qi: Sequence[str]):
     """Each row's QI combination, compared as text, as one code: (each QI's ``text_codes``, codes)."""
     encoded = [text_codes(table, name) for name in qi]
-    key, _ = _combine_codes([(codes, len(distinct)) for distinct, codes in encoded], table.n_rows)
+    key, _ = combine_codes([(codes, len(distinct)) for distinct, codes in encoded], table.n_rows)
     return encoded, key
 
 
@@ -148,7 +133,7 @@ def anonymize_generalization(
     }
 
     def violating_rows(levels: Mapping[str, int]) -> np.ndarray:
-        key, size = _combine_codes([coded[name][levels[name]] for name in qi], n)
+        key, size = combine_codes([coded[name][levels[name]] for name in qi], n)
         return np.flatnonzero(np.bincount(key, minlength=size)[key] < k)
 
     levels = {name: 0 for name in qi}
@@ -394,6 +379,8 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
     the record farthest from it). A remainder of 2k..3k-1 records yields one
     k-group around the far extreme plus one remainder group; anything smaller
     becomes the final group. Distance ties resolve to the lowest row id.
+    Both groups of a round leave the pool of remaining rows together, in one
+    gather per column.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -407,25 +394,25 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
         raise TooFewRows(f"{n} rows cannot form a group of k={k}")
 
     # the live pool: the remaining rows' points in ascending row id order,
-    # one 1-D array per attribute, compacted once per group with one boolean
+    # one 1-D array per attribute, compacted once per round with one boolean
     # gather per column (``MixedSpace.take``), so a distance never gathers
     # rows and reads each column without a stride. Moving values leaves their
     # bits alone, and ``centroid`` adds rows in the order numpy's mean of the
-    # row-major block added them, so every distance and tie is as before
+    # row-major block added them, so every distance and tie is as before.
+    # s's group is chosen on the pool that still holds r's, those k rows at
+    # +inf: a row's distance does not depend on which other rows the pool
+    # holds, and at least 2k finite distances remain, so the selection is the
+    # one made on the pool without them
     (pool,) = MixedSpace.from_tables([table], qi)
     ids = np.arange(n, dtype=np.int64)
     groups: list[list[int]] = []
 
-    def take_group(d: np.ndarray) -> list[int]:
-        """Remove the k pool rows first by (distance ``d``, row id); returns their ids."""
-        nonlocal pool, ids
+    def nearest_k(d: np.ndarray) -> np.ndarray:
+        """The mask of the k pool rows first by (distance ``d``, row id)."""
         cut = np.partition(d, k - 1)[k - 1]
         chosen = d < cut
         chosen[np.flatnonzero(d == cut)[: k - np.count_nonzero(chosen)]] = True
-        group = ids[chosen].tolist()
-        keep = ~chosen
-        pool, ids = pool.take(keep), ids[keep]
-        return group
+        return chosen
 
     def distances_from(i: int) -> np.ndarray:
         """Distances from pool row ``i``; row ``i`` itself gets -1, so it
@@ -438,16 +425,20 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
         return int(np.argmax(pool.sq_dist_to(pool.centroid())))  # first max = lowest row id
 
     while ids.size >= 3 * k:
-        r = far_extreme()
-        d = distances_from(r)
+        d = distances_from(far_extreme())
         s = int(np.argmax(d))
-        s_id = ids[s]
         d[s] = np.inf  # s heads the second group, not r's
-        groups.append(take_group(d))
-        s = int(np.searchsorted(ids, s_id))  # s's row in the shrunk pool
-        groups.append(take_group(distances_from(s)))
+        near_r = nearest_k(d)
+        d = distances_from(s)
+        d[near_r] = np.inf
+        near_s = nearest_k(d)
+        groups += [ids[near_r].tolist(), ids[near_s].tolist()]
+        keep = ~(near_r | near_s)
+        pool, ids = pool.take(keep), ids[keep]
     if ids.size >= 2 * k:
-        groups.append(take_group(distances_from(far_extreme())))
+        chosen = nearest_k(distances_from(far_extreme()))
+        groups.append(ids[chosen].tolist())
+        ids = ids[~chosen]
     if ids.size:
         groups.append(ids.tolist())
     return Partition(groups)

@@ -21,9 +21,12 @@ more), so distances, ties and partitions are byte for byte what the
 row-major layout gave.
 
 The linkage search is described at ``attacks._nearest_vectors``. It bounds a
-distance from below by its term for one numeric attribute: every term is at
-least +0 and rounded addition is monotone, so no sum is below any one of its
-terms (``attacks._window_scan``).
+distance from below by its term for one numeric attribute, and by 1.0 when
+any categorical attribute mismatches: every term is at least +0 and rounded
+addition is monotone, so no sum is below any one of its terms
+(``attacks._window_scan``, ``attacks._cell_scan``). ``sq_dist_to`` (a point
+against rows) and ``sq_dist_pairs`` (row against row, pair by pair) add
+their terms in one loop, ``_sum_terms``.
 """
 
 from __future__ import annotations
@@ -122,16 +125,39 @@ class MixedSpace:
         row, or to the rows in the index array ``indices``; shape (m,) or (b, m)."""
         num_point, code_point = (np.asarray(p) for p in point)
         shape = num_point.shape[:-1] + (self.n if indices is None else len(indices),)
-        d = None  # the first numeric term is the sum: +0.0 + t is t for every t >= +0
-        for j, col in enumerate(self.num_cols):
-            diff = (col if indices is None else col[indices]) - num_point[..., j, None]
-            diff *= diff
-            if d is None:
-                d = diff
-            else:
-                d += diff
+        num_cols, code_cols = self.num_cols, self.code_cols
+        if indices is not None:
+            num_cols, code_cols = ((col[indices] for col in cols) for cols in (num_cols, code_cols))
+        # a point's value per attribute, as a column (b, 1) against the rows
+        return _sum_terms(num_cols, num_point.T[..., None], code_cols, code_point.T[..., None], shape)
+
+    def sq_dist_pairs(self, rows: np.ndarray, other: "MixedSpace", other_rows: np.ndarray) -> np.ndarray:
+        """Squared distance from row ``rows[i]`` to row ``other_rows[i]`` of
+        ``other``, a space on the same attributes, for every i."""
+        return _sum_terms(
+            (col[rows] for col in self.num_cols),
+            (col[other_rows] for col in other.num_cols),
+            (col[rows] for col in self.code_cols),
+            (col[other_rows] for col in other.code_cols),
+            (len(rows),),
+        )
+
+
+def _sum_terms(num_cols, num_points, code_cols, code_points, shape) -> np.ndarray:
+    """The one distance formula: the squared difference of each numeric
+    column and its point values, in column order, then the mismatch of each
+    code column and its point values, added one term at a time; every pair
+    broadcasts to ``shape``."""
+    d = None  # the first numeric term is the sum: +0.0 + t is t for every t >= +0
+    for col, x in zip(num_cols, num_points):
+        diff = col - x
+        diff *= diff
         if d is None:
-            d = np.zeros(shape)
-        for j, col in enumerate(self.code_cols):
-            d += (col if indices is None else col[indices]) != code_point[..., j, None]
-        return d
+            d = diff
+        else:
+            d += diff
+    if d is None:
+        d = np.zeros(shape)
+    for col, x in zip(code_cols, code_points):
+        d += col != x
+    return d

@@ -421,6 +421,22 @@ def factorize(values: np.ndarray | Sequence):
     return list(index), rank[first]
 
 
+def combine_codes(columns: Sequence[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """One code per row, equal for two rows exactly when each column's code is.
+
+    Columns are ``(codes, size)`` pairs, combined in mixed radix; whenever the
+    radix outgrows 8n the codes are renumbered densely, so they stay far from
+    overflow and a ``bincount`` over them stays small.
+    """
+    key, size = np.zeros(n, dtype=np.int64), 1
+    for codes, m in columns:
+        key, size = key * m + codes, size * m
+        if size > 8 * n:
+            distinct, key = factorize(key)
+            size = len(distinct)
+    return key, size
+
+
 def _domain_fault(attr: AttributeSchema, value) -> str | None:
     """Why a converted cell value lies outside its attribute's domain, or None."""
     if not attr.is_numeric:

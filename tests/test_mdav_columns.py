@@ -107,14 +107,16 @@ CATS = ("a", "b", "c")
 @st.composite
 def mdav_inputs(draw):
     """(table, k): 0, 1, 2, 3 or 9 numeric QIs and up to two categorical
-    ones, in any order, with k from 2 to 5 and n from k to 60."""
+    ones, in any order, with k from 2 to 5 and n from k to 60, or n at an
+    edge of MDAV's rounds: one group, a remainder, one round, a round and a
+    remainder, two rounds."""
     n_numeric = draw(st.sampled_from([0, 1, 2, 3, 9]))
     n_cats = draw(st.integers(0 if n_numeric else 1, 2))
     kinds = [draw(st.sampled_from(sorted(NUMERIC_VALUES))) for _ in range(n_numeric)]
     kinds += [draw(st.sampled_from(["cat", "cat2"])) for _ in range(n_cats)]
     kinds = draw(st.permutations(kinds))
     k = draw(st.integers(2, 5))
-    n = draw(st.integers(k, 60))
+    n = draw(st.one_of(st.sampled_from([2 * k - 1, 2 * k, 3 * k - 1, 3 * k, 3 * k + 1, 4 * k]), st.integers(k, 60)))
     schema, cols = [], {}
     for j, kind in enumerate(kinds):
         name = f"q{j}"

@@ -185,6 +185,10 @@ def _linkage_tables(kinds, ext_rows, rel_rows):
         if kind == "cat":
             ext_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(CATS)))
             rel_schema.append(ext_schema[-1])
+        elif kind == "extcat":
+            ext_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(CATS + ("d",))))
+            rel_schema.append(AttributeSchema(name, "quasi_identifier", CategoricalKind(CATS)))
+            rel_vals = ["c" if v == "d" else v for v in rel_vals]
         elif kind in ("zero", "tiny"):
             ext_vals[0], rel_vals[0] = 1.0, -1.0
             ext_schema.append(AttributeSchema(name, "quasi_identifier", NumericKind(-1, 1)))
@@ -363,6 +367,7 @@ WINDOW_VALUES = {
     "num": st.integers(0, 4),
     "label": st.integers(0, 4),
     "cat": st.sampled_from(CATS),
+    "extcat": st.sampled_from(CATS + ("d",)),
     "zero": st.sampled_from(ZEROS),
     "tiny": st.sampled_from(TINY),
 }
@@ -373,8 +378,9 @@ def window_inputs(draw):
     """(release, external, seed) with up to 40 release rows over many distinct
     vectors, so that a small ``_BLOCK_CELLS`` splits them into several key
     chunks, and external rows that are release rows or fresh ones. Kinds as
-    in ``linkage_inputs``, plus "wide" and "pile" (``WINDOW_VALUES``); with
-    only "cat" and "label" the tables share no numeric QI."""
+    in ``linkage_inputs``, plus "wide" and "pile" (``WINDOW_VALUES``) and
+    "extcat", categorical with a text "d" that only the external table holds;
+    with only "cat", "extcat" and "label" the tables share no numeric QI."""
     kinds = draw(st.lists(st.sampled_from(sorted(WINDOW_VALUES)), min_size=1, max_size=4))
     row = st.tuples(*[WINDOW_VALUES[kd] for kd in kinds])
     rel_rows = draw(st.lists(row, min_size=1, max_size=40))
@@ -399,6 +405,107 @@ def test_the_key_window_matches_the_dense_oracles(inputs, block_cells):
         want = _oracle_link_records(release, external, derive_rng(seed, "attack", 0))
         assert got.tolist() == want.tolist()
         _assert_linkage_matches_the_oracle(release, external, 1, seed)
+
+
+@st.composite
+def cell_inputs(draw):
+    """(release, external, seed) for the cell step: 1-3 numeric and 1-2
+    categorical QIs in any order, values as in ``window_inputs``, and
+    external rows that are release rows, fresh ones, or fresh numbers in a
+    release row's cell."""
+    numeric = draw(st.lists(st.sampled_from(["num", "wide", "pile", "zero", "tiny"]), min_size=1, max_size=3))
+    categorical = draw(st.lists(st.sampled_from(["cat", "extcat"]), min_size=1, max_size=2))
+    kinds = draw(st.permutations(numeric + categorical))
+    row = st.tuples(*[WINDOW_VALUES[kd] for kd in kinds])
+    rel_rows = draw(st.lists(row, min_size=1, max_size=30))
+    in_cell = st.tuples(st.sampled_from(rel_rows), row).map(
+        lambda pair: tuple(pair[not kd.endswith("cat")][j] for j, kd in enumerate(kinds))
+    )
+    ext_rows = draw(st.lists(st.one_of(st.sampled_from(rel_rows), row, in_cell), min_size=1, max_size=20))
+    release, external = _linkage_tables(kinds, ext_rows, rel_rows)
+    return release, external, draw(st.integers(0, 2**31))
+
+
+def _cell_tie_case():
+    """External row 0, (x=2, z=0, c="a"), is at distance exactly 1.0 from
+    release row 0, (1, -0, "a"), the best in its own cell, and from release
+    row 1, (2, 0, "b"), one mismatch away at numeric gap 0: the pooled x
+    (three 0s, five 1s, five 2s, three 3s) has mean 1.5 and std 1, so its
+    z-scores are exact; z is -0.0 or 0.0 but for one +1 and one -1. External
+    row 1 holds "d", a text the release lacks, so its cell is empty."""
+    schema = [
+        AttributeSchema("x", "quasi_identifier", NumericKind(0, 3)),
+        AttributeSchema("z", "quasi_identifier", NumericKind(-1, 1)),
+    ]
+    release = make_table(
+        schema + [AttributeSchema("c", "quasi_identifier", CategoricalKind(CATS))],
+        {
+            "x": [1.0, 2.0, 0.0, 3.0, 1.0, 0.0, 3.0, 1.0],
+            "z": [-0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0],
+            "c": ["a", "b", "c", "c", "b", "a", "c", "c"],
+        },
+    )
+    external = make_table(
+        schema + [AttributeSchema("c", "quasi_identifier", CategoricalKind(CATS + ("d",)))],
+        {
+            "x": [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 0.0, 3.0],
+            "z": [0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0],
+            "c": ["a", "d", "b", "c", "a", "b", "b", "a"],
+        },
+    )
+    return release, external, 4
+
+
+def _cell_tiny_gap_case():
+    """0 and 1e-200 differ but their z-score gap squares to 0, so every
+    external row is scanned and settles in its own cell at distance 0."""
+    schema = (
+        AttributeSchema("x", "quasi_identifier", NumericKind(-1, 1)),
+        AttributeSchema("c", "quasi_identifier", CategoricalKind(CATS)),
+    )
+    release = make_table(schema, {"x": [1e-200, 0.0, -1.0, 0.0], "c": ["a", "a", "b", "b"]})
+    external = make_table(schema, {"x": [0.0, 1.0, 1e-200, -0.0], "c": ["a", "a", "b", "c"]})
+    return release, external, 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_inputs(), st.sampled_from([1, 2, 3, 7, 1 << 15]))
+@example(inputs=_cell_tie_case(), block_cells=1 << 15)
+@example(inputs=_cell_tie_case(), block_cells=2)
+@example(inputs=_cell_tiny_gap_case(), block_cells=1)
+def test_the_cell_step_matches_the_dense_oracles(inputs, block_cells):
+    # every tie set is the dense matrix's row minima; the cell step computes
+    # pairs only within a cell, at most ``_BLOCK_CELLS`` at once (small
+    # values split a row's pairs over blocks)
+    release, external, seed = inputs
+    pair_dist = MixedSpace.sq_dist_pairs
+
+    def checked(space, rows, other, other_rows):
+        assert 0 < len(rows) <= block_cells
+        for mine, theirs in zip(space.code_cols, other.code_cols):
+            assert (mine[rows] == theirs[other_rows]).all()
+        return pair_dist(space, rows, other, other_rows)
+
+    with mock.patch.object(attacks, "_BLOCK_CELLS", block_cells), mock.patch.object(
+        MixedSpace, "sq_dist_pairs", checked
+    ):
+        _, rel_rows, starts, nearest, bounds = attacks._nearest_vectors(release, external)
+        dist = _oracle_distances(release, external)
+        for e in range(external.n_rows):
+            tied = [rel_rows[starts[v] : starts[v + 1]] for v in nearest[bounds[e] : bounds[e + 1]]]
+            assert sorted(np.concatenate(tied).tolist()) == np.flatnonzero(dist[e] == dist[e].min()).tolist()
+        got = link_records(release, external, derive_rng(seed, "attack", 0))
+        assert got.tolist() == _oracle_link_records(release, external, derive_rng(seed, "attack", 0)).tolist()
+        _assert_linkage_matches_the_oracle(release, external, 1, seed)
+
+
+def test_the_cell_step_keeps_a_tie_at_1_with_a_vector_outside_the_cell():
+    release, external, _ = _cell_tie_case()
+    dist = _oracle_distances(release, external)
+    assert dist[0, :2].tolist() == [1.0, 1.0] and dist[0].min() == 1.0
+    _, rel_rows, starts, nearest, bounds = attacks._nearest_vectors(release, external)
+    tied = [rel_rows[starts[v] : starts[v + 1]] for v in nearest[bounds[0] : bounds[1]]]
+    assert sorted(np.concatenate(tied).tolist()) == [0, 1]
 
 
 def test_the_key_window_skips_vectors_beyond_the_best_distance(monkeypatch):
@@ -570,13 +677,15 @@ def test_mdav_partition_matches_frozen_single_table_space(pattern, k):
         qi = list(table.qi_names)
         assert mdav_partition(table, qi, k) == _oracle_mdav_partition(table, qi, k)
         # two values per attribute: rows repeat many times over, so the
-        # farthest point and the k-1-th neighbour are tied at most steps. The
+        # farthest point and the k-1-th neighbour are tied at most steps; n
+        # at each edge of MDAV's rounds (one group, a remainder, one round,
+        # a round and a remainder, two rounds) and past them. The
         # frozen space adds 8 or more numeric terms in numpy's pairwise order,
         # MixedSpace one by one; on such ties the last bit differs, so the
         # 9-numeric schema is left out here
         if pattern.count("n") >= 8:
             continue
-        for n in (3 * k, 3 * k + 1, 61):
+        for n in (2 * k - 1, 2 * k, 3 * k - 1, 3 * k, 3 * k + 1, 4 * k, 61):
             table = _interleaved_table(seed, n, pattern, hi=1, cats=CATS[:2])
             assert mdav_partition(table, qi, k) == _oracle_mdav_partition(table, qi, k)
 
