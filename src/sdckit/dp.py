@@ -43,6 +43,7 @@ from .errors import (
     InvalidAlpha,
     InvalidDelta,
     InvalidRho,
+    NonNumeric,
     NonPositiveEpsilon,
     NotNeighbors,
     UnboundedDomain,
@@ -129,21 +130,22 @@ class Query:
 
 
 def answer_query(table: MicrodataTable, query: Query) -> float:
+    """The query's exact answer on ``table``. An attribute the table lacks
+    raises UnknownAttribute, and a categorical one, outside a count's
+    predicate, raises NonNumeric."""
     if query.kind == "count":
         if query.predicate is None:
             return float(table.n_rows)
         return float(query.predicate.mask(table).sum())
-    col = table.columns[query.attribute].astype(float)
+    if not table.attribute(query.attribute).is_numeric:  # raises UnknownAttribute
+        raise NonNumeric(f"a {query.kind} query needs a numeric attribute; {query.attribute!r} is categorical")
+    col = table.column(query.attribute).astype(float)
     if query.kind == "sum":
         return float(col.sum())
-    if query.kind == "mean":
+    if query.kind in ("mean", "max"):
         if col.size == 0:
-            raise ValueError("mean of an empty table is undefined")
-        return float(col.mean())
-    if query.kind == "max":
-        if col.size == 0:
-            raise ValueError("max of an empty table is undefined")
-        return float(col.max())
+            raise ValueError(f"{query.kind} of an empty table is undefined")
+        return float(col.mean() if query.kind == "mean" else col.max())
     return _queried_value(col, query)
 
 

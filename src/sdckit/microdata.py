@@ -809,9 +809,11 @@ class GeneralizationHierarchy:
         return out
 
     def label(self, value, level: int) -> str:
-        """Text label of the ancestor of ``value`` at the requested level."""
-        if not 0 <= level <= self.height:
-            raise LevelOutOfRange(f"level {level} outside [0, {self.height}] for {self.attribute!r}")
+        """Text label of the ancestor of ``value`` at the requested level: an
+        int or numpy integer, not a bool, in [0, height]; any other level
+        raises LevelOutOfRange."""
+        if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or not 0 <= level <= self.height:
+            raise LevelOutOfRange(f"level {level!r} outside [0, {self.height}] for {self.attribute!r}")
         return self.paths([value])[0, level]
 
     def value_path(self, value) -> tuple[str, ...]:
@@ -865,9 +867,7 @@ class GeneralizationHierarchy:
 
 def generalize_value(hierarchy: GeneralizationHierarchy, value, level: int):
     """Ancestor of a leaf at the requested level; level 0 returns the value itself."""
-    if not isinstance(level, (int, np.integer)) or level < 0 or level > hierarchy.height:
-        raise LevelOutOfRange(f"level {level} outside [0, {hierarchy.height}]")
-    label = hierarchy.paths([value])[0, level]  # raises UnknownValue for a non-leaf
+    label = hierarchy.label(value, level)  # raises LevelOutOfRange, or UnknownValue for a non-leaf
     return value if level == 0 else label
 
 

@@ -31,7 +31,7 @@ from .microdata import (
     suppress_identifiers,
     text_codes,
 )
-from .seeds import derive_rngs
+from .seeds import derive_rng
 
 # cluster_and_permute moves whole QI vectors within a group, or each QI column on its own
 PERMUTE_MODES = ("vector", "per_attribute")
@@ -50,10 +50,9 @@ def cluster_and_permute(
     mode="vector" (default) moves whole QI vectors between records, keeping
     intra-record QI correlations; mode="per_attribute" permutes each QI column
     independently inside each group. Confidential and non-confidential values
-    never move. Per-group streams are derived from the seed by a counter
-    construction, so the result does not depend on group processing order.
-    A group's stream shuffles its rows in place once per permuted source, as
-    ``permutation(size)`` would deal them.
+    never move. One stream, ``derive_rng(rng_seed, "permute")``, shuffles
+    every group at once (see ``_class_shuffles``): one draw in vector mode,
+    one per QI in QI order otherwise.
     """
     if mode not in PERMUTE_MODES:
         raise ValueError(f"unknown permutation mode {mode!r}")
@@ -65,17 +64,10 @@ def cluster_and_permute(
         _require_group_size(partition, k)
 
     # release row i takes column ``name`` from source row source[name][i], one array in vector mode and one
-    # per QI otherwise. members: each class's rows, ascending, end to end; each source shuffles a copy of it
-    # class by class, and row members[j] takes the copy's entry j
-    members = np.argsort(partition.labels, kind="stable")
-    dealt = [members.copy() for _ in (qi if mode == "per_attribute" else qi[:1])]
-    ends = np.cumsum(partition.sizes).tolist()
-    for lo, hi, rng in zip([0, *ends], ends, derive_rngs(rng_seed, "permute", count=len(ends))):
-        for rows in dealt:
-            rng.shuffle(rows[lo:hi])
-    sources = [np.empty_like(members) for _ in dealt]
-    for source, rows in zip(sources, dealt):
-        source[members] = rows
+    # per QI otherwise: the row at place j of the class-by-class order of rows takes entry j of a shuffle
+    place = np.argsort(np.argsort(partition.labels, kind="stable"))
+    shuffles = _class_shuffles(partition, derive_rng(rng_seed, "permute"), len(qi) if mode == "per_attribute" else 1)
+    sources = [rows[place] for rows in shuffles]
     source = dict(zip(qi, sources if mode == "per_attribute" else sources * len(qi)))
 
     encoded = {}
@@ -101,6 +93,16 @@ def _require_group_size(partition: Partition, k: int) -> None:
         raise GroupTooSmall(f"smallest group has {smallest} records, below k={k}")
 
 
+def _class_shuffles(partition: Partition, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` independent shuffles of every class at once, one
+    ``rng.permutation`` of all rows each: every row, class by class in
+    partition order, ranked within its class by the permutation. Each class
+    gets an exactly uniform order, independent of every other class's."""
+    n = partition.labels.size
+    key = partition.labels * n
+    return [np.argsort(key + rng.permutation(n)) for _ in range(count)]
+
+
 # --------------------------------------------------------------------------
 # anatomy
 # --------------------------------------------------------------------------
@@ -111,7 +113,10 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
 
     The release's ``table`` is the QI side and its ``conf_table`` the
     confidential side; the two are linked only through ``group_id``, which is
-    the index of the record's group in ``Partition(partition)``.
+    the index of the record's group in ``Partition(partition)``. The
+    confidential rows run group by group in that order, every group shuffled
+    at once by one stream, ``derive_rng(rng_seed, "anatomy")`` (see
+    ``_class_shuffles``).
     """
     partition = Partition(partition)
     _require_group_size(partition, k)
@@ -130,8 +135,7 @@ def anatomize(table: MicrodataTable, partition, k: int, rng_seed: int) -> Anonym
 
     conf_side = [a for a in table.schema if a.role == "confidential"]
     conf_schema = (gid_attr,) + tuple(conf_side)
-    streams = zip(partition, derive_rngs(rng_seed, "anatomy", count=n_groups))
-    order_arr = np.asarray([g[i] for g, rng in streams for i in rng.permutation(len(g)).tolist()], dtype=np.int64)
+    order_arr = _class_shuffles(partition, derive_rng(rng_seed, "anatomy"), 1)[0]
     conf_cols = {"group_id": group_of[order_arr].astype(np.float64)}
     conf_cols.update({a.name: table.columns[a.name][order_arr] for a in conf_side})
     conf_table = _carry(table, MicrodataTable(conf_schema, conf_cols, np.arange(order_arr.size)), order_arr)

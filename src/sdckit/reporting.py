@@ -32,7 +32,7 @@ from .confmodels import (
     verify_t_closeness,
 )
 from .dp import Query, answer_query, dp_microdata_release
-from .errors import UnknownAttribute
+from .errors import NonNumeric, UnknownAttribute
 from .kanon import (
     anonymize_generalization,
     mdav_microaggregate,
@@ -117,10 +117,9 @@ def utility_report(
         if not table.n_rows:
             raise ValueError(f"{what} has no rows: there are no marginals to compare")
     qi = list(qi_attributes) if qi_attributes is not None else list(original.qi_names)
-    for name in qi:
+    for name in qi:  # raises UnknownAttribute
         original.attribute(name)
-        if name not in rel_table.names:
-            raise UnknownAttribute(name)
+        rel_table.attribute(name)
     sse_raw, sse_std = sse_totals(original, rel_table, qi)
     marginals = {name: float(_marginal_distance(original, rel_table, name)) for name in qi}
     query_errors: dict[str, dict] = {}
@@ -132,7 +131,7 @@ def utility_report(
             entry["released"] = got
             entry["abs_error"] = abs(got - true)
             entry["rel_error"] = abs(got - true) / max(1.0, abs(true))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, NonNumeric, UnknownAttribute) as e:
             entry["released"] = None
             entry["note"] = f"query not answerable on the release: {e}"
         query_errors[q.describe()] = entry

@@ -16,6 +16,7 @@ from sdckit import (
     InvalidAlpha,
     InvalidDelta,
     InvalidRho,
+    NonNumeric,
     NonPositiveEpsilon,
     NotNeighbors,
     NumericKind,
@@ -84,6 +85,9 @@ def test_query_validation_and_answers():
     assert answer_query(t, Query("mean", "v")) == pytest.approx(3.25)
     assert answer_query(t, Query("max", "v")) == 7.0
     assert answer_query(t, Query("identity", "v", row_index=2)) == 3.0
+    for kind in ("mean", "max"):
+        with pytest.raises(ValueError, match=f"^{kind} of an empty table is undefined$"):
+            answer_query(_table([]), Query(kind, "v"))
     with pytest.raises(ValueError):
         Query("median", "v")
     with pytest.raises(ValueError):
@@ -91,6 +95,18 @@ def test_query_validation_and_answers():
     with pytest.raises(ValueError):
         Query("identity", "v")
     assert Query("count", predicate=Predicate("v", ">=", 3)).describe() == "count:v>=3"
+
+
+def test_a_query_on_an_attribute_the_table_lacks_raises_unknown_attribute():
+    for q in (Query("sum", "w"), Query("identity", "w", row_index=0)):
+        with pytest.raises(UnknownAttribute, match="'w'"):
+            answer_query(_table([1, 2]), q)
+
+
+@pytest.mark.parametrize("kind", ["sum", "mean", "max", "identity"])
+def test_a_query_on_a_categorical_attribute_raises_non_numeric(kind):
+    with pytest.raises(NonNumeric, match="'c'"):
+        answer_query(_table([1, 2], ["x", "y"]), Query(kind, "c", row_index=0))
 
 
 @pytest.mark.parametrize("row_index", [-1, 1.0, True, False, "1", np.float64(1.0)])

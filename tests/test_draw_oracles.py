@@ -1,7 +1,7 @@
 """Oracles for the fixed cost of scoring one Monte Carlo draw: each function
 the scoring calls is pinned to the code it replaced, bit for bit. (The
 permutation of a ``cluster_and_permute`` draw is pinned in
-``tests/test_group_streams.py``, its streams in ``tests/test_seeds.py``.)"""
+``tests/test_group_streams.py``.)"""
 
 import struct
 
@@ -14,7 +14,6 @@ from sdckit import cluster_and_permute
 from sdckit.attacks import _gap_squares_to_zero
 from sdckit.metric import column_stats
 from sdckit.microdata import MicrodataTable, text_codes, value_codes
-from sdckit.seeds import _INIT_A, _INIT_B, _MULT_A, _MULT_B, _hash_constants
 
 from conftest import build_people_table
 
@@ -134,17 +133,3 @@ def test_value_codes_over_a_shared_distinct_matches_the_union(seed, n, mdav):
     want_support, want_codes = value_codes([table, _with_own_distinct(released, "zip"), table], "zip")
     assert support.dtype == want_support.dtype and support.tolist() == want_support.tolist()
     assert [(c.dtype, c.tolist()) for c in codes] == [(c.dtype, c.tolist()) for c in want_codes]
-
-
-# --------------------------------------------------------------------------
-# _hash_constants
-# --------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("const, mult, n", [(_INIT_A, _MULT_A, 16), (_INIT_A, _MULT_A, 24), (_INIT_B, _MULT_B, 8)])
-def test_hash_constants_are_read_only(const, mult, n):
-    constants = _hash_constants(const, mult, n)
-    assert constants.shape == (2, n, 1) and not constants.flags.writeable
-    assert _hash_constants(const, mult, n) is constants
-    with pytest.raises(ValueError):
-        constants[0, 0, 0] = 0

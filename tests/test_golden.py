@@ -105,8 +105,8 @@ CONFIGS = {
 
 GOLDEN = {
     "mdav": "8da6d73e4691f087d333a6427d61f83dfb3a2b4a4e64a1af880f06405e2af691",
-    "cluster_and_permute": "aaa5e6d63d8ff757ede61bdeb2e5050770314119fe8e6f82612a5709e8c490e8",
-    "anatomy": "f5c0d42fd682d9f3ab3683e13df8f6018b73e5ba7b3a8b8f6f83ef897fb39c83",
+    "cluster_and_permute": "47b50fd388717b7e4270190993968270e1541f409d3d273ef9f2f0e84670e9be",
+    "anatomy": "72d831999477f14bba363cda752ebaed9378d22ea2327b25e124740935e95341",
     "generalization": "871a5b84347c6779e6fd4eae9fe86dd09f5559f8477dd5677ef9e8c79c986132",
     "dp_microdata": "ac5dd9dd8ffbc1bc278af72b6cf7086414f88dba6d82263b4f31457db616ec8d",
     "minimal_generalization": "1a7c963b1977ad090924696b8f632fc81920df54b089c4657ec8777792db6a61",

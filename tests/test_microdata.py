@@ -320,6 +320,17 @@ def test_generalize_value_levels():
         generalize_value(h, "USA", 2)
 
 
+def test_label_and_generalize_value_take_an_int_level_in_range_only():
+    h = GeneralizationHierarchy.from_breakpoints("age", 0, 100, [[30, 60]])
+    assert h.label(30, np.int64(1)) == generalize_value(h, 30, np.int64(1)) == "[30,59]"
+    assert generalize_value(h, 30, 0) == 30
+    for level in (True, 1.5, -1, h.height + 1):
+        with pytest.raises(LevelOutOfRange, match="'age'"):
+            h.label(30, level)
+        with pytest.raises(LevelOutOfRange, match="'age'"):
+            generalize_value(h, 30, level)
+
+
 def test_hierarchy_json_round_trip():
     for h in (
         GeneralizationHierarchy.from_tree("zip", ZIP_TREE),

@@ -76,6 +76,16 @@ def test_utility_report_notes_unanswerable_queries():
     assert report.marginal_distances["x"] == pytest.approx(0.6, abs=1e-12)
 
 
+def test_utility_report_notes_a_query_on_a_suppressed_identifier():
+    schema = (AttributeSchema("pid", "identifier", NumericKind(0, 99)),
+              AttributeSchema("x", "quasi_identifier", NumericKind(0, 10)))
+    table = make_table(schema, {"pid": [float(i) for i in range(6)], "x": [1.0, 2.0, 2.0, 5.0, 7.0, 9.0]})
+    release = cluster_and_permute(table, ["x"], k=3, rng_seed=0)
+    entry = utility_report(table, release, queries=[Query("sum", "pid")]).query_errors["sum:pid"]
+    assert entry["true"] == 15.0 and entry["released"] is None
+    assert entry["note"] == "query not answerable on the release: attribute 'pid' is not in the table schema"
+
+
 def test_utility_report_rejects_missing_columns(numeric_table):
     release = cluster_and_permute(numeric_table, ["a"], k=5, rng_seed=0)
     with pytest.raises(UnknownAttribute):
