@@ -86,8 +86,11 @@ def people(n: int, seed: int, numeric_only: bool = False) -> tuple[str, str]:
 def layers(n: int, seed: int) -> dict:
     """Layer name -> (thunk, view of its output as row fields) at size n. Linkage is
     searched for an MDAV release (k=5, every QI) of the people table and for a
-    dp_microdata release (epsilon=1) of the numeric one; ``read_release`` reads the
-    generalization release, whose interval labels hold commas, through ``csv.reader``."""
+    dp_microdata release (epsilon=1) of the numeric one. ``verify_probabilistic_k``
+    scores one draw of a per_attribute ``cluster_and_permute`` factory on the MDAV
+    partition, ``verify_probabilistic_k_vector`` one of a vector-mode one, in which
+    every record has an exact twin. ``read_release`` reads the generalization
+    release, whose interval labels hold commas, through ``csv.reader``."""
     data, schema = people(n, seed)
     raw, descriptor = Path(data).read_bytes(), json.loads(Path(schema).read_text(encoding="utf-8"))
     table, dp_table = load_table(raw, descriptor), read_table(*people(n, seed, numeric_only=True))
@@ -97,6 +100,7 @@ def layers(n: int, seed: int) -> dict:
     hierarchies = load_hierarchies(gen.hierarchies())
     write_release(anonymize_generalization(table, hierarchies, K)[0], f"release-{n}")
     permute = lambda s: cluster_and_permute(table, qi, K, s, mode="per_attribute", partition=partition)
+    vector = lambda s: cluster_and_permute(table, qi, K, s, partition=partition)
     search = lambda found: digest(*found, distinct_vectors=int(found[2].size - 1))
     return {
         "load_table": (lambda: load_table(raw, descriptor), lambda t: digest(serialize_table(t))),
@@ -105,6 +109,8 @@ def layers(n: int, seed: int) -> dict:
         "nearest_vectors_dp_microdata": (lambda: _nearest_vectors(dp_release.table, dp_table), search),
         "verify_probabilistic_k": (lambda: verify_probabilistic_k(permute, table, K, trials=1, rng_seed=seed),
                                    lambda report: digest(dataclasses.asdict(report))),
+        "verify_probabilistic_k_vector": (lambda: verify_probabilistic_k(vector, table, K, trials=1, rng_seed=seed),
+                                          lambda report: digest(dataclasses.asdict(report))),
         "anonymize_generalization": (lambda: anonymize_generalization(table, hierarchies, K),
                                      lambda got: digest(serialize_table(got[0].table), got[1].to_json())),
         "utility_report": (lambda: utility_report(table, mdav), lambda report: digest(report.to_json())),

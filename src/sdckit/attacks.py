@@ -128,6 +128,11 @@ def link_records(
     return positions
 
 
+def _shared_qis(release_table: MicrodataTable, external_table: MicrodataTable) -> list[str]:
+    """The quasi-identifiers of ``external_table`` that the release also has, in the external table's order."""
+    return [n for n in external_table.qi_names if n in release_table.qi_names]
+
+
 def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTable):
     """The nearest-vector search behind linkage:
     ``(vector_of_row, rel_rows, starts, nearest, bounds)``.
@@ -148,20 +153,20 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     of at most ``_BLOCK_CELLS`` distances, which skips every vector whose
     squared gap to the row on one numeric QI, the key, exceeds the row's best
     distance: no other term of a distance is negative, so such a vector cannot
-    tie it. An empty release raises ValueError.
+    tie it. When every external row equals a release vector, no step runs:
+    each row's one nearest vector is the one it equals, and ``bounds`` is
+    ``arange(n_ext + 1)``. An empty release raises ValueError.
     """
     if release_table.n_rows == 0:
         raise ValueError("the release is empty: there is no row to link a record to")
-    shared = [n for n in external_table.qi_names if n in release_table.qi_names]
+    shared = _shared_qis(release_table, external_table)
     if not shared:
         raise NoSharedQIs("the release and the external table share no quasi-identifiers")
-    rel_space, ext_space = MixedSpace.from_tables([release_table, external_table], shared)
-    n_rel, n_ext = rel_space.n, ext_space.n
-    both = MixedSpace(
-        n_rel + n_ext,
-        [np.concatenate(pair) + 0.0 for pair in zip(rel_space.num_cols, ext_space.num_cols)],  # -0.0 keys as 0.0
-        [np.concatenate(pair) for pair in zip(rel_space.code_cols, ext_space.code_cols)],
-    )
+    # one space of both tables: the release's rows, then the external table's
+    both = MixedSpace.from_tables([release_table, external_table], shared)
+    for col in both.num_cols:  # the space's own z-score arrays
+        col += 0.0  # -0.0 keys as 0.0
+    n_rel, n_ext = release_table.n_rows, external_table.n_rows
     # one sort of both tables by QI vector; equal vectors keep row order
     order = np.lexsort([*both.code_cols, *both.num_cols])
     new_key = np.zeros(order.size, dtype=bool)
@@ -188,7 +193,10 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
     exact = vector_of_key[key[n_rel:]]
     if any(map(_gap_squares_to_zero, both.num_cols)):
         exact[:] = -1
-    del rel_space, both, order, key, vector_of_key  # the sort's arrays need not live through the search
+    if (exact >= 0).all():
+        return vector_of_row, rel_rows, starts, exact, np.arange(n_ext + 1)
+    ext_space = both.take(slice(n_rel, None))
+    del both, order, key, vector_of_key  # the sort's arrays need not live through the search
 
     # each external row's nearest vectors: the one it equals, or the minima
     # the cell step settles, or the scan's. Both steps list their pairs by
@@ -437,7 +445,7 @@ def _linkage_probabilities(release, external_table: MicrodataTable) -> np.ndarra
     if provenance is not None and provenance.mechanism == "cluster_and_permute":
         mode = provenance.params.get("mode")
         permuted = provenance.params.get("qi", ())
-        shared = [n for n in external_table.qi_names if n in rel_table.qi_names]
+        shared = _shared_qis(rel_table, external_table)
         unpermuted = [n for n in shared if n not in permuted]
         if mode != "vector" or unpermuted:
             raise ValueError(
@@ -500,7 +508,7 @@ def linkage_attack(
         trials=total,
         baseline=1.0 / n_rel if n_rel else None,
         details={
-            "shared_qis": [n for n in external_table.qi_names if n in rel_table.qi_names],
+            "shared_qis": _shared_qis(rel_table, external_table),
             "n_release_rows": n_rel,
             "n_external_rows": n_ext,
             "per_record_rates": (sums / draws).tolist(),

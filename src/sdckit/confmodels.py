@@ -289,7 +289,7 @@ def enforce_models(
         raise InvalidT("closeness threshold t must be nonnegative")
     conf = ClassValues.of(table, conf_attribute, d)
     partition = mdav_partition(table, qi_attributes, k)
-    (space,) = MixedSpace.from_tables([table], list(qi_attributes))
+    space = MixedSpace.from_tables([table], list(qi_attributes))
 
     def failing_constraint(gi: int, diversity, closeness) -> str | None:
         if partition.sizes[gi] < k:

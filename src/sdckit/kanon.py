@@ -403,7 +403,7 @@ def mdav_partition(table: MicrodataTable, qi_attributes: Sequence[str], k: int):
     # +inf: a row's distance does not depend on which other rows the pool
     # holds, and at least 2k finite distances remain, so the selection is the
     # one made on the pool without them
-    (pool,) = MixedSpace.from_tables([table], qi)
+    pool = MixedSpace.from_tables([table], qi)
     ids = np.arange(n, dtype=np.int64)
     groups: list[list[int]] = []
 

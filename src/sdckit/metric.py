@@ -1,16 +1,18 @@
 """The one mixed-attribute record distance, shared by MDAV grouping, record
 linkage and class merging.
 
-A space is built over one or more tables at once. An attribute is numeric
-only if it is numeric in every table given; it is z-scored with its mean and
-population standard deviation pooled over all of them (a constant column
-contributes zero) and compared by squared difference. Every other attribute
-is compared as canonical text (the text a release is written with), stored
-as integer codes whose order is the order of the text, over one support for
-all the tables (``microdata.value_codes``), and contributes 0/1 per
-mismatch. A distance adds its terms one attribute at a time, numeric terms
-first, then the mismatches. Distances are squared, which preserves
-nearest/farthest decisions, and may be taken from a block of points at once.
+A space is built over one or more tables at once, as one pooled space: their
+rows stacked in table order, so that each table's rows are one row range of
+it. An attribute is numeric only if it is numeric in every table given; its
+column is pooled over all of them once and z-scored once, with the pooled
+mean and population standard deviation (a constant column contributes zero),
+and compared by squared difference. Every other attribute is compared as
+canonical text (the text a release is written with), stored as integer codes
+whose order is the order of the text, over one support for all the tables
+(``microdata.value_codes``), and contributes 0/1 per mismatch. A distance
+adds its terms one attribute at a time, numeric terms first, then the
+mismatches. Distances are squared, which preserves nearest/farthest
+decisions, and may be taken from a block of points at once.
 
 A space stores each attribute as its own contiguous 1-D array, so MDAV
 shrinks its pool of remaining rows with one 1-D gather per column instead of
@@ -20,7 +22,9 @@ row-major block did (pairwise for one numeric attribute, row by row for
 more), so distances, ties and partitions are byte for byte what the
 row-major layout gave.
 
-The linkage search is described at ``attacks._nearest_vectors``. It bounds a
+The linkage search is described at ``attacks._nearest_vectors``. It builds
+one space of the release and the external table and sorts it once; the
+external table's rows are a row range of it, as views. It bounds a
 distance from below by its term for one numeric attribute, and by 1.0 when
 any categorical attribute mismatches: every term is at least +0 and rounded
 addition is monotone, so no sum is below any one of its terms
@@ -41,7 +45,11 @@ from .microdata import MicrodataTable, value_codes
 def column_stats(columns: Sequence[np.ndarray]) -> tuple[float, float]:
     """Pooled mean and population std over one or more numeric columns: ``pooled.mean()``
     and ``.std()`` bit for bit, by their sums, divisions and square root, without their wrappers."""
-    pooled = np.concatenate([np.asarray(c, dtype=float) for c in columns])
+    return _stats(np.concatenate([np.asarray(c, dtype=float) for c in columns]))
+
+
+def _stats(pooled: np.ndarray) -> tuple[float, float]:
+    """``column_stats`` of the one float column ``pooled``."""
     mean = np.add.reduce(pooled) / pooled.size
     return float(mean), float(np.sqrt(np.add.reduce(np.square(pooled - mean)) / pooled.size))
 
@@ -54,13 +62,15 @@ def zscore(col: np.ndarray, mean: float, std: float) -> np.ndarray:
 
 
 class MixedSpace:
-    """Rows of one table projected onto z-scored numeric and coded categorical columns.
+    """Rows of one or more tables projected onto z-scored numeric and coded categorical columns.
 
     A point is a ``(numeric, codes)`` pair of arrays: one row's, a centroid's,
     or a block of rows stacked along a leading axis. The space itself keeps
     one contiguous 1-D array per attribute (``num_cols``, then ``code_cols``);
     ``take`` shrinks it with one 1-D gather per column, which moves values
-    without changing them.
+    without changing them. A space of several tables (``from_tables``) is
+    one pooled space: the linkage search sorts it once, and the external
+    table's rows are a row range of it, taken as views.
 
     ``centroid`` averages the rows the way ``mean(axis=0)`` of the row-major
     n x dn block would: numpy adds an (m, 1) block pairwise and an (m, d)
@@ -74,23 +84,23 @@ class MixedSpace:
         self.n, self.num_cols, self.code_cols = n, num_cols, code_cols
 
     @classmethod
-    def from_tables(
-        cls, tables: Sequence[MicrodataTable], attributes: Sequence[str]
-    ) -> list["MixedSpace"]:
-        """One space per table, all on the same scale and the same codes."""
+    def from_tables(cls, tables: Sequence[MicrodataTable], attributes: Sequence[str]) -> "MixedSpace":
+        """The one space of the rows of every table, stacked in table order;
+        ``take`` of a row range gives one table's rows as views. A numeric
+        attribute's column is pooled over the tables once and z-scored once
+        with its ``column_stats``, so each table's rows hold the z-scores that
+        table's column alone would get with the pooled statistics. A
+        categorical attribute holds each table's ``value_codes`` into their
+        one support."""
         tables = list(tables)
-        num_cols: list[list[np.ndarray]] = [[] for _ in tables]
-        code_cols: list[list[np.ndarray]] = [[] for _ in tables]
+        num_cols, code_cols = [], []
         for name in attributes:
             if all(t.attribute(name).is_numeric for t in tables):
-                cols = [t.columns[name] for t in tables]
-                mean, std = column_stats(cols)
-                for out, col in zip(num_cols, cols):
-                    out.append(zscore(col, mean, std))
+                pooled = np.concatenate([np.asarray(t.columns[name], dtype=float) for t in tables])
+                num_cols.append(zscore(pooled, *_stats(pooled)))
             else:
-                for out, codes in zip(code_cols, value_codes(tables, name)[1]):
-                    out.append(codes)
-        return [cls(t.n_rows, num, cat) for t, num, cat in zip(tables, num_cols, code_cols)]
+                code_cols.append(np.concatenate(value_codes(tables, name)[1]))
+        return cls(sum(t.n_rows for t in tables), num_cols, code_cols)
 
     def _rows(self, cols: list[np.ndarray], i, dtype) -> np.ndarray:
         """Rows ``i`` of ``cols`` with the columns along the last axis."""
@@ -101,9 +111,13 @@ class MixedSpace:
         return self._rows(self.num_cols, i, float), self._rows(self.code_cols, i, np.intp)
 
     def take(self, rows) -> "MixedSpace":
-        """The space of the rows ``rows`` (an index array or a boolean mask), in that order."""
-        rows = np.asarray(rows)
-        n = int(np.count_nonzero(rows)) if rows.dtype == bool else rows.size
+        """The space of the rows ``rows`` (an index array or a boolean mask), in
+        that order, or of a slice of them, whose columns are views."""
+        if isinstance(rows, slice):
+            n = len(range(self.n)[rows])
+        else:
+            rows = np.asarray(rows)
+            n = int(np.count_nonzero(rows)) if rows.dtype == bool else rows.size
         return MixedSpace(n, [c[rows] for c in self.num_cols], [c[rows] for c in self.code_cols])
 
     def centroid(self, indices=None) -> tuple[np.ndarray, np.ndarray]:

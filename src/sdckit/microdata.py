@@ -31,7 +31,7 @@ import numbers
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -207,8 +207,10 @@ class MicrodataTable:
             raise ValueError("row_ids must be unique")
         ids.setflags(write=False)
         object.__setattr__(self, "row_ids", ids)
-        # a plain attribute, not a field: each column's ``text_codes``
+        # plain attributes, not fields: each column's ``text_codes``, and the
+        # name -> AttributeSchema index that ``attribute`` reads
         object.__setattr__(self, "_text_codes", {})
+        object.__setattr__(self, "_attributes", dict(zip(names, self.schema)))
 
     # -- introspection ------------------------------------------------------
 
@@ -221,22 +223,22 @@ class MicrodataTable:
         return tuple(a.name for a in self.schema)
 
     def attribute(self, name: str) -> AttributeSchema:
-        for a in self.schema:
-            if a.name == name:
-                return a
-        raise UnknownAttribute(name)
+        try:
+            return self._attributes[name]
+        except KeyError:
+            raise UnknownAttribute(name) from None
 
     def has_attribute(self, name: str) -> bool:
-        return any(a.name == name for a in self.schema)
+        return name in self._attributes
 
     def names_with_role(self, role: str) -> tuple[str, ...]:
         return tuple(a.name for a in self.schema if a.role == role)
 
-    @property
+    @cached_property
     def qi_names(self) -> tuple[str, ...]:
         return self.names_with_role("quasi_identifier")
 
-    @property
+    @cached_property
     def identifier_names(self) -> tuple[str, ...]:
         return self.names_with_role("identifier")
 
@@ -639,8 +641,9 @@ def suppress_identifiers(table: MicrodataTable, columns=None, kinds=None, encode
     ``table``'s row ids. Every masking mechanism publishes through it.
 
     A name in ``columns``, ``kinds`` or ``encoded`` that ``table`` lacks, or
-    that names an identifier, raises UnknownAttribute. A column neither
-    replaced nor redeclared keeps ``table``'s text codes; ``encoded`` gives a
+    that names an identifier, raises UnknownAttribute. An attribute not
+    redeclared keeps ``table``'s ``AttributeSchema`` object, and a column
+    neither replaced nor redeclared keeps ``table``'s text codes; ``encoded`` gives a
     replaced one's (name -> (distinct, codes), as ``text_codes`` gives them).
     """
     columns, kinds, encoded = columns or {}, kinds or {}, encoded or {}
@@ -648,7 +651,7 @@ def suppress_identifiers(table: MicrodataTable, columns=None, kinds=None, encode
         if table.attribute(name).role == "identifier":
             raise UnknownAttribute(name)
     kept = (a for a in table.schema if a.role != "identifier")
-    schema = tuple(AttributeSchema(a.name, a.role, kinds.get(a.name, a.kind)) for a in kept)
+    schema = tuple(AttributeSchema(a.name, a.role, kinds[a.name]) if a.name in kinds else a for a in kept)
     cols = {a.name: columns.get(a.name, table.columns[a.name]) for a in schema}
     published = _carry(table, MicrodataTable(schema, cols, table.row_ids))
     for name, (distinct, codes) in encoded.items():

@@ -72,7 +72,7 @@ def _oracle_verify_t_closeness(release_or_table, partition, conf_attribute, t, d
 def _oracle_enforce_models(table, qi_attributes, conf_attribute, k, l=None, t=None, variant="distinct", d=None):
     table.attribute(conf_attribute)
     partition = [list(g) for g in mdav_partition(table, qi_attributes, k)]
-    (space,) = MixedSpace.from_tables([table], list(qi_attributes))
+    space = MixedSpace.from_tables([table], list(qi_attributes))
     conf_col = table.columns[conf_attribute]
     conf_attr = table.attribute(conf_attribute)
     conf_values = [float(v) for v in conf_col] if conf_attr.is_numeric else [str(v) for v in conf_col]

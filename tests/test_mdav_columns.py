@@ -50,7 +50,7 @@ class _RowMajorSpace:
 def _frozen_mdav_partition(table, qi, k):
     """``mdav_partition`` as it was, compacting the 2-D blocks after each group."""
     n = table.n_rows
-    (space,) = MixedSpace.from_tables([table], qi)  # z-scores and codes, packed as row-major blocks
+    space = MixedSpace.from_tables([table], qi)  # z-scores and codes, packed as row-major blocks
     pool = _RowMajorSpace(*map(np.ascontiguousarray, space.point(slice(None))))
     ids = np.arange(n, dtype=np.int64)
     groups = []

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sdckit import (
     AttributeSchema,
     CategoricalKind,
+    MicrodataTable,
     NumericKind,
     cluster_and_permute,
     dp_microdata_release,
@@ -23,8 +24,8 @@ from sdckit import (
     verify_probabilistic_k,
 )
 from sdckit import attacks
-from sdckit.metric import MixedSpace
-from sdckit.microdata import Partition, as_table, canonical_number, comparable_text, make_table
+from sdckit.metric import MixedSpace, column_stats, zscore
+from sdckit.microdata import Partition, as_table, canonical_number, comparable_text, make_table, value_codes
 from sdckit.seeds import derive_rng, derive_seed
 
 from conftest import build_numeric_table, build_people_table
@@ -530,11 +531,30 @@ def test_the_key_window_skips_vectors_beyond_the_best_distance(monkeypatch):
     assert sum(cells) < external.n_rows * release.n_rows / 5
 
 
+def _frozen_per_table_spaces(tables, attributes):
+    """``MixedSpace.from_tables`` as it was before the one pooled space: one
+    space per table, each table's numeric columns z-scored on their own with
+    the pooled statistics."""
+    tables = list(tables)
+    num_cols = [[] for _ in tables]
+    code_cols = [[] for _ in tables]
+    for name in attributes:
+        if all(t.attribute(name).is_numeric for t in tables):
+            cols = [t.columns[name] for t in tables]
+            mean, std = column_stats(cols)
+            for out, col in zip(num_cols, cols):
+                out.append(zscore(col, mean, std))
+        else:
+            for out, codes in zip(code_cols, value_codes(tables, name)[1]):
+                out.append(codes)
+    return [MixedSpace(t.n_rows, num, cat) for t, num, cat in zip(tables, num_cols, code_cols)]
+
+
 def _frozen_dense_nearest_vectors(release_table, external_table):
     """``attacks._nearest_vectors`` as it was before the key window: every
     scanned row against every distinct vector, in blocks of 2**17 distances."""
     shared = [n for n in external_table.qi_names if n in release_table.qi_names]
-    rel_space, ext_space = MixedSpace.from_tables([release_table, external_table], shared)
+    rel_space, ext_space = _frozen_per_table_spaces([release_table, external_table], shared)
     n_rel, n_ext = rel_space.n, ext_space.n
     both = MixedSpace(
         n_rel + n_ext,
@@ -596,6 +616,100 @@ def test_the_search_returns_the_frozen_dense_loops_arrays_at_n_5000(mechanism):
     assert vectors > 8 * (attacks._BLOCK_CELLS >> 9)  # more than eight chunks
     for mine, theirs in zip(got, want):
         assert mine.tolist() == theirs.tolist()
+
+
+def _qi_vectors(table):
+    return list(zip(*(comparable_text(table, name) for name in table.qi_names)))
+
+
+@st.composite
+def search_draws(draw):
+    """(release, external): a people table, its heights coarsened to four
+    values or not, and a release of it in which every record has an exact
+    twin (a vector-mode ``cluster_and_permute`` draw, or the table itself),
+    almost none has (the MDAV release), or some have (each row taken from
+    the draw or from the MDAV release)."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(2, min(n, 4)))
+    table = build_people_table(seed=draw(st.integers(0, 2**16)), n=n)
+    if draw(st.booleans()):  # many equal vectors, and centroids that equal records
+        table = table.with_column("height", np.round(table.columns["height"] / 30) * 30)
+    qi = list(table.qi_names)
+    shape = draw(st.sampled_from(["permuted", "identity", "mdav", "mixed"]))
+    if shape == "identity":
+        return table, table
+    permuted = cluster_and_permute(table, qi, k, draw(st.integers(0, 2**31))).table
+    if shape == "permuted":
+        return permuted, table
+    mdav = mdav_microaggregate(table, qi, k)[1].table
+    if shape == "mdav":
+        return mdav, table
+    mask = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    cols = {name: np.where(mask, permuted.columns[name], mdav.columns[name]) for name in mdav.names}
+    return MicrodataTable(mdav.schema, cols, mdav.row_ids), table
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_draws())
+def test_the_search_returns_the_frozen_dense_loops_arrays_on_draws(inputs):
+    # a release in which every record has an exact twin returns before the
+    # cell and window steps; any other runs both
+    release, external = inputs
+    with mock.patch.object(attacks, "_cell_scan", wraps=attacks._cell_scan) as cell, \
+            mock.patch.object(attacks, "_window_scan", wraps=attacks._window_scan) as window:
+        got = attacks._nearest_vectors(release, external)
+    want = _frozen_dense_nearest_vectors(release, external)
+    for mine, theirs in zip(got, want, strict=True):
+        assert mine.tolist() == theirs.tolist()
+    twins = set(_qi_vectors(release)).issuperset(_qi_vectors(external))
+    assert (cell.called, window.called) == (not twins, not twins)
+    if twins:
+        assert got[4].tolist() == list(range(external.n_rows + 1))
+
+
+SIGNED = (-0.0, 0.0, 1.0, -2.5, 3.0, 1e-200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.lists(st.sampled_from(SIGNED), min_size=0, max_size=8),
+    second=st.lists(st.sampled_from(SIGNED), min_size=1, max_size=8),
+    constant=st.sampled_from([-0.0, 0.0, 2.0]),
+)
+@example(first=[-0.0, 1.0, 0.0], second=[-1.0, -0.0], constant=-0.0)  # a pooled mean of 0: z-scores of -0.0
+def test_the_pooled_z_scores_are_each_tables_own_bit_for_bit(first, second, constant):
+    # x is numeric in both tables, c constant in both, and y numeric in the
+    # first only: compared as text over the union of both tables' texts
+    labels = CategoricalKind(("0", "1", "-2.5", "[0-3)"))
+    tables = []
+    for values, y_kind, y in ((first, NumericKind(-5, 5), first), (second, labels, ["[0-3)", "1"] * len(second))):
+        schema = (
+            AttributeSchema("x", "quasi_identifier", NumericKind(-5, 5)),
+            AttributeSchema("y", "quasi_identifier", y_kind),
+            AttributeSchema("c", "quasi_identifier", NumericKind(-5, 5)),
+        )
+        tables.append(make_table(schema, {"x": values, "y": y[: len(values)], "c": [constant] * len(values)}))
+    names = ["x", "y", "c"]
+    space = MixedSpace.from_tables(tables, names)
+    want = _frozen_per_table_spaces(tables, names)
+    assert (space.n, len(space.num_cols), len(space.code_cols)) == (len(first) + len(second), 2, 1)
+    mean, std = column_stats([first, second])
+    pooled = np.concatenate([zscore(first, mean, std), zscore(second, mean, std)])
+    assert space.num_cols[0].tobytes() == pooled.tobytes()  # the sign of every zero too
+    assert space.num_cols[1].tobytes() == np.zeros(space.n).tobytes()
+    # each table's rows, as views, are the space the table had on its own
+    cut = len(first)
+    for part, own in zip((space.take(slice(0, cut)), space.take(slice(cut, None))), want, strict=True):
+        assert part.n == own.n
+        assert [c.tobytes() for c in part.num_cols] == [c.tobytes() for c in own.num_cols]
+        assert [c.tolist() for c in part.code_cols] == [c.tolist() for c in own.code_cols]
+        if part.n:
+            assert all(map(np.shares_memory, part.num_cols + part.code_cols, space.num_cols + space.code_cols))
+    # one table's space is the one it had, bit for bit
+    (alone,) = _frozen_per_table_spaces(tables[1:], names)
+    only = MixedSpace.from_tables(tables[1:], names)
+    assert [c.tobytes() for c in only.num_cols] == [c.tobytes() for c in alone.num_cols]
+    assert [c.tolist() for c in only.code_cols] == [c.tolist() for c in alone.code_cols]
 
 
 def test_linkage_attack_matches_the_exact_oracle_on_a_factory_and_label_ties(monkeypatch):
@@ -699,9 +813,11 @@ def test_space_pools_numeric_stats_and_shares_codes():
         (AttributeSchema("x", "quasi_identifier", CategoricalKind(("4", "[0-3)"))),),
         {"x": ["[0-3)", "4"]},
     )
-    (only,) = MixedSpace.from_tables([ext], ["x"])
+    only = MixedSpace.from_tables([ext], ["x"])
     assert only.num_cols[0] == pytest.approx([-1.224744871391589, 0.0, 1.224744871391589])
-    rel_space, ext_space = MixedSpace.from_tables([rel, ext], ["x"])
+    both = MixedSpace.from_tables([rel, ext], ["x"])
+    rel_space, ext_space = both.take(slice(0, 2)), both.take(slice(2, None))
+    assert (rel_space.n, ext_space.n) == (2, 3)
     # numeric on one side only: compared as text, "0" < "2" < "4" < "[0-3)"
     assert rel_space.point(slice(None))[0].shape == (2, 0)
     assert rel_space.code_cols[0].tolist() == [3, 2]
@@ -728,8 +844,7 @@ def test_text_codes_match_per_cell_formatting(numbers, labels):
     assert comparable_text(num, "x").tolist() == want_text
     assert "-0" not in want_text
     _, want = np.unique(np.asarray(want_text + labels, dtype=object), return_inverse=True)
-    num_space, lab_space = MixedSpace.from_tables([num, lab], ["x"])
-    assert np.concatenate([num_space.code_cols[0], lab_space.code_cols[0]]).tolist() == want.tolist()
+    assert MixedSpace.from_tables([num, lab], ["x"]).code_cols[0].tolist() == want.tolist()
 
 
 def test_verifier_and_linkage_attack_share_trials():

@@ -126,6 +126,54 @@ def test_take_and_drop_and_with_column(people_table):
         people_table.attribute("nope")
 
 
+def test_the_schema_index_answers_as_the_schema_does():
+    schema = (
+        AttributeSchema("zip", "quasi_identifier", CategoricalKind(("1", "2"))),
+        AttributeSchema("pid", "identifier", CategoricalKind(("a", "b"))),
+        AttributeSchema("age", "quasi_identifier", NumericKind(0, 9)),
+        AttributeSchema("ssn", "identifier", CategoricalKind(("x", "y"))),
+        AttributeSchema("dx", "confidential", CategoricalKind(("u", "v"))),
+        AttributeSchema("sex", "quasi_identifier", CategoricalKind(("f", "m"))),
+    )
+    cols = {"zip": ["1", "2"], "pid": ["a", "b"], "age": [3, 4], "ssn": ["x", "y"], "dx": ["u", "v"], "sex": ["f", "m"]}
+    table = make_table(schema, cols)
+    for a in schema:
+        assert table.attribute(a.name) is a and table.has_attribute(a.name)
+    for name in ("nope", "Zip", ""):
+        assert not table.has_attribute(name)
+        with pytest.raises(UnknownAttribute) as e:
+            table.attribute(name)
+        assert e.value.attribute == name
+        with pytest.raises(UnknownAttribute):
+            table.column(name)
+    # in schema order, the same on every read
+    assert table.qi_names == ("zip", "age", "sex") and table.qi_names is table.qi_names
+    assert table.identifier_names == ("pid", "ssn") and table.identifier_names is table.identifier_names
+    published = suppress_identifiers(table)
+    assert published.qi_names == ("zip", "age", "sex") and published.identifier_names == ()
+    assert table.take([1, 0]).qi_names == table.qi_names
+    # a copy or an unpickled table keeps its index
+    for clone in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert clone.attribute("age") == schema[2] and clone.qi_names == ("zip", "age", "sex")
+
+
+def test_suppress_identifiers_keeps_every_attribute_it_does_not_redeclare():
+    table = build_people_table(seed=2, n=12)
+    labels = CategoricalKind(("young", "old"))
+    ages = np.where(table.columns["age"] < 50, "young", "old")
+    published = suppress_identifiers(table, {"age": ages}, {"age": labels})
+    assert published.names == ("age", "zip", "height", "diagnosis")
+    for a in published.schema:
+        if a.name == "age":
+            assert a == AttributeSchema("age", "quasi_identifier", labels) and a is not table.attribute("age")
+        else:
+            assert a is table.attribute(a.name)
+    # the same kind given again declares an equal attribute; no kinds keeps every one
+    same = suppress_identifiers(table, kinds={"zip": table.attribute("zip").kind})
+    assert same.attribute("zip") == table.attribute("zip")
+    assert all(a is table.attribute(a.name) for a in suppress_identifiers(table).schema)
+
+
 def test_equals_ignores_row_ids(people_table):
     clone = MicrodataTable(
         people_table.schema, dict(people_table.columns), people_table.row_ids + 100

@@ -45,7 +45,7 @@ def test_scale_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads((tmp_path / "BENCH_scale.json").read_text(encoding="utf-8"))
     names = list(dict.fromkeys(row["layer"] for row in result["layers"]))
-    assert len(names) == 9
+    assert len(names) == 10
     assert [(row["layer"], row["n"]) for row in result["layers"]] == [(name, n) for n in (60, 120) for name in names]
     assert [row["distinct_vectors"] > 0 for row in result["layers"] if "distinct_vectors" in row] == [True] * 4
     assert [row["mechanism"] for row in result["runs"]] == list(MECHANISMS)
