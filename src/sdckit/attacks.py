@@ -164,8 +164,6 @@ def _nearest_vectors(release_table: MicrodataTable, external_table: MicrodataTab
         raise NoSharedQIs("the release and the external table share no quasi-identifiers")
     # one space of both tables: the release's rows, then the external table's
     both = MixedSpace.from_tables([release_table, external_table], shared)
-    for col in both.num_cols:  # the space's own z-score arrays
-        col += 0.0  # -0.0 keys as 0.0
     n_rel, n_ext = release_table.n_rows, external_table.n_rows
     # one sort of both tables by QI vector; equal vectors keep row order
     order = np.lexsort([*both.code_cols, *both.num_cols])

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyClass, Infeasible, InvalidT, NonNumeric, SupportMismatch
+from .errors import EmptyClass, Infeasible, InvalidT, SupportMismatch
 from .kanon import mdav_partition
 from .metric import MixedSpace
 from .microdata import MicrodataTable, Partition, as_table, class_counts, value_codes
@@ -252,19 +252,6 @@ def verify_t_closeness(
     return worst <= t, worst
 
 
-def closeness_to_dp_epsilon(multiplicative_t: float) -> float:
-    """Privacy budget implied by multiplicative closeness.
-
-    A class distribution within a multiplicative factor t >= 1 of the global
-    one on every value bounds the intruder's posterior shift exactly like an
-    epsilon = ln(t) indistinguishability constraint. The argument is the
-    multiplicative factor, not an EMD threshold.
-    """
-    if multiplicative_t < 1.0:
-        raise InvalidT(f"multiplicative closeness factor must be >= 1, got {multiplicative_t}")
-    return math.log(multiplicative_t)
-
-
 # --------------------------------------------------------------------------
 # constrained class formation
 # --------------------------------------------------------------------------
@@ -322,29 +309,3 @@ def enforce_models(
         gj = int(np.argmin(dist))  # first minimum = lowest class index
         partition = Partition.of_labels(np.where(partition.labels == gj, gi, partition.labels))
 
-
-# --------------------------------------------------------------------------
-# similarity alert
-# --------------------------------------------------------------------------
-
-
-def similarity_alert(
-    class_values: Sequence[float], global_values: Sequence[float], threshold: float = 0.1
-) -> bool:
-    """Flag classes whose numeric confidential range is a tiny slice of the
-    global range: values can be narrowed down even without exact disclosure."""
-    cls = list(class_values)
-    if not cls:
-        raise EmptyClass("class has no records")
-    try:
-        cls_f = [float(v) for v in cls]
-        glob_f = [float(v) for v in global_values]
-    except (TypeError, ValueError):
-        raise NonNumeric("similarity alert is defined for numeric confidential values") from None
-    if not glob_f:
-        raise EmptyClass("global value list is empty")
-    global_range = max(glob_f) - min(glob_f)
-    if global_range == 0.0:
-        return False
-    ratio = (max(cls_f) - min(cls_f)) / global_range
-    return ratio < threshold

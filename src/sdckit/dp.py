@@ -1,6 +1,6 @@
 """Differential privacy engine: queries, sensitivities, the Laplace family,
-perfect secrecy, metric DP, individual DP, relaxation conversions, and an
-empirical indistinguishability check.
+perfect secrecy, relaxation conversions, and an empirical
+indistinguishability check.
 
 All noise is sampled by explicit inverse-CDF transforms of a seeded uniform
 stream, so every draw is bit-reproducible given the generator state. Every
@@ -35,7 +35,7 @@ import numbers
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,12 +146,7 @@ def answer_query(table: MicrodataTable, query: Query) -> float:
         if col.size == 0:
             raise ValueError(f"{query.kind} of an empty table is undefined")
         return float(col.mean() if query.kind == "mean" else col.max())
-    return _queried_value(col, query)
-
-
-def _queried_value(col: np.ndarray, query: Query) -> float:
-    """The value an identity query reads: ``col[query.row_index]``, which
-    must be a row of the table."""
+    # identity: the value of one row, which must be a row of the table
     if query.row_index >= col.size:
         raise ValueError(f"row_index {query.row_index} is past the end of a table of {col.size} rows")
     return float(col[query.row_index])
@@ -194,44 +189,6 @@ def global_sensitivity(
         return (hi - lo) / n
     # identity and max both move by at most the domain width under either model
     return hi - lo
-
-
-def individual_dp_sensitivity(
-    query: Query, table: MicrodataTable, neighbor_model: str = "add_remove"
-) -> float:
-    """Sensitivity over neighbors of the actual table only (downward local
-    sensitivity for add_remove). Never exceeds the global bound."""
-    if neighbor_model not in NEIGHBOR_MODELS:
-        raise ValueError(f"unknown neighbor model {neighbor_model!r}")
-    if query.kind == "count":
-        return 1.0
-    dom = _numeric_domain(table.schema, query.attribute)
-    lo, hi = dom.lo, dom.hi
-    col = table.columns[query.attribute].astype(float)
-    if query.kind == "identity":
-        # the queried record can change anywhere inside the domain
-        v = _queried_value(col, query)
-        return max(v - lo, hi - v)
-    if col.size == 0:
-        return 0.0
-    if query.kind == "sum":
-        if neighbor_model == "add_remove":
-            return float(np.abs(col).max())
-        return float(np.maximum(col - lo, hi - col).max())
-    if query.kind == "mean":
-        n = col.size
-        mean = col.mean()
-        if neighbor_model == "add_remove":
-            if n == 1:
-                return hi - lo
-            return float(np.abs(col - mean).max() / (n - 1))
-        return float(np.maximum(col - lo, hi - col).max() / n)
-    # max
-    top = float(col.max())
-    second = float(np.partition(col, -2)[-2]) if col.size >= 2 else lo
-    if neighbor_model == "add_remove":
-        return top - max(second, lo) if col.size >= 2 else top - lo
-    return max(hi - top, top - max(second, lo))
 
 
 # --------------------------------------------------------------------------
@@ -369,16 +326,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise NonPositiveEpsilon(f"epsilon must be positive and finite, got {epsilon}")
 
 
-def laplace_mechanism(true_answer: float, sensitivity: float, epsilon: float, rng: np.random.Generator):
-    """Add Laplace(sensitivity / epsilon) noise; zero sensitivity returns exactly."""
-    _check_epsilon(epsilon)
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be nonnegative")
-    if sensitivity == 0:
-        return float(true_answer)
-    return float(true_answer + laplace_noise(rng, sensitivity / epsilon))
-
-
 def laplace_query_mechanism(
     query: Query,
     schema: Sequence[AttributeSchema],
@@ -409,35 +356,27 @@ def laplace_query_mechanism(
     return mechanism
 
 
-def perfect_secrecy_mechanism(
-    query: Query,
-    schema: Sequence[AttributeSchema],
-    rng: np.random.Generator,
-    n: int | None = None,
-    size: int | None = None,
-):
-    """The epsilon = 0 mechanism: output uniform over the query's range,
-    independent of the data. Requires a finite output range; count and sum
-    ranges treat the record count n as public."""
-    if query.kind == "count":
-        if n is None:
-            raise UnboundedDomain("count range needs the public record count n")
-        draws = rng.integers(0, n + 1, size=size)
-        return float(draws) if size is None else draws.astype(float)
-    dom = _numeric_domain(schema, query.attribute)
-    lo, hi = dom.lo, dom.hi
-    if query.kind == "sum":
-        if n is None:
-            raise UnboundedDomain("sum range needs the public record count n")
-        lo, hi = n * min(lo, 0.0), n * max(hi, 0.0)
-    u = rng.random(size)
-    out = lo + (hi - lo) * u
-    return float(out) if size is None else out
-
-
 def perfect_secrecy_query_mechanism(query: Query, schema, n: int | None = None) -> Callable:
+    """The epsilon = 0 mechanism closure: (table, rng, size=None) -> draws
+    uniform over the query's range, independent of the data. Requires a
+    finite output range; count and sum ranges treat the record count n as
+    public, and a call without it raises UnboundedDomain."""
+
     def mechanism(table: MicrodataTable, rng: np.random.Generator, size: int | None = None):
-        return perfect_secrecy_mechanism(query, schema, rng, n=n, size=size)
+        if query.kind == "count":
+            if n is None:
+                raise UnboundedDomain("count range needs the public record count n")
+            draws = rng.integers(0, n + 1, size=size)
+            return float(draws) if size is None else draws.astype(float)
+        dom = _numeric_domain(schema, query.attribute)
+        lo, hi = dom.lo, dom.hi
+        if query.kind == "sum":
+            if n is None:
+                raise UnboundedDomain("sum range needs the public record count n")
+            lo, hi = n * min(lo, 0.0), n * max(hi, 0.0)
+        u = rng.random(size)
+        out = lo + (hi - lo) * u
+        return float(out) if size is None else out
 
     return mechanism
 
@@ -480,27 +419,6 @@ def dp_microdata_release(table: MicrodataTable, epsilon: float, rng_seed: int) -
             seed=int(rng_seed),
         ),
     )
-
-
-def metric_dp_mechanism(point, epsilon: float, rng: np.random.Generator):
-    """Noise calibrated to distance rather than a global domain bound.
-
-    Scalars get Laplace(1/epsilon); 2-D points get planar Laplace noise with
-    density proportional to exp(-epsilon * ||y - x||). Indistinguishability of
-    x and x' degrades no faster than exp(epsilon * d(x, x')).
-    """
-    _check_epsilon(epsilon)
-    arr = np.asarray(point, dtype=float)
-    if arr.ndim == 0:
-        return float(arr + laplace_noise(rng, 1.0 / epsilon))
-    if arr.shape == (2,):
-        # radius ~ Gamma(2, 1/eps) as the sum of two exponentials, angle uniform;
-        # -log(1 - u) stays finite for every u in [0, 1), -log(u) does not at 0
-        e1, e2 = -np.log1p(-rng.random()), -np.log1p(-rng.random())
-        radius = (e1 + e2) / epsilon
-        theta = 2.0 * math.pi * rng.random()
-        return arr + radius * np.asarray([math.cos(theta), math.sin(theta)])
-    raise ValueError("metric DP mechanism supports scalars and 2-D points")
 
 
 # --------------------------------------------------------------------------

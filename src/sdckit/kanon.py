@@ -524,7 +524,7 @@ def sse_totals(table: MicrodataTable, release, qi_attributes: Sequence[str]) -> 
         if table.attribute(name).is_numeric and rel_table.attribute(name).is_numeric:
             o = table.columns[name][orig_rows].astype(float)
             r = rel_table.columns[name].astype(float)
-            mean, std = column_stats([table.columns[name]])
+            mean, std = column_stats(np.asarray(table.columns[name], dtype=float))
             raw += float(((o - r) ** 2).sum())
             standardized += float(((zscore(o, mean, std) - zscore(r, mean, std)) ** 2).sum())
         else:

@@ -42,16 +42,11 @@ import numpy as np
 from .microdata import MicrodataTable, value_codes
 
 
-def column_stats(columns: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Pooled mean and population std over one or more numeric columns: ``pooled.mean()``
-    and ``.std()`` bit for bit, by their sums, divisions and square root, without their wrappers."""
-    return _stats(np.concatenate([np.asarray(c, dtype=float) for c in columns]))
-
-
-def _stats(pooled: np.ndarray) -> tuple[float, float]:
-    """``column_stats`` of the one float column ``pooled``."""
-    mean = np.add.reduce(pooled) / pooled.size
-    return float(mean), float(np.sqrt(np.add.reduce(np.square(pooled - mean)) / pooled.size))
+def column_stats(col: np.ndarray) -> tuple[float, float]:
+    """Mean and population std of one float column: ``col.mean()`` and
+    ``.std()`` bit for bit, by their sums, divisions and square root, without their wrappers."""
+    mean = np.add.reduce(col) / col.size
+    return float(mean), float(np.sqrt(np.add.reduce(np.square(col - mean)) / col.size))
 
 
 def zscore(col: np.ndarray, mean: float, std: float) -> np.ndarray:
@@ -97,7 +92,7 @@ class MixedSpace:
         for name in attributes:
             if all(t.attribute(name).is_numeric for t in tables):
                 pooled = np.concatenate([np.asarray(t.columns[name], dtype=float) for t in tables])
-                num_cols.append(zscore(pooled, *_stats(pooled)))
+                num_cols.append(zscore(pooled, *column_stats(pooled)))
             else:
                 code_cols.append(np.concatenate(value_codes(tables, name)[1]))
         return cls(sum(t.n_rows for t in tables), num_cols, code_cols)

@@ -113,7 +113,7 @@ def _oracle_sse(table, release, qi_attributes, standardize=True):
             o = orig_col.astype(float)
             r = rel_col.astype(float)
             if standardize:
-                mean, std = column_stats([table.columns[name]])
+                mean, std = column_stats(table.columns[name].astype(float))
                 o = zscore(o, mean, std)
                 r = zscore(r, mean, std)
             total += float(((o - r) ** 2).sum())

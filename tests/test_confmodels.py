@@ -1,7 +1,6 @@
 """Distributions, earth mover's distance, l-diversity, t-closeness, and the
 constrained class formation that enforces all three."""
 
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +16,12 @@ from sdckit import (
     GroundDistance,
     Infeasible,
     InvalidT,
-    NonNumeric,
     NumericKind,
     SupportMismatch,
-    closeness_to_dp_epsilon,
     emd,
     emd_transport,
     enforce_models,
     l_diversity,
-    similarity_alert,
     verify_t_closeness,
 )
 from sdckit.microdata import make_table
@@ -187,13 +183,6 @@ def test_single_class_is_zero_distance():
     assert worst == 0.0
 
 
-def test_closeness_to_dp_epsilon():
-    assert closeness_to_dp_epsilon(1.0) == 0.0
-    assert closeness_to_dp_epsilon(2.0) == pytest.approx(math.log(2.0), abs=1e-15)
-    with pytest.raises(InvalidT):
-        closeness_to_dp_epsilon(0.5)
-
-
 # -- constrained class formation --------------------------------------------------
 
 
@@ -231,16 +220,3 @@ def test_enforce_models_validates_arguments():
     with pytest.raises(InvalidT):
         enforce_models(table, ["x"], "s", k=1, t=-1.0)
 
-
-# -- similarity alert -------------------------------------------------------------
-
-
-def test_similarity_alert():
-    glob = [0.0, 100.0, 50.0, 25.0]
-    assert similarity_alert([10.0, 11.0], glob)
-    assert not similarity_alert([10.0, 90.0], glob)
-    assert not similarity_alert([5.0], [5.0, 5.0])  # zero global range
-    with pytest.raises(EmptyClass):
-        similarity_alert([], glob)
-    with pytest.raises(NonNumeric):
-        similarity_alert(["flu"], ["flu", "cold"])

@@ -1,12 +1,12 @@
-"""Queries, sensitivities, the Laplace family, secrecy baselines, metric noise,
-relaxation conversions, and the empirical indistinguishability check."""
+"""Queries, sensitivities, the Laplace family, secrecy baselines, relaxation
+conversions, and the empirical indistinguishability check."""
 
 import math
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdckit import (
@@ -28,11 +28,8 @@ from sdckit import (
     dp_microdata_release,
     empirical_dp_check,
     global_sensitivity,
-    individual_dp_sensitivity,
-    laplace_mechanism,
     laplace_noise,
     laplace_query_mechanism,
-    metric_dp_mechanism,
     neighbor_relation,
     perfect_secrecy_query_mechanism,
     rdp_to_dp,
@@ -120,13 +117,10 @@ def test_identity_query_reads_a_row_of_the_table_or_raises():
     for index in (0, 2, np.int64(2)):
         q = Query("identity", "v", row_index=index)
         assert answer_query(t, q) == float(t.columns["v"][index])
-        assert individual_dp_sensitivity(q, t) == max(answer_query(t, q), 10 - answer_query(t, q))
     for table, index in ((t, 3), (t, 100), (_table([]), 0)):
         q = Query("identity", "v", row_index=index)
         with pytest.raises(ValueError, match="past the end"):
             answer_query(table, q)
-        with pytest.raises(ValueError, match="past the end"):
-            individual_dp_sensitivity(q, table)
 
 
 # -- sensitivities ----------------------------------------------------------------
@@ -155,30 +149,36 @@ def test_global_sensitivity_errors():
         global_sensitivity(Query("sum", "nope"), SCHEMA)
 
 
-def test_individual_sensitivity_frozen():
-    t = _table([1, 2, 3, 7])
-    assert individual_dp_sensitivity(Query("count"), t) == 1.0
-    assert individual_dp_sensitivity(Query("sum", "v"), t, "add_remove") == 7.0
-    assert individual_dp_sensitivity(Query("sum", "v"), t, "replace") == 9.0
-    # mean 3.25; farthest value 7 leaves a gap of 3.75 spread over n-1 = 3 rows
-    assert individual_dp_sensitivity(Query("mean", "v"), t, "add_remove") == pytest.approx(1.25)
-    assert individual_dp_sensitivity(Query("max", "v"), t, "add_remove") == 4.0  # 7 - 3
-    assert individual_dp_sensitivity(Query("max", "v"), t, "replace") == 4.0  # max(10-7, 7-3)
-    assert individual_dp_sensitivity(Query("identity", "v", row_index=3), t) == 7.0
+_SENSITIVITY_QUERIES = {
+    "count": Query("count", predicate=Predicate("v", ">=", 5.0)),
+    "sum": Query("sum", "v"),
+    "mean": Query("mean", "v"),
+    "max": Query("max", "v"),
+    "identity": Query("identity", "v", row_index=0),
+}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    values=st.lists(st.floats(0, 10, allow_nan=False), min_size=1, max_size=15),
-    kind=st.sampled_from(["sum", "mean", "max"]),
-    model=st.sampled_from(["add_remove", "replace"]),
+    values=st.lists(st.floats(0, 10, allow_nan=False), min_size=2, max_size=12),
+    pick=st.integers(0, 11),
+    other=st.floats(0, 10, allow_nan=False),
 )
-def test_individual_never_exceeds_global(values, kind, model):
-    t = _table(values)
-    q = Query(kind, "v")
-    individual = individual_dp_sensitivity(q, t, model)
-    global_bound = global_sensitivity(q, SCHEMA, model, n=len(values))
-    assert individual <= global_bound + 1e-12
+@pytest.mark.parametrize("model", ["add_remove", "replace"])
+@pytest.mark.parametrize("kind", sorted(_SENSITIVITY_QUERIES))
+def test_global_sensitivity_bounds_the_change_between_any_two_neighbors(kind, model, values, pick, other):
+    # the bound every Laplace mechanism calibrates its noise against: one
+    # record removed (add_remove) or rewritten (replace) moves the answer by
+    # no more than it; a mean's public n is the larger table's record count
+    query = _SENSITIVITY_QUERIES[kind]
+    i = pick % len(values)
+    rest = values[:i] + values[i + 1 :]
+    big = _table(values)
+    small = _table(rest if model == "add_remove" else rest[:i] + [other] + rest[i:])
+    assume(neighbor_relation(big, small) == model)
+    bound = global_sensitivity(query, SCHEMA, model, n=big.n_rows)
+    moved = abs(answer_query(big, query) - answer_query(small, query))
+    assert moved <= bound * (1 + 1e-12)
 
 
 # -- Laplace family ---------------------------------------------------------------
@@ -477,15 +477,6 @@ def test_laplace_query_mechanism_adds_the_one_shot_noise(size, query):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-def test_laplace_mechanism_edges():
-    rng = derive_rng(0, "noise")
-    assert laplace_mechanism(4.2, 0.0, 1.0, rng) == 4.2
-    with pytest.raises(NonPositiveEpsilon):
-        laplace_mechanism(1.0, 1.0, 0.0, rng)
-    with pytest.raises(ValueError):
-        laplace_mechanism(1.0, -1.0, 1.0, rng)
-
-
 def test_laplace_query_mechanism_closure():
     t = _table([1, 2, 3, 7])
     mech = laplace_query_mechanism(Query("count"), SCHEMA, epsilon=1.0)
@@ -500,15 +491,27 @@ def test_laplace_query_mechanism_closure():
         laplace_query_mechanism(Query("count"), SCHEMA, epsilon=-1.0)
 
 
+@pytest.mark.parametrize("size", [None, 3])
+def test_laplace_query_mechanism_at_scale_factor_zero_returns_the_exact_answer(size):
+    # the noiseless control draws nothing: the stream is left where it was
+    t = _table([1, 2, 3, 7])
+    mech = laplace_query_mechanism(Query("sum", "v"), SCHEMA, 1.0, scale_factor=0.0)
+    rng = derive_rng(3, "noise")
+    got = mech(t, rng, size=size)
+    if size is None:
+        assert type(got) is float and got == 13.0
+    else:
+        assert got.tolist() == [13.0] * size
+    assert rng.random() == derive_rng(3, "noise").random()
+
+
 # the half-scale count, whose true loss is twice any finite epsilon
 _HALF_SCALE_COUNT = laplace_query_mechanism(
     Query("count", predicate=Predicate("v", ">=", 5.0)), SCHEMA, 1.0, scale_factor=0.5
 )
 
 _EPSILON_ENTRY_POINTS = {
-    "laplace_mechanism": lambda eps: laplace_mechanism(1.0, 1.0, eps, derive_rng(0, "noise")),
     "laplace_query_mechanism": lambda eps: laplace_query_mechanism(Query("count"), SCHEMA, eps),
-    "metric_dp_mechanism": lambda eps: metric_dp_mechanism(3.0, eps, derive_rng(0, "noise")),
     "dp_microdata_release": lambda eps: dp_microdata_release(make_table(SCHEMA[:1], {"v": [1.0, 2.0]}), eps, 0),
     "empirical_dp_check": lambda eps: empirical_dp_check(
         _HALF_SCALE_COUNT, _table([1, 2, 3, 7]), _table([1, 2, 3]), eps, trials=1000
@@ -539,8 +542,41 @@ def test_perfect_secrecy_ignores_the_data():
     smech = perfect_secrecy_query_mechanism(Query("sum", "v"), SCHEMA, n=4)
     souts = smech(t1, derive_rng(8, "noise"), size=1000)
     assert souts.min() >= 0.0 and souts.max() <= 40.0
-    with pytest.raises(UnboundedDomain):
-        perfect_secrecy_query_mechanism(Query("count"), SCHEMA)(t1, derive_rng(0, "noise"))
+    mmech = perfect_secrecy_query_mechanism(Query("mean", "v"), SCHEMA)
+    mouts = mmech(t1, derive_rng(8, "noise"), size=1000)
+    assert mouts.min() >= 0.0 and mouts.max() <= 10.0  # the attribute's [lo, hi]
+    for kind in ("count", "sum"):
+        with pytest.raises(UnboundedDomain):
+            perfect_secrecy_query_mechanism(Query(kind, "v"), SCHEMA)(t1, derive_rng(0, "noise"))
+
+    # a scalar draw is a float, the first of the array draw from the same stream
+    for m, want in (
+        (mech, [2.0, 2.0, 0.0]),
+        (smech, [18.59798807218472, 35.51414867047554, 25.40431876161998]),
+        (mmech, [4.64949701804618, 8.878537167618886, 6.351079690404995]),
+    ):
+        one = m(t1, derive_rng(8, "noise"))
+        assert type(one) is float and one == want[0]
+        assert m(t2, derive_rng(8, "noise"), size=3).tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["max", "identity"])
+def test_perfect_secrecy_draws_of_a_bounded_query_lie_in_the_attribute_domain(kind):
+    # max and identity answers range over the attribute's [lo, hi], as a mean's does
+    mech = perfect_secrecy_query_mechanism(Query(kind, "v", row_index=0), SCHEMA)
+    outs = mech(_table([1, 2, 3, 7]), derive_rng(8, "noise"), size=1000)
+    assert outs.min() >= 0.0 and outs.max() <= 10.0
+    again = mech(_table([9, 9]), derive_rng(8, "noise"), size=1000)
+    assert outs.tobytes() == again.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("query", "error"), [(Query("sum", "c"), UnboundedDomain), (Query("mean", "w"), UnknownAttribute)]
+)
+def test_perfect_secrecy_raises_at_call_time_for_an_attribute_without_a_finite_domain(query, error):
+    mech = perfect_secrecy_query_mechanism(query, SCHEMA, n=4)  # building it checks nothing
+    with pytest.raises(error):
+        mech(_table([1, 2, 3, 7]), derive_rng(0, "noise"))
 
 
 # -- DP microdata -----------------------------------------------------------------
@@ -586,43 +622,6 @@ def test_dp_microdata_release_rejects_bad_inputs():
     dt = make_table(degenerate, {"z": [5.0, 5.0]})
     out = dp_microdata_release(dt, epsilon=1.0, rng_seed=0)
     assert np.array_equal(out.table.columns["z"], dt.columns["z"])  # zero width: nothing to hide
-
-
-# -- metric DP --------------------------------------------------------------------
-
-
-def test_metric_dp_mechanism_shapes_and_determinism():
-    x = metric_dp_mechanism(3.0, 2.0, derive_rng(1, "noise"))
-    y = metric_dp_mechanism(3.0, 2.0, derive_rng(1, "noise"))
-    assert x == y
-    pt = metric_dp_mechanism([0.0, 0.0], 2.0, derive_rng(1, "noise"))
-    assert np.asarray(pt).shape == (2,)
-    with pytest.raises(NonPositiveEpsilon):
-        metric_dp_mechanism(0.0, 0.0, derive_rng(0, "noise"))
-    with pytest.raises(ValueError):
-        metric_dp_mechanism([0.0, 0.0, 0.0], 1.0, derive_rng(0, "noise"))
-
-
-def test_metric_dp_planar_radius_distribution():
-    rng = derive_rng(2, "noise")
-    eps = 2.0
-    radii = [float(np.linalg.norm(metric_dp_mechanism([0.0, 0.0], eps, rng))) for _ in range(20_000)]
-    # planar noise radius is Gamma(2, 1/eps): mean 2/eps
-    assert np.mean(radii) == pytest.approx(2.0 / eps, rel=0.03)
-
-
-@pytest.mark.parametrize("p", [0, 1])
-def test_metric_dp_planar_point_is_finite_when_a_radius_uniform_is_zero(p):
-    # the radius is -log(1 - u0) - log(1 - u1) over eps: a zero uniform adds
-    # nothing, where -log(u) would be infinite (an error under the suite's filter)
-    u = _zero_at(p).random(3)
-    assert u[p] == 0.0
-    eps = 2.0
-    point = metric_dp_mechanism([0.0, 0.0], eps, _zero_at(p))
-    assert np.isfinite(point).all()
-    radius = -(math.log1p(-u[0]) + math.log1p(-u[1])) / eps
-    assert np.linalg.norm(point) == pytest.approx(radius, rel=1e-12)
-    assert math.atan2(point[1], point[0]) % (2 * math.pi) == pytest.approx(2 * math.pi * u[2], rel=1e-12)
 
 
 # -- relaxation conversions -------------------------------------------------------

@@ -57,7 +57,7 @@ def pooled_columns(draw):
 def test_column_stats_is_numpys_mean_and_std_bit_for_bit(columns):
     pooled = np.concatenate(columns)
     with np.errstate(all="ignore"):  # a sum of 1e300s overflows alike on both sides
-        mean, std = column_stats(columns)
+        mean, std = column_stats(pooled)
         want = (float(pooled.mean()), float(pooled.std()))
     assert (_bits(mean), _bits(std)) == tuple(map(_bits, want))
 

@@ -541,7 +541,7 @@ def _frozen_per_table_spaces(tables, attributes):
     for name in attributes:
         if all(t.attribute(name).is_numeric for t in tables):
             cols = [t.columns[name] for t in tables]
-            mean, std = column_stats(cols)
+            mean, std = column_stats(np.concatenate(cols))
             for out, col in zip(num_cols, cols):
                 out.append(zscore(col, mean, std))
         else:
@@ -693,7 +693,7 @@ def test_the_pooled_z_scores_are_each_tables_own_bit_for_bit(first, second, cons
     space = MixedSpace.from_tables(tables, names)
     want = _frozen_per_table_spaces(tables, names)
     assert (space.n, len(space.num_cols), len(space.code_cols)) == (len(first) + len(second), 2, 1)
-    mean, std = column_stats([first, second])
+    mean, std = column_stats(np.concatenate([first, second]))
     pooled = np.concatenate([zscore(first, mean, std), zscore(second, mean, std)])
     assert space.num_cols[0].tobytes() == pooled.tobytes()  # the sign of every zero too
     assert space.num_cols[1].tobytes() == np.zeros(space.n).tobytes()
